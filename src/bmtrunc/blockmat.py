@@ -5,6 +5,12 @@ state = level*d + phase.  Infinite generators are represented by finitely
 described models (banded with eventual level-homogeneity, M/G/1-type, or the
 BMAP queue of the bmap module); finite pieces are plain dense arrays wrapped
 with their block size.
+
+Every model states its band: row k is nonzero only in column 0, in columns
+k - lower_hint() .. k + upper_hint(), and, under a geometric tail, beyond
+them in closed form.  `BlockGeneratorModel.band` is that rule, and the
+window and the truncation fold follow it, so a corner over levels 0..n
+costs O(n * band) `block` calls plus one vectorized tail fill per row.
 """
 
 from __future__ import annotations
@@ -191,20 +197,46 @@ class BlockGeneratorModel:
         """
         raise NotImplementedError
 
+    def row_tail(self, k: int) -> GeometricTail | None:
+        """Geometric tail filling row k beyond its band, if the row has one."""
+        return None
+
+    def band(self, k: int) -> tuple[int, int, GeometricTail | None]:
+        """Where row k can be nonzero: (lo, hi, tail).
+
+        Row k lives in column 0 and columns lo..hi; when tail is not None,
+        every column l > hi also holds the block tail.coef * tail.ratio**(l-k).
+        """
+        return max(0, k - self.lower_hint()), k + self.upper_hint(), self.row_tail(k)
+
     def bm_check_level(self) -> int:
         return self.homogeneity_level() + self.lower_hint() + self.upper_hint() + 1
 
     def window(self, n: int) -> FiniteBlockMatrix:
-        """Northwest corner over levels 0..n; not conservative in general."""
+        """Northwest corner over levels 0..n; not conservative in general.
+
+        Row k calls `block` only on column 0 and its band; past the band
+        the row is zero or filled from the geometric tail in closed form.
+        """
         if n < 0:
             raise InputError(f"window level must be >= 0, got {n}")
         d = self.d
         out = np.zeros(((n + 1) * d, (n + 1) * d))
+        blocks = out.reshape(n + 1, d, n + 1, d)
+        powers = None
         for k in range(n + 1):
-            for l in range(n + 1):
+            lo, hi, tail = self.band(k)
+            cols = range(lo, min(hi, n) + 1)
+            for l in (cols if lo == 0 else (0, *cols)):
                 b = self.block(k, l)
-                if b is not None and np.any(b):
-                    out[k * d:(k + 1) * d, l * d:(l + 1) * d] = b
+                if np.any(b):
+                    blocks[k, :, l, :] = b
+            if tail is not None and hi < n:
+                if powers is None:
+                    powers = np.array([tail.ratio ** o for o in range(n + 1)])
+                blocks[k, :, hi + 1:, :] = (
+                    tail.coef[:, None, :] * powers[hi + 1 - k:n + 1 - k, None]
+                )
         return FiniteBlockMatrix(d, out)
 
     def diag_abs(self, k: int) -> np.ndarray:
@@ -338,6 +370,9 @@ class Mg1Model(BlockGeneratorModel):
     def lower_hint(self) -> int:
         return 1
 
+    def row_tail(self, k: int) -> GeometricTail | None:
+        return self.tail if k >= 1 else None
+
     def drift_fit_level(self) -> int:
         return max(2, self.upper_hint() + 2)
 
@@ -437,6 +472,9 @@ class BmapQueueModel(BlockGeneratorModel):
 
     def lower_hint(self) -> int:
         return 1
+
+    def row_tail(self, k: int) -> GeometricTail | None:
+        return self.tail
 
     def drift_fit_level(self) -> int:
         return max(2, self.mu.stable_from, self.homogeneity_level() + self.k_max + 1)

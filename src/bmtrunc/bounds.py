@@ -90,7 +90,8 @@ class BoundReport:
 
     c, b and weighted_diag are the ingredients of the bound curve in t, kept
     so bound_at reproduces any point of it; bound_min is its minimum, reached
-    at t_star.
+    at t_star.  runtime_ms is the time bound_report took; bound_pipeline
+    widens it to the level's whole cost, corner solve included.
     """
 
     n: int

@@ -226,7 +226,6 @@ class _TailSumView:
             self.col_extent = lambda k: k + obj.upper_hint() + 1
             self.sum = obj.tail_sum
             self.tail = getattr(obj, "tail", None)
-            self.tail_from = lambda k: (k if k >= 1 else 0) + obj.upper_hint() + 1
         elif isinstance(obj, FiniteBlockMatrix):
             self.d = obj.d
             self.check_level = obj.n

@@ -156,6 +156,9 @@ def _truncate(M: BlockGeneratorModel, spec: TruncationSpec) -> TruncatedGenerato
     n = spec.n
     corner = M.window(n).values
     for k in range(n + 1):
+        _lo, hi, tail = M.band(k)
+        if hi <= n and tail is None:
+            continue
         e = M.tail_sum(k, n + 1)
         if not np.any(e):
             continue

@@ -3,7 +3,9 @@
 Everything here is independent of the library internals on purpose: tail
 sums are recomputed with plain numpy slicing, the reference minimizer is a
 golden-section search with a parabolic polish, and random models are
-assembled entry by entry.
+assembled entry by entry.  The stationary oracle is the dense elimination
+and the window oracle asks for every block pair, the plain algorithms the
+library's band-aware ones must reproduce.
 """
 
 import json
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from bmtrunc import BmapModel, MuRule
+from bmtrunc import BmapModel, BmapQueueModel, GeometricTail, MuRule
 
 
 def golden_min(f, lo, hi, h_floor=1e-4):
@@ -46,6 +48,62 @@ def golden_min(f, lo, hi, h_floor=1e-4):
     if denom <= 0:
         return t0
     return min(max(t0 - 0.5 * h * (fp - fm) / denom, lo), hi)
+
+
+def dense_stationary(values):
+    """Stationary vector by dense subtraction-free elimination.
+
+    The textbook Grassmann-Taksar-Heyman scheme with a full rank-1 update
+    of the leading block at every step, O(N^3) whatever the sparsity.
+    """
+    A = np.array(values, dtype=float)
+    N = A.shape[0]
+    for s in range(N - 1, 0, -1):
+        A[:s, s] /= A[s, :s].sum()
+        A[:s, :s] += np.outer(A[:s, s], A[s, :s])
+    x = np.zeros(N)
+    x[0] = 1.0
+    for s in range(1, N):
+        x[s] = x[:s] @ A[:s, s]
+    return x / x.sum()
+
+
+def brute_window(model, n):
+    """The corner over levels 0..n from one block() call per block pair."""
+    d = model.d
+    out = np.zeros(((n + 1) * d, (n + 1) * d))
+    for k in range(n + 1):
+        for l in range(n + 1):
+            b = model.block(k, l)
+            if b is not None and np.any(b):
+                out[k * d:(k + 1) * d, l * d:(l + 1) * d] = b
+    return out
+
+
+def brute_corner(model, spec):
+    """brute_window plus every row's cut tail folded by the spec's weights."""
+    d, n = model.d, spec.n
+    out = brute_window(model, n)
+    for k in range(n + 1):
+        e = model.tail_sum(k, n + 1)
+        for level, frac in spec.weights_for(k).items():
+            l = int(level)
+            out[k * d:(k + 1) * d, l * d:(l + 1) * d] += frac * e
+    return out
+
+
+def tailed_queue(d=2, psi=0.5, ratio=0.4):
+    """A conservative queue model with a geometric batch tail beyond D(2)."""
+    rng = np.random.default_rng(17)
+    D1 = rng.uniform(0.1, 0.3, (d, d))
+    D2 = rng.uniform(0.05, 0.15, (d, d))
+    tail = GeometricTail(coef=rng.uniform(0.1, 0.4, (d, d)), ratio=ratio)
+    off = rng.uniform(0.2, 0.6, (d, d))
+    np.fill_diagonal(off, 0.0)
+    out = off.sum(axis=1) + D1.sum(axis=1) + D2.sum(axis=1) + tail.sum_from(3).sum(axis=1)
+    D0 = off - np.diag(out)
+    return BmapQueueModel(d=d, D=[D0, D1, D2], mu=MuRule(table=(2.5, 3.0)), psi=psi,
+                          tail=tail)
 
 
 def phase_tails(x, d):

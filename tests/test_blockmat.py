@@ -13,13 +13,17 @@ from bmtrunc import (
     Mg1Model,
     MuRule,
     NotConstantAcrossLevels,
+    TruncationSpec,
     build_generator,
+    custom_truncate,
+    fc_truncate,
+    lc_truncate,
     load_model,
     validate_q_matrix,
 )
 from bmtrunc.blockmat import check_block_length, phase_generator
 
-from helpers import bmap_doc, write_model
+from helpers import bmap_doc, brute_corner, brute_window, tailed_queue, write_model
 
 
 def test_check_block_length():
@@ -292,3 +296,66 @@ def test_load_model_rejects_malformed_files(tmp_path):
     k_max_clash["parameters"]["k_max"] = 5
     with pytest.raises(InvalidModelFile):
         load_model(write_model(tmp_path / "clash.json", k_max_clash))
+
+
+def _band_models(fleet_models):
+    """One model of each kind, tails included, plus the fleet queues."""
+    rng = np.random.default_rng(8)
+
+    def blk():
+        return rng.uniform(0.0, 1.0, (2, 2))
+
+    banded = BandedModel(d=2, L=2, U=1, K_hom=3, rows={
+        k: {o: blk() for o in range(-min(k, 2), 2)} for k in range(4)
+    })
+    repeat = [blk() for _ in range(3)]
+    boundary = [blk() for _ in range(4)]
+    tail = GeometricTail(coef=blk(), ratio=0.5)
+    models = {
+        "banded": banded,
+        "mg1": Mg1Model(d=2, repeat=repeat, boundary=boundary),
+        "mg1_tail": Mg1Model(d=2, repeat=repeat, boundary=boundary, tail=tail),
+        "mg1_short_boundary_tail": Mg1Model(d=2, repeat=repeat, boundary=boundary[:1],
+                                            tail=tail),
+        "queue_tail": tailed_queue(),
+    }
+    models.update(fleet_models)
+    return models
+
+
+def test_window_matches_brute_force(fleet_models):
+    for name, model in _band_models(fleet_models).items():
+        for n in (0, 1, 2, 5, 12):
+            np.testing.assert_array_equal(model.window(n).values,
+                                          brute_window(model, n), err_msg=name)
+
+
+def test_window_calls_block_only_on_the_band(fleet_models):
+    n = 40
+    for name, model in _band_models(fleet_models).items():
+        calls = []
+        original = model.block
+        model.block = lambda k, l: calls.append((k, l)) or original(k, l)
+        try:
+            model.window(n)
+        finally:
+            del model.block
+        # column 0 plus the band k-L..k+U, whatever n is
+        width = model.lower_hint() + model.upper_hint() + 2
+        assert len(calls) <= (n + 1) * width, name
+
+
+def test_truncation_fold_matches_brute_force(fleet_models):
+    queues = {"queue_tail": tailed_queue()}
+    queues.update(fleet_models)
+    for name, model in queues.items():
+        for n in (2, 5, 15):
+            custom = TruncationSpec(n=n, style="custom", weights={0: 0.3, n // 2: 0.2, n: 0.5})
+            pairs = [
+                (lc_truncate(model, n), TruncationSpec(n=n, style="lc")),
+                (fc_truncate(model, n), TruncationSpec(n=n, style="fc")),
+                (custom_truncate(model, custom), custom),
+            ]
+            for corner, spec in pairs:
+                np.testing.assert_array_equal(corner.matrix.values, brute_corner(model, spec),
+                                              err_msg=f"{name} {spec.style} n={n}")

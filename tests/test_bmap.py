@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -177,3 +178,16 @@ def test_pipeline_reports(d2_psi0):
     assert all(tv is not None for tv in tvs)
     assert tvs[0] > tvs[1] > tvs[2] > 0.0
     assert all(tv <= r.bound_min for tv, r in zip(tvs, reps2))
+
+
+def test_pipeline_runtime_covers_the_corner_solve(mm1, monkeypatch):
+    real = bmap.stationary
+
+    def slow_corner_solve(G, *args, source="full-reference", **kwargs):
+        if source == "lc":
+            time.sleep(0.03)
+        return real(G, *args, source=source, **kwargs)
+
+    monkeypatch.setattr(bmap, "stationary", slow_corner_solve)
+    reps = bound_pipeline(mm1, [5, 10], n_ref=40)
+    assert all(r.runtime_ms >= 30.0 for r in reps)

@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bmtrunc import build_generator, lc_truncate
+from bmtrunc import build_generator, cli, lc_truncate
 from bmtrunc.cli import CSV_HEADER, exit_code_for, main
 from bmtrunc.errors import (
     BmtruncError,
@@ -183,6 +184,23 @@ def test_sweep_to_file_and_parallel(runner, mm1_path, tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 6
     assert {r["style"] for r in rows} == {"lc", "fc"}
+
+
+def test_sweep_rows_time_their_own_style(runner, mm1_path, monkeypatch):
+    real = cli.stationary
+
+    def slow_lc_solve(G, *args, source="full-reference", **kwargs):
+        if source == "lc":
+            time.sleep(0.05)
+        return real(G, *args, source=source, **kwargs)
+
+    monkeypatch.setattr(cli, "stationary", slow_lc_solve)
+    result = runner.invoke(main, sweep_args(mm1_path))
+    assert result.exit_code == 0
+    rows = list(csv.DictReader(io.StringIO(result.output)))
+    for row in rows:
+        slow = row["style"] == "lc"
+        assert (float(row["runtime_ms"]) >= 50.0) == slow
 
 
 def test_sweep_guards(runner, mm1_path):

@@ -13,7 +13,10 @@ from bmtrunc import (
     InputError,
     KNotZero,
     MultipleClosedClasses,
+    TruncationSpec,
     build_generator,
+    custom_truncate,
+    fc_truncate,
     lc_truncate,
     solve,
     stationary,
@@ -22,7 +25,7 @@ from bmtrunc import (
     tv_distance,
     v_norm,
 )
-from helpers import random_bmap
+from helpers import dense_stationary, random_bmap, tailed_queue
 
 
 def test_stationary_two_state_exact():
@@ -55,6 +58,28 @@ def test_stationary_rejects_two_closed_classes():
         stationary(G, d=1)
 
 
+def test_stationary_state_never_entered_gets_no_mass():
+    # no lower state leads to state 2, so its elimination has no rows to update
+    G = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
+    pi = stationary(G, d=1).values
+    np.testing.assert_array_equal(pi, dense_stationary(G))
+    np.testing.assert_array_equal(pi, [0.5, 0.5, 0.0])
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_stationary_matches_dense_elimination(fleet_models, n):
+    # the fleet covers d = 1 and 2, with and without catastrophes (psi > 0)
+    models = dict(fleet_models, queue_tail=tailed_queue())
+    custom = TruncationSpec(n=n, style="custom", weights={0: 0.25, n // 2: 0.25, n: 0.5})
+    for name, model in models.items():
+        for corner in (lc_truncate(model, n), fc_truncate(model, n),
+                       custom_truncate(model, custom)):
+            pi = stationary(corner.matrix).values
+            ref = dense_stationary(corner.matrix.values)
+            np.testing.assert_allclose(pi, ref, rtol=1e-12, atol=0.0,
+                                       err_msg=f"{name} {corner.spec.style}")
+
+
 def test_single_phase_queue_is_truncated_geometric(mm1):
     # the last-column corner of the rate-1/rate-2 queue keeps detailed
     # balance, so its stationary law is the geometric law conditioned on
@@ -77,6 +102,16 @@ def test_transition_matrix_matches_dense_exponential():
         assert P.values.min() >= -1e-15
     np.testing.assert_allclose(transition_matrix(Q, 0.0).values,
                                np.eye(Q.values.shape[0]), atol=1e-15)
+
+
+def test_uniformized_vector_matches_transition_matrix(d2_psi05):
+    Q = lc_truncate(build_generator(d2_psi05), 60).matrix.values
+    rng = np.random.default_rng(2)
+    p0 = rng.dirichlet(np.ones(Q.shape[0]))
+    for t in (0.0, 1.0, 5.0):
+        np.testing.assert_allclose(solve._uniformized(Q, p0, t, 1e-12),
+                                   p0 @ transition_matrix(Q, t).values,
+                                   rtol=0.0, atol=1e-14)
 
 
 def test_transition_matrix_semigroup():
@@ -136,6 +171,16 @@ def test_transient_decay_envelope(mm1, fleet_certs):
     assert rep.ok
     assert all(m <= l for m, l in zip(rep.measured, rep.limits))
     assert rep.eps_trunc < 1e-4
+
+
+def test_transient_decay_check_propagates_a_vector(monkeypatch, fleet_models, fleet_certs):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("the decay check must not form P(t)")
+
+    monkeypatch.setattr(solve, "transition_matrix", no_matrix)
+    rep = transient_decay_check(fleet_models["d2"], fleet_certs["d2"],
+                                times=(1.0, 5.0), n_ref=60)
+    assert rep.ok
 
 
 def test_transient_decay_check_guards(mm1, fleet_certs):
