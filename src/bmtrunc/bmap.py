@@ -123,9 +123,13 @@ def _irreducible(gen: np.ndarray) -> bool:
     return bool(np.all(reach > 0))
 
 
+def _assemble(B: BmapModel) -> BmapQueueModel:
+    return BmapQueueModel(d=B.d, D=list(B.D), mu=B.mu, psi=B.psi, tail=B.tail)
+
+
 def build_generator(B: BmapModel) -> BmapQueueModel:
     """Assemble the queue generator and confirm its block monotonicity."""
-    model = BmapQueueModel(d=B.d, D=list(B.D), mu=B.mu, psi=B.psi, tail=B.tail)
+    model = _assemble(B)
     report = generator_is_block_monotone(model)
     if not report.holds:
         raise InvalidBmap(
@@ -177,9 +181,19 @@ def spectral(B: BmapModel, z: float, seed: int = 0) -> SpectralRecord:
         return SpectralRecord(z=z, eigenvalue=val, right=np.ones(1), left=np.ones(1),
                               residual=0.0, iterations=0)
     E = np.eye(d) + dh / shift
-    x = np.ones(d)
+    ET = E.T
+    rng = None
+
+    def reseed():
+        nonlocal rng
+        if rng is None:
+            rng = np.random.default_rng(seed)
+        return rng.random(d) + 0.5, rng.random(d) + 0.5
+
     y = np.ones(d)
-    rng = np.random.default_rng(seed)
+    # Ex = E @ x for the current normalized x: the Rayleigh quotient's
+    # product is the next iterate
+    Ex = E @ np.ones(d)
     rprev = math.inf
     iterations = 0
     while True:
@@ -189,30 +203,31 @@ def spectral(B: BmapModel, z: float, seed: int = 0) -> SpectralRecord:
                 f"power iteration did not converge at z={z}; is the phase "
                 "process reducible?"
             )
-        x = E @ x
-        y = E.T @ y
-        nx = float(np.max(np.abs(x)))
-        ny = float(np.max(np.abs(y)))
+        x = Ex
+        y = ET @ y
+        nx = float(np.abs(x).max())
+        ny = float(np.abs(y).max())
         if nx <= 0.0 or ny <= 0.0:
-            x = rng.random(d) + 0.5
-            y = rng.random(d) + 0.5
+            x, y = reseed()
+            Ex = E @ x
             rprev = math.inf
             continue
         x /= nx
         y /= ny
-        r = float((y @ (E @ x)) / (y @ x))
+        Ex = E @ x
+        r = float((y @ Ex) / (y @ x))
         done = abs(r - rprev) < 1e-13 * max(1.0, abs(r))
         rprev = r
         if done:
             val = (r - 1.0) * shift
-            res_r = float(np.max(np.abs(dh @ x - val * x)))
-            res_l = float(np.max(np.abs(y @ dh - val * y)))
+            res_r = float(np.abs(dh @ x - val * x).max())
+            res_l = float(np.abs(y @ dh - val * y).max())
             if max(res_r, res_l) <= 1e-12 * norm:
                 break
             if iterations % 5000 == 0:
                 # stagnating short of the residual target: reseed
-                x = rng.random(d) + 0.5
-                y = rng.random(d) + 0.5
+                x, y = reseed()
+                Ex = E @ x
                 rprev = math.inf
     u = x / float(x.min())
     eta = y / float(y @ u)
@@ -269,6 +284,7 @@ def find_beta_no_disaster(B: BmapModel, beta: float | None = None) -> DriftCerti
     def c_of(beta_val: float) -> float:
         return mu_inf * (1.0 - 1.0 / beta_val) - delta_D(B, beta_val)
 
+    model = build_generator(B)
     if beta is None:
         grid = _beta_grid(B)
         values = np.array([c_of(bv) for bv in grid])
@@ -276,48 +292,60 @@ def find_beta_no_disaster(B: BmapModel, beta: float | None = None) -> DriftCerti
         lo = grid[max(i - 1, 0)]
         hi = grid[min(i + 1, grid.size - 1)]
         beta, _ = _golden_max(c_of, lo, hi)
-    c = c_of(beta)
+    rec = spectral(B, beta)
+    c = mu_inf * (1.0 - 1.0 / beta) - rec.eigenvalue
     if c <= 0.0:
         lam = arrival_rate(B)
         raise NoPositiveC(
             f"no geometric base certifies decay: service floor {mu_inf} vs "
             f"arrival rate {lam:.6g} leaves c(beta) <= 0 everywhere"
         )
-    rec = spectral(B, beta)
     b = (c + rec.eigenvalue) * float(rec.right.max())
-    model = build_generator(B)
     return _bounds.drift_check(model, GeometricVector(beta=beta, u=rec.right), c, b, K=0)
 
 
-def _disaster_constants(B: BmapModel, beta: float):
+def _mu_levels(B: BmapModel) -> np.ndarray:
+    """mu(0), mu(1), ... through the deepest level an offset window reads."""
+    top = max(B.mu.stable_from, K_CAP + 1) + 1
+    return np.array([B.mu(k) for k in range(top + 1)])
+
+
+def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray):
     """Smallest feasible offset level and its constants at one beta.
 
-    Returns (K, c', b', spectral record) or None when no K up to the cap
-    makes the decay bracket positive.
+    The decay bracket mu(k)(1 - 1/beta) + psi(1 - beta^-k) - delta_D(beta) is
+    evaluated once per level k.  c'(K), its infimum over k > K, is the
+    minimum over levels K+1 .. max(stable_from, K+1)+1: past the mu table
+    the bracket only grows.  `mus` is `_mu_levels(B)`, computed once per
+    search.  Returns (K, c', b', spectral record) or None when no K up to
+    the cap makes the bracket positive.
     """
     rec = spectral(B, beta)
     delta = rec.eigenvalue
     psi = B.psi
-
-    def bracket(k: int) -> float:
-        return B.mu(k) * (1.0 - 1.0 / beta) + psi * (1.0 - beta ** (-k)) - delta
-
-    def inf_bracket(K: int) -> float:
-        # exact infimum over k > K: past the mu table the bracket only grows
-        ks = range(K + 1, max(B.mu.stable_from, K + 1) + 2)
-        return min(bracket(k) for k in ks)
-
-    for K in range(K_CAP + 1):
-        c_prime = inf_bracket(K)
-        if c_prime > 0.0:
-            u_max = float(rec.right.max())
-            b_prime = max(
-                (c_prime + delta - B.mu(k) * (1.0 - 1.0 / beta)
-                 - psi * (1.0 - beta ** (-k))) * beta ** k
-                for k in range(K + 1)
-            ) * u_max
-            return K, c_prime, b_prime, rec
-    return None
+    slope = 1.0 - 1.0 / beta
+    decay = [beta ** (-k) for k in range(mus.size)]
+    bracket = mus * slope + psi * (1.0 - np.array(decay)) - delta
+    # c'(K) for K < stable_from - 1 is a suffix minimum over the window
+    # K+1 .. stable_from+1, from there on a minimum of two neighbours
+    stable = B.mu.stable_from
+    split = min(stable - 1, K_CAP + 1)
+    c_of_K = np.concatenate([
+        np.minimum.accumulate(bracket[stable + 1:0:-1])[::-1][:split],
+        np.minimum(bracket[split + 1:K_CAP + 2], bracket[split + 2:K_CAP + 3]),
+    ])
+    feasible = np.flatnonzero(c_of_K > 0.0)
+    if feasible.size == 0:
+        return None
+    K = int(feasible[0])
+    c_prime = float(c_of_K[K])
+    mu_k = mus[:K + 1].tolist()
+    u_max = float(rec.right.max())
+    b_prime = max(
+        (c_prime + delta - mu_k[k] * slope - psi * (1.0 - decay[k])) * beta ** k
+        for k in range(K + 1)
+    ) * u_max
+    return K, c_prime, b_prime, rec
 
 
 def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCertificate:
@@ -330,9 +358,11 @@ def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCer
     """
     if B.psi <= 0.0:
         raise InputError("disaster search requires psi > 0")
+    model = build_generator(B)
+    mus = _mu_levels(B)
 
     def objective(beta_val: float) -> float:
-        found = _disaster_constants(B, beta_val)
+        found = _disaster_constants(B, beta_val, mus)
         if found is None:
             return -math.inf
         K, c_prime, b_prime, _ = found
@@ -352,11 +382,10 @@ def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCer
         lo = grid[max(i - 1, 0)]
         hi = grid[min(i + 1, grid.size - 1)]
         beta, _ = _golden_max(objective, lo, hi)
-    found = _disaster_constants(B, beta)
+    found = _disaster_constants(B, beta, mus)
     if found is None:
         raise NoFeasibleK(f"no offset level up to {K_CAP} works at beta={beta}")
     K, c_prime, b_prime, rec = found
-    model = build_generator(B)
     return _bounds.drift_check(
         model, GeometricVector(beta=beta, u=rec.right), c_prime, b_prime, K=K
     )
@@ -384,6 +413,33 @@ def _closed_form_theta(B: BmapModel, cert: DriftCertificate, n: int,
     return max(-math.log(s / (2.0 * cert.c)), 0.0)
 
 
+def _level0_certificate(B: BmapModel, beta: float | None = None, mode: str = "auto"):
+    """The certificate route shared by bound_pipeline and the CLI sweep.
+
+    Picks the search by the disaster rate ("auto") or by `mode`, and converts
+    a level-K certificate to level-0 form.  The search builds the generator
+    and checks its block monotonicity; the model returned is the same
+    assembly, unchecked a second time.  Returns (model, certificate, b'),
+    b' being the offset before the conversion, or None when none was needed.
+    """
+    if mode not in ("auto", "no_disaster", "disaster"):
+        raise InputError(f"unknown mode {mode!r}")
+    if mode == "auto":
+        mode = "no_disaster" if B.psi == 0.0 else "disaster"
+    if mode == "no_disaster" and B.psi != 0.0:
+        raise InputError("no_disaster mode on a model with psi > 0")
+    if mode == "disaster" and B.psi == 0.0:
+        raise InputError("disaster mode on a model with psi = 0")
+    if mode == "no_disaster":
+        cert = find_beta_no_disaster(B, beta=beta)
+    else:
+        cert = find_constants_disaster(B, beta=beta)
+    model = _assemble(B)
+    if cert.K == 0:
+        return model, cert, None
+    return model, _bounds.corollary_transform(cert, model), cert.b
+
+
 def bound_pipeline(B: BmapModel, n_range, mode: str = "auto",
                    beta: float | None = None, n_ref: int | None = None) -> list[BoundReport]:
     """End-to-end bounds for a sweep of truncation levels.
@@ -396,25 +452,7 @@ def bound_pipeline(B: BmapModel, n_range, mode: str = "auto",
     runtime_ms covers its level's corner solve (when n_ref is given) and the
     bound evaluation.
     """
-    if mode not in ("auto", "no_disaster", "disaster"):
-        raise InputError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = "no_disaster" if B.psi == 0.0 else "disaster"
-    if mode == "no_disaster" and B.psi != 0.0:
-        raise InputError("no_disaster mode on a model with psi > 0")
-    if mode == "disaster" and B.psi == 0.0:
-        raise InputError("disaster mode on a model with psi = 0")
-    model = build_generator(B)
-    b_prime = None
-    if mode == "no_disaster":
-        cert = find_beta_no_disaster(B, beta=beta)
-    else:
-        raw = find_constants_disaster(B, beta=beta)
-        if raw.K == 0:
-            cert = raw
-        else:
-            b_prime = raw.b
-            cert = _bounds.corollary_transform(raw, model)
+    model, cert, b_prime = _level0_certificate(B, beta=beta, mode=mode)
     pi_ref = None
     if n_ref is not None:
         pi_ref = stationary(lc_truncate(model, n_ref).matrix, source="lc")

@@ -255,15 +255,7 @@ def run_sweep(cfg: RunConfig) -> int:
     levels = list(range(cfg.n_min, cfg.n_max + 1, cfg.step))
     cert = None
     if isinstance(model, BmapQueueModel):
-        B = _as_bmap(model)
-        if B.psi == 0.0:
-            raw = _bmap.find_beta_no_disaster(B, beta=cfg.beta)
-            cert = raw
-        else:
-            raw = _bmap.find_constants_disaster(B, beta=cfg.beta)
-            cert = raw if raw.K == 0 else _bounds.corollary_transform(
-                raw, _bmap.build_generator(B)
-            )
+        _, cert, _ = _bmap._level0_certificate(_as_bmap(model), beta=cfg.beta)
     pi_ref = stationary(lc_truncate(model, n_ref).matrix, source="lc")
     out = open(cfg.out, "w", newline="") if cfg.out else sys.stdout
     writer = csv.DictWriter(out, fieldnames=CSV_HEADER)

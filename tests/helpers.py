@@ -5,7 +5,9 @@ sums are recomputed with plain numpy slicing, the reference minimizer is a
 golden-section search with a parabolic polish, and random models are
 assembled entry by entry.  The stationary oracle is the dense elimination
 and the window oracle asks for every block pair, the plain algorithms the
-library's band-aware ones must reproduce.
+library's band-aware ones must reproduce.  The power-iteration and
+offset-level oracles are the plain loops the certificate search must match
+bit for bit.
 """
 
 import json
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from bmtrunc import BmapModel, BmapQueueModel, GeometricTail, MuRule
+from bmtrunc import BmapModel, BmapQueueModel, GeometricTail, MuRule, NoConvergence
 
 
 def golden_min(f, lo, hi, h_floor=1e-4):
@@ -104,6 +106,85 @@ def tailed_queue(d=2, psi=0.5, ratio=0.4):
     D0 = off - np.diag(out)
     return BmapQueueModel(d=d, D=[D0, D1, D2], mu=MuRule(table=(2.5, 3.0)), psi=psi,
                           tail=tail)
+
+
+def power_iteration(B, z, seed=0):
+    """Perron data of B.dhat(z) by the plain two-sided power iteration.
+
+    Returns (eigenvalue, right, left, residual, iterations) with the
+    normalizations of `bmtrunc.spectral`: min(right) = 1, left . right = 1.
+    """
+    dh = B.dhat(z)
+    d = B.d
+    shift = float(np.max(np.abs(np.diag(B.D[0]))))
+    norm = max(float(np.max(np.abs(dh))), 1e-300)
+    if d == 1:
+        return float(dh[0, 0]), np.ones(1), np.ones(1), 0.0, 0
+    E = np.eye(d) + dh / shift
+    x = np.ones(d)
+    y = np.ones(d)
+    rng = np.random.default_rng(seed)
+    rprev = math.inf
+    iterations = 0
+    while True:
+        iterations += 1
+        if iterations > 100_000:
+            raise NoConvergence(f"power iteration did not converge at z={z}")
+        x = E @ x
+        y = E.T @ y
+        nx = float(np.max(np.abs(x)))
+        ny = float(np.max(np.abs(y)))
+        if nx <= 0.0 or ny <= 0.0:
+            x = rng.random(d) + 0.5
+            y = rng.random(d) + 0.5
+            rprev = math.inf
+            continue
+        x /= nx
+        y /= ny
+        r = float((y @ (E @ x)) / (y @ x))
+        done = abs(r - rprev) < 1e-13 * max(1.0, abs(r))
+        rprev = r
+        if done:
+            val = (r - 1.0) * shift
+            res_r = float(np.max(np.abs(dh @ x - val * x)))
+            res_l = float(np.max(np.abs(y @ dh - val * y)))
+            if max(res_r, res_l) <= 1e-12 * norm:
+                break
+            if iterations % 5000 == 0:
+                x = rng.random(d) + 0.5
+                y = rng.random(d) + 0.5
+                rprev = math.inf
+    u = x / float(x.min())
+    eta = y / float(y @ u)
+    return val, u, eta, max(res_r, res_l) / norm, iterations
+
+
+def offset_constants(B, beta, rec, k_cap):
+    """First offset level K and its (c', b') by rescanning every window.
+
+    For K = 0, 1, ... up to k_cap, c'(K) is the minimum of the decay bracket
+    over levels K+1 .. max(stable_from, K+1)+1, evaluated afresh for each K;
+    the first positive one wins.  `rec` supplies delta_D(beta) and u(beta).
+    Returns (K, c', b') or None.
+    """
+    delta = rec.eigenvalue
+    psi = B.psi
+
+    def bracket(k):
+        return B.mu(k) * (1.0 - 1.0 / beta) + psi * (1.0 - beta ** (-k)) - delta
+
+    for K in range(k_cap + 1):
+        ks = range(K + 1, max(B.mu.stable_from, K + 1) + 2)
+        c_prime = min(bracket(k) for k in ks)
+        if c_prime > 0.0:
+            u_max = float(rec.right.max())
+            b_prime = max(
+                (c_prime + delta - B.mu(k) * (1.0 - 1.0 / beta)
+                 - psi * (1.0 - beta ** (-k))) * beta ** k
+                for k in range(K + 1)
+            ) * u_max
+            return K, c_prime, b_prime
+    return None
 
 
 def phase_tails(x, d):

@@ -3,9 +3,13 @@ import time
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmtrunc import (
     BmapModel,
+    DriftViolated,
     GeometricTail,
     InputError,
     InvalidBmap,
@@ -20,7 +24,21 @@ from bmtrunc import (
     find_constants_disaster,
     spectral,
 )
-from bmtrunc.bmap import _closed_form_theta
+from bmtrunc.cli import main
+from bmtrunc.bmap import (
+    K_CAP,
+    _beta_grid,
+    _closed_form_theta,
+    _disaster_constants,
+    _mu_levels,
+)
+from helpers import (
+    bmap_doc,
+    offset_constants,
+    power_iteration,
+    random_bmap,
+    write_model,
+)
 
 
 def test_batch_family_validation():
@@ -191,3 +209,129 @@ def test_pipeline_runtime_covers_the_corner_solve(mm1, monkeypatch):
     monkeypatch.setattr(bmap, "stationary", slow_corner_solve)
     reps = bound_pipeline(mm1, [5, 10], n_ref=40)
     assert all(r.runtime_ms >= 30.0 for r in reps)
+
+
+def _assert_same_spectral(B, z):
+    rec = spectral(B, z)
+    val, right, left, residual, iterations = power_iteration(B, z)
+    assert rec.eigenvalue == val
+    np.testing.assert_array_equal(rec.right, right)
+    np.testing.assert_array_equal(rec.left, left)
+    assert rec.residual == residual
+    assert rec.iterations == iterations
+
+
+def _assert_same_offset_constants(B, beta):
+    """_disaster_constants equals the rescanning oracle bit for bit."""
+    found = _disaster_constants(B, beta, _mu_levels(B))
+    expected = offset_constants(B, beta, spectral(B, beta), K_CAP)
+    if expected is None:
+        assert found is None
+    else:
+        assert found[:3] == expected
+    return found
+
+
+def test_spectral_is_the_plain_power_iteration(fleet, pure_disaster):
+    rng = np.random.default_rng(5)
+    models = [*fleet.values(), pure_disaster,
+              *(random_bmap(rng, d=d, psi=0.3) for d in (3, 5, 8))]
+    for B in models:
+        for z in (0.5, 1.0, 1.0 + 1e-6, 1.3, 2.0, 7.5):
+            _assert_same_spectral(B, z)
+
+
+def test_offset_constants_match_the_rescan(fleet, pure_disaster):
+    outcomes = set()
+    for B in [*fleet.values(), pure_disaster]:
+        grid = _beta_grid(B)
+        betas = [*grid[::7], float(grid[3]), 1.0005, 1.2, 3.0]
+        for beta in betas:
+            found = _assert_same_offset_constants(B, beta)
+            outcomes.add(None if found is None else min(found[0], 1))
+    # infeasible betas, level-0 certificates and offset ones are all covered
+    assert outcomes == {None, 0, 1}
+
+
+@pytest.mark.parametrize("zeros, expected_K", [(K_CAP, K_CAP), (K_CAP + 1, None)])
+def test_offset_level_at_the_cap(zeros, expected_K):
+    # no service through level `zeros`, fast service from the next level on:
+    # with a small disaster rate the bracket turns positive exactly there
+    D = (np.array([[-1.95, 0.7], [0.8, -1.95]]), np.array([[0.5, 0.2], [0.3, 0.3]]),
+         np.array([[0.25, 0.1], [0.2, 0.15]]), np.array([[0.15, 0.05], [0.1, 0.1]]))
+    B = BmapModel(d=2, D=D, mu=MuRule(table=(0.0,) * zeros + (10.0,)), psi=0.01)
+    for beta in (1.1, 1.2, 1.5):
+        found = _assert_same_offset_constants(B, beta)
+        assert (None if found is None else found[0]) == expected_K
+
+
+_mu_rules = st.one_of(
+    st.builds(lambda t: MuRule(table=tuple(t)),
+              st.lists(st.floats(0.0, 4.0), min_size=1, max_size=5)),
+    st.builds(lambda t, v: MuRule(table=tuple(t), value=v),
+              st.lists(st.floats(0.0, 4.0), min_size=1, max_size=5),
+              st.floats(0.0, 4.0)).filter(lambda m: m.value != m.table[-1]),
+    st.builds(lambda t, a: MuRule(table=tuple(t), eventual="affine", slope=a),
+              st.lists(st.floats(0.0, 4.0), min_size=1, max_size=5),
+              st.floats(0.0, 1.0)),
+    st.just(MuRule(table=(0.0,))),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mu=_mu_rules, psi=st.floats(0.01, 3.0), d=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 16), beta=st.floats(1.0 + 1e-6, 12.0))
+def test_offset_constants_match_the_rescan_for_any_service_rule(mu, psi, d, seed, beta):
+    base = random_bmap(np.random.default_rng(seed), d=d)
+    B = BmapModel(d=d, D=base.D, mu=mu, psi=psi)
+    _assert_same_offset_constants(B, beta)
+    _assert_same_spectral(B, beta)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_no_disaster_search_evaluates_the_winner_once(d2_psi0, monkeypatch):
+    calls = _count_calls(monkeypatch, bmap, "spectral")
+    find_beta_no_disaster(d2_psi0)
+    # grid, golden section (two starting points plus one per step), winner
+    assert len(calls) == bmap.GRID_POINTS + bmap.GOLDEN_ITERS + 2 + 1
+    calls.clear()
+    find_beta_no_disaster(d2_psi0, beta=1.3)
+    assert len(calls) == 1
+
+
+def test_one_monotonicity_check_per_certificate(fleet, pure_disaster, tmp_path,
+                                                monkeypatch):
+    calls = _count_calls(monkeypatch, bmap, "generator_is_block_monotone")
+    for B in [*fleet.values(), pure_disaster]:
+        calls.clear()
+        bound_pipeline(B, [10])
+        assert len(calls) == 1
+    path = write_model(tmp_path / "reset.json", bmap_doc(pure_disaster))
+    calls.clear()
+    result = CliRunner().invoke(main, ["sweep", "--model", path, "--n-min", "4",
+                                       "--n-max", "4"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
+@pytest.mark.xfail(strict=True, raises=DriftViolated,
+                   reason="near-critical drift fit is ill-conditioned (ROADMAP item 3)")
+def test_near_critical_single_server_certifies():
+    # lambda = 1 against mu = 1.001: the search finds beta = sqrt(mu) and a
+    # positive c of about 2.5e-7, and the certificate truly holds, but the
+    # tail-law fit in drift_check reports a slack of about 2e-10 at level 4
+    B = BmapModel(d=1, D=(np.array([[-1.0]]), np.array([[1.0]])),
+                  mu=MuRule(table=(1.001,)))
+    cert = find_beta_no_disaster(B)
+    assert cert.verified
