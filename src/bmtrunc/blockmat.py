@@ -3,8 +3,8 @@
 States are (level, phase) pairs with phases 0..d-1 per level, laid out as
 state = level*d + phase.  Infinite generators are represented by finitely
 described models (banded with eventual level-homogeneity, M/G/1-type, or the
-BMAP queue of the bmap module); finite pieces are plain dense arrays wrapped
-with their block size.
+batch-arrival queue whose certificates the bmap module searches); finite
+pieces are plain dense arrays wrapped with their block size.
 
 Every model states its band: row k is nonzero only in column 0, in columns
 k - lower_hint() .. k + upper_hint(), and, under a geometric tail, beyond
@@ -16,6 +16,7 @@ costs O(n * band) `block` calls plus one vectorized tail fill per row.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,13 +24,16 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InputError,
+    InvalidBmap,
     InvalidModelFile,
     NotConstantAcrossLevels,
     NotStochastic,
     TailSumUnavailable,
 )
 
-TAU_CONS_FACTOR = 1e-10
+# Tolerance on a row sum that should vanish or a sign that should hold; each
+# conservativity check multiplies it by its own scale.
+TAU_CONS = 1e-10
 
 
 def check_block_length(size: int, d: int) -> int:
@@ -92,14 +96,14 @@ class MuRule:
     def __post_init__(self):
         if len(self.table) == 0:
             raise InputError("mu table must contain at least mu(1)")
-        if any(m < 0 for m in self.table):
-            raise InputError("mu(k) must be nonnegative")
+        if not all(0.0 <= m < math.inf for m in self.table):
+            raise InputError("mu(k) must be finite and nonnegative")
         if self.eventual not in ("constant", "affine"):
             raise InputError(f"unknown eventual mu rule {self.eventual!r}")
-        if self.eventual == "affine" and self.slope < 0:
-            raise InputError("affine mu rule needs slope >= 0 to stay nonnegative")
-        if self.value is not None and self.value < 0:
-            raise InputError("eventual mu value must be nonnegative")
+        if self.eventual == "affine" and not 0.0 <= self.slope < math.inf:
+            raise InputError("affine mu rule needs a finite slope >= 0")
+        if self.value is not None and not 0.0 <= self.value < math.inf:
+            raise InputError("eventual mu value must be finite and nonnegative")
 
     def __call__(self, k: int) -> float:
         if k <= 0:
@@ -389,36 +393,95 @@ class Mg1Model(BlockGeneratorModel):
         return out
 
 
+def reachable(adj: np.ndarray) -> np.ndarray:
+    """reach[i, j]: state j can be reached from state i along edges of adj.
+
+    Every state reaches itself.  The closure is found by squaring until it
+    stops growing, so it costs O(log d) boolean products.
+    """
+    reach = np.asarray(adj, dtype=bool) | np.eye(len(adj), dtype=bool)
+    while True:
+        grown = reach @ reach
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
+
+
+@dataclass(eq=False)
 class BmapQueueModel(BlockGeneratorModel):
     """The BMAP/M(k)/1 queue generator with optional disasters.
 
     Row 0 is D(0), D(1), ...; row k >= 1 has psi*I in column 0 (plus mu(1)*I
     when k = 1), mu(k)*I on the subdiagonal, D(0) - (psi+mu(k))*I on the
     diagonal, and D(l-k) above it.
+
+    Construction validates the parameters: finite d x d blocks, a D(0)
+    with nonnegative off-diagonal and negative diagonal entries,
+    nonnegative D(k) for k >= 1, a finite psi >= 0, and a conservative,
+    irreducible phase process sum D(k).  r_D is the radius of convergence of the batch-size
+    transform: the reciprocal tail ratio when an analytic tail is declared,
+    infinite for finitely supported batches.
     """
+
+    d: int
+    D: tuple
+    mu: MuRule
+    psi: float = 0.0
+    tail: GeometricTail | None = None
 
     kind = "BmapQueue"
 
-    def __init__(self, d: int, D: list, mu: MuRule, psi: float = 0.0,
-                 tail: GeometricTail | None = None):
-        if psi < 0:
-            raise InputError(f"disaster rate must be >= 0, got {psi}")
-        self.d = d
-        self.D = tuple(np.asarray(m, dtype=float) for m in D)
+    def __post_init__(self):
+        self.D = tuple(np.asarray(m, dtype=float) for m in self.D)
         if len(self.D) < 1:
-            raise InvalidModelFile("BmapQueue needs at least D(0)")
-        for m in self.D:
+            raise InvalidBmap("need at least D(0)")
+        d = self.d
+        for i, m in enumerate(self.D):
             if m.shape != (d, d):
-                raise DimensionMismatch(f"D block shape {m.shape}, want {(d, d)}")
-        self.mu = mu
-        self.psi = float(psi)
-        self.tail = tail
+                raise InvalidBmap(f"D({i}) has shape {m.shape}, want {(d, d)}")
+        d0 = self.D[0]
+        off0 = d0 - np.diag(np.diag(d0))
+        if float(off0.min()) < 0:
+            raise InvalidBmap("D(0) has a negative off-diagonal entry")
+        if float(np.max(np.diag(d0))) >= 0:
+            raise InvalidBmap("D(0) diagonal must be strictly negative")
+        for i, m in enumerate(self.D[1:], start=1):
+            if float(m.min()) < 0:
+                raise InvalidBmap(f"D({i}) has a negative entry")
+        if not 0.0 <= self.psi < math.inf:
+            raise InvalidBmap(f"disaster rate must be finite and >= 0, got {self.psi}")
+        self.psi = float(self.psi)
         self._zero = np.zeros((d, d))
         self._eye = np.eye(d)
+        total = self.phase_sum()
+        if not np.all(np.isfinite(total)):
+            raise InvalidBmap("D(k) and the tail coefficients must be finite")
+        defect = float(np.max(np.abs(total.sum(axis=1))))
+        if defect > TAU_CONS * max(1.0, float(np.max(np.abs(total)))):
+            raise InvalidBmap(f"sum of D(k) is not conservative (defect {defect:.3e})")
+        if not reachable(total > 1e-300).all():
+            raise InvalidBmap("phase process generator sum of D(k) is reducible")
 
     @property
     def k_max(self) -> int:
         return len(self.D) - 1
+
+    @property
+    def r_D(self) -> float:
+        return math.inf if self.tail is None else 1.0 / self.tail.ratio
+
+    def phase_sum(self) -> np.ndarray:
+        """D = sum of all D(k), the phase process generator."""
+        return self._dtail(0)
+
+    def dhat(self, z: float) -> np.ndarray:
+        """Batch transform sum z^k D(k), exact including the analytic tail."""
+        if not 0.0 < z < self.r_D:
+            raise InputError(f"z={z} outside (0, {self.r_D})")
+        out = sum((z ** k) * m for k, m in enumerate(self.D))
+        if self.tail is not None:
+            out = out + self.tail.power_series_from(self.k_max + 1, z)
+        return out
 
     def _dblock(self, j: int) -> np.ndarray:
         if j <= self.k_max:
@@ -533,11 +596,11 @@ def validate_q_matrix(M) -> ValidationReport:
         scale = max(report.row_scale, 1e-300)
         for k in range(probe + 1):
             defect = max(defect, float(np.max(np.abs(M.tail_sum(k, 0).sum(axis=1)))))
-        conservative = defect <= TAU_CONS_FACTOR * scale
+        conservative = defect <= TAU_CONS * scale
         messages = list(report.messages)
         if not conservative:
             messages.append(
-                f"row sums defect {defect:.3e} exceeds {TAU_CONS_FACTOR * scale:.3e}"
+                f"row sums defect {defect:.3e} exceeds {TAU_CONS * scale:.3e}"
             )
         return ValidationReport(
             ok=not messages,
@@ -558,7 +621,7 @@ def _validate_finite(values: np.ndarray, conservative_rows) -> ValidationReport:
     off_viol = float(max(0.0, -off.min())) if off.size else 0.0
     diag_viol = float(max(0.0, np.max(np.diag(values)))) if values.size else 0.0
     row_scale = float(np.max(np.abs(values).sum(axis=1))) if values.size else 0.0
-    tau = TAU_CONS_FACTOR * max(row_scale, 1e-300)
+    tau = TAU_CONS * max(row_scale, 1e-300)
     if off_viol > tau:
         i, j = np.unravel_index(np.argmin(off), off.shape)
         messages.append(f"negative off-diagonal {values[i, j]:.3e} at ({i},{j})")
@@ -594,7 +657,7 @@ def phase_generator(M: BlockGeneratorModel) -> np.ndarray:
     k_top = M.homogeneity_level()
     xi = M.tail_sum(k_top, 0)
     scale = max(float(np.max(np.abs(xi))), 1.0)
-    tau = TAU_CONS_FACTOR * scale
+    tau = TAU_CONS * scale
     for k in range(k_top + 1):
         dev = float(np.max(np.abs(M.tail_sum(k, 0) - xi)))
         if dev > tau:
@@ -655,7 +718,7 @@ def load_model(path) -> BlockGeneratorModel:
         raise InvalidModelFile(f"{path}: d must be >= 1, got {d}")
     try:
         if kind == "BmapQueue":
-            D = [_parse_matrix(m, d, f"D[{i}]") for i, m in enumerate(params["D"])]
+            D = list(params["D"])
             if "k_max" in params and int(params["k_max"]) != len(D) - 1:
                 raise InvalidModelFile(
                     f"k_max={params['k_max']} disagrees with {len(D)} D blocks"

@@ -4,6 +4,8 @@ The input process is a batch Markovian arrival process given by matrices
 D(0), D(1), ... (D(0) holds phase transitions without arrivals, D(k) those
 accompanied by a batch of size k).  Level k of the queue drains at rate
 mu(k), and an optional disaster rate psi flushes the whole queue to level 0.
+The queue is `blockmat.BmapQueueModel`, which validates these parameters and
+is also the generator every other module reads.
 
 Everything a drift certificate needs comes from the transform
 Dhat(z) = sum z^k D(k) and its Perron root delta_D(z): the root is 0 at
@@ -21,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as _bounds
-from .blockmat import (
-    BmapQueueModel,
-    FiniteBlockMatrix,
-    GeometricTail,
-    MuRule,
-)
+from .blockmat import BmapQueueModel, FiniteBlockMatrix
 from .bounds import BoundReport, DriftCertificate, GeometricVector
 from .errors import (
     DegenerateArrivals,
@@ -47,95 +44,19 @@ K_CAP = 200
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass
-class BmapModel:
-    """Validated queue parameters.
-
-    r_D is the radius of convergence of the batch-size transform: the
-    reciprocal tail ratio when an analytic tail is declared, infinite for
-    finitely supported batches.
-    """
-
-    d: int
-    D: tuple
-    mu: MuRule
-    psi: float = 0.0
-    tail: GeometricTail | None = None
-
-    def __post_init__(self):
-        self.D = tuple(np.asarray(m, dtype=float) for m in self.D)
-        if len(self.D) < 1:
-            raise InvalidBmap("need at least D(0)")
-        d = self.d
-        for i, m in enumerate(self.D):
-            if m.shape != (d, d):
-                raise InvalidBmap(f"D({i}) has shape {m.shape}, want {(d, d)}")
-        d0 = self.D[0]
-        off0 = d0 - np.diag(np.diag(d0))
-        if float(off0.min()) < 0:
-            raise InvalidBmap("D(0) has a negative off-diagonal entry")
-        if float(np.max(np.diag(d0))) >= 0:
-            raise InvalidBmap("D(0) diagonal must be strictly negative")
-        for i, m in enumerate(self.D[1:], start=1):
-            if float(m.min()) < 0:
-                raise InvalidBmap(f"D({i}) has a negative entry")
-        if self.psi < 0:
-            raise InvalidBmap(f"disaster rate must be >= 0, got {self.psi}")
-        total = self.phase_sum()
-        defect = float(np.max(np.abs(total.sum(axis=1))))
-        if defect > 1e-10 * max(1.0, float(np.max(np.abs(total)))):
-            raise InvalidBmap(f"sum of D(k) is not conservative (defect {defect:.3e})")
-        if not _irreducible(total):
-            raise InvalidBmap("phase process generator sum of D(k) is reducible")
-
-    @property
-    def k_max(self) -> int:
-        return len(self.D) - 1
-
-    @property
-    def r_D(self) -> float:
-        return math.inf if self.tail is None else 1.0 / self.tail.ratio
-
-    def phase_sum(self) -> np.ndarray:
-        """D = sum of all D(k), the phase process generator."""
-        out = sum(self.D[1:], start=self.D[0].copy())
-        if self.tail is not None:
-            out = out + self.tail.sum_from(self.k_max + 1)
-        return out
-
-    def dhat(self, z: float) -> np.ndarray:
-        """Batch transform sum z^k D(k), exact including the analytic tail."""
-        if not 0.0 < z < self.r_D:
-            raise InputError(f"z={z} outside (0, {self.r_D})")
-        out = sum((z ** k) * m for k, m in enumerate(self.D))
-        if self.tail is not None:
-            out = out + self.tail.power_series_from(self.k_max + 1, z)
-        return out
-
-
-def _irreducible(gen: np.ndarray) -> bool:
-    d = gen.shape[0]
-    adj = (gen > 1e-300).astype(float)
-    np.fill_diagonal(adj, 1.0)
-    reach = adj.copy()
-    for _ in range(d):
-        reach = np.minimum(reach @ adj, 1.0)
-    return bool(np.all(reach > 0))
-
-
-def _assemble(B: BmapModel) -> BmapQueueModel:
-    return BmapQueueModel(d=B.d, D=list(B.D), mu=B.mu, psi=B.psi, tail=B.tail)
+# The queue model validates its parameters on construction; this name is kept
+# for the callers that build queues as bmap.BmapModel.
+BmapModel = BmapQueueModel
 
 
 def build_generator(B: BmapModel) -> BmapQueueModel:
-    """Assemble the queue generator and confirm its block monotonicity."""
-    model = _assemble(B)
-    report = generator_is_block_monotone(model)
+    """Confirm the queue generator's block monotonicity and return it."""
+    report = generator_is_block_monotone(B)
     if not report.holds:
         raise InvalidBmap(
-            f"assembled generator fails block monotonicity at {report.worst_violation}"
+            f"queue generator fails block monotonicity at {report.worst_violation}"
         )
-    return model
+    return B
 
 
 def arrival_rate(B: BmapModel) -> float:
@@ -284,7 +205,7 @@ def find_beta_no_disaster(B: BmapModel, beta: float | None = None) -> DriftCerti
     def c_of(beta_val: float) -> float:
         return mu_inf * (1.0 - 1.0 / beta_val) - delta_D(B, beta_val)
 
-    model = build_generator(B)
+    build_generator(B)
     if beta is None:
         grid = _beta_grid(B)
         values = np.array([c_of(bv) for bv in grid])
@@ -301,7 +222,7 @@ def find_beta_no_disaster(B: BmapModel, beta: float | None = None) -> DriftCerti
             f"arrival rate {lam:.6g} leaves c(beta) <= 0 everywhere"
         )
     b = (c + rec.eigenvalue) * float(rec.right.max())
-    return _bounds.drift_check(model, GeometricVector(beta=beta, u=rec.right), c, b, K=0)
+    return _bounds.drift_check(B, GeometricVector(beta=beta, u=rec.right), c, b, K=0)
 
 
 def _mu_levels(B: BmapModel) -> np.ndarray:
@@ -358,7 +279,7 @@ def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCer
     """
     if B.psi <= 0.0:
         raise InputError("disaster search requires psi > 0")
-    model = build_generator(B)
+    build_generator(B)
     mus = _mu_levels(B)
 
     def objective(beta_val: float) -> float:
@@ -387,7 +308,7 @@ def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCer
         raise NoFeasibleK(f"no offset level up to {K_CAP} works at beta={beta}")
     K, c_prime, b_prime, rec = found
     return _bounds.drift_check(
-        model, GeometricVector(beta=beta, u=rec.right), c_prime, b_prime, K=K
+        B, GeometricVector(beta=beta, u=rec.right), c_prime, b_prime, K=K
     )
 
 
@@ -417,10 +338,9 @@ def _level0_certificate(B: BmapModel, beta: float | None = None, mode: str = "au
     """The certificate route shared by bound_pipeline and the CLI sweep.
 
     Picks the search by the disaster rate ("auto") or by `mode`, and converts
-    a level-K certificate to level-0 form.  The search builds the generator
-    and checks its block monotonicity; the model returned is the same
-    assembly, unchecked a second time.  Returns (model, certificate, b'),
-    b' being the offset before the conversion, or None when none was needed.
+    a level-K certificate to level-0 form.  The search checks the
+    generator's block monotonicity.  Returns (certificate, b'), b' being the
+    offset before the conversion, or None when none was needed.
     """
     if mode not in ("auto", "no_disaster", "disaster"):
         raise InputError(f"unknown mode {mode!r}")
@@ -434,10 +354,9 @@ def _level0_certificate(B: BmapModel, beta: float | None = None, mode: str = "au
         cert = find_beta_no_disaster(B, beta=beta)
     else:
         cert = find_constants_disaster(B, beta=beta)
-    model = _assemble(B)
     if cert.K == 0:
-        return model, cert, None
-    return model, _bounds.corollary_transform(cert, model), cert.b
+        return cert, None
+    return _bounds.corollary_transform(cert, B), cert.b
 
 
 def bound_pipeline(B: BmapModel, n_range, mode: str = "auto",
@@ -452,18 +371,18 @@ def bound_pipeline(B: BmapModel, n_range, mode: str = "auto",
     runtime_ms covers its level's corner solve (when n_ref is given) and the
     bound evaluation.
     """
-    model, cert, b_prime = _level0_certificate(B, beta=beta, mode=mode)
+    cert, b_prime = _level0_certificate(B, beta=beta, mode=mode)
     pi_ref = None
     if n_ref is not None:
-        pi_ref = stationary(lc_truncate(model, n_ref).matrix, source="lc")
+        pi_ref = stationary(lc_truncate(B, n_ref).matrix, source="lc")
     reports = []
     for n in n_range:
         started = time.perf_counter()
         true_tv = None
         if pi_ref is not None:
-            pi_n = stationary(lc_truncate(model, n).matrix, source="lc")
+            pi_n = stationary(lc_truncate(B, n).matrix, source="lc")
             true_tv = tv_distance(pi_n, pi_ref)
-        report = _bounds.bound_report(cert, model, n, true_tv=true_tv)
+        report = _bounds.bound_report(cert, B, n, true_tv=true_tv)
         theta_closed = _closed_form_theta(B, cert, n, b_prime)
         gap = abs(theta_closed - report.theta) / max(1.0, abs(report.theta))
         if gap > 1e-9:

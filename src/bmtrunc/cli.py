@@ -45,7 +45,6 @@ CSV_HEADER = ["n", "style", "t_star", "bound_min", "true_tv", "ordering_pass", "
 class RunConfig:
     """Parsed invocation; one instance per command run."""
 
-    command: str
     model_path: str | None = None
     against_path: str | None = None
     n: int | None = None
@@ -96,15 +95,6 @@ def parse_weights_resolved(weights: dict, n: int) -> dict:
     for level, frac in weights.items():
         out[n if level == -1 else int(level)] = frac
     return out
-
-
-def _as_bmap(model) -> _bmap.BmapModel:
-    if not isinstance(model, BmapQueueModel):
-        raise InputError(
-            "bounds need a BmapQueue model; other kinds carry no certificate recipe"
-        )
-    return _bmap.BmapModel(d=model.d, D=model.D, mu=model.mu, psi=model.psi,
-                           tail=model.tail)
 
 
 def run_validate(cfg: RunConfig) -> int:
@@ -175,8 +165,11 @@ def run_bound(cfg: RunConfig) -> int:
     model = _load(cfg)
     if cfg.n is None:
         raise InputError("--n is required")
-    B = _as_bmap(model)
-    reports = _bmap.bound_pipeline(B, [cfg.n], beta=cfg.beta, n_ref=cfg.n_ref)
+    if not isinstance(model, BmapQueueModel):
+        raise InputError(
+            "bounds need a BmapQueue model; other kinds carry no certificate recipe"
+        )
+    reports = _bmap.bound_pipeline(model, [cfg.n], beta=cfg.beta, n_ref=cfg.n_ref)
     rep = reports[0]
     click.echo(f"n={rep.n} t_star={rep.t_star:.9g} bound_min={rep.bound_min:.9g}")
     if cfg.t is not None:
@@ -255,7 +248,7 @@ def run_sweep(cfg: RunConfig) -> int:
     levels = list(range(cfg.n_min, cfg.n_max + 1, cfg.step))
     cert = None
     if isinstance(model, BmapQueueModel):
-        _, cert, _ = _bmap._level0_certificate(_as_bmap(model), beta=cfg.beta)
+        cert, _ = _bmap._level0_certificate(model, beta=cfg.beta)
     pi_ref = stationary(lc_truncate(model, n_ref).matrix, source="lc")
     out = open(cfg.out, "w", newline="") if cfg.out else sys.stdout
     writer = csv.DictWriter(out, fieldnames=CSV_HEADER)
@@ -315,7 +308,7 @@ def _model_option(fn):
               help="Second model; also check block-wise dominance against it.")
 def validate(model_path, against_path):
     """Check q-matrix validity and block monotonicity."""
-    cfg = RunConfig(command="validate", model_path=model_path, against_path=against_path)
+    cfg = RunConfig(model_path=model_path, against_path=against_path)
     _dispatch(run_validate, cfg)
 
 
@@ -328,7 +321,7 @@ def validate(model_path, against_path):
 @click.option("--out", default=None, help="Write the corner matrix here (.npy or CSV).")
 def truncate(model_path, n, style, weights, out):
     """Build a block-augmented truncation."""
-    cfg = RunConfig(command="truncate", model_path=model_path, n=n, style=style,
+    cfg = RunConfig(model_path=model_path, n=n, style=style,
                     weights=_parse_weight_placeholders(weights), out=out)
     _dispatch(run_truncate, cfg)
 
@@ -342,7 +335,7 @@ def truncate(model_path, n, style, weights, out):
 @click.option("--out", default=None, help="Write level,phase,probability CSV here.")
 def solve(model_path, n, style, weights, out):
     """Stationary distribution of a truncation."""
-    cfg = RunConfig(command="solve", model_path=model_path, n=n, style=style,
+    cfg = RunConfig(model_path=model_path, n=n, style=style,
                     weights=_parse_weight_placeholders(weights), out=out)
     _dispatch(run_solve, cfg)
 
@@ -356,8 +349,7 @@ def solve(model_path, n, style, weights, out):
               help="Reference level for a measured error comparison.")
 def bound(model_path, n, t, beta, n_ref):
     """Total-variation error bound for the last-column truncation."""
-    cfg = RunConfig(command="bound", model_path=model_path, n=n, t=t, beta=beta,
-                    n_ref=n_ref)
+    cfg = RunConfig(model_path=model_path, n=n, t=t, beta=beta, n_ref=n_ref)
     _dispatch(run_bound, cfg)
 
 
@@ -382,7 +374,7 @@ def sweep(model_path, n_min, n_max, step, n_ref, styles, weights, beta, tol, job
     parsed = _parse_weight_placeholders(weights)
     if CUSTOM in styles and parsed is None:
         raise click.UsageError("custom style needs --weights")
-    cfg = RunConfig(command="sweep", model_path=model_path, n_min=n_min, n_max=n_max,
+    cfg = RunConfig(model_path=model_path, n_min=n_min, n_max=n_max,
                     step=step, n_ref=n_ref, styles=styles, weights=parsed, beta=beta,
                     tol=tol, jobs=jobs, out=out)
     _dispatch(run_sweep, cfg)

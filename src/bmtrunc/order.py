@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockmat import (
+    TAU_CONS,
     BlockGeneratorModel,
     FiniteBlockMatrix,
     check_block_length,
@@ -22,7 +23,6 @@ from .blockmat import (
 from .errors import DimensionMismatch, IncompatibleModels, NotStochastic
 
 TAU_ORD = 1e-12
-TAU_CONS = 1e-10
 
 
 @dataclass

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockmat import (
-    TAU_CONS_FACTOR,
+    TAU_CONS,
     BlockGeneratorModel,
     FiniteBlockMatrix,
+    reachable,
 )
 from .errors import InputError, InvalidRedistribution
 
@@ -169,7 +170,7 @@ def _truncate(M: BlockGeneratorModel, spec: TruncationSpec) -> TruncatedGenerato
     result = FiniteBlockMatrix(d, corner)
     defect = float(np.max(np.abs(corner.sum(axis=1))))
     scale = max(float(np.max(np.abs(corner))), 1.0)
-    if defect > TAU_CONS_FACTOR * scale * corner.shape[0]:
+    if defect > TAU_CONS * scale * corner.shape[0]:
         raise InvalidRedistribution(
             f"augmented corner is not conservative (defect {defect:.3e}); "
             "the source model's tail sums are inconsistent"
@@ -205,18 +206,12 @@ def check_no_closed_classes_above(T: TruncatedGenerator, probe: int | None = Non
     communicating set would be a closed class, so the check returns False.
     """
     base = T.base
-    d = base.d
     if probe is None:
         probe = base.upper_hint() + 1
     for k in range(T.n + 1, T.n + probe + 1):
         block = base.block(k, k)
         tau = tol * max(1.0, float(np.max(np.abs(block))))
-        leak = (-block.sum(axis=1) > tau).astype(float)
-        adj = (block > tau).astype(float)
-        np.fill_diagonal(adj, 1.0)
-        reach = adj.copy()
-        for _ in range(d):
-            reach = np.minimum(reach @ adj, 1.0)
-        if not np.all(reach @ leak > 0.0):
+        leak = -block.sum(axis=1) > tau
+        if not reachable(block > tau)[:, leak].any(axis=1).all():
             return False
     return True

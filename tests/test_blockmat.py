@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from bmtrunc import (
     BandedModel,
@@ -21,7 +24,7 @@ from bmtrunc import (
     load_model,
     validate_q_matrix,
 )
-from bmtrunc.blockmat import check_block_length, phase_generator
+from bmtrunc.blockmat import check_block_length, phase_generator, reachable
 
 from helpers import bmap_doc, brute_corner, brute_window, tailed_queue, write_model
 
@@ -78,6 +81,10 @@ def test_mu_rule_rejects_bad_input():
         MuRule(table=(1.0,), eventual="affine", slope=-1.0)
     with pytest.raises(InputError):
         MuRule(table=(1.0,), eventual="quadratic")
+    with pytest.raises(InputError):
+        MuRule(table=(1.0, float("nan")))
+    with pytest.raises(InputError):
+        MuRule(table=(1.0,), value=float("inf"))
 
 
 def test_geometric_tail_closed_forms():
@@ -359,3 +366,18 @@ def test_truncation_fold_matches_brute_force(fleet_models):
             for corner, spec in pairs:
                 np.testing.assert_array_equal(corner.matrix.values, brute_corner(model, spec),
                                               err_msg=f"{name} {spec.style} n={n}")
+
+
+@st.composite
+def _adjacency(draw):
+    d = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return np.random.default_rng(seed).random((d, d)) < density
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(adj=_adjacency())
+def test_reachable_matches_scipy_shortest_paths(adj):
+    dist = shortest_path(adj.astype(float), unweighted=True)
+    np.testing.assert_array_equal(reachable(adj), dist < np.inf)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from bmtrunc import (
     BmapModel,
+    BmapQueueModel,
     DriftViolated,
     GeometricTail,
     InputError,
@@ -41,7 +43,7 @@ from helpers import (
 )
 
 
-def test_batch_family_validation():
+def test_batch_family_validation(mm1):
     with pytest.raises(InvalidBmap):
         # row sums of the batch family must vanish
         BmapModel(d=1, D=[np.array([[-0.9]]), np.array([[1.0]])],
@@ -55,6 +57,9 @@ def test_batch_family_validation():
     with pytest.raises(InvalidBmap):
         # two phases that never communicate
         BmapModel(d=2, D=[-np.eye(2), np.eye(2)], mu=MuRule(table=(2.0,)))
+    for psi in (-1.0, math.inf, math.nan):
+        with pytest.raises(InvalidBmap):
+            dataclasses.replace(mm1, psi=psi)
 
 
 def test_accessors(d2_psi0):
@@ -323,6 +328,22 @@ def test_one_monotonicity_check_per_certificate(fleet, pure_disaster, tmp_path,
                                        "--n-max", "4"])
     assert result.exit_code == 0, result.output
     assert len(calls) == 1
+
+
+def test_pipeline_builds_no_queue_object(fleet, pure_disaster, monkeypatch):
+    built = []
+    init = BmapQueueModel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BmapQueueModel, "__init__", counting_init)
+    queues = [*fleet.values(), pure_disaster]
+    for B in queues:
+        bound_pipeline(B, [10])
+    assert built == []
+    assert all(build_generator(B) is B for B in queues)
 
 
 @pytest.mark.xfail(strict=True, raises=DriftViolated,

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bmtrunc import build_generator, cli, lc_truncate
+from bmtrunc import build_generator, cli, lc_truncate, load_model
 from bmtrunc.cli import CSV_HEADER, exit_code_for, main
 from bmtrunc.errors import (
     BmtruncError,
     DriftViolated,
+    InvalidBmap,
     InvalidModelFile,
     NoConvergence,
 )
@@ -89,6 +90,22 @@ def test_bad_model_files_exit_2(runner, tmp_path):
     assert result.exit_code == 2
     missing = runner.invoke(main, ["validate", "--model", str(tmp_path / "nope.json")])
     assert missing.exit_code == 2
+
+
+@pytest.mark.parametrize("D", [
+    [[[-1.0]], [[0.9]]],
+    [(-np.eye(2)).tolist(), np.eye(2).tolist()],
+    [[[-1.0]], [[float("nan")]]],
+], ids=["nonconservative", "reducible", "nonfinite"])
+def test_invalid_queue_files_fail_at_load(runner, tmp_path, D):
+    doc = {"d": len(D[0]), "kind": "BmapQueue",
+           "parameters": {"D": D, "mu": {"table": [2.0]}}}
+    path = write_model(tmp_path / "bad.json", doc)
+    with pytest.raises(InvalidBmap):
+        load_model(path)
+    for args in (["validate"], ["truncate", "--n", "3"]):
+        result = runner.invoke(main, [*args, "--model", path])
+        assert result.exit_code == 2, result.output
 
 
 def test_truncate_writes_npy(runner, mm1, mm1_path, tmp_path):
