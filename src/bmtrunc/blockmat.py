@@ -1,16 +1,18 @@
 """Block-structured conservative q-matrices.
 
 States are (level, phase) pairs with phases 0..d-1 per level, laid out as
-state = level*d + phase.  Infinite generators are represented by finitely
-described models (banded with eventual level-homogeneity, M/G/1-type, or the
-batch-arrival queue whose certificates the bmap module searches); finite
-pieces are plain dense arrays wrapped with their block size.
+state = level*d + phase.  Infinite generators are finitely described models
+(banded with eventual level-homogeneity, M/G/1-type, or the batch-arrival
+queue whose certificates the bmap module searches); finite pieces are plain
+dense arrays wrapped with their block size.
 
-Every model states its band: row k is nonzero only in column 0, in columns
-k - lower_hint() .. k + upper_hint(), and, under a geometric tail, beyond
-them in closed form.  `BlockGeneratorModel.band` is that rule, and the
-window and the truncation fold follow it, so a corner over levels 0..n
-costs O(n * band) `block` calls plus one vectorized tail fill per row.
+Every model is read through one banded-block view.  A model kind supplies
+`block(k, l)` and states its band: row k is nonzero only in column 0, in
+columns k - lower_hint() .. k + upper_hint(), and, under the geometric tail
+`row_tail(k)`, beyond them in closed form.  `BlockGeneratorModel.band` is
+that rule, and the tail sums S(k;l), the row products (Qv)(k), the window
+and the truncation fold all follow it, so a corner over levels 0..n costs
+O(n * band) `block` calls plus one vectorized tail fill per row.
 """
 
 from __future__ import annotations
@@ -138,6 +140,8 @@ class GeometricTail:
         object.__setattr__(self, "coef", np.asarray(self.coef, dtype=float))
         if not 0.0 < self.ratio < 1.0:
             raise InputError(f"tail ratio must lie in (0,1), got {self.ratio}")
+        if not np.all(np.isfinite(self.coef)):
+            raise InputError("tail coefficient matrix must be finite")
         if np.any(self.coef < 0):
             raise InputError("tail coefficient matrix must be nonnegative")
 
@@ -163,18 +167,17 @@ class GeometricTail:
 class BlockGeneratorModel:
     """Base for finitely described infinite block generators.
 
-    Subclasses provide exact block and tail-sum accessors; everything here is
-    derived from those.  Models are immutable after construction.
+    A model kind supplies `block(k, l)`, its band hints (`lower_hint`,
+    `upper_hint` and, for rows with a geometric tail, `row_tail`) and its
+    level metadata (`homogeneity_level`, `drift_fit_level`).  Everything
+    else, `tail_sum`, `apply_row` and `window` included, is derived here
+    from `band` and `block`.  Models are immutable after construction.
     """
 
     d: int
     kind: str
 
     def block(self, k: int, l: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def tail_sum(self, k: int, l: int) -> np.ndarray:
-        """S(k;l) = sum of blocks Q(k;m) over m >= l, exact."""
         raise NotImplementedError
 
     def homogeneity_level(self) -> int:
@@ -193,14 +196,6 @@ class BlockGeneratorModel:
         affine-geometric in the level index (used by drift verification)."""
         raise NotImplementedError
 
-    def apply_row(self, k: int, v) -> np.ndarray:
-        """Sum of Q(k;l) v(l) over all l, exact even with an analytic tail.
-
-        v must provide level(l) -> (d,) array; geometric tails additionally
-        require v.beta, v.u and v.shift for the closed-form remainder.
-        """
-        raise NotImplementedError
-
     def row_tail(self, k: int) -> GeometricTail | None:
         """Geometric tail filling row k beyond its band, if the row has one."""
         return None
@@ -212,6 +207,34 @@ class BlockGeneratorModel:
         every column l > hi also holds the block tail.coef * tail.ratio**(l-k).
         """
         return max(0, k - self.lower_hint()), k + self.upper_hint(), self.row_tail(k)
+
+    def tail_sum(self, k: int, l: int) -> np.ndarray:
+        """S(k;l) = sum of blocks Q(k;m) over m >= l, exact."""
+        lo, hi, tail = self.band(k)
+        out = np.zeros((self.d, self.d))
+        if l == 0 and lo > 0:
+            out += self.block(k, 0)
+        for m in range(max(l, lo), hi + 1):
+            out += self.block(k, m)
+        if tail is not None:
+            out += tail.sum_from(max(l, hi + 1) - k)
+        return out
+
+    def apply_row(self, k: int, v) -> np.ndarray:
+        """Sum of Q(k;l) v(l) over all l, exact even with an analytic tail.
+
+        v must provide level(l) -> (d,) array; geometric tails additionally
+        require v.beta, v.u and v.shift for the closed-form remainder.
+        """
+        lo, hi, tail = self.band(k)
+        out = np.zeros(self.d)
+        if lo > 0:
+            out += self.block(k, 0) @ v.level(0)
+        for l in range(lo, hi + 1):
+            out += self.block(k, l) @ v.level(l)
+        if tail is not None:
+            out += _geometric_tail_row(tail, hi + 1 - k, k, v)
+        return out
 
     def bm_check_level(self) -> int:
         return self.homogeneity_level() + self.lower_hint() + self.upper_hint() + 1
@@ -289,12 +312,6 @@ class BandedModel(BlockGeneratorModel):
             return self._zero
         return self._row(k).get(o, self._zero)
 
-    def tail_sum(self, k: int, l: int) -> np.ndarray:
-        out = np.zeros((self.d, self.d))
-        for m in range(max(l, max(0, k - self.L)), k + self.U + 1):
-            out += self.block(k, m)
-        return out
-
     def homogeneity_level(self) -> int:
         return self.K_hom
 
@@ -306,12 +323,6 @@ class BandedModel(BlockGeneratorModel):
 
     def drift_fit_level(self) -> int:
         return max(self.K_hom + self.U + 1, self.L + 1)
-
-    def apply_row(self, k: int, v) -> np.ndarray:
-        out = np.zeros(self.d)
-        for l in range(max(0, k - self.L), k + self.U + 1):
-            out += self.block(k, l) @ v.level(l)
-        return out
 
 
 class Mg1Model(BlockGeneratorModel):
@@ -352,19 +363,6 @@ class Mg1Model(BlockGeneratorModel):
             return self.tail.coef * self.tail.ratio ** o
         return self._zero
 
-    def tail_sum(self, k: int, l: int) -> np.ndarray:
-        out = np.zeros((self.d, self.d))
-        if k == 0:
-            for m in range(l, len(self.boundary)):
-                out += self.boundary[m]
-            return out
-        top = len(self.repeat) - 2
-        for o in range(max(l - k, -1), top + 1):
-            out += self.repeat[o + 1]
-        if self.tail is not None:
-            out += self.tail.sum_from(max(l - k, top + 1))
-        return out
-
     def homogeneity_level(self) -> int:
         return 1
 
@@ -379,18 +377,6 @@ class Mg1Model(BlockGeneratorModel):
 
     def drift_fit_level(self) -> int:
         return max(2, self.upper_hint() + 2)
-
-    def apply_row(self, k: int, v) -> np.ndarray:
-        out = np.zeros(self.d)
-        if k == 0:
-            for l in range(len(self.boundary)):
-                out += self.boundary[l] @ v.level(l)
-        else:
-            for o in range(-1, len(self.repeat) - 1):
-                out += self.repeat[o + 1] @ v.level(k + o)
-        if self.tail is not None and k >= 1:
-            out += _geometric_tail_row(self.tail, len(self.repeat) - 1, k, v)
-        return out
 
 
 def reachable(adj: np.ndarray) -> np.ndarray:
@@ -436,6 +422,8 @@ class BmapQueueModel(BlockGeneratorModel):
         if len(self.D) < 1:
             raise InvalidBmap("need at least D(0)")
         d = self.d
+        if d < 1:
+            raise InvalidBmap(f"phase count d must be >= 1, got {d}")
         for i, m in enumerate(self.D):
             if m.shape != (d, d):
                 raise InvalidBmap(f"D({i}) has shape {m.shape}, want {(d, d)}")
@@ -455,7 +443,7 @@ class BmapQueueModel(BlockGeneratorModel):
         self._eye = np.eye(d)
         total = self.phase_sum()
         if not np.all(np.isfinite(total)):
-            raise InvalidBmap("D(k) and the tail coefficients must be finite")
+            raise InvalidBmap("D(k) must be finite")
         defect = float(np.max(np.abs(total.sum(axis=1))))
         if defect > TAU_CONS * max(1.0, float(np.max(np.abs(total)))):
             raise InvalidBmap(f"sum of D(k) is not conservative (defect {defect:.3e})")
@@ -471,8 +459,8 @@ class BmapQueueModel(BlockGeneratorModel):
         return math.inf if self.tail is None else 1.0 / self.tail.ratio
 
     def phase_sum(self) -> np.ndarray:
-        """D = sum of all D(k), the phase process generator."""
-        return self._dtail(0)
+        """D = sum of all D(k), the phase process generator: row 0's sum."""
+        return self.tail_sum(0, 0)
 
     def dhat(self, z: float) -> np.ndarray:
         """Batch transform sum z^k D(k), exact including the analytic tail."""
@@ -490,15 +478,6 @@ class BmapQueueModel(BlockGeneratorModel):
             return self.tail.coef * self.tail.ratio ** j
         return self._zero
 
-    def _dtail(self, j: int) -> np.ndarray:
-        """Sum of D(m) for m >= j."""
-        out = np.zeros((self.d, self.d))
-        for m in range(max(j, 0), self.k_max + 1):
-            out += self.D[m]
-        if self.tail is not None:
-            out += self.tail.sum_from(max(j, self.k_max + 1))
-        return out
-
     def block(self, k: int, l: int) -> np.ndarray:
         if l < 0:
             return self._zero
@@ -515,18 +494,6 @@ class BmapQueueModel(BlockGeneratorModel):
             return rate * self._eye
         return self._zero
 
-    def tail_sum(self, k: int, l: int) -> np.ndarray:
-        if k == 0:
-            return self._dtail(l)
-        if l > k:
-            return self._dtail(l - k)
-        out = self._dtail(0) - self.psi * self._eye
-        if l == 0:
-            return out + self.psi * self._eye
-        if l == k:
-            out -= self.mu(k) * self._eye
-        return out
-
     def homogeneity_level(self) -> int:
         return max(2, self.mu.stable_from)
 
@@ -542,26 +509,9 @@ class BmapQueueModel(BlockGeneratorModel):
     def drift_fit_level(self) -> int:
         return max(2, self.mu.stable_from, self.homogeneity_level() + self.k_max + 1)
 
-    def apply_row(self, k: int, v) -> np.ndarray:
-        out = np.zeros(self.d)
-        if k == 0:
-            for j in range(self.k_max + 1):
-                out += self.D[j] @ v.level(j)
-            if self.tail is not None:
-                out += _geometric_tail_row(self.tail, self.k_max + 1, 0, v)
-            return out
-        out += self.psi * v.level(0)
-        out += self.mu(k) * v.level(k - 1)
-        out += (self.D[0] - (self.psi + self.mu(k)) * self._eye) @ v.level(k)
-        for j in range(1, self.k_max + 1):
-            out += self.D[j] @ v.level(k + j)
-        if self.tail is not None:
-            out += _geometric_tail_row(self.tail, self.k_max + 1, k, v)
-        return out
-
 
 def _geometric_tail_row(tail: GeometricTail, j_from: int, k: int, v) -> np.ndarray:
-    """Sum of tail blocks D(j) v(k+j) for j >= j_from, closed form.
+    """Sum of tail blocks (coef * ratio**j) v(k+j) for j >= j_from, closed form.
 
     Needs v geometric: v(l) = beta**l * u + shift for l >= 1 (levels k+j here
     are always >= 1 when k + j_from >= 1).
@@ -678,6 +628,8 @@ def _parse_matrix(obj, d: int, where: str) -> np.ndarray:
     mat = np.asarray(obj, dtype=float)
     if mat.shape != (d, d):
         raise InvalidModelFile(f"{where}: expected {d}x{d} matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise InvalidModelFile(f"{where}: entries must be finite")
     return mat
 
 

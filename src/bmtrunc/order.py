@@ -10,6 +10,7 @@ sums over a finite level range that level-homogeneity makes sufficient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,13 +105,46 @@ def _report(slack: np.ndarray, tol: float, index_of=None) -> DominanceReport:
     idx = np.unravel_index(flat, slack.shape)
     if index_of is not None:
         idx = index_of(idx)
-    margin = float(slack.reshape(-1)[flat])
+    margin = _no_nan(float(slack.reshape(-1)[flat]))
     magnitude = max(0.0, -margin)
     return DominanceReport(
         holds=magnitude <= tol,
         worst_violation=(tuple(int(i) for i in idx), magnitude),
         margin=margin,
     )
+
+
+def _no_nan(x: float) -> float:
+    """A NaN slack is a violation: count it as -inf (argmin finds it first)."""
+    return -math.inf if math.isnan(x) else x
+
+
+def _scan(levels, col_top, lower, upper, tol: float, skip_diagonal: bool = False):
+    """Check lower(k, l) <= upper(k, l) entrywise over k in levels, l <= col_top(k).
+
+    The tolerance is tol times the largest tail-sum entry seen (at least 1).
+    With skip_diagonal the pairs (k,i;k,i) are left out, as block
+    monotonicity asks.  Returns the report and the scaled tolerance.
+    """
+    worst = None
+    margin = np.inf
+    scale = 1.0
+    for k in levels:
+        for l in range(col_top(k) + 1):
+            lo = lower(k, l)
+            hi = upper(k, l)
+            scale = max(scale, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
+            slack = hi - lo
+            if skip_diagonal and l == k:
+                slack = slack + np.diag(np.full(len(slack), np.inf))
+            m = _no_nan(float(slack.min()))
+            if m < margin:
+                margin = m
+                i, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
+                worst = ((k, int(i), l, int(j)), max(0.0, -m))
+    tau = tol * scale
+    holds = worst is None or worst[1] <= tau
+    return DominanceReport(holds=holds, worst_violation=worst, margin=margin), tau
 
 
 def is_block_increasing(f, d: int, tol: float = TAU_ORD) -> DominanceReport:
@@ -163,7 +197,8 @@ def generator_is_block_monotone(M, d: int | None = None, tol: float = TAU_ORD) -
     width; beyond that the rows repeat and the inequalities with them.
     """
     if isinstance(M, BlockGeneratorModel):
-        return _model_block_monotone(M, tol)
+        return _scan(range(1, M.bm_check_level() + 1), lambda k: k + M.upper_hint() + 1,
+                     lambda k, l: M.tail_sum(k - 1, l), M.tail_sum, tol, skip_diagonal=True)[0]
     if isinstance(M, FiniteBlockMatrix):
         values, d = M.values, M.d
     else:
@@ -175,35 +210,6 @@ def generator_is_block_monotone(M, d: int | None = None, tol: float = TAU_ORD) -
     np.fill_diagonal(mask, False)
     slack = transformed[mask]
     return _report(slack, _tol(tol, values))
-
-
-def _model_block_monotone(M: BlockGeneratorModel, tol: float) -> DominanceReport:
-    d = M.d
-    k_top = M.bm_check_level()
-    worst = (None, 0.0)
-    margin = np.inf
-    scale = 1.0
-    for k in range(1, k_top + 1):
-        l_top = k + M.upper_hint() + 1
-        for l in range(l_top + 1):
-            lo = M.tail_sum(k - 1, l)
-            hi = M.tail_sum(k, l)
-            scale = max(scale, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-            slack = hi - lo
-            if l == k:
-                # diagonal pairs (k,i;k,i) are outside the monotonicity index set
-                slack = slack + np.diag(np.full(d, np.inf))
-            m = float(slack.min())
-            if m < margin:
-                margin = m
-                i, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
-                worst = ((k, int(i), l, int(j)), max(0.0, -m))
-    magnitude = worst[1]
-    return DominanceReport(
-        holds=magnitude <= tol * max(1.0, scale),
-        worst_violation=worst if worst[0] is not None else None,
-        margin=margin,
-    )
 
 
 class _TailSumView:
@@ -225,7 +231,7 @@ class _TailSumView:
             self.check_level = obj.bm_check_level()
             self.col_extent = lambda k: k + obj.upper_hint() + 1
             self.sum = obj.tail_sum
-            self.tail = getattr(obj, "tail", None)
+            self.tail = obj.row_tail(self.check_level)
         elif isinstance(obj, FiniteBlockMatrix):
             self.d = obj.d
             self.check_level = obj.n
@@ -255,33 +261,17 @@ def generator_dominates(M, M_tilde, d: int | None = None, tol: float = TAU_ORD) 
     b = _TailSumView(M_tilde)
     if a.d != b.d:
         raise IncompatibleModels(f"block sizes differ: {a.d} vs {b.d}")
-    d = a.d
     k_top = max(a.check_level, b.check_level)
-    worst = (None, 0.0)
-    margin = np.inf
-    scale = 1.0
-    for k in range(k_top + 1):
-        l_top = max(a.col_extent(k), b.col_extent(k))
-        for l in range(l_top + 1):
-            lo = a.sum(k, l)
-            hi = b.sum(k, l)
-            scale = max(scale, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-            slack = hi - lo
-            m = float(slack.min())
-            if m < margin:
-                margin = m
-                i, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
-                worst = ((k, int(i), l, int(j)), max(0.0, -m))
-    tail_rep = _tail_beyond(a, b, k_top, tol * max(1.0, scale))
-    if tail_rep is not None and tail_rep[1] > worst[1]:
-        worst = tail_rep
-        margin = min(margin, -tail_rep[1])
-    magnitude = worst[1]
-    return DominanceReport(
-        holds=magnitude <= tol * max(1.0, scale),
-        worst_violation=worst if worst[0] is not None else None,
-        margin=margin,
-    )
+    report, tau = _scan(range(k_top + 1), lambda k: max(a.col_extent(k), b.col_extent(k)),
+                        a.sum, b.sum, tol)
+    tail_rep = _tail_beyond(a, b, k_top, tau)
+    if tail_rep is not None and tail_rep[1] > max(0.0, -report.margin):
+        return DominanceReport(
+            holds=tail_rep[1] <= tau,
+            worst_violation=tail_rep,
+            margin=min(report.margin, -tail_rep[1]),
+        )
+    return report
 
 
 def _tail_beyond(a: _TailSumView, b: _TailSumView, k_top: int, tau: float):

@@ -24,7 +24,14 @@ from bmtrunc import (
     load_model,
     validate_q_matrix,
 )
-from bmtrunc.blockmat import check_block_length, phase_generator, reachable
+from bmtrunc import blockmat
+from bmtrunc.blockmat import (
+    BlockGeneratorModel,
+    check_block_length,
+    phase_generator,
+    reachable,
+)
+from bmtrunc.bounds import GeometricVector
 
 from helpers import bmap_doc, brute_corner, brute_window, tailed_queue, write_model
 
@@ -104,6 +111,12 @@ def test_geometric_tail_power_series_needs_convergence():
     tail = GeometricTail(np.eye(1), 0.5)
     with pytest.raises(InputError):
         tail.power_series_from(0, 2.0)
+
+
+def test_geometric_tail_rejects_nonfinite_coefficients():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            GeometricTail(np.array([[0.1, bad], [0.2, 0.3]]), 0.5)
 
 
 def test_queue_window_layout(mm1):
@@ -366,6 +379,51 @@ def test_truncation_fold_matches_brute_force(fleet_models):
             for corner, spec in pairs:
                 np.testing.assert_array_equal(corner.matrix.values, brute_corner(model, spec),
                                               err_msg=f"{name} {spec.style} n={n}")
+
+
+def test_tail_sum_matches_deep_window(fleet_models):
+    # geometric tails decay like 0.5**l, so past level 200 they vanish in
+    # double precision and the deep window's row sums are the whole row
+    deep = 200
+    for name, model in _band_models(fleet_models).items():
+        d = model.d
+        blocks = model.window(deep).values.reshape(deep + 1, d, deep + 1, d)
+        for k in range(8):
+            for l in range(k + model.upper_hint() + 4):
+                brute = blocks[k, :, l:, :].sum(axis=1)
+                np.testing.assert_allclose(model.tail_sum(k, l), brute, rtol=1e-12,
+                                           atol=1e-14, err_msg=f"{name} k={k} l={l}")
+
+
+def test_apply_row_matches_window_product(fleet_models):
+    n = 30
+    for name, model in _band_models(fleet_models).items():
+        d = model.d
+        v = GeometricVector(beta=1.3, u=np.linspace(1.0, 2.0, d), shift=0.25)
+        rows = model.window(n).values
+        vn = v.levels(n)
+        for k in range(10):
+            expected = rows[k * d:(k + 1) * d] @ vn
+            tail = model.row_tail(k)
+            if tail is not None:
+                # columns l > n hold coef * ratio**(l-k) against beta**l u + shift
+                j0 = n + 1 - k
+                x = v.beta * tail.ratio
+                expected = expected + (tail.coef @ v.u) * v.beta ** k * x ** j0 / (1.0 - x)
+                expected = expected + tail.coef.sum(axis=1) * v.shift * (
+                    tail.ratio ** j0 / (1.0 - tail.ratio))
+            np.testing.assert_allclose(model.apply_row(k, v), expected, rtol=1e-12,
+                                       atol=1e-13, err_msg=f"{name} k={k}")
+
+
+def test_model_kinds_supply_only_blocks_and_band_hints():
+    kinds = [cls for cls in vars(blockmat).values()
+             if isinstance(cls, type) and issubclass(cls, BlockGeneratorModel)
+             and cls is not BlockGeneratorModel]
+    assert {cls.__name__ for cls in kinds} == {"BandedModel", "Mg1Model", "BmapQueueModel"}
+    for cls in kinds:
+        derived = {"tail_sum", "apply_row", "window"} & set(vars(cls))
+        assert not derived, f"{cls.__name__} overrides {sorted(derived)}"
 
 
 @st.composite

@@ -60,6 +60,8 @@ def test_batch_family_validation(mm1):
     for psi in (-1.0, math.inf, math.nan):
         with pytest.raises(InvalidBmap):
             dataclasses.replace(mm1, psi=psi)
+    with pytest.raises(InvalidBmap, match="d must be >= 1"):
+        BmapModel(d=0, D=[np.zeros((0, 0))], mu=MuRule(table=(2.0,)))
 
 
 def test_accessors(d2_psi0):

@@ -108,6 +108,32 @@ def test_invalid_queue_files_fail_at_load(runner, tmp_path, D):
         assert result.exit_code == 2, result.output
 
 
+def _nonfinite_doc(kind, bad):
+    if kind == "banded":
+        return banded_doc({
+            0: {0: [[-1.0]], 1: [[1.0]]},
+            1: {-1: [[bad]], 0: [[-3.0]], 1: [[1.0]]},
+        })
+    params = {"A": [[[2.0]], [[-3.0]], [[1.0]]], "B": [[[-1.0]], [[1.0]]]}
+    if kind == "mg1_block":
+        params["A"][0] = [[bad]]
+    else:
+        params["tail"] = {"coef": [[bad]], "ratio": 0.5}
+    return {"d": 1, "kind": "MG1Type", "parameters": params}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind", ["banded", "mg1_block", "mg1_tail"])
+def test_nonfinite_model_files_fail_at_load(runner, tmp_path, kind, bad):
+    path = write_model(tmp_path / "bad.json", _nonfinite_doc(kind, bad))
+    with pytest.raises(InvalidModelFile):
+        load_model(path)
+    for args in (["validate"], ["solve", "--n", "3"],
+                 ["sweep", "--n-min", "2", "--n-max", "2"]):
+        result = runner.invoke(main, [args[0], "--model", path, *args[1:]])
+        assert result.exit_code == 2, (args, result.output)
+
+
 def test_truncate_writes_npy(runner, mm1, mm1_path, tmp_path):
     out = tmp_path / "corner.npy"
     result = runner.invoke(main, ["truncate", "--model", mm1_path, "--n", "4",

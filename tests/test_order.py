@@ -16,7 +16,7 @@ from bmtrunc import (
     vector_dominates,
 )
 from bmtrunc.bmap import BmapModel
-from bmtrunc.blockmat import MuRule
+from bmtrunc.blockmat import BandedModel, MuRule
 
 from helpers import block_increasing, break_monotone, dominated_pair, random_bmap, t_matrix
 
@@ -173,3 +173,26 @@ def test_truncations_dominated_by_base_and_each_other(d2_psi05):
     assert generator_dominates(lc, model).holds
     assert generator_dominates(fc, lc).holds
     assert not generator_dominates(lc, fc).holds
+
+
+def test_nan_slack_is_a_violation():
+    nan = float("nan")
+    reports = {
+        "increasing": is_block_increasing([0.5, nan, 1.0], 1),
+        "vector": vector_dominates([0.5, nan], [0.5, 0.5], 1),
+        "stochastic": is_block_monotone_stochastic(np.array([[1.0, 0.0], [nan, 1.0]]), 1),
+        "finite_generator": generator_is_block_monotone(
+            FiniteBlockMatrix(1, [[-1.0, 1.0], [nan, -2.0]])),
+    }
+    rows = {0: {0: [[-1.0]], 1: [[1.0]]}, 1: {-1: [[2.0]], 0: [[-3.0]], 1: [[1.0]]}}
+    good = BandedModel(d=1, L=1, U=1, K_hom=1, rows=rows)
+    rows[1] = {-1: [[nan]], 0: [[-3.0]], 1: [[1.0]]}
+    broken = BandedModel(d=1, L=1, U=1, K_hom=1, rows=rows)
+    reports["model_generator"] = generator_is_block_monotone(broken)
+    reports["dominates_left"] = generator_dominates(broken, good)
+    reports["dominates_right"] = generator_dominates(good, broken)
+    for name, rep in reports.items():
+        assert not rep.holds, name
+        assert rep.margin == -np.inf, name
+        assert rep.worst_violation is not None, name
+
