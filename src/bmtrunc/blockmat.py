@@ -12,7 +12,8 @@ columns k - lower_hint() .. k + upper_hint(), and, under the geometric tail
 `row_tail(k)`, beyond them in closed form.  `BlockGeneratorModel.band` is
 that rule, and the tail sums S(k;l), the row products (Qv)(k), the window
 and the truncation fold all follow it, so a corner over levels 0..n costs
-O(n * band) `block` calls plus one vectorized tail fill per row.
+O(n * band) `block` calls plus one vectorized tail fill per row; past the
+drift fit horizon, `slack_law` gives each row's drift slack in closed form.
 """
 
 from __future__ import annotations
@@ -170,8 +171,9 @@ class BlockGeneratorModel:
     A model kind supplies `block(k, l)`, its band hints (`lower_hint`,
     `upper_hint` and, for rows with a geometric tail, `row_tail`) and its
     level metadata (`homogeneity_level`, `drift_fit_level`).  Everything
-    else, `tail_sum`, `apply_row` and `window` included, is derived here
-    from `band` and `block`.  Models are immutable after construction.
+    else, `tail_sum`, `apply_row`, `window` and `slack_law` included, is
+    derived here from `band` and `block` (`BmapQueueModel` overrides
+    `slack_law` for affine service).  Models are immutable after construction.
     """
 
     d: int
@@ -192,8 +194,7 @@ class BlockGeneratorModel:
         raise NotImplementedError
 
     def drift_fit_level(self) -> int:
-        """Level from which row sums against a geometric level rule are exactly
-        affine-geometric in the level index (used by drift verification)."""
+        """Level from which every row follows `slack_law` exactly."""
         raise NotImplementedError
 
     def row_tail(self, k: int) -> GeometricTail | None:
@@ -233,8 +234,28 @@ class BlockGeneratorModel:
         for l in range(lo, hi + 1):
             out += self.block(k, l) @ v.level(l)
         if tail is not None:
-            out += _geometric_tail_row(tail, hi + 1 - k, k, v)
+            j = hi + 1 - k
+            out += v.beta ** k * (tail.power_series_from(j, v.beta) @ v.u)
+            out += v.shift * tail.sum_from(j).sum(axis=1)
         return out
+
+    def slack_law(self, v, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a0, a1, g0) with (Qv)(k) + c v(k) = beta**k (a0 + a1 k) + g0 exactly.
+
+        Holds per phase for geometric v at every k >= drift_fit_level().  Read
+        off the horizon's row, so rows there must be shift-invariant and clear
+        of column 0 (then a1 = 0); level-dependent rates need an override.
+        """
+        k = self.drift_fit_level()
+        lo, hi, tail = self.band(k)
+        beta, u = v.beta, v.u
+        a0 = c * u
+        for l in range(lo, hi + 1):
+            a0 = a0 + beta ** (l - k) * (self.block(k, l) @ u)
+        if tail is not None:
+            a0 = a0 + tail.power_series_from(hi + 1 - k, beta) @ u
+        g0 = v.shift * (self.tail_sum(k, 1).sum(axis=1) + c) + self.block(k, 0) @ u
+        return a0, np.zeros(self.d), g0
 
     def bm_check_level(self) -> int:
         return self.homogeneity_level() + self.lower_hint() + self.upper_hint() + 1
@@ -509,27 +530,17 @@ class BmapQueueModel(BlockGeneratorModel):
     def drift_fit_level(self) -> int:
         return max(2, self.mu.stable_from, self.homogeneity_level() + self.k_max + 1)
 
+    def slack_law(self, v, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Closed form for mu(k) = m0 + m1 k; a conservative D adds no shift term.
 
-def _geometric_tail_row(tail: GeometricTail, j_from: int, k: int, v) -> np.ndarray:
-    """Sum of tail blocks (coef * ratio**j) v(k+j) for j >= j_from, closed form.
-
-    Needs v geometric: v(l) = beta**l * u + shift for l >= 1 (levels k+j here
-    are always >= 1 when k + j_from >= 1).
-    """
-    try:
-        beta, u, shift = v.beta, v.u, v.shift
-    except AttributeError as exc:
-        raise TailSumUnavailable(
-            "a geometric D-tail requires a geometric drift rule"
-        ) from exc
-    x = beta * tail.ratio
-    if x >= 1.0:
-        raise TailSumUnavailable(
-            f"beta={beta} reaches the tail convergence radius 1/{tail.ratio}"
-        )
-    geom = tail.coef @ u * (beta ** k) * x ** j_from / (1.0 - x)
-    const = tail.coef @ np.full_like(u, shift) * tail.ratio ** j_from / (1.0 - tail.ratio)
-    return geom + const
+        a0 = Dhat(beta) u - (m0 (1 - 1/beta) + psi - c) u, a1 = m1 (1/beta - 1) u
+        and g0 = psi u + (c - psi) shift.
+        """
+        m1 = self.mu.slope if self.mu.eventual == "affine" else 0.0
+        m0 = self.mu(self.mu.stable_from) - m1 * self.mu.stable_from
+        beta, u, psi = v.beta, v.u, self.psi
+        a0 = self.dhat(beta) @ u - (m0 * (1.0 - 1.0 / beta) + psi - c) * u
+        return a0, m1 * (1.0 / beta - 1.0) * u, psi * u + (c - psi) * v.shift
 
 
 def validate_q_matrix(M) -> ValidationReport:

@@ -26,7 +26,7 @@ from .errors import (
     InputError,
     NumericalFailure,
 )
-from .order import generator_dominates, generator_is_block_monotone, vector_dominates
+from .order import TAU_ORD, generator_dominates, generator_is_block_monotone, vector_dominates
 from .solve import stationary, tv_distance
 from .truncate import (
     CUSTOM,
@@ -187,7 +187,7 @@ def _sweep_payload(model, cert, pi_ref_values, cfg: RunConfig, n: int) -> list[d
     A row's runtime_ms is the time its own style took to truncate and solve.
     """
     d = model.d
-    tol = cfg.tol if cfg.tol is not None else 1e-12
+    tol = cfg.tol if cfg.tol is not None else TAU_ORD
     solutions = {}
     elapsed = {}
     for style in cfg.styles:
@@ -248,7 +248,7 @@ def run_sweep(cfg: RunConfig) -> int:
     levels = list(range(cfg.n_min, cfg.n_max + 1, cfg.step))
     cert = None
     if isinstance(model, BmapQueueModel):
-        cert, _ = _bmap._level0_certificate(model, beta=cfg.beta)
+        cert = _bmap._level0_certificate(model, beta=cfg.beta)
     pi_ref = stationary(lc_truncate(model, n_ref).matrix, source="lc")
     out = open(cfg.out, "w", newline="") if cfg.out else sys.stdout
     writer = csv.DictWriter(out, fieldnames=CSV_HEADER)

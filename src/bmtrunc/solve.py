@@ -225,6 +225,7 @@ def transient_decay_check(model, cert, times, start_level: int = 0,
     at each time must fit under 2 e^{-ct} (v(start) + b/c), the v(start) term
     dropped at level 0.  Working on the level-n_ref last-column proxy adds a
     truncation slack, reported and added to the envelope rather than ignored.
+    The start level must lie in 0..n_ref.
     """
     from . import bounds as _bounds
     from .blockmat import phase_generator
@@ -234,6 +235,8 @@ def transient_decay_check(model, cert, times, start_level: int = 0,
         raise CertificateNotVerified("run drift_check before the decay check")
     if cert.K != 0:
         raise KNotZero("decay envelope needs a level-0 certificate; transform first")
+    if not 0 <= start_level <= n_ref:
+        raise InputError(f"start level {start_level} outside the proxy's levels 0..{n_ref}")
     d = model.d
     proxy = lc_truncate(model, n_ref)
     pi_ref = stationary(proxy.matrix, source="lc")

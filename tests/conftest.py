@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bmtrunc import (
     BmapModel,
@@ -11,8 +14,15 @@ from bmtrunc import (
     lc_truncate,
     stationary,
 )
+from helpers import d2_blocks
 
 REF_LEVEL = 200
+
+# Tests that leave their example count to the profile: a small fixed set in
+# every tier-1 run, many random ones under HYPOTHESIS_PROFILE=deep.
+settings.register_profile("tier1", max_examples=10, derandomize=True, deadline=None)
+settings.register_profile("deep", max_examples=600, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture(scope="session")
@@ -22,18 +32,10 @@ def mm1():
                      mu=MuRule(table=(2.0,)), psi=0.0)
 
 
-def _d2_blocks():
-    D0 = np.array([[-1.95, 0.7], [0.8, -1.95]])
-    D1 = np.array([[0.5, 0.2], [0.3, 0.3]])
-    D2 = np.array([[0.25, 0.1], [0.2, 0.15]])
-    D3 = np.array([[0.15, 0.05], [0.1, 0.1]])
-    return (D0, D1, D2, D3)
-
-
 @pytest.fixture(scope="session")
 def d2_psi0():
     """Two-phase batch arrivals, level-dependent service, no catastrophes."""
-    return BmapModel(d=2, D=_d2_blocks(),
+    return BmapModel(d=2, D=d2_blocks(),
                      mu=MuRule(table=(3.0, 3.5), eventual="constant", value=3.5),
                      psi=0.0)
 
@@ -41,7 +43,7 @@ def d2_psi0():
 @pytest.fixture(scope="session")
 def d2_psi05():
     """Same queue with catastrophe rate 0.5 back to the empty level."""
-    return BmapModel(d=2, D=_d2_blocks(),
+    return BmapModel(d=2, D=d2_blocks(),
                      mu=MuRule(table=(3.0, 3.5), eventual="constant", value=3.5),
                      psi=0.5)
 
@@ -49,7 +51,7 @@ def d2_psi05():
 @pytest.fixture(scope="session")
 def pure_disaster():
     """No service at all: every departure is a catastrophe reset."""
-    return BmapModel(d=2, D=_d2_blocks(), mu=MuRule(table=(0.0,)), psi=1.0)
+    return BmapModel(d=2, D=d2_blocks(), mu=MuRule(table=(0.0,)), psi=1.0)
 
 
 @pytest.fixture(scope="session")

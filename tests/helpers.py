@@ -7,13 +7,15 @@ assembled entry by entry.  The stationary oracle is the dense elimination
 and the window oracle asks for every block pair, the plain algorithms the
 library's band-aware ones must reproduce.  The power-iteration and
 offset-level oracles are the plain loops the certificate search must match
-bit for bit.
+bit for bit.  The slack oracle checks a certificate row by row, and
+`regime_queues` draws the queues it is checked on.
 """
 
 import json
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from bmtrunc import BmapModel, BmapQueueModel, GeometricTail, MuRule, NoConvergence
 
@@ -92,6 +94,15 @@ def brute_corner(model, spec):
             l = int(level)
             out[k * d:(k + 1) * d, l * d:(l + 1) * d] += frac * e
     return out
+
+
+def d2_blocks():
+    """D(0)..D(3) of the two-phase batch arrivals the fixtures share."""
+    D0 = np.array([[-1.95, 0.7], [0.8, -1.95]])
+    D1 = np.array([[0.5, 0.2], [0.3, 0.3]])
+    D2 = np.array([[0.25, 0.1], [0.2, 0.15]])
+    D3 = np.array([[0.15, 0.05], [0.1, 0.1]])
+    return (D0, D1, D2, D3)
 
 
 def tailed_queue(d=2, psi=0.5, ratio=0.4):
@@ -185,6 +196,38 @@ def offset_constants(B, beta, rec, k_cap):
             ) * u_max
             return K, c_prime, b_prime
     return None
+
+
+def brute_scaled_slack(model, cert, depth=500):
+    """Largest drift slack over its tolerance scale, row by row.
+
+    Rows 0..drift_fit_level() + depth are evaluated one by one with
+    `apply_row`, the offset b taken off rows up to K, and each slack divided
+    by the scale drift_check uses, max(1, c max v(k), b).  A float row sum
+    is only good to its rounding bound, (terms + 4) * eps * sum_l |Q(k;l)| v(l),
+    which stiff rates or a small c can push above DRIFT_TOL times the scale;
+    the slack is counted net of that bound.  Rows whose weight beta**k would
+    pass e**700 are left out: no float evaluates them.
+    """
+    v, c = cert.v, cert.c
+    top = min(model.drift_fit_level() + depth, int(700.0 / math.log(v.beta)))
+    weights = v.levels(top + model.upper_hint()).reshape(-1, model.d)
+    worst = -math.inf
+    for k in range(top + 1):
+        lo, hi, tail = model.band(k)
+        cols = sorted({0, *range(lo, hi + 1)})
+        size = sum(np.abs(model.block(k, l)) @ weights[l] for l in cols) + c * weights[k]
+        if tail is not None:
+            # nonnegative blocks coef * ratio**j against v(k + j), j > hi - k
+            j = hi + 1 - k
+            size = size + (v.beta ** k * (tail.power_series_from(j, v.beta) @ v.u)
+                           + v.shift * tail.sum_from(j).sum(axis=1))
+        rounding = (model.d * len(cols) + 4) * np.finfo(float).eps * size
+        vk = v.level(k)
+        s = model.apply_row(k, v) + c * vk - (cert.b if k <= cert.K else 0.0)
+        scale = max(1.0, c * float(vk.max()), cert.b)
+        worst = max(worst, float(np.max(s - rounding)) / scale)
+    return worst
 
 
 def phase_tails(x, d):
@@ -282,3 +325,52 @@ def block_increasing(rng, levels, d):
     """A nonnegative vector nondecreasing in level within each phase."""
     f = rng.uniform(0, 1, (levels, d)).cumsum(axis=0) + rng.uniform(0, 1, d)
     return f.ravel()
+
+
+@st.composite
+def regime_queues(draw):
+    """Valid queues across the regimes certificates must survive.
+
+    d <= 8 phases; up to three listed batch sizes, optionally followed by a
+    geometric tail; constant, increasing-table, affine or no service (pure
+    reset); disaster rate psi in {0, 0.01, 1} times the arrival rate (pure
+    reset needs psi > 0); phase switching at the arrival time scale or 10**4
+    times faster; and loads lambda / inf mu from 0.3 up to 0.999.  The
+    service rate is set from the arrival rate measured on the drawn blocks,
+    so the load holds exactly.  All phases switch on one time scale: with
+    phases 10**4 apart, row slacks sit below the rounding of their own sums
+    and drift_check's tolerance cannot tell them from zero.
+    """
+    d = draw(st.integers(1, 8))
+    k_max = draw(st.integers(1, 3))
+    tail_ratio = draw(st.sampled_from([None, 0.3, 0.6]))
+    rule = draw(st.sampled_from(["constant", "table", "affine", "reset"]))
+    rho = draw(st.sampled_from([0.3, 0.8, 0.99, 0.999]))
+    psi_share = draw(st.sampled_from([0.01, 1.0] if rule == "reset" else [0.0, 0.01, 1.0]))
+    spread = draw(st.sampled_from([1.0, 1e4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    off = rng.uniform(0.2, 1.0, (d, d)) * spread
+    np.fill_diagonal(off, 0.0)
+    batches = [rng.uniform(0.05, 0.5, (d, d)) * 0.5 ** k for k in range(k_max)]
+    tail, tail_mass = None, np.zeros((d, d))
+    if tail_ratio is not None:
+        tail = GeometricTail(coef=rng.uniform(0.02, 0.1, (d, d)), ratio=tail_ratio)
+        tail_mass = tail.sum_from(k_max + 1)
+    D0 = off - np.diag(off.sum(axis=1) + sum(b.sum(axis=1) for b in batches)
+                       + tail_mass.sum(axis=1))
+    generator = D0 + sum(batches) + tail_mass
+    eta = np.linalg.lstsq(np.vstack([generator.T, np.ones(d)]),
+                          np.r_[np.zeros(d), 1.0], rcond=None)[0]
+    weighted = sum((k + 1) * b for k, b in enumerate(batches))
+    if tail is not None:
+        weighted = weighted + tail.weighted_sum_from(k_max + 1)
+    lam = float(eta @ weighted.sum(axis=1))
+    mu = lam / rho
+    service = {
+        "constant": MuRule(table=(mu,)),
+        "table": MuRule(table=(mu, 1.2 * mu, 1.5 * mu)),
+        "affine": MuRule(table=(mu,), eventual="affine", slope=0.05 * mu),
+        "reset": MuRule(table=(0.0,)),
+    }[rule]
+    return BmapQueueModel(d=d, D=[D0, *batches], mu=service, psi=psi_share * lam,
+                          tail=tail)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -414,6 +415,49 @@ def test_apply_row_matches_window_product(fleet_models):
                     tail.ratio ** j0 / (1.0 - tail.ratio))
             np.testing.assert_allclose(model.apply_row(k, v), expected, rtol=1e-12,
                                        atol=1e-13, err_msg=f"{name} k={k}")
+
+
+def _slack_law_models():
+    """A banded model with L = U = 2, an M/G/1 model with a tail, and tailed
+    queues under constant and affine service, with and without disasters."""
+    rng = np.random.default_rng(11)
+
+    def blk():
+        return rng.uniform(0.0, 1.0, (2, 2))
+
+    banded = BandedModel(d=2, L=2, U=2, K_hom=3, rows={
+        k: {o: blk() for o in range(-min(k, 2), 3)} for k in range(4)
+    })
+    tail = GeometricTail(coef=blk(), ratio=0.4)
+    models = {
+        "banded": banded,
+        "mg1_tail": Mg1Model(d=2, repeat=[blk() for _ in range(3)],
+                             boundary=[blk() for _ in range(2)], tail=tail),
+    }
+    base = tailed_queue()
+    for rule in (MuRule(table=(2.5, 3.0)),
+                 MuRule(table=(2.5, 3.0), eventual="affine", slope=0.4)):
+        for psi in (0.0, 0.6):
+            models[f"queue_{rule.eventual}_psi{psi}"] = dataclasses.replace(
+                base, mu=rule, psi=psi)
+    return models
+
+
+def test_slack_law_matches_apply_row():
+    for name, model in _slack_law_models().items():
+        v = GeometricVector(beta=1.3, u=np.linspace(1.0, 2.0, model.d), shift=0.7)
+        c = 0.2
+        a0, a1, g0 = model.slack_law(v, c)
+        k0 = model.drift_fit_level()
+        for k in range(k0, k0 + 40):
+            exact = model.apply_row(k, v) + c * v.level(k)
+            law = v.beta ** k * (a0 + a1 * k) + g0
+            scale = max(float(np.max(np.abs(exact))), c * float(np.max(v.level(k))))
+            assert float(np.max(np.abs(law - exact))) <= 1e-13 * scale, f"{name} k={k}"
+        if "affine" in name:
+            assert float(np.max(a1)) < 0.0
+        else:
+            assert not np.any(a1)
 
 
 def test_model_kinds_supply_only_blocks_and_band_hints():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bmtrunc import (
     BmapModel,
     BmapQueueModel,
-    DriftViolated,
     GeometricTail,
     InputError,
     InvalidBmap,
@@ -26,6 +25,7 @@ from bmtrunc import (
     find_constants_disaster,
     spectral,
 )
+from bmtrunc.bounds import DRIFT_TOL
 from bmtrunc.cli import main
 from bmtrunc.bmap import (
     K_CAP,
@@ -36,6 +36,8 @@ from bmtrunc.bmap import (
 )
 from helpers import (
     bmap_doc,
+    brute_scaled_slack,
+    d2_blocks,
     offset_constants,
     power_iteration,
     random_bmap,
@@ -179,7 +181,11 @@ def test_closed_form_minimizer_mirrors_generic(fleet, fleet_certs,
 
 
 def test_pipeline_origins_carry_no_disagreement(fleet, pure_disaster):
-    models = list(fleet.values()) + [pure_disaster]
+    # a K = 1 certificate: the conversion shift is b' over psi + mu(1), not
+    # over psi alone
+    offset_one = BmapModel(d=2, D=d2_blocks(), mu=MuRule(table=(1.8,)), psi=1.5)
+    assert find_constants_disaster(offset_one).K == 1
+    models = list(fleet.values()) + [pure_disaster, offset_one]
     for B in models:
         for rep in bound_pipeline(B, [10, 20, 40]):
             assert "disagree" not in rep.origin
@@ -348,13 +354,29 @@ def test_pipeline_builds_no_queue_object(fleet, pure_disaster, monkeypatch):
     assert all(build_generator(B) is B for B in queues)
 
 
-@pytest.mark.xfail(strict=True, raises=DriftViolated,
-                   reason="near-critical drift fit is ill-conditioned (ROADMAP item 3)")
 def test_near_critical_single_server_certifies():
     # lambda = 1 against mu = 1.001: the search finds beta = sqrt(mu) and a
-    # positive c of about 2.5e-7, and the certificate truly holds, but the
-    # tail-law fit in drift_check reports a slack of about 2e-10 at level 4
+    # positive c of about 2.5e-7, and the certificate truly holds
     B = BmapModel(d=1, D=(np.array([[-1.0]]), np.array([[1.0]])),
                   mu=MuRule(table=(1.001,)))
     cert = find_beta_no_disaster(B)
     assert cert.verified
+
+
+def test_near_critical_two_phase_queue_certifies():
+    # rho about 0.988 at beta about 1.004, where fitting the tail law from a
+    # few rows is ill-conditioned (condition about (beta - 1)**-2); every
+    # row holds
+    B = BmapModel(d=2, D=d2_blocks(), mu=MuRule(table=(1.98,)))
+    cert = find_beta_no_disaster(B)
+    assert cert.verified and 1.0 < cert.v.beta < 1.01
+    assert brute_scaled_slack(B, cert) <= DRIFT_TOL
+
+
+@pytest.mark.parametrize("beta", ["0.5", "1.0"])
+def test_bound_rejects_out_of_range_beta(d2_psi0, tmp_path, beta):
+    path = write_model(tmp_path / "q.json", bmap_doc(d2_psi0))
+    result = CliRunner().invoke(main, ["bound", "--model", path, "--n", "10",
+                                       "--beta", beta])
+    assert result.exit_code == 2, result.output
+    assert f"beta={float(beta)}" in result.output

@@ -3,21 +3,25 @@ import pytest
 
 from bmtrunc import (
     BandedModel,
+    BmapModel,
+    CertificateNotVerified,
     DriftCertificate,
     DriftViolated,
     FirstColumnUnreachable,
     GeometricVector,
     InputError,
+    MuRule,
     bounds,
     build_generator,
     corollary_transform,
     decay_exponent,
     drift_check,
     minimized_bound,
+    spectral,
     t_star,
     theorem_bound,
 )
-from helpers import golden_min
+from helpers import d2_blocks, golden_min
 
 
 def test_geometric_vector_guards():
@@ -167,3 +171,72 @@ def test_corollary_transform_needs_reachable_first_column():
                             c=0.1, b=5.0, K=1, verified=True, origin="hand")
     with pytest.raises(FirstColumnUnreachable):
         corollary_transform(fake, pure_birth)
+
+
+@pytest.mark.parametrize("slope, expected", [
+    (0.0, {"horizon", "tail"}),
+    (0.002, {"horizon", "tail", "verified"}),
+    (0.02, {"horizon", "verified"}),
+])
+def test_tail_violations_name_real_rows(slope, expected):
+    # Rows through the horizon carry the offset, and a large shift with
+    # psi > c makes the constant part g0 very negative; c is then pushed
+    # past the largest rate the tail can carry, so the geometric
+    # coefficient at the horizon is positive and the slack rises past it.
+    # Under affine service that rise may stop short of the tolerance.
+    rule = MuRule(table=(1.0,), eventual="affine", slope=slope)
+    B = BmapModel(d=2, D=d2_blocks(), mu=rule, psi=3.0)
+    k_fit = B.drift_fit_level()
+    b = 1e4
+    outcomes = set()
+    for shift in (10.0, 100.0):
+        for extra in (1e-3, 1e-2, 0.1):
+            v = GeometricVector(beta=1.3, u=spectral(B, 1.3).right, shift=shift)
+            a0, a1, _ = B.slack_law(v, 0.0)
+            c = float(np.max(-(a0 + a1 * k_fit) / v.u)) + extra
+
+            def scaled(k):
+                vk = v.level(k)
+                s = B.apply_row(k, v) + c * vk
+                return s, bounds.DRIFT_TOL * max(1.0, c * float(vk.max()), b)
+
+            try:
+                drift_check(B, v, c, b, K=k_fit - 1)
+            except DriftViolated as exc:
+                if exc.level <= k_fit:
+                    outcomes.add("horizon")
+                    continue
+                outcomes.add("tail")
+                s, tau = scaled(exc.level)
+                assert exc.slack == pytest.approx(float(s[exc.phase]), rel=1e-9)
+                assert exc.slack > tau
+                # it is the first such row
+                for k in range(k_fit, exc.level):
+                    s, tau = scaled(k)
+                    assert float(s.max()) <= tau
+            else:
+                outcomes.add("verified")
+                for k in range(k_fit, k_fit + 300):
+                    s, tau = scaled(k)
+                    assert float(s.max()) <= tau
+    assert outcomes == expected
+
+
+def test_tail_rising_past_float_range_is_not_certified():
+    # A stand-in model whose slack law keeps rising at every level floats
+    # can weigh (beta = 2 reaches e**700 at level 1009) without any row
+    # there exceeding its tolerance: no verdict is possible.
+    class Rising:
+        d = 1
+
+        def drift_fit_level(self):
+            return 5
+
+        def apply_row(self, k, v):
+            return -2.0 * v.level(k)
+
+        def slack_law(self, v, c):
+            return np.array([1.0]), np.zeros(1), np.array([-1e305])
+
+    with pytest.raises(CertificateNotVerified, match="still rising"):
+        drift_check(Rising(), GeometricVector(beta=2.0, u=np.array([1.0])), c=1.0, b=1.0)

@@ -192,3 +192,18 @@ def test_transient_decay_check_guards(mm1, fleet_certs):
     with pytest.raises(CertificateNotVerified):
         transient_decay_check(G, dataclasses.replace(cert, verified=False),
                               times=(0.0,), n_ref=40)
+
+
+@pytest.mark.parametrize("start_level", [-1, 101, 150])
+def test_transient_decay_check_rejects_start_outside_the_proxy(mm1, fleet_certs,
+                                                               start_level):
+    # the start vector would be all zeros, so the check would measure nothing
+    with pytest.raises(InputError, match="start level"):
+        transient_decay_check(build_generator(mm1), fleet_certs["mm1"], times=(1.0,),
+                              start_level=start_level, n_ref=100)
+
+
+def test_transient_decay_check_accepts_the_top_level(mm1, fleet_certs):
+    rep = transient_decay_check(build_generator(mm1), fleet_certs["mm1"], times=(1.0,),
+                                start_level=100, n_ref=100)
+    assert rep.start_level == 100 and rep.measured[0] > 0.0
