@@ -39,6 +39,17 @@ from .errors import (
 TAU_CONS = 1e-10
 
 
+def _scalar_pow(x, k: int) -> np.ndarray:
+    """x ** k entry by entry, through the scalar pow.
+
+    numpy's array ** uses a vectorized pow that can differ from the scalar
+    one in the last bit, so a power taken on a whole grid would not match
+    the same power taken at one of its points.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.array([xi ** k for xi in x.flat]).reshape(x.shape)
+
+
 def check_block_length(size: int, d: int) -> int:
     """Return the number of levels, raising if size is not a multiple of d."""
     if d < 1:
@@ -155,14 +166,17 @@ class GeometricTail:
         r = self.ratio
         return self.coef * (r ** m * (m - (m - 1) * r) / (1.0 - r) ** 2)
 
-    def power_series_from(self, m: int, z: float) -> np.ndarray:
-        """Sum of z**k * D(k) for k >= m; requires z*ratio < 1."""
-        x = z * self.ratio
-        if x >= 1.0:
+    def power_series_from(self, m: int, z) -> np.ndarray:
+        """Sum of z**k * D(k) for k >= m; requires z*ratio < 1.
+
+        An array of z gives the stack of sums, shape z.shape + (d, d).
+        """
+        x = np.asarray(z, dtype=float) * self.ratio
+        if np.any(x >= 1.0):
             raise TailSumUnavailable(
                 f"z={z} is outside the tail's convergence radius 1/{self.ratio}"
             )
-        return self.coef * (x ** m / (1.0 - x))
+        return (_scalar_pow(x, m) / (1.0 - x))[..., None, None] * self.coef
 
 
 class BlockGeneratorModel:
@@ -483,13 +497,18 @@ class BmapQueueModel(BlockGeneratorModel):
         """D = sum of all D(k), the phase process generator: row 0's sum."""
         return self.tail_sum(0, 0)
 
-    def dhat(self, z: float) -> np.ndarray:
-        """Batch transform sum z^k D(k), exact including the analytic tail."""
-        if not 0.0 < z < self.r_D:
+    def dhat(self, z) -> np.ndarray:
+        """Batch transform sum z^k D(k), exact including the analytic tail.
+
+        An array of z gives the stack of transforms, shape z.shape + (d, d),
+        each bit-identical to the transform at its own point.
+        """
+        zs = np.asarray(z, dtype=float)
+        if not np.all((0.0 < zs) & (zs < self.r_D)):
             raise InputError(f"z={z} outside (0, {self.r_D})")
-        out = sum((z ** k) * m for k, m in enumerate(self.D))
+        out = sum(_scalar_pow(zs, k)[..., None, None] * m for k, m in enumerate(self.D))
         if self.tail is not None:
-            out = out + self.tail.power_series_from(self.k_max + 1, z)
+            out = out + self.tail.power_series_from(self.k_max + 1, zs)
         return out
 
     def _dblock(self, j: int) -> np.ndarray:

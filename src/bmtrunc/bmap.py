@@ -11,7 +11,10 @@ Everything a drift certificate needs comes from the transform
 Dhat(z) = sum z^k D(k) and its Perron root delta_D(z): the root is 0 at
 z = 1, increasing and convex, and its slope at 1 is the arrival rate.  The
 certificate search picks a geometric base beta inside the transform's radius
-of convergence to maximize the certified decay rate.
+of convergence to maximize the certified decay rate.  It evaluates a fixed
+grid of bases by batched dense eigensolves of the stacked transforms (one
+for the whole grid up to d = 9), then polishes the best by golden section
+with power iteration (`spectral`) at each point it visits.
 """
 
 from __future__ import annotations
@@ -41,6 +44,11 @@ BETA_CAP = 64.0
 GRID_POINTS = 200
 GOLDEN_ITERS = 30
 K_CAP = 200
+# Matrix entries per batched eigensolve of the beta grid (128 KB of float64):
+# the whole grid goes in one call up to d = 9.  Beyond, batches keep the
+# stacked transforms and their complex eigenvectors to a few hundred KB,
+# where one call at d = 24 would hold about 3 MB.
+GRID_BATCH_ENTRIES = 2 ** 14
 # Power steps before spectral hands over to the dense eigensolver; no call
 # of the test suite or the benchmark workloads takes more than 43.
 POWER_ITERS = 100
@@ -94,9 +102,11 @@ def spectral(B: BmapModel, z: float, seed: int = 0) -> SpectralRecord:
     Shifts by the largest diagonal rate so the iteration matrix is
     nonnegative, then runs power iteration on both sides at once, reading the
     root off the two-sided Rayleigh quotient.  If that has not converged
-    after POWER_ITERS steps, dense eigendecompositions give the pair.  The
-    right vector is scaled to minimum component 1 and the left one to unit
-    inner product against it.
+    after POWER_ITERS steps, `_dense_perron` of Dhat(z) and of its transpose
+    gives the pair.  The right vector is scaled to minimum component 1 and
+    the left one to unit inner product against it.  The certificate search
+    calls this at the points its golden-section polish visits and at its
+    winner; its grid takes `_dense_perron` of stacked transforms instead.
     """
     dh = B.dhat(z)
     d = B.d
@@ -127,7 +137,9 @@ def spectral(B: BmapModel, z: float, seed: int = 0) -> SpectralRecord:
         if iterations > POWER_ITERS:
             # E's second eigenvalue is close to +-1 in modulus, as under
             # stiff phase rates: the dense eigensolver takes over
-            val, x, y = _dense_perron(dh)
+            val, x = _dense_perron(dh)
+            val = float(val)
+            y = _dense_perron(dh.T)[1]
             res_r = float(np.abs(dh @ x - val * x).max())
             res_l = float(np.abs(y @ dh - val * y).max())
             if max(res_r, res_l) > 1e-12 * norm:
@@ -168,14 +180,20 @@ def spectral(B: BmapModel, z: float, seed: int = 0) -> SpectralRecord:
     )
 
 
-def _dense_perron(dh: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Perron root and right and left Perron vectors of an irreducible
-    Metzler matrix, from dense eigendecompositions of it and its transpose."""
-    vals, right = np.linalg.eig(dh)
-    i = int(np.argmax(vals.real))
-    vals_t, left = np.linalg.eig(dh.T)
-    j = int(np.argmax(vals_t.real))
-    return float(vals[i].real), np.abs(right[:, i].real), np.abs(left[:, j].real)
+def _dense_perron(dh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Perron roots and right Perron vectors of irreducible Metzler matrices.
+
+    `dh` is one matrix or a stack of them, shape (..., d, d), and a single
+    dense eigendecomposition covers the whole stack.  Per matrix, the root
+    is the eigenvalue of largest real part and the vector the absolute value
+    of its right eigenvector, unnormalized; the left vector is the right one
+    of the transpose.
+    """
+    vals, vecs = np.linalg.eig(dh)
+    i = np.argmax(vals.real, axis=-1)[..., None]
+    roots = np.take_along_axis(vals.real, i, axis=-1)[..., 0]
+    right = np.take_along_axis(vecs.real, i[..., None], axis=-1)[..., 0]
+    return roots, np.abs(right)
 
 
 def delta_D(B: BmapModel, z: float) -> float:
@@ -205,6 +223,32 @@ def _golden_max(f, lo: float, hi: float, iters: int = GOLDEN_ITERS):
     return ((a + b) / 2.0, max(f1, f2))
 
 
+def _best_beta(B: BmapModel, objective) -> float:
+    """The grid base of largest objective, polished by golden section.
+
+    Batched dense eigensolves of the stacked transforms, GRID_BATCH_ENTRIES
+    matrix entries at a time, give the Perron data of the whole grid, passed
+    as objective(beta, (delta_D(beta), max u / min u)); the polish calls
+    objective(beta), which takes them from `spectral`.  Raises NoFeasibleK
+    when no grid base has a finite objective.
+    """
+    grid = _beta_grid(B)
+    step = max(1, GRID_BATCH_ENTRIES // B.d ** 2)
+    parts = [_dense_perron(B.dhat(grid[i:i + step])) for i in range(0, grid.size, step)]
+    roots = np.concatenate([part[0] for part in parts])
+    right = np.concatenate([part[1] for part in parts])
+    spread = right.max(axis=-1) / right.min(axis=-1)
+    values = np.array([objective(bv, perron) for bv, perron in zip(grid, zip(roots, spread))])
+    i = int(np.argmax(values))
+    if not np.isfinite(values[i]):
+        raise NoFeasibleK(
+            f"no offset level up to {K_CAP} yields a positive decay "
+            "bracket for any geometric base"
+        )
+    beta, _ = _golden_max(objective, grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)])
+    return beta
+
+
 def find_beta_no_disaster(B: BmapModel, beta: float | None = None) -> DriftCertificate:
     """Certificate for the disaster-free queue.
 
@@ -218,17 +262,13 @@ def find_beta_no_disaster(B: BmapModel, beta: float | None = None) -> DriftCerti
         raise InputError("disaster-free search requires psi = 0")
     mu_inf = B.mu.infimum()
 
-    def c_of(beta_val: float) -> float:
-        return mu_inf * (1.0 - 1.0 / beta_val) - delta_D(B, beta_val)
+    def c_of(beta_val: float, perron=None) -> float:
+        delta = delta_D(B, beta_val) if perron is None else perron[0]
+        return mu_inf * (1.0 - 1.0 / beta_val) - delta
 
     build_generator(B)
     if beta is None:
-        grid = _beta_grid(B)
-        values = np.array([c_of(bv) for bv in grid])
-        i = int(np.argmax(values))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, grid.size - 1)]
-        beta, _ = _golden_max(c_of, lo, hi)
+        beta = _best_beta(B, c_of)
     rec = spectral(B, beta)
     c = mu_inf * (1.0 - 1.0 / beta) - rec.eigenvalue
     if c <= 0.0:
@@ -247,18 +287,25 @@ def _mu_levels(B: BmapModel) -> np.ndarray:
     return np.array([B.mu(k) for k in range(top + 1)])
 
 
-def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray):
+def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray,
+                        perron: tuple[float, float] | None = None):
     """Smallest feasible offset level and its constants at one beta.
 
     The decay bracket mu(k)(1 - 1/beta) + psi(1 - beta^-k) - delta_D(beta) is
     evaluated once per level k.  c'(K), its infimum over k > K, is the
     minimum over levels K+1 .. max(stable_from, K+1)+1: past the mu table
     the bracket only grows.  `mus` is `_mu_levels(B)`, computed once per
-    search.  Returns (K, c', b', spectral record) or None when no K up to
-    the cap makes the bracket positive.
+    search.  `perron` is (delta_D(beta), max u / min u) when the caller
+    already has them; otherwise `spectral` supplies both.  Returns (K, c',
+    b', spectral record or None) or None when no K up to the cap makes the
+    bracket positive.  b' is inf when beta^K passes the float range.
     """
-    rec = spectral(B, beta)
-    delta = rec.eigenvalue
+    if perron is None:
+        rec = spectral(B, beta)
+        delta, u_max = rec.eigenvalue, float(rec.right.max())
+    else:
+        rec = None
+        delta, u_max = perron
     psi = B.psi
     slope = 1.0 - 1.0 / beta
     decay = [beta ** (-k) for k in range(mus.size)]
@@ -276,8 +323,12 @@ def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray):
         return None
     K = int(feasible[0])
     c_prime = float(c_of_K[K])
+    try:
+        math.pow(beta, K)
+    except OverflowError:
+        # no float b' exists; the search's objective c'/(1 + b'/psi) reads 0
+        return K, c_prime, math.inf, rec
     mu_k = mus[:K + 1].tolist()
-    u_max = float(rec.right.max())
     b_prime = max(
         (c_prime + delta - mu_k[k] * slope - psi * (1.0 - decay[k])) * beta ** k
         for k in range(K + 1)
@@ -298,8 +349,8 @@ def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCer
     build_generator(B)
     mus = _mu_levels(B)
 
-    def objective(beta_val: float) -> float:
-        found = _disaster_constants(B, beta_val, mus)
+    def objective(beta_val: float, perron=None) -> float:
+        found = _disaster_constants(B, beta_val, mus, perron)
         if found is None:
             return -math.inf
         K, c_prime, b_prime, _ = found
@@ -308,17 +359,7 @@ def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCer
         return c_prime / (1.0 + b_prime / B.psi)
 
     if beta is None:
-        grid = _beta_grid(B)
-        values = np.array([objective(bv) for bv in grid])
-        i = int(np.argmax(values))
-        if not np.isfinite(values[i]):
-            raise NoFeasibleK(
-                f"no offset level up to {K_CAP} yields a positive decay "
-                "bracket for any geometric base"
-            )
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, grid.size - 1)]
-        beta, _ = _golden_max(objective, lo, hi)
+        beta = _best_beta(B, objective)
     found = _disaster_constants(B, beta, mus)
     if found is None:
         raise NoFeasibleK(f"no offset level up to {K_CAP} works at beta={beta}")

@@ -7,7 +7,8 @@ assembled entry by entry.  The stationary oracle is the dense elimination
 and the window oracle asks for every block pair, the plain algorithms the
 library's band-aware ones must reproduce.  The power-iteration and
 offset-level oracles are the plain loops the certificate search must match
-bit for bit.  The slack oracle checks a certificate row by row, and
+bit for bit, and the serial search is the search as it ran before its grid
+was batched.  The slack oracle checks a certificate row by row, and
 `regime_queues` draws the queues it is checked on.
 """
 
@@ -17,7 +18,17 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from bmtrunc import BmapModel, BmapQueueModel, GeometricTail, MuRule, NoConvergence
+from bmtrunc import (
+    BmapModel,
+    BmapQueueModel,
+    GeometricTail,
+    MuRule,
+    NoConvergence,
+    find_beta_no_disaster,
+    find_constants_disaster,
+    spectral,
+)
+from bmtrunc.bmap import _beta_grid, _disaster_constants, _golden_max, _mu_levels
 
 
 def golden_min(f, lo, hi, h_floor=1e-4):
@@ -196,6 +207,55 @@ def offset_constants(B, beta, rec, k_cap):
             ) * u_max
             return K, c_prime, b_prime
     return None
+
+
+def serial_objective(B):
+    """The certificate search's objective of beta, one `spectral` call each.
+
+    c(beta) = inf mu (1 - 1/beta) - delta_D(beta) without disasters; with
+    them, c' of the first feasible offset level, divided by 1 + b'/psi when
+    that level is above 0, and -inf when none is feasible.
+    """
+    if B.psi == 0.0:
+        mu_inf = B.mu.infimum()
+        return lambda beta: mu_inf * (1.0 - 1.0 / beta) - spectral(B, beta).eigenvalue
+    mus = _mu_levels(B)
+
+    def objective(beta):
+        found = _disaster_constants(B, beta, mus)
+        if found is None:
+            return -math.inf
+        K, c_prime, b_prime, _ = found
+        return c_prime if K == 0 else c_prime / (1.0 + b_prime / B.psi)
+
+    return objective
+
+
+def serial_grid_argmax(B):
+    """Index of the best grid base, each objective from its own `spectral` call."""
+    objective = serial_objective(B)
+    return int(np.argmax([objective(beta) for beta in _beta_grid(B)]))
+
+
+def serial_certificate(B):
+    """The raw certificate of the search with its grid evaluated serially.
+
+    The golden-section polish runs around `serial_grid_argmax`, and the
+    winner goes through the search's given-beta route.
+    """
+    grid = _beta_grid(B)
+    i = serial_grid_argmax(B)
+    beta, _ = _golden_max(serial_objective(B), grid[max(i - 1, 0)],
+                          grid[min(i + 1, grid.size - 1)])
+    search = find_beta_no_disaster if B.psi == 0.0 else find_constants_disaster
+    return search(B, beta=beta)
+
+
+def assert_same_certificate(found, expected):
+    """beta, c, b, K and the weight profile agree bit for bit."""
+    assert (found.v.beta, found.c, found.b, found.K) == (
+        expected.v.beta, expected.c, expected.b, expected.K)
+    np.testing.assert_array_equal(found.v.u, expected.v.u)
 
 
 def brute_scaled_slack(model, cert, depth=500):

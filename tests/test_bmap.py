@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -31,16 +32,21 @@ from bmtrunc.bmap import (
     K_CAP,
     _beta_grid,
     _closed_form_theta,
+    _dense_perron,
     _disaster_constants,
     _mu_levels,
 )
 from helpers import (
+    assert_same_certificate,
     bmap_doc,
     brute_scaled_slack,
     d2_blocks,
     offset_constants,
     power_iteration,
     random_bmap,
+    serial_certificate,
+    serial_grid_argmax,
+    tailed_queue,
     write_model,
 )
 
@@ -301,6 +307,70 @@ def test_offset_constants_match_the_rescan_for_any_service_rule(mu, psi, d, seed
     _assert_same_spectral(B, beta)
 
 
+def _stiff_queue(spread=1e4):
+    """A d=5 queue at load 0.8 whose phases switch `spread` times faster
+    than its batches arrive."""
+    base = random_bmap(np.random.default_rng(11), d=5)
+    off = base.D[0] - np.diag(np.diag(base.D[0]))
+    batches = base.D[1:]
+    D0 = spread * off - np.diag(spread * off.sum(axis=1)
+                                + sum(m.sum(axis=1) for m in batches))
+    B = BmapModel(d=5, D=(D0, *batches), mu=MuRule(table=(1.0,)))
+    return dataclasses.replace(B, mu=MuRule(table=(arrival_rate(B) / 0.8,)))
+
+
+def test_batched_grid_matches_spectral(fleet, monkeypatch):
+    rng = np.random.default_rng(5)
+    # tailed_queue's grid ends at 0.999 r_D; at d = 12 the search splits
+    # the grid into two eigensolve batches
+    queues = [*fleet.values(), tailed_queue(), _stiff_queue(),
+              *(random_bmap(rng, d=d, psi=0.3) for d in (3, 5, 8, 12))]
+    brackets = []
+    golden = bmap._golden_max
+    monkeypatch.setattr(bmap, "_golden_max",
+                        lambda f, lo, hi: brackets.append((lo, hi)) or golden(f, lo, hi))
+    for B in queues:
+        grid = _beta_grid(B)
+        stack = B.dhat(grid)
+        roots, right = _dense_perron(stack)
+        for z, root, u, dh in zip(grid, roots, right, stack):
+            rec = spectral(B, z)
+            assert abs(root - rec.eigenvalue) <= 1e-12 * np.abs(dh).max()
+            # max u / min u reaches the disaster objective
+            assert u.max() / u.min() == pytest.approx(rec.right.max(), rel=1e-9)
+        # the polish brackets the grid point the serial scan picks
+        brackets.clear()
+        (find_beta_no_disaster if B.psi == 0.0 else find_constants_disaster)(B)
+        i = serial_grid_argmax(B)
+        assert brackets == [(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)])]
+
+
+def test_search_matches_the_serial_oracle(fleet, pure_disaster):
+    for B in [*fleet.values(), pure_disaster, tailed_queue()]:
+        search = find_beta_no_disaster if B.psi == 0.0 else find_constants_disaster
+        assert_same_certificate(search(B), serial_certificate(B))
+
+
+def test_disaster_search_reads_an_overflowing_offset_as_no_bound():
+    # affine service 2.06 + 0.103 k against arrivals and disasters at rate
+    # 0.617: near beta = 37.5 the first feasible offset level is 199, and
+    # beta**199 passes the float range
+    lam = 0.617
+    B = BmapModel(d=1, D=(np.array([[-lam]]), np.array([[lam]])),
+                  mu=MuRule(table=(2.06,), eventual="affine", slope=0.103), psi=lam)
+    mus = _mu_levels(B)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        K, c_prime, b_prime, _ = _disaster_constants(B, 37.5, mus)
+        overflowing = [z for z in _beta_grid(B)
+                       if (found := _disaster_constants(B, z, mus)) and found[2] == math.inf]
+        cert = find_constants_disaster(B)
+    assert (K, b_prime) == (199, math.inf) and c_prime > 0.0
+    assert overflowing
+    assert_same_certificate(cert, serial_certificate(B))
+    assert cert.K == 0 and cert.verified
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
@@ -313,14 +383,23 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_no_disaster_search_evaluates_the_winner_once(d2_psi0, monkeypatch):
+def _assert_spectral_calls(search, B, monkeypatch):
     calls = _count_calls(monkeypatch, bmap, "spectral")
-    find_beta_no_disaster(d2_psi0)
-    # grid, golden section (two starting points plus one per step), winner
-    assert len(calls) == bmap.GRID_POINTS + bmap.GOLDEN_ITERS + 2 + 1
+    search(B)
+    # the grid takes batched eigensolves; golden section (two starting
+    # points plus one per step) and the winner call spectral
+    assert len(calls) == bmap.GOLDEN_ITERS + 2 + 1
     calls.clear()
-    find_beta_no_disaster(d2_psi0, beta=1.3)
+    search(B, beta=1.3)
     assert len(calls) == 1
+
+
+def test_no_disaster_search_evaluates_the_winner_once(d2_psi0, monkeypatch):
+    _assert_spectral_calls(find_beta_no_disaster, d2_psi0, monkeypatch)
+
+
+def test_disaster_search_evaluates_the_winner_once(d2_psi05, monkeypatch):
+    _assert_spectral_calls(find_constants_disaster, d2_psi05, monkeypatch)
 
 
 def test_one_monotonicity_check_per_certificate(fleet, pure_disaster, tmp_path,

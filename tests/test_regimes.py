@@ -17,7 +17,7 @@ from bmtrunc import (
     tv_distance,
 )
 from bmtrunc.bounds import DRIFT_TOL
-from helpers import brute_scaled_slack, regime_queues
+from helpers import assert_same_certificate, brute_scaled_slack, regime_queues, serial_certificate
 
 
 @given(B=regime_queues())
@@ -42,3 +42,10 @@ def test_certificates_hold_in_every_regime(B):
             pi_ref = stationary(lc_truncate(B, 4 * n).matrix, source="lc")
             assert tv_distance(pi_n, pi_ref) <= allowed
             break
+
+
+@given(B=regime_queues())
+def test_search_matches_the_serial_oracle_in_every_regime(B):
+    # the batched grid picks the same point as one spectral call per base
+    search = find_beta_no_disaster if B.psi == 0.0 else find_constants_disaster
+    assert_same_certificate(search(B), serial_certificate(B))
