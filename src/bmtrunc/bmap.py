@@ -11,10 +11,13 @@ Everything a drift certificate needs comes from the transform
 Dhat(z) = sum z^k D(k) and its Perron root delta_D(z): the root is 0 at
 z = 1, increasing and convex, and its slope at 1 is the arrival rate.  The
 certificate search picks a geometric base beta inside the transform's radius
-of convergence to maximize the certified decay rate.  It evaluates a fixed
-grid of bases by batched dense eigensolves of the stacked transforms (one
-for the whole grid up to d = 9), then polishes the best by golden section
-with power iteration (`spectral`) at each point it visits.
+of convergence to maximize the certified decay rate.  It scores a fixed grid
+of 200 bases in array passes: a batched two-sided power iteration over the
+stacked transforms gives their Perron data (`_grid_perron`), and the
+disaster search reads its offset levels and constants off one table with a
+row per base and a column per level (`_offset_table`).  The grid only picks
+the best base; a golden-section polish around it and the winner call the
+scalar `spectral` (and `_disaster_constants`) at each point they visit.
 """
 
 from __future__ import annotations
@@ -44,13 +47,15 @@ BETA_CAP = 64.0
 GRID_POINTS = 200
 GOLDEN_ITERS = 30
 K_CAP = 200
-# Matrix entries per batched eigensolve of the beta grid (128 KB of float64):
-# the whole grid goes in one call up to d = 9.  Beyond, batches keep the
-# stacked transforms and their complex eigenvectors to a few hundred KB,
-# where one call at d = 24 would hold about 3 MB.
+# Matrix entries per batch of the beta grid's power iteration (128 KB of
+# float64): the whole grid goes in one batch up to d = 9.  A batch holds its
+# transforms and the stacked iteration matrices [E, E^T], about 384 KB, where
+# the whole grid at d = 24 would hold about 2.8 MB.  The disaster table goes
+# in chunks whose working arrays hold as many entries together.
 GRID_BATCH_ENTRIES = 2 ** 14
-# Power steps before spectral hands over to the dense eigensolver; no call
-# of the test suite or the benchmark workloads takes more than 43.
+# Power steps before spectral, or the grid's batched iteration, hands over to
+# the dense eigensolver; no spectral call of the benchmark workloads takes
+# more than 43.
 POWER_ITERS = 100
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -106,7 +111,7 @@ def spectral(B: BmapModel, z: float, seed: int = 0) -> SpectralRecord:
     gives the pair.  The right vector is scaled to minimum component 1 and
     the left one to unit inner product against it.  The certificate search
     calls this at the points its golden-section polish visits and at its
-    winner; its grid takes `_dense_perron` of stacked transforms instead.
+    winner; its grid runs the same iteration batched, in `_power_perron`.
     """
     dh = B.dhat(z)
     d = B.d
@@ -187,13 +192,83 @@ def _dense_perron(dh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dense eigendecomposition covers the whole stack.  Per matrix, the root
     is the eigenvalue of largest real part and the vector the absolute value
     of its right eigenvector, unnormalized; the left vector is the right one
-    of the transpose.
+    of the transpose.  `spectral` and `_power_perron` call it for the points
+    their power iteration leaves unconverged after POWER_ITERS steps.
     """
     vals, vecs = np.linalg.eig(dh)
     i = np.argmax(vals.real, axis=-1)[..., None]
     roots = np.take_along_axis(vals.real, i, axis=-1)[..., 0]
     right = np.take_along_axis(vecs.real, i[..., None], axis=-1)[..., 0]
     return roots, np.abs(right)
+
+
+def _grid_slices(size: int, width: int) -> list[slice]:
+    """Consecutive row slices of at most GRID_BATCH_ENTRIES // width rows."""
+    step = max(1, GRID_BATCH_ENTRIES // width)
+    return [slice(i, i + step) for i in range(0, size, step)]
+
+
+def _grid_perron(B: BmapModel, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Perron roots delta_D(z) and spreads max u / min u over a grid of bases.
+
+    `_power_perron` of the stacked transforms, GRID_BATCH_ENTRIES matrix
+    entries at a time.  The values agree with `spectral` to rounding.
+    """
+    if B.d == 1:
+        return B.dhat(grid)[:, 0, 0], np.ones(grid.size)
+    shift = float(np.max(np.abs(np.diag(B.D[0]))))
+    roots = np.empty(grid.size)
+    spread = np.empty(grid.size)
+    for part in _grid_slices(grid.size, B.d ** 2):
+        roots[part], spread[part] = _power_perron(B.dhat(grid[part]), shift)
+    return roots, spread
+
+
+def _power_perron(dh: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """Perron roots and spreads max u / min u of a stack of transforms.
+
+    The two-sided power iteration of `spectral` on each matrix of the
+    stack, with its shift, its stop rule and its residual contract.  The
+    residuals are checked once every base still iterating has stopped, and
+    a base that passes keeps the values of that step.  The bases left after
+    POWER_ITERS steps go to one `_dense_perron` call.
+    """
+    m, d = dh.shape[:2]
+    roots = np.empty(m)
+    spread = np.empty(m)
+    norm = np.maximum(np.abs(dh).max(axis=(1, 2)), 1e-300)
+    # [x, y] times [E, E^T] in one product per step, E = I + Dhat / shift
+    # built in place; iterates of the nonnegative, irreducible E stay positive
+    M = np.empty((2, m, d, d))
+    np.divide(dh, shift, out=M[0])
+    M[0] += np.eye(d)
+    M[1] = M[0].transpose(0, 2, 1)
+    V = np.stack([M[0] @ np.ones(d), np.ones((m, d))])
+    V[0] /= V[0].max(axis=1, keepdims=True)
+    rprev = np.full(m, math.inf)
+    pending = np.ones(m, dtype=bool)
+    for step in range(POWER_ITERS):
+        W = (M @ V[..., None])[..., 0]
+        x = V[0]
+        V = W / W.max(axis=2, keepdims=True)
+        r = np.einsum("md,md->m", V[1], W[0]) / np.einsum("md,md->m", V[1], x)
+        done = np.abs(r - rprev) < 1e-13 * np.maximum(1.0, r)
+        rprev = r
+        if not (np.all(done | ~pending) or step == POWER_ITERS - 1):
+            continue
+        # Dhat = shift (E - I), so Dhat x - delta x = shift (E x - r x)
+        xy = np.stack([x, V[1]])
+        res = shift * np.abs((M @ xy[..., None])[..., 0] - r[:, None] * xy).max(axis=(0, 2))
+        ok = pending & done & (res <= 1e-12 * norm)
+        roots[ok] = (r[ok] - 1.0) * shift
+        spread[ok] = (x[ok] / x[ok].min(axis=1, keepdims=True)).max(axis=1)
+        pending &= ~ok
+        if not pending.any():
+            return roots, spread
+    # E's second eigenvalue is close to +-1 in modulus at these bases
+    roots[pending], right = _dense_perron(dh[pending])
+    spread[pending] = right.max(axis=1) / right.min(axis=1)
+    return roots, spread
 
 
 def delta_D(B: BmapModel, z: float) -> float:
@@ -223,22 +298,17 @@ def _golden_max(f, lo: float, hi: float, iters: int = GOLDEN_ITERS):
     return ((a + b) / 2.0, max(f1, f2))
 
 
-def _best_beta(B: BmapModel, objective) -> float:
+def _best_beta(B: BmapModel, objective, grid_objective) -> float:
     """The grid base of largest objective, polished by golden section.
 
-    Batched dense eigensolves of the stacked transforms, GRID_BATCH_ENTRIES
-    matrix entries at a time, give the Perron data of the whole grid, passed
-    as objective(beta, (delta_D(beta), max u / min u)); the polish calls
-    objective(beta), which takes them from `spectral`.  Raises NoFeasibleK
-    when no grid base has a finite objective.
+    `_grid_perron` gives the Perron data of the whole grid, and
+    grid_objective(grid, delta_D, max u / min u) scores every base at once;
+    the polish calls objective(beta), which takes them from `spectral`.  The
+    grid scores agree with objective to rounding and only pick the bracket.
+    Raises NoFeasibleK when no grid base has a finite objective.
     """
     grid = _beta_grid(B)
-    step = max(1, GRID_BATCH_ENTRIES // B.d ** 2)
-    parts = [_dense_perron(B.dhat(grid[i:i + step])) for i in range(0, grid.size, step)]
-    roots = np.concatenate([part[0] for part in parts])
-    right = np.concatenate([part[1] for part in parts])
-    spread = right.max(axis=-1) / right.min(axis=-1)
-    values = np.array([objective(bv, perron) for bv, perron in zip(grid, zip(roots, spread))])
+    values = grid_objective(grid, *_grid_perron(B, grid))
     i = int(np.argmax(values))
     if not np.isfinite(values[i]):
         raise NoFeasibleK(
@@ -262,13 +332,15 @@ def find_beta_no_disaster(B: BmapModel, beta: float | None = None) -> DriftCerti
         raise InputError("disaster-free search requires psi = 0")
     mu_inf = B.mu.infimum()
 
-    def c_of(beta_val: float, perron=None) -> float:
-        delta = delta_D(B, beta_val) if perron is None else perron[0]
-        return mu_inf * (1.0 - 1.0 / beta_val) - delta
+    def c_of(beta_val: float) -> float:
+        return mu_inf * (1.0 - 1.0 / beta_val) - delta_D(B, beta_val)
+
+    def c_of_grid(grid, roots, _spread):
+        return mu_inf * (1.0 - 1.0 / grid) - roots
 
     build_generator(B)
     if beta is None:
-        beta = _best_beta(B, c_of)
+        beta = _best_beta(B, c_of, c_of_grid)
     rec = spectral(B, beta)
     c = mu_inf * (1.0 - 1.0 / beta) - rec.eigenvalue
     if c <= 0.0:
@@ -287,37 +359,24 @@ def _mu_levels(B: BmapModel) -> np.ndarray:
     return np.array([B.mu(k) for k in range(top + 1)])
 
 
-def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray,
-                        perron: tuple[float, float] | None = None):
+def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray):
     """Smallest feasible offset level and its constants at one beta.
 
     The decay bracket mu(k)(1 - 1/beta) + psi(1 - beta^-k) - delta_D(beta) is
     evaluated once per level k.  c'(K), its infimum over k > K, is the
     minimum over levels K+1 .. max(stable_from, K+1)+1: past the mu table
     the bracket only grows.  `mus` is `_mu_levels(B)`, computed once per
-    search.  `perron` is (delta_D(beta), max u / min u) when the caller
-    already has them; otherwise `spectral` supplies both.  Returns (K, c',
-    b', spectral record or None) or None when no K up to the cap makes the
+    search, and `spectral` supplies delta_D(beta) and u(beta).  Returns (K,
+    c', b', spectral record) or None when no K up to the cap makes the
     bracket positive.  b' is inf when beta^K passes the float range.
     """
-    if perron is None:
-        rec = spectral(B, beta)
-        delta, u_max = rec.eigenvalue, float(rec.right.max())
-    else:
-        rec = None
-        delta, u_max = perron
+    rec = spectral(B, beta)
+    delta, u_max = rec.eigenvalue, float(rec.right.max())
     psi = B.psi
     slope = 1.0 - 1.0 / beta
     decay = [beta ** (-k) for k in range(mus.size)]
     bracket = mus * slope + psi * (1.0 - np.array(decay)) - delta
-    # c'(K) for K < stable_from - 1 is a suffix minimum over the window
-    # K+1 .. stable_from+1, from there on a minimum of two neighbours
-    stable = B.mu.stable_from
-    split = min(stable - 1, K_CAP + 1)
-    c_of_K = np.concatenate([
-        np.minimum.accumulate(bracket[stable + 1:0:-1])[::-1][:split],
-        np.minimum(bracket[split + 1:K_CAP + 2], bracket[split + 2:K_CAP + 3]),
-    ])
+    c_of_K = _offset_rates(B, bracket)
     feasible = np.flatnonzero(c_of_K > 0.0)
     if feasible.size == 0:
         return None
@@ -336,6 +395,70 @@ def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray,
     return K, c_prime, b_prime, rec
 
 
+def _offset_rates(B: BmapModel, bracket: np.ndarray) -> np.ndarray:
+    """c'(K) for K = 0 .. K_CAP from the decay bracket over levels, along
+    the last axis.
+
+    For K < stable_from - 1 it is a suffix minimum over the window
+    K+1 .. stable_from+1, from there on a minimum of two neighbours.
+    """
+    stable = B.mu.stable_from
+    split = min(stable - 1, K_CAP + 1)
+    return np.concatenate([
+        np.minimum.accumulate(bracket[..., stable + 1:0:-1], axis=-1)[..., ::-1][..., :split],
+        np.minimum(bracket[..., split + 1:K_CAP + 2], bracket[..., split + 2:K_CAP + 3]),
+    ], axis=-1)
+
+
+def _offset_table(B: BmapModel, betas: np.ndarray, deltas: np.ndarray,
+                  spreads: np.ndarray, mus: np.ndarray):
+    """`_disaster_constants` at many bases at once, from their Perron data.
+
+    One table row per base and one column per level, in chunks of rows
+    whose working arrays, about four of the table's size, hold
+    GRID_BATCH_ENTRIES entries; `deltas` and `spreads` are delta_D and
+    max u / min u at each base.  Returns the arrays (K, c', b'), with K = -1 where no
+    offset level up to the cap is feasible (c' and b' are then meaningless)
+    and b' = inf where beta^K passes the float range.  The values agree
+    with the scalar scan to rounding.
+    """
+    K = np.empty(betas.size, dtype=int)
+    c_prime = np.empty(betas.size)
+    b_prime = np.empty(betas.size)
+    levels = np.arange(mus.size)
+    for part in _grid_slices(betas.size, 4 * mus.size):
+        beta = betas[part, None]
+        slope = 1.0 - 1.0 / beta
+        bracket = B.psi * (1.0 - beta ** -levels)
+        bracket += mus * slope
+        bracket -= deltas[part, None]
+        c_of_K = _offset_rates(B, bracket)
+        feasible = c_of_K > 0.0
+        K[part] = np.where(feasible.any(axis=1), feasible.argmax(axis=1), -1)
+        c_first = np.take_along_axis(c_of_K, K[part, None], axis=1)
+        c_prime[part] = c_first[:, 0]
+        with np.errstate(over="ignore"):
+            # beta^k for k <= K is finite on a row exactly when beta^K is
+            overflow = np.isinf(beta[:, 0] ** K[part])
+            top = np.where(overflow, 0, np.maximum(K[part], 0))[:, None]
+            cols = levels[:top.max() + 1]
+            terms = (c_first - bracket[:, cols]) * beta ** np.minimum(cols, top)
+            terms[cols > top] = -math.inf
+            b_prime[part] = terms.max(axis=1) * spreads[part]
+        b_prime[part][overflow] = math.inf
+    return K, c_prime, b_prime
+
+
+def _offset_scores(B: BmapModel, K: np.ndarray, c_prime: np.ndarray,
+                   b_prime: np.ndarray) -> np.ndarray:
+    """The disaster search's objective on `_offset_table` rows: c' at K = 0,
+    c'/(1 + b'/psi) above it (0 when b' overflows) and -inf where no K is
+    feasible."""
+    with np.errstate(over="ignore"):
+        scores = np.where(K == 0, c_prime, c_prime / (1.0 + b_prime / B.psi))
+    return np.where(K < 0, -math.inf, scores)
+
+
 def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCertificate:
     """Certificate for the disaster queue, offset allowed through level K.
 
@@ -349,8 +472,8 @@ def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCer
     build_generator(B)
     mus = _mu_levels(B)
 
-    def objective(beta_val: float, perron=None) -> float:
-        found = _disaster_constants(B, beta_val, mus, perron)
+    def objective(beta_val: float) -> float:
+        found = _disaster_constants(B, beta_val, mus)
         if found is None:
             return -math.inf
         K, c_prime, b_prime, _ = found
@@ -358,8 +481,11 @@ def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCer
             return c_prime
         return c_prime / (1.0 + b_prime / B.psi)
 
+    def grid_objective(grid, roots, spread):
+        return _offset_scores(B, *_offset_table(B, grid, roots, spread, mus))
+
     if beta is None:
-        beta = _best_beta(B, objective)
+        beta = _best_beta(B, objective, grid_objective)
     found = _disaster_constants(B, beta, mus)
     if found is None:
         raise NoFeasibleK(f"no offset level up to {K_CAP} works at beta={beta}")

@@ -61,17 +61,36 @@ class GeometricVector:
         return self.u.size
 
     def level(self, k: int) -> np.ndarray:
-        v = self.beta ** k * self.u
+        power = self._power(k)
+        if math.isinf(power):
+            first = next(j for j in range(k + 1) if math.isinf(self._power(j)))
+            raise self._out_of_range(first)
+        v = power * self.u
         if k >= 1:
             v = v + self.shift
         return v
 
     def levels(self, n: int) -> np.ndarray:
         """Flat weight vector over levels 0..n."""
-        powers = self.beta ** np.arange(n + 1)
+        with np.errstate(over="ignore"):
+            powers = self.beta ** np.arange(n + 1)
+        if np.isinf(powers[-1]):
+            raise self._out_of_range(int(np.argmax(np.isinf(powers))))
         out = powers[:, None] * self.u[None, :]
         out[1:] += self.shift
         return out.reshape(-1)
+
+    def _power(self, k: int) -> float:
+        """beta**k by the scalar pow, inf past the float range."""
+        try:
+            return float(self.beta) ** k
+        except OverflowError:
+            return math.inf
+
+    def _out_of_range(self, k: int) -> CertificateNotVerified:
+        return CertificateNotVerified(
+            f"weight beta**k passes the float range at level {k} (beta={self.beta:.6g})"
+        )
 
 
 @dataclass
@@ -148,7 +167,13 @@ def drift_check(model: BlockGeneratorModel, v: GeometricVector, c: float, b: flo
 
     def check_row(k: int) -> float:  # raises if row k fails; returns its tolerance
         vk = v.level(k)
-        s = model.apply_row(k, v) + c * vk - (b if k <= K else 0.0)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                s = model.apply_row(k, v) + c * vk - (b if k <= K else 0.0)
+        except FloatingPointError:
+            raise CertificateNotVerified(
+                f"row {k} of the drift check passes the float range (beta={v.beta:.6g})"
+            ) from None
         tau = tol * max(1.0, c * float(np.max(vk)), b)
         worst = int(np.argmax(s))
         if s[worst] > tau:

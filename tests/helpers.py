@@ -8,7 +8,8 @@ and the window oracle asks for every block pair, the plain algorithms the
 library's band-aware ones must reproduce.  The power-iteration and
 offset-level oracles are the plain loops the certificate search must match
 bit for bit, and the serial search is the search as it ran before its grid
-was batched.  The slack oracle checks a certificate row by row, and
+was batched; the batched grid's offset table must match that search's
+objective.  The slack oracle checks a certificate row by row, and
 `regime_queues` draws the queues it is checked on.
 """
 
@@ -28,7 +29,15 @@ from bmtrunc import (
     find_constants_disaster,
     spectral,
 )
-from bmtrunc.bmap import _beta_grid, _disaster_constants, _golden_max, _mu_levels
+from bmtrunc.bmap import (
+    _beta_grid,
+    _disaster_constants,
+    _golden_max,
+    _grid_perron,
+    _mu_levels,
+    _offset_scores,
+    _offset_table,
+)
 
 
 def golden_min(f, lo, hi, h_floor=1e-4):
@@ -128,6 +137,14 @@ def tailed_queue(d=2, psi=0.5, ratio=0.4):
     D0 = off - np.diag(out)
     return BmapQueueModel(d=d, D=[D0, D1, D2], mu=MuRule(table=(2.5, 3.0)), psi=psi,
                           tail=tail)
+
+
+def affine_disaster_queue(lam=0.617):
+    """The d=1 queue with arrivals and disasters at rate lam and affine
+    service 2.06 + 0.103 k: its first feasible offset level climbs toward
+    K_CAP as beta grows, and near beta = 37.5 beta**K passes the float range."""
+    return BmapQueueModel(d=1, D=[np.array([[-lam]]), np.array([[lam]])],
+                          mu=MuRule(table=(2.06,), eventual="affine", slope=0.103), psi=lam)
 
 
 def power_iteration(B, z, seed=0):
@@ -249,6 +266,34 @@ def serial_certificate(B):
                           grid[min(i + 1, grid.size - 1)])
     search = find_beta_no_disaster if B.psi == 0.0 else find_constants_disaster
     return search(B, beta=beta)
+
+
+def assert_table_matches_the_objective(B):
+    """At every grid base, the disaster table has the scalar scan's offset
+    level and `serial_objective`'s value; an overflowing beta**K scores 0.
+
+    The grid's Perron roots are held to an absolute residual of 1e-12
+    max|Dhat(beta)|, so values agree to 1e-9 relative or to that much
+    absolute, and the two may pick different offset levels only where c' at
+    the lower one lies within it of 0.  Returns the table's K and b'.
+    """
+    grid = _beta_grid(B)
+    mus = _mu_levels(B)
+    K, c_prime, b_prime = _offset_table(B, grid, *_grid_perron(B, grid), mus)
+    scores = _offset_scores(B, K, c_prime, b_prime)
+    objective = serial_objective(B)
+    for beta, k, c, b, score in zip(grid, K, c_prime, b_prime, scores):
+        found = _disaster_constants(B, beta, mus)
+        tol = 1e-12 * np.abs(B.dhat(beta)).max()
+        k_scan = -1 if found is None else found[0]
+        if k != k_scan:
+            table_lower = k != -1 and (k_scan == -1 or k < k_scan)
+            assert abs(c if table_lower else found[1]) <= tol, (beta, k, k_scan)
+            continue
+        if found is not None and found[2] == math.inf:
+            assert b == math.inf and score == 0.0
+        assert math.isclose(score, objective(beta), rel_tol=1e-9, abs_tol=tol), (beta, score)
+    return K, b_prime
 
 
 def assert_same_certificate(found, expected):

@@ -34,10 +34,13 @@ from bmtrunc.bmap import (
     _closed_form_theta,
     _dense_perron,
     _disaster_constants,
+    _grid_perron,
     _mu_levels,
 )
 from helpers import (
+    affine_disaster_queue,
     assert_same_certificate,
+    assert_table_matches_the_objective,
     bmap_doc,
     brute_scaled_slack,
     d2_blocks,
@@ -307,42 +310,62 @@ def test_offset_constants_match_the_rescan_for_any_service_rule(mu, psi, d, seed
     _assert_same_spectral(B, beta)
 
 
-def _stiff_queue(spread=1e4):
-    """A d=5 queue at load 0.8 whose phases switch `spread` times faster
-    than its batches arrive."""
+def _stiff_queue(spread=1e4, fast=range(5)):
+    """A d=5 queue at load 0.8 whose phases `fast` switch `spread` times
+    faster than its batches arrive."""
     base = random_bmap(np.random.default_rng(11), d=5)
     off = base.D[0] - np.diag(np.diag(base.D[0]))
+    off[list(fast)] *= spread
     batches = base.D[1:]
-    D0 = spread * off - np.diag(spread * off.sum(axis=1)
-                                + sum(m.sum(axis=1) for m in batches))
+    D0 = off - np.diag(off.sum(axis=1) + sum(m.sum(axis=1) for m in batches))
     B = BmapModel(d=5, D=(D0, *batches), mu=MuRule(table=(1.0,)))
     return dataclasses.replace(B, mu=MuRule(table=(arrival_rate(B) / 0.8,)))
 
 
 def test_batched_grid_matches_spectral(fleet, monkeypatch):
     rng = np.random.default_rng(5)
-    # tailed_queue's grid ends at 0.999 r_D; at d = 12 the search splits
-    # the grid into two eigensolve batches
-    queues = [*fleet.values(), tailed_queue(), _stiff_queue(),
+    # tailed_queue's grid ends at 0.999 r_D; at d = 12 the grid's power
+    # iteration runs in two batches; with phases 0, 1 and 4 switching 10**3
+    # times faster than the others, power iteration stalls at most bases
+    # of the grid but not all
+    partly_stiff = _stiff_queue(1e3, fast=(0, 1, 4))
+    queues = [*fleet.values(), tailed_queue(), _stiff_queue(), partly_stiff,
               *(random_bmap(rng, d=d, psi=0.3) for d in (3, 5, 8, 12))]
     brackets = []
     golden = bmap._golden_max
     monkeypatch.setattr(bmap, "_golden_max",
                         lambda f, lo, hi: brackets.append((lo, hi)) or golden(f, lo, hi))
+    dense_calls = _count_calls(monkeypatch, bmap, "_dense_perron")
     for B in queues:
         grid = _beta_grid(B)
+        dense_calls.clear()
+        roots, spread = _grid_perron(B, grid)
+        fallback = sum(len(args[0]) for args in dense_calls)
+        assert (0 < fallback < grid.size) == (B is partly_stiff)
         stack = B.dhat(grid)
-        roots, right = _dense_perron(stack)
-        for z, root, u, dh in zip(grid, roots, right, stack):
+        eig_roots, eig_right = _dense_perron(stack)
+        for z, root, ratio, eig_root, u, dh in zip(grid, roots, spread, eig_roots,
+                                                   eig_right, stack):
             rec = spectral(B, z)
-            assert abs(root - rec.eigenvalue) <= 1e-12 * np.abs(dh).max()
+            for found in (root, eig_root):
+                assert abs(found - rec.eigenvalue) <= 1e-12 * np.abs(dh).max()
             # max u / min u reaches the disaster objective
-            assert u.max() / u.min() == pytest.approx(rec.right.max(), rel=1e-9)
+            for found in (ratio, u.max() / u.min()):
+                assert found == pytest.approx(rec.right.max(), rel=1e-9)
         # the polish brackets the grid point the serial scan picks
         brackets.clear()
         (find_beta_no_disaster if B.psi == 0.0 else find_constants_disaster)(B)
         i = serial_grid_argmax(B)
         assert brackets == [(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)])]
+
+
+def test_offset_table_matches_the_scalar_objective(fleet, pure_disaster):
+    for B in [*fleet.values(), pure_disaster, tailed_queue()]:
+        if B.psi > 0.0:
+            assert_table_matches_the_objective(B)
+    K, b_prime = assert_table_matches_the_objective(affine_disaster_queue())
+    # the affine queue's grid reaches offset levels whose beta**K overflows
+    assert K.max() > 150 and np.isinf(b_prime).any()
 
 
 def test_search_matches_the_serial_oracle(fleet, pure_disaster):
@@ -352,12 +375,9 @@ def test_search_matches_the_serial_oracle(fleet, pure_disaster):
 
 
 def test_disaster_search_reads_an_overflowing_offset_as_no_bound():
-    # affine service 2.06 + 0.103 k against arrivals and disasters at rate
-    # 0.617: near beta = 37.5 the first feasible offset level is 199, and
+    # near beta = 37.5 the first feasible offset level is 199, and
     # beta**199 passes the float range
-    lam = 0.617
-    B = BmapModel(d=1, D=(np.array([[-lam]]), np.array([[lam]])),
-                  mu=MuRule(table=(2.06,), eventual="affine", slope=0.103), psi=lam)
+    B = affine_disaster_queue()
     mus = _mu_levels(B)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -31,6 +31,15 @@ def test_geometric_vector_guards():
         GeometricVector(beta=2.0, u=np.array([0.5]))
 
 
+@pytest.mark.parametrize("beta", [37.5, np.float64(37.5)])
+def test_weights_past_the_float_range_are_not_certified(beta):
+    v = GeometricVector(beta=beta, u=np.array([1.0, 2.0]))
+    assert np.isfinite(v.level(195)).all() and np.isfinite(v.levels(195)).all()
+    for weigh in (v.level, v.levels):
+        with pytest.raises(CertificateNotVerified, match="at level 196 "):
+            weigh(300)
+
+
 @pytest.fixture(scope="module")
 def mm1_cert_and_model(mm1, fleet_certs):
     return fleet_certs["mm1"], build_generator(mm1)

@@ -16,7 +16,7 @@ from bmtrunc.errors import (
     InvalidModelFile,
     NoConvergence,
 )
-from helpers import bmap_doc, write_model
+from helpers import affine_disaster_queue, bmap_doc, write_model
 
 
 @pytest.fixture()
@@ -180,6 +180,18 @@ def test_bound_output(runner, mm1_path):
     assert "bound at t=0.0: 13.6568543" in result.output
     assert "true_tv (vs n_ref=60):" in result.output
     assert "provenance:" in result.output
+
+
+def test_bound_past_the_float_range_is_a_one_line_error(runner, tmp_path):
+    # at beta = 37.5 this queue's certificate needs offset level 199, and
+    # beta**k passes the float range from level 196
+    path = write_model(tmp_path / "q.json", bmap_doc(affine_disaster_queue()))
+    result = runner.invoke(main, ["bound", "--model", path, "--n", "50", "--beta", "37.5"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "float range" in lines[0]
 
 
 def test_bound_rejects_non_queue_models(runner, tmp_path):

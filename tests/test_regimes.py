@@ -5,7 +5,7 @@ the hypothesis profile loaded in conftest.py (HYPOTHESIS_PROFILE=deep for
 a long run).
 """
 
-from hypothesis import given
+from hypothesis import assume, given
 
 from bmtrunc import (
     corollary_transform,
@@ -17,7 +17,13 @@ from bmtrunc import (
     tv_distance,
 )
 from bmtrunc.bounds import DRIFT_TOL
-from helpers import assert_same_certificate, brute_scaled_slack, regime_queues, serial_certificate
+from helpers import (
+    assert_same_certificate,
+    assert_table_matches_the_objective,
+    brute_scaled_slack,
+    regime_queues,
+    serial_certificate,
+)
 
 
 @given(B=regime_queues())
@@ -49,3 +55,9 @@ def test_search_matches_the_serial_oracle_in_every_regime(B):
     # the batched grid picks the same point as one spectral call per base
     search = find_beta_no_disaster if B.psi == 0.0 else find_constants_disaster
     assert_same_certificate(search(B), serial_certificate(B))
+
+
+@given(B=regime_queues())
+def test_offset_table_matches_the_scalar_objective_in_every_regime(B):
+    assume(B.psi > 0.0)
+    assert_table_matches_the_objective(B)
