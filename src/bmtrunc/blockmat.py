@@ -277,28 +277,32 @@ class BlockGeneratorModel:
     def window(self, n: int) -> FiniteBlockMatrix:
         """Northwest corner over levels 0..n; not conservative in general.
 
-        Row k calls `block` only on column 0 and its band; past the band
-        the row is zero or filled from the geometric tail in closed form.
+        Row k calls `block` only on column 0 and its band, and the band
+        blocks of every row go into the corner in one stacked assignment;
+        past the band the row is zero or filled from the geometric tail in
+        closed form.
         """
         if n < 0:
             raise InputError(f"window level must be >= 0, got {n}")
         d = self.d
         out = np.zeros(((n + 1) * d, (n + 1) * d))
         blocks = out.reshape(n + 1, d, n + 1, d)
+        ks, ls, bs = [], [], []
         powers = None
         for k in range(n + 1):
             lo, hi, tail = self.band(k)
             cols = range(lo, min(hi, n) + 1)
             for l in (cols if lo == 0 else (0, *cols)):
-                b = self.block(k, l)
-                if np.any(b):
-                    blocks[k, :, l, :] = b
+                ks.append(k)
+                ls.append(l)
+                bs.append(self.block(k, l))
             if tail is not None and hi < n:
                 if powers is None:
                     powers = np.array([tail.ratio ** o for o in range(n + 1)])
                 blocks[k, :, hi + 1:, :] = (
                     tail.coef[:, None, :] * powers[hi + 1 - k:n + 1 - k, None]
                 )
+        blocks[ks, :, ls, :] = np.stack(bs)
         return FiniteBlockMatrix(d, out)
 
     def diag_abs(self, k: int) -> np.ndarray:

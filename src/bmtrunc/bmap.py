@@ -57,6 +57,10 @@ GRID_BATCH_ENTRIES = 2 ** 14
 # the dense eigensolver; no spectral call of the benchmark workloads takes
 # more than 43.
 POWER_ITERS = 100
+# Below this many phases one dense eigensolve of the whole stack gives the
+# grid's Perron data sooner than the batched power iteration, each of whose
+# steps is a dozen calls on small arrays; from d = 8 on the iteration wins.
+DENSE_GRID_D = 8
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -111,7 +115,8 @@ def spectral(B: BmapModel, z: float, seed: int = 0) -> SpectralRecord:
     gives the pair.  The right vector is scaled to minimum component 1 and
     the left one to unit inner product against it.  The certificate search
     calls this at the points its golden-section polish visits and at its
-    winner; its grid runs the same iteration batched, in `_power_perron`.
+    winner; from DENSE_GRID_D phases on, its grid runs the same iteration
+    batched, in `_power_perron`.
     """
     dh = B.dhat(z)
     d = B.d
@@ -154,8 +159,9 @@ def spectral(B: BmapModel, z: float, seed: int = 0) -> SpectralRecord:
             break
         x = Ex
         y = ET @ y
-        nx = float(np.abs(x).max())
-        ny = float(np.abs(y).max())
+        # iterates of the nonnegative E stay nonnegative
+        nx = float(x.max())
+        ny = float(y.max())
         if nx <= 0.0 or ny <= 0.0:
             x, y = reseed()
             Ex = E @ x
@@ -193,7 +199,8 @@ def _dense_perron(dh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is the eigenvalue of largest real part and the vector the absolute value
     of its right eigenvector, unnormalized; the left vector is the right one
     of the transpose.  `spectral` and `_power_perron` call it for the points
-    their power iteration leaves unconverged after POWER_ITERS steps.
+    their power iteration leaves unconverged after POWER_ITERS steps, and
+    `_grid_perron` for the whole grid below DENSE_GRID_D phases.
     """
     vals, vecs = np.linalg.eig(dh)
     i = np.argmax(vals.real, axis=-1)[..., None]
@@ -211,11 +218,15 @@ def _grid_slices(size: int, width: int) -> list[slice]:
 def _grid_perron(B: BmapModel, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Perron roots delta_D(z) and spreads max u / min u over a grid of bases.
 
-    `_power_perron` of the stacked transforms, GRID_BATCH_ENTRIES matrix
+    Below DENSE_GRID_D phases, one `_dense_perron` call on the stacked
+    transforms; from there on `_power_perron`, GRID_BATCH_ENTRIES matrix
     entries at a time.  The values agree with `spectral` to rounding.
     """
     if B.d == 1:
         return B.dhat(grid)[:, 0, 0], np.ones(grid.size)
+    if B.d < DENSE_GRID_D:
+        roots, right = _dense_perron(B.dhat(grid))
+        return roots, right.max(axis=1) / right.min(axis=1)
     shift = float(np.max(np.abs(np.diag(B.D[0]))))
     roots = np.empty(grid.size)
     spread = np.empty(grid.size)

@@ -7,13 +7,17 @@ nonnegative and the result keeps componentwise relative accuracy; that
 matters because bound validation compares total-variation errors down to
 1e-10 and below.
 
-Costs follow the fill of the corner, not its size.  Each elimination step
-updates only the rows from the pivot column's first nonzero down and the
-nonzero columns of the pivot row, with the same arithmetic as the dense
-scheme.  On a banded corner of N states that is O(N * band^2) work, and
-O(N^2 * band) under a geometric tail, against O(N^3) dense.  Uniformization
-propagates a start distribution as vector x matrix products, O(N^2) per
-Poisson term; only `transition_matrix` forms matrix powers.
+Costs follow the fill of the corner, not its size.  States are eliminated
+in groups of whole levels, and each group finds its fill window once: the
+rows from the first one that reaches the group's columns, and the runs of
+columns that the group's own rows reach.  The group's own fill never leaves
+that window, and every other entry of it only gains exact zeros.  The
+pivot's scale still sums its whole row and the back-substitution keeps its
+order, so the result is bit for bit that of a dense update.  On a banded
+corner of N states that is O(N * band^2) work, and O(N^2 * band) under a
+geometric tail, against O(N^3) dense.  Uniformization propagates a start
+distribution as vector x matrix products, O(N^2) per Poisson term; only
+`transition_matrix` forms matrix powers.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from .errors import (
 
 PIVOT_FLOOR = 1e-14
 RESIDUAL_FACTOR = 1e-12
+# Fewest states per elimination group; a group is made of whole levels.
+GROUP_STATES = 16
 
 
 @dataclass
@@ -68,31 +74,45 @@ def stationary(G, d: int | None = None, source: str = "full-reference") -> Distr
     removed state's rates back into the remaining ones using only additions,
     multiplications and divisions of nonnegative numbers, so no cancellation
     occurs and small stationary probabilities come out with full relative
-    accuracy.  Only entries the fold can change are touched, which gives
-    the same result as a dense update at a cost proportional to the fill.
-    A vanishing elimination pivot means the state cannot reach the
-    surviving ones, i.e. the chain has more than one closed class.
+    accuracy.  States go in groups of d * ceil(GROUP_STATES / d), whole
+    levels of d phases (d = 1 for a plain array).  Each group takes its
+    fill window once, and each of its pivots adds a rank-1 update to that
+    window, one slice per run of columns.  Every entry the fold can change
+    lies in the window, and every other entry of the window gains an exact
+    zero, so the result is the dense update's, to the last bit, at a cost
+    proportional to the fill.  A vanishing elimination pivot means the
+    state cannot reach the surviving ones, i.e. the chain has more than one
+    closed class.
     """
     values, d = _square_values(G, d)
     N = values.shape[0]
     diag_scale = float(np.max(np.abs(np.diag(values)))) if N else 0.0
     A = values.copy()
     floor = PIVOT_FLOOR * max(1.0, diag_scale)
-    for s in range(N - 1, 0, -1):
-        scale = float(A[s, :s].sum())
-        if scale <= floor:
-            raise MultipleClosedClasses(
-                f"elimination pivot {scale:.3e} at state {s}: no path from "
-                "the top states back down, the chain is reducible"
-            )
-        A[:s, s] /= scale
-        # rows above the pivot column's first nonzero, and columns where the
-        # pivot row is zero, would only have exact zeros added: skip them
-        rows = np.flatnonzero(A[:s, s])
-        if rows.size:
-            r0 = rows[0]
-            cols = np.flatnonzero(A[s, :s])
-            A[r0:s, cols] += np.outer(A[r0:s, s], A[s, cols])
+    width = d * -(-GROUP_STATES // d)
+    for top in range(N, 1, -width):
+        g0 = max(top - width, 1)
+        # the group's fill stays in rows r0.. and in the runs of columns its
+        # own rows reach; the rest of the update would only add exact zeros
+        r0 = int(np.argmax((A[:top, g0:top] != 0.0).any(axis=1)))
+        reach = (A[g0:top, :top] != 0.0).any(axis=0)
+        edges = np.flatnonzero(np.diff(reach, prepend=False, append=False))
+        runs = edges.reshape(-1, 2).tolist()
+        for s in range(top - 1, g0 - 1, -1):
+            scale = float(np.add.reduce(A[s, :s]))
+            if scale <= floor:
+                raise MultipleClosedClasses(
+                    f"elimination pivot {scale:.3e} at state {s}: no path from "
+                    "the top states back down, the chain is reducible"
+                )
+            piv = A[r0:s, s, None]
+            piv /= scale
+            for c0, c1 in runs:
+                if c0 >= s:
+                    break
+                c1 = min(c1, s)
+                fill = A[r0:s, c0:c1]
+                fill += piv * A[s, c0:c1]
     x = np.zeros(N)
     x[0] = 1.0
     for s in range(1, N):

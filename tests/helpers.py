@@ -3,14 +3,16 @@
 Everything here is independent of the library internals on purpose: tail
 sums are recomputed with plain numpy slicing, the reference minimizer is a
 golden-section search with a parabolic polish, and random models are
-assembled entry by entry.  The stationary oracle is the dense elimination
-and the window oracle asks for every block pair, the plain algorithms the
-library's band-aware ones must reproduce.  The power-iteration and
-offset-level oracles are the plain loops the certificate search must match
-bit for bit, and the serial search is the search as it ran before its grid
-was batched; the batched grid's offset table must match that search's
-objective.  The slack oracle checks a certificate row by row, and
-`regime_queues` draws the queues it is checked on.
+assembled entry by entry.  The stationary oracles are the dense elimination
+and the one-state-at-a-time fill-aware loop the level-group solver must
+match bit for bit, and the window oracle asks for every block pair: the
+plain algorithms the library's band-aware ones must reproduce.  The
+power-iteration and offset-level oracles are the plain loops the
+certificate search must match bit for bit, and the serial search is the
+search as it ran before its grid was batched; the batched grid's offset
+table must match that search's objective.  The slack oracle checks a
+certificate row by row, and `regime_queues` draws the queues it is checked
+on.
 """
 
 import json
@@ -23,6 +25,7 @@ from bmtrunc import (
     BmapModel,
     BmapQueueModel,
     GeometricTail,
+    MultipleClosedClasses,
     MuRule,
     NoConvergence,
     find_beta_no_disaster,
@@ -38,6 +41,7 @@ from bmtrunc.bmap import (
     _offset_scores,
     _offset_table,
 )
+from bmtrunc.solve import PIVOT_FLOOR
 
 
 def golden_min(f, lo, hi, h_floor=1e-4):
@@ -90,6 +94,39 @@ def dense_stationary(values):
     for s in range(1, N):
         x[s] = x[:s] @ A[:s, s]
     return x / x.sum()
+
+
+def scalar_stationary(values):
+    """Stationary vector by the fill-aware elimination, one state at a time.
+
+    The solver's loop before it went by level groups: every pivot finds
+    its own fill with two `flatnonzero` calls and updates it by a fancy
+    get and set.  Same floor and same error as the library.  The library
+    must return this vector bit for bit.
+    """
+    A = np.array(values, dtype=float)
+    N = A.shape[0]
+    diag_scale = float(np.max(np.abs(np.diag(A)))) if N else 0.0
+    floor = PIVOT_FLOOR * max(1.0, diag_scale)
+    for s in range(N - 1, 0, -1):
+        scale = float(A[s, :s].sum())
+        if scale <= floor:
+            raise MultipleClosedClasses(
+                f"elimination pivot {scale:.3e} at state {s}: no path from "
+                "the top states back down, the chain is reducible"
+            )
+        A[:s, s] /= scale
+        rows = np.flatnonzero(A[:s, s])
+        if rows.size:
+            r0 = rows[0]
+            cols = np.flatnonzero(A[s, :s])
+            A[r0:s, cols] += np.outer(A[r0:s, s], A[s, cols])
+    x = np.zeros(N)
+    x[0] = 1.0
+    for s in range(1, N):
+        x[s] = x[:s] @ A[:s, s]
+    x /= x.sum()
+    return x
 
 
 def brute_window(model, n):

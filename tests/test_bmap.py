@@ -29,6 +29,7 @@ from bmtrunc import (
 from bmtrunc.bounds import DRIFT_TOL
 from bmtrunc.cli import main
 from bmtrunc.bmap import (
+    DENSE_GRID_D,
     K_CAP,
     _beta_grid,
     _closed_form_theta,
@@ -36,6 +37,7 @@ from bmtrunc.bmap import (
     _disaster_constants,
     _grid_perron,
     _mu_levels,
+    _power_perron,
 )
 from helpers import (
     affine_disaster_queue,
@@ -338,20 +340,32 @@ def test_batched_grid_matches_spectral(fleet, monkeypatch):
     dense_calls = _count_calls(monkeypatch, bmap, "_dense_perron")
     for B in queues:
         grid = _beta_grid(B)
+        stack = B.dhat(grid)
         dense_calls.clear()
         roots, spread = _grid_perron(B, grid)
-        fallback = sum(len(args[0]) for args in dense_calls)
-        assert (0 < fallback < grid.size) == (B is partly_stiff)
-        stack = B.dhat(grid)
+        # below DENSE_GRID_D phases the grid is one eigensolve of its stack
+        dense = [len(args[0]) for args in dense_calls]
+        assert (dense == [grid.size]) == (1 < B.d < DENSE_GRID_D)
+        found_roots, found_spreads = [roots], [spread]
+        if B.d > 1:
+            # the batched power iteration on every queue, whatever its d
+            shift = float(np.max(np.abs(np.diag(B.D[0]))))
+            dense_calls.clear()
+            power = _power_perron(stack, shift)
+            fallback = sum(len(args[0]) for args in dense_calls)
+            assert (0 < fallback < grid.size) == (B is partly_stiff)
+            found_roots.append(power[0])
+            found_spreads.append(power[1])
         eig_roots, eig_right = _dense_perron(stack)
-        for z, root, ratio, eig_root, u, dh in zip(grid, roots, spread, eig_roots,
-                                                   eig_right, stack):
+        found_roots.append(eig_roots)
+        found_spreads.append(eig_right.max(axis=1) / eig_right.min(axis=1))
+        for i, (z, dh) in enumerate(zip(grid, stack)):
             rec = spectral(B, z)
-            for found in (root, eig_root):
-                assert abs(found - rec.eigenvalue) <= 1e-12 * np.abs(dh).max()
+            for found in found_roots:
+                assert abs(found[i] - rec.eigenvalue) <= 1e-12 * np.abs(dh).max()
             # max u / min u reaches the disaster objective
-            for found in (ratio, u.max() / u.min()):
-                assert found == pytest.approx(rec.right.max(), rel=1e-9)
+            for found in found_spreads:
+                assert found[i] == pytest.approx(rec.right.max(), rel=1e-9)
         # the polish brackets the grid point the serial scan picks
         brackets.clear()
         (find_beta_no_disaster if B.psi == 0.0 else find_constants_disaster)(B)

@@ -5,13 +5,16 @@ import pytest
 import scipy.linalg
 
 from bmtrunc import (
+    BandedModel,
     CertificateNotVerified,
     DimensionMismatch,
     DistributionVector,
     FiniteBlockMatrix,
+    GeometricTail,
     GeometricVector,
     InputError,
     KNotZero,
+    Mg1Model,
     MultipleClosedClasses,
     TruncationSpec,
     build_generator,
@@ -25,7 +28,7 @@ from bmtrunc import (
     tv_distance,
     v_norm,
 )
-from helpers import dense_stationary, random_bmap, tailed_queue
+from helpers import dense_stationary, random_bmap, scalar_stationary, tailed_queue
 
 
 def test_stationary_two_state_exact():
@@ -78,6 +81,78 @@ def test_stationary_matches_dense_elimination(fleet_models, n):
             ref = dense_stationary(corner.matrix.values)
             np.testing.assert_allclose(pi, ref, rtol=1e-12, atol=0.0,
                                        err_msg=f"{name} {corner.spec.style}")
+
+
+def _conservative_blocks(rng, d, count):
+    """`count` nonnegative blocks whose first gets a diagonal that makes
+    the sum of them all conservative."""
+    blocks = [rng.uniform(0.05, 0.5, (d, d)) for _ in range(count)]
+    np.fill_diagonal(blocks[0], 0.0)
+    blocks[0] -= np.diag(sum(b.sum(axis=1) for b in blocks))
+    return blocks
+
+
+def _corner_models(fleet_models):
+    """Queues at d = 1, 2 and 8 with and without psi, a geometric tail, a
+    banded model and an M/G/1-type model with a tail."""
+    rng = np.random.default_rng(23)
+    models = dict(fleet_models, queue_tail=tailed_queue())
+    for d in (1, 8):
+        for psi in (0.0, 0.4):
+            models[f"d{d}_psi{psi}"] = random_bmap(rng, d=d, psi=psi)
+    # the d2 queue's rows, level-homogeneous from its constant service on
+    d2 = fleet_models["d2"]
+    models["banded"] = BandedModel(d=2, L=1, U=3, K_hom=2, rows={
+        k: {l - k: d2.block(k, l) for l in range(max(k - 1, 0), k + 4)} for k in range(3)
+    })
+    A0, Am1, A1, A2 = _conservative_blocks(rng, 2, 4)
+    B0, B1, B2 = _conservative_blocks(rng, 2, 3)
+    # the tail's mass moves into A(0)'s diagonal
+    tail = GeometricTail(coef=rng.uniform(0.05, 0.3, (2, 2)), ratio=0.5)
+    A0 -= np.diag(tail.sum_from(3).sum(axis=1))
+    models["mg1_tail"] = Mg1Model(d=2, repeat=[Am1, A0, A1, A2], boundary=[B0, B1, B2],
+                                  tail=tail)
+    return models
+
+
+def test_stationary_is_bit_identical_to_the_scalar_loop(fleet_models):
+    rng = np.random.default_rng(29)
+    for name, model in _corner_models(fleet_models).items():
+        for n in (9, 40):
+            custom = TruncationSpec(n=n, style="custom",
+                                    weights={0: 0.25, n // 2: 0.25, n: 0.5})
+            for corner in (lc_truncate(model, n), fc_truncate(model, n),
+                           custom_truncate(model, custom)):
+                Q = corner.matrix
+                assert np.array_equal(stationary(Q).values, scalar_stationary(Q.values)), (
+                    f"{name} n={n} {corner.spec.style}")
+    # raw arrays are eliminated in groups of 16 states, whatever their blocks
+    raw = [lc_truncate(random_bmap(rng, d=3, psi=0.2), 30).matrix.values,
+           fc_truncate(tailed_queue(d=5), 12).matrix.values]
+    dense = rng.uniform(0.0, 1.0, (37, 37))
+    np.fill_diagonal(dense, 0.0)
+    raw.append(dense - np.diag(dense.sum(axis=1)))
+    for G in raw:
+        assert np.array_equal(stationary(G).values, scalar_stationary(G))
+
+
+def test_reducible_corner_fails_at_the_scalar_loops_state():
+    rng = np.random.default_rng(31)
+    # closed classes on states 0..19 and 20..44, and 13 top states that lead
+    # only into the first: the pivot vanishes at state 20, inside the group
+    # of states 10..25
+    G = np.zeros((58, 58))
+    G[:20, :20] = rng.uniform(0.1, 1.0, (20, 20))
+    G[20:45, 20:45] = rng.uniform(0.1, 1.0, (25, 25))
+    G[45:, :20] = rng.uniform(0.1, 1.0, (13, 20))
+    np.fill_diagonal(G, 0.0)
+    G -= np.diag(G.sum(axis=1))
+    with pytest.raises(MultipleClosedClasses) as expected:
+        scalar_stationary(G)
+    with pytest.raises(MultipleClosedClasses) as found:
+        stationary(G, d=1)
+    assert str(found.value) == str(expected.value)
+    assert "at state 20:" in str(found.value)
 
 
 def test_single_phase_queue_is_truncated_geometric(mm1):
