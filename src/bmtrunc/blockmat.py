@@ -44,8 +44,11 @@ def _scalar_pow(x, k: int) -> np.ndarray:
 
     numpy's array ** uses a vectorized pow that can differ from the scalar
     one in the last bit, so a power taken on a whole grid would not match
-    the same power taken at one of its points.
+    the same power taken at one of its points.  A float x is raised
+    directly.
     """
+    if isinstance(x, float):
+        return x ** k
     x = np.asarray(x, dtype=float)
     return np.array([xi ** k for xi in x.flat]).reshape(x.shape)
 
@@ -157,9 +160,18 @@ class GeometricTail:
         if np.any(self.coef < 0):
             raise InputError("tail coefficient matrix must be nonnegative")
 
-    def sum_from(self, m: int) -> np.ndarray:
-        """Sum of D(k) for k >= m, in closed form."""
-        return self.coef * (self.ratio ** m / (1.0 - self.ratio))
+    def sum_from(self, m) -> np.ndarray:
+        """Sum of D(k) for k >= m, in closed form.
+
+        A list of m gives the stack of sums, shape (len(m), d, d), each
+        bit-identical to the sum at its own m.
+        """
+        def factor(j):
+            return self.ratio ** j / (1.0 - self.ratio)
+
+        if isinstance(m, list):
+            return np.array([factor(j) for j in m])[:, None, None] * self.coef
+        return self.coef * factor(m)
 
     def weighted_sum_from(self, m: int) -> np.ndarray:
         """Sum of k*D(k) for k >= m, in closed form."""
@@ -169,14 +181,17 @@ class GeometricTail:
     def power_series_from(self, m: int, z) -> np.ndarray:
         """Sum of z**k * D(k) for k >= m; requires z*ratio < 1.
 
-        An array of z gives the stack of sums, shape z.shape + (d, d).
+        An array of z gives the stack of sums, shape z.shape + (d, d); a
+        float z gives its one sum without an array round trip.
         """
-        x = np.asarray(z, dtype=float) * self.ratio
-        if np.any(x >= 1.0):
+        scalar = isinstance(z, float)
+        x = z * self.ratio if scalar else np.asarray(z, dtype=float) * self.ratio
+        if (x >= 1.0) if scalar else np.any(x >= 1.0):
             raise TailSumUnavailable(
                 f"z={z} is outside the tail's convergence radius 1/{self.ratio}"
             )
-        return (_scalar_pow(x, m) / (1.0 - x))[..., None, None] * self.coef
+        factor = _scalar_pow(x, m) / (1.0 - x)
+        return factor * self.coef if scalar else factor[..., None, None] * self.coef
 
 
 class BlockGeneratorModel:
@@ -225,14 +240,26 @@ class BlockGeneratorModel:
 
     def tail_sum(self, k: int, l: int) -> np.ndarray:
         """S(k;l) = sum of blocks Q(k;m) over m >= l, exact."""
+        return self.tail_sums(k, l, l + 1)[0]
+
+    def tail_sums(self, k: int, l0: int, l1: int) -> np.ndarray:
+        """S(k;l) for l = l0 .. l1-1, stacked: shape (l1 - l0, d, d), exact.
+
+        The one summation rule of every tail sum: column 0's block goes
+        onto S(k;0) when it lies outside the band, then each band block
+        Q(k;m), in increasing m, onto the prefix of columns l <= m that
+        contain it, then the tail's closed-form remainder.  Every column
+        gets the same additions in the same order as alone, so a row of
+        tail sums is bit-identical to its `tail_sum` calls.
+        """
         lo, hi, tail = self.band(k)
-        out = np.zeros((self.d, self.d))
-        if l == 0 and lo > 0:
-            out += self.block(k, 0)
-        for m in range(max(l, lo), hi + 1):
-            out += self.block(k, m)
+        out = np.zeros((l1 - l0, self.d, self.d))
+        if l0 == 0 and lo > 0:
+            out[0] += self.block(k, 0)
+        for m in range(max(l0, lo), hi + 1):
+            out[:m + 1 - l0] += self.block(k, m)
         if tail is not None:
-            out += tail.sum_from(max(l, hi + 1) - k)
+            out += tail.sum_from([max(l, hi + 1) - k for l in range(l0, l1)])
         return out
 
     def apply_row(self, k: int, v) -> np.ndarray:
@@ -505,12 +532,17 @@ class BmapQueueModel(BlockGeneratorModel):
         """Batch transform sum z^k D(k), exact including the analytic tail.
 
         An array of z gives the stack of transforms, shape z.shape + (d, d),
-        each bit-identical to the transform at its own point.
+        each bit-identical to the transform at its own point; a float z is
+        taken as it is, without an array round trip.
         """
-        zs = np.asarray(z, dtype=float)
-        if not np.all((0.0 < zs) & (zs < self.r_D)):
+        scalar = isinstance(z, float)
+        zs = z if scalar else np.asarray(z, dtype=float)
+        if not ((0.0 < z < self.r_D) if scalar else np.all((0.0 < zs) & (zs < self.r_D))):
             raise InputError(f"z={z} outside (0, {self.r_D})")
-        out = sum(_scalar_pow(zs, k)[..., None, None] * m for k, m in enumerate(self.D))
+        if scalar:
+            out = sum(z ** k * m for k, m in enumerate(self.D))
+        else:
+            out = sum(_scalar_pow(zs, k)[..., None, None] * m for k, m in enumerate(self.D))
         if self.tail is not None:
             out = out + self.tail.power_series_from(self.k_max + 1, zs)
         return out

@@ -62,6 +62,9 @@ POWER_ITERS = 100
 # steps is a dozen calls on small arrays; from d = 8 on the iteration wins.
 DENSE_GRID_D = 8
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# spectral's reductions, called without the ndarray method's Python layer
+_max = np.maximum.reduce
+_min = np.minimum.reduce
 
 
 # The queue model validates its parameters on construction; this name is kept
@@ -120,8 +123,8 @@ def spectral(B: BmapModel, z: float, seed: int = 0) -> SpectralRecord:
     """
     dh = B.dhat(z)
     d = B.d
-    shift = float(np.max(np.abs(np.diag(B.D[0]))))
-    norm = max(float(np.max(np.abs(dh))), 1e-300)
+    shift = float(_max(np.abs(np.diag(B.D[0]))))
+    norm = max(float(_max(np.abs(dh), axis=None)), 1e-300)
     if d == 1:
         val = float(dh[0, 0])
         return SpectralRecord(z=z, eigenvalue=val, right=np.ones(1), left=np.ones(1),
@@ -150,8 +153,8 @@ def spectral(B: BmapModel, z: float, seed: int = 0) -> SpectralRecord:
             val, x = _dense_perron(dh)
             val = float(val)
             y = _dense_perron(dh.T)[1]
-            res_r = float(np.abs(dh @ x - val * x).max())
-            res_l = float(np.abs(y @ dh - val * y).max())
+            res_r = float(_max(np.abs(dh @ x - val * x)))
+            res_l = float(_max(np.abs(y @ dh - val * y)))
             if max(res_r, res_l) > 1e-12 * norm:
                 raise NoConvergence(
                     f"no Perron pair at z={z}; is the phase process reducible?"
@@ -160,8 +163,8 @@ def spectral(B: BmapModel, z: float, seed: int = 0) -> SpectralRecord:
         x = Ex
         y = ET @ y
         # iterates of the nonnegative E stay nonnegative
-        nx = float(x.max())
-        ny = float(y.max())
+        nx = float(_max(x))
+        ny = float(_max(y))
         if nx <= 0.0 or ny <= 0.0:
             x, y = reseed()
             Ex = E @ x
@@ -174,12 +177,14 @@ def spectral(B: BmapModel, z: float, seed: int = 0) -> SpectralRecord:
         done = abs(r - rprev) < 1e-13 * max(1.0, abs(r))
         rprev = r
         if done:
+            # the left residual only counts once the right one passes
             val = (r - 1.0) * shift
-            res_r = float(np.abs(dh @ x - val * x).max())
-            res_l = float(np.abs(y @ dh - val * y).max())
-            if max(res_r, res_l) <= 1e-12 * norm:
-                break
-    u = x / float(x.min())
+            res_r = float(_max(np.abs(dh @ x - val * x)))
+            if res_r <= 1e-12 * norm:
+                res_l = float(_max(np.abs(y @ dh - val * y)))
+                if res_l <= 1e-12 * norm:
+                    break
+    u = x / float(_min(x))
     eta = y / float(y @ u)
     return SpectralRecord(
         z=z,
@@ -376,19 +381,25 @@ def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray):
     The decay bracket mu(k)(1 - 1/beta) + psi(1 - beta^-k) - delta_D(beta) is
     evaluated once per level k.  c'(K), its infimum over k > K, is the
     minimum over levels K+1 .. max(stable_from, K+1)+1: past the mu table
-    the bracket only grows.  `mus` is `_mu_levels(B)`, computed once per
-    search, and `spectral` supplies delta_D(beta) and u(beta).  Returns (K,
-    c', b', spectral record) or None when no K up to the cap makes the
-    bracket positive.  b' is inf when beta^K passes the float range.
+    the bracket only grows.  The bracket first goes over levels
+    0 .. stable_from+1 only, which settle K = 0 .. stable_from-1, and over
+    every level up to the cap's window only when none of those is feasible.
+    `mus` is `_mu_levels(B)`, computed once per search, and `spectral`
+    supplies delta_D(beta) and u(beta).  Returns (K, c', b', spectral
+    record) or None when no K up to the cap makes the bracket positive.  b'
+    is inf when beta^K passes the float range.
     """
     rec = spectral(B, beta)
     delta, u_max = rec.eigenvalue, float(rec.right.max())
     psi = B.psi
     slope = 1.0 - 1.0 / beta
-    decay = [beta ** (-k) for k in range(mus.size)]
-    bracket = mus * slope + psi * (1.0 - np.array(decay)) - delta
-    c_of_K = _offset_rates(B, bracket)
-    feasible = np.flatnonzero(c_of_K > 0.0)
+    for size in (min(B.mu.stable_from + 2, mus.size), mus.size):
+        decay = [beta ** (-k) for k in range(size)]
+        bracket = mus[:size] * slope + psi * (1.0 - np.array(decay)) - delta
+        c_of_K = _offset_rates(B, bracket)
+        feasible = np.flatnonzero(c_of_K > 0.0)
+        if feasible.size or size == mus.size:
+            break
     if feasible.size == 0:
         return None
     K = int(feasible[0])
@@ -399,25 +410,29 @@ def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray):
         # no float b' exists; the search's objective c'/(1 + b'/psi) reads 0
         return K, c_prime, math.inf, rec
     mu_k = mus[:K + 1].tolist()
-    b_prime = max(
+    # a Python float: the search's c'/(1 + b'/psi) then reads 0, without a
+    # float warning, where b'/psi passes the float range
+    b_prime = float(max(
         (c_prime + delta - mu_k[k] * slope - psi * (1.0 - decay[k])) * beta ** k
         for k in range(K + 1)
-    ) * u_max
+    )) * u_max
     return K, c_prime, b_prime, rec
 
 
 def _offset_rates(B: BmapModel, bracket: np.ndarray) -> np.ndarray:
-    """c'(K) for K = 0 .. K_CAP from the decay bracket over levels, along
-    the last axis.
+    """c'(K) from the decay bracket over levels 0, 1, ..., along the last
+    axis, for K = 0 .. K_CAP or as far as those levels reach, which must be
+    at least level stable_from+1.
 
     For K < stable_from - 1 it is a suffix minimum over the window
     K+1 .. stable_from+1, from there on a minimum of two neighbours.
     """
     stable = B.mu.stable_from
     split = min(stable - 1, K_CAP + 1)
+    top = min(K_CAP, bracket.shape[-1] - 3)
     return np.concatenate([
         np.minimum.accumulate(bracket[..., stable + 1:0:-1], axis=-1)[..., ::-1][..., :split],
-        np.minimum(bracket[..., split + 1:K_CAP + 2], bracket[..., split + 2:K_CAP + 3]),
+        np.minimum(bracket[..., split + 1:top + 2], bracket[..., split + 2:top + 3]),
     ], axis=-1)
 
 

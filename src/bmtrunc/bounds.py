@@ -128,6 +128,8 @@ class BoundReport:
     origin: str = ""
 
     def bound_at(self, t: float) -> float:
+        if not t >= 0:
+            raise InputError(f"time must be >= 0, got {t}")
         return (self.b / self.c) * (
             4.0 * math.exp(-self.c * t) + 2.0 * t * self.weighted_diag
         )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import click
@@ -171,9 +170,10 @@ def run_bound(cfg: RunConfig) -> int:
         )
     reports = _bmap.bound_pipeline(model, [cfg.n], beta=cfg.beta, n_ref=cfg.n_ref)
     rep = reports[0]
+    at_t = None if cfg.t is None else rep.bound_at(cfg.t)
     click.echo(f"n={rep.n} t_star={rep.t_star:.9g} bound_min={rep.bound_min:.9g}")
-    if cfg.t is not None:
-        click.echo(f"bound at t={cfg.t}: {rep.bound_at(cfg.t):.9g}")
+    if at_t is not None:
+        click.echo(f"bound at t={cfg.t}: {at_t:.9g}")
     if rep.true_tv is not None:
         click.echo(f"true_tv (vs n_ref={cfg.n_ref}): {rep.true_tv:.9g}")
     if rep.origin:
@@ -239,6 +239,8 @@ def run_sweep(cfg: RunConfig) -> int:
         raise InputError("--n-min and --n-max are required")
     if cfg.n_min < 1 or cfg.n_max < cfg.n_min:
         raise InputError(f"bad sweep range [{cfg.n_min}, {cfg.n_max}]")
+    if cfg.step < 1:
+        raise InputError(f"sweep step must be >= 1, got {cfg.step}")
     n_ref = cfg.n_ref if cfg.n_ref is not None else 4 * cfg.n_max
     if n_ref < 4 * cfg.n_max:
         raise InputError(
@@ -256,6 +258,9 @@ def run_sweep(cfg: RunConfig) -> int:
     try:
         tasks = [(model, cert, pi_ref.values, cfg, n) for n in levels]
         if cfg.jobs > 1:
+            # imported here: it loads multiprocessing, which a serial run never needs
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
                 results = dict(pool.map(_sweep_worker, tasks))
         else:

@@ -119,32 +119,48 @@ def _no_nan(x: float) -> float:
     return -math.inf if math.isnan(x) else x
 
 
-def _scan(levels, col_top, lower, upper, tol: float, skip_diagonal: bool = False):
-    """Check lower(k, l) <= upper(k, l) entrywise over k in levels, l <= col_top(k).
+def _scan(levels: np.ndarray, valid: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+          tol: float, skip_diagonal: bool = False):
+    """Check lower(k, l) <= upper(k, l) entrywise over the pairs `valid` marks.
 
-    The tolerance is tol times the largest tail-sum entry seen (at least 1).
-    With skip_diagonal the pairs (k,i;k,i) are left out, as block
-    monotonicity asks.  Returns the report and the scaled tolerance.
+    lower and upper are stacked tables of d x d blocks, shape (rows, columns,
+    d, d), whose row r holds level levels[r] and column l level l.  The
+    tolerance is tol times the largest table entry seen (at least 1; a block
+    holding a NaN adds nothing to it).  With skip_diagonal the pairs
+    (k,i;k,i) are left out, as block monotonicity asks.  A NaN slack counts
+    as -inf, and the worst violation is the first least slack in (k, l, i, j)
+    order, NaN first within a block.  Returns the report and the scaled
+    tolerance.
     """
-    worst = None
-    margin = np.inf
-    scale = 1.0
-    for k in levels:
-        for l in range(col_top(k) + 1):
-            lo = lower(k, l)
-            hi = upper(k, l)
-            scale = max(scale, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-            slack = hi - lo
-            if skip_diagonal and l == k:
-                slack = slack + np.diag(np.full(len(slack), np.inf))
-            m = _no_nan(float(slack.min()))
-            if m < margin:
-                margin = m
-                i, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
-                worst = ((k, int(i), l, int(j)), max(0.0, -m))
-    tau = tol * scale
-    holds = worst is None or worst[1] <= tau
-    return DominanceReport(holds=holds, worst_violation=worst, margin=margin), tau
+    rows, cols = np.nonzero(valid)
+    if not rows.size:
+        return DominanceReport(holds=True, worst_violation=None, margin=np.inf), tol
+    lo = lower[rows, cols]
+    hi = upper[rows, cols]
+    slack = hi - lo
+    if skip_diagonal:
+        slack[levels[rows] == cols] += np.diag(np.full(slack.shape[-1], np.inf))
+    peaks = np.abs(np.stack([lo, hi])).reshape(2, rows.size, -1).max(axis=2)
+    tau = tol * float(peaks[~np.isnan(peaks)].max(initial=1.0))
+    flat = slack.reshape(rows.size, -1)
+    least = flat.min(axis=1)
+    least[np.isnan(least)] = -math.inf
+    p = int(np.argmin(least))
+    if least[p] == math.inf:
+        return DominanceReport(holds=True, worst_violation=None, margin=np.inf), tau
+    margin = float(least[p])
+    i, j = np.unravel_index(int(np.argmin(flat[p])), slack.shape[1:])
+    worst = ((int(levels[rows[p]]), int(i), int(cols[p]), int(j)), max(0.0, -margin))
+    return DominanceReport(holds=worst[1] <= tau, worst_violation=worst, margin=margin), tau
+
+
+def _tail_table(M: BlockGeneratorModel, rows: int, cols: int) -> np.ndarray:
+    """S(k; l) for k < rows and l < cols, shape (rows, cols, d, d).
+
+    One `tail_sums` row per level, so every entry is `M.tail_sum(k, l)` bit
+    for bit.
+    """
+    return np.stack([M.tail_sums(k, 0, cols) for k in range(rows)])
 
 
 def is_block_increasing(f, d: int, tol: float = TAU_ORD) -> DominanceReport:
@@ -194,11 +210,16 @@ def generator_is_block_monotone(M, d: int | None = None, tol: float = TAU_ORD) -
     For a finite matrix this is nonnegativity of the off-diagonal entries of
     inv(T_d) Q T_d.  For a model the same condition is evaluated through exact
     tail sums S(k; l) over levels k up to the homogeneity level plus band
-    width; beyond that the rows repeat and the inequalities with them.
+    width; beyond that the rows repeat and the inequalities with them.  The
+    sums come from one table, rows 0..bm_check_level() and columns up to
+    one past the band, and one `_scan` compares each row with the next.
     """
     if isinstance(M, BlockGeneratorModel):
-        return _scan(range(1, M.bm_check_level() + 1), lambda k: k + M.upper_hint() + 1,
-                     lambda k, l: M.tail_sum(k - 1, l), M.tail_sum, tol, skip_diagonal=True)[0]
+        top, reach = M.bm_check_level(), M.upper_hint() + 1
+        table = _tail_table(M, top + 1, top + reach + 1)
+        levels = np.arange(1, top + 1)
+        valid = np.arange(top + reach + 1) <= levels[:, None] + reach
+        return _scan(levels, valid, table[:-1], table[1:], tol, skip_diagonal=True)[0]
     if isinstance(M, FiniteBlockMatrix):
         values, d = M.values, M.d
     else:
@@ -249,6 +270,13 @@ class _TailSumView:
         else:
             raise IncompatibleModels(f"cannot take tail sums of {type(obj).__name__}")
 
+    def table(self, valid: np.ndarray) -> np.ndarray:
+        """S(k; l) at the pairs `valid` marks, rows k and columns l, else 0."""
+        out = np.zeros(valid.shape + (self.d, self.d))
+        for k, l in zip(*np.nonzero(valid)):
+            out[k, l] = self.sum(int(k), int(l))
+        return out
+
 
 def generator_dominates(M, M_tilde, d: int | None = None, tol: float = TAU_ORD) -> DominanceReport:
     """Check Q T_d <= Q~ T_d, i.e. S(k; l) <= S~(k; l) entrywise for all k, l.
@@ -262,8 +290,10 @@ def generator_dominates(M, M_tilde, d: int | None = None, tol: float = TAU_ORD) 
     if a.d != b.d:
         raise IncompatibleModels(f"block sizes differ: {a.d} vs {b.d}")
     k_top = max(a.check_level, b.check_level)
-    report, tau = _scan(range(k_top + 1), lambda k: max(a.col_extent(k), b.col_extent(k)),
-                        a.sum, b.sum, tol)
+    levels = np.arange(k_top + 1)
+    col_top = np.array([max(a.col_extent(k), b.col_extent(k)) for k in levels])
+    valid = np.arange(col_top.max() + 1) <= col_top[:, None]
+    report, tau = _scan(levels, valid, a.table(valid), b.table(valid), tol)
     tail_rep = _tail_beyond(a, b, k_top, tau)
     if tail_rep is not None and tail_rep[1] > max(0.0, -report.margin):
         return DominanceReport(

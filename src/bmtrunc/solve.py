@@ -128,7 +128,11 @@ def stationary(G, d: int | None = None, source: str = "full-reference") -> Distr
 
 
 def _poisson_weights(lam: float, tol: float) -> np.ndarray:
-    """Poisson pmf values 0..M where M is the smallest index with tail < tol."""
+    """Poisson pmf values 0..M where M is the smallest index with tail < tol.
+
+    A tol finer than the float sum of the pmf can resolve ends the series at
+    the first term that no longer adds to the cumulative mass.
+    """
     if lam <= 0.0:
         return np.array([1.0])
     if lam <= 700.0:
@@ -137,8 +141,11 @@ def _poisson_weights(lam: float, tol: float) -> np.ndarray:
         m = 0
         while cum < 1.0 - tol:
             m += 1
-            weights.append(weights[-1] * lam / m)
-            cum += weights[-1]
+            w = weights[-1] * lam / m
+            if cum + w == cum:
+                break
+            weights.append(w)
+            cum += w
         return np.array(weights)
     # large rates: work from log pmf to dodge underflow of the m=0 term
     hi = int(lam + 40.0 * math.sqrt(lam) + 50.0)

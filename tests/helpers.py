@@ -7,6 +7,8 @@ assembled entry by entry.  The stationary oracles are the dense elimination
 and the one-state-at-a-time fill-aware loop the level-group solver must
 match bit for bit, and the window oracle asks for every block pair: the
 plain algorithms the library's band-aware ones must reproduce.  The
+ordering scan's oracle compares tail sums one (k, l) pair at a time, as
+the scan over stacked tables must reproduce bit for bit.  The
 power-iteration and offset-level oracles are the plain loops the
 certificate search must match bit for bit, and the serial search is the
 search as it ran before its grid was batched; the batched grid's offset
@@ -22,9 +24,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 from bmtrunc import (
+    BandedModel,
     BmapModel,
     BmapQueueModel,
+    DominanceReport,
     GeometricTail,
+    Mg1Model,
     MultipleClosedClasses,
     MuRule,
     NoConvergence,
@@ -41,6 +46,7 @@ from bmtrunc.bmap import (
     _offset_scores,
     _offset_table,
 )
+from bmtrunc.order import TAU_ORD
 from bmtrunc.solve import PIVOT_FLOOR
 
 
@@ -127,6 +133,86 @@ def scalar_stationary(values):
         x[s] = x[:s] @ A[:s, s]
     x /= x.sum()
     return x
+
+
+def scalar_scan(levels, col_top, lower, upper, tol, skip_diagonal=False):
+    """The ordering scan one (k, l) pair at a time, as `order._scan` ran
+    before it went over stacked tables.
+
+    Checks lower(k, l) <= upper(k, l) entrywise over k in levels and
+    l <= col_top(k), with the tolerance tol times the largest tail-sum
+    entry seen (at least 1).  The library's scan must give the same report
+    and tolerance.
+    """
+    worst = None
+    margin = np.inf
+    scale = 1.0
+    for k in levels:
+        for l in range(col_top(k) + 1):
+            lo = lower(k, l)
+            hi = upper(k, l)
+            scale = max(scale, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
+            slack = hi - lo
+            if skip_diagonal and l == k:
+                slack = slack + np.diag(np.full(len(slack), np.inf))
+            m = float(slack.min())
+            m = -math.inf if math.isnan(m) else m
+            if m < margin:
+                margin = m
+                i, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
+                worst = ((k, int(i), l, int(j)), max(0.0, -m))
+    tau = tol * scale
+    holds = worst is None or worst[1] <= tau
+    return DominanceReport(holds=holds, worst_violation=worst, margin=margin), tau
+
+
+def scalar_tail_sum(M, k, l):
+    """S(k; l) one block at a time into a d x d sum, as `tail_sum` ran before
+    the tail-sum rows: column 0's block if it lies below the band, the band's
+    blocks from column max(l, lo) up, then the tail's remainder."""
+    lo, hi, tail = M.band(k)
+    out = np.zeros((M.d, M.d))
+    if l == 0 and lo > 0:
+        out += M.block(k, 0)
+    for m in range(max(l, lo), hi + 1):
+        out += M.block(k, m)
+    if tail is not None:
+        out += tail.sum_from(max(l, hi + 1) - k)
+    return out
+
+
+def scalar_monotone_scan(M, tol=TAU_ORD):
+    """Block monotonicity of a model by `scalar_scan` over its tail sums."""
+    return scalar_scan(range(1, M.bm_check_level() + 1), lambda k: k + M.upper_hint() + 1,
+                       lambda k, l: M.tail_sum(k - 1, l), M.tail_sum, tol,
+                       skip_diagonal=True)[0]
+
+
+def conservative_blocks(rng, d, count):
+    """`count` nonnegative blocks whose first gets a diagonal that makes
+    the sum of them all conservative."""
+    blocks = [rng.uniform(0.05, 0.5, (d, d)) for _ in range(count)]
+    np.fill_diagonal(blocks[0], 0.0)
+    blocks[0] -= np.diag(sum(b.sum(axis=1) for b in blocks))
+    return blocks
+
+
+def banded_queue_rows(queue):
+    """The d = 2 conftest queue's rows as a `BandedModel`, level-homogeneous
+    from its constant service on."""
+    return BandedModel(d=2, L=1, U=3, K_hom=2, rows={
+        k: {l - k: queue.block(k, l) for l in range(max(k - 1, 0), k + 4)} for k in range(3)
+    })
+
+
+def tailed_mg1(rng):
+    """A conservative d = 2 M/G/1-type model whose repeating row ends in a
+    geometric tail; the tail's mass moves into A(0)'s diagonal."""
+    A0, Am1, A1, A2 = conservative_blocks(rng, 2, 4)
+    B0, B1, B2 = conservative_blocks(rng, 2, 3)
+    tail = GeometricTail(coef=rng.uniform(0.05, 0.3, (2, 2)), ratio=0.5)
+    A0 -= np.diag(tail.sum_from(3).sum(axis=1))
+    return Mg1Model(d=2, repeat=[Am1, A0, A1, A2], boundary=[B0, B1, B2], tail=tail)
 
 
 def brute_window(model, n):

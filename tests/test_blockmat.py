@@ -466,7 +466,7 @@ def test_model_kinds_supply_only_blocks_and_band_hints():
              and cls is not BlockGeneratorModel]
     assert {cls.__name__ for cls in kinds} == {"BandedModel", "Mg1Model", "BmapQueueModel"}
     for cls in kinds:
-        derived = {"tail_sum", "apply_row", "window"} & set(vars(cls))
+        derived = {"tail_sum", "tail_sums", "apply_row", "window"} & set(vars(cls))
         assert not derived, f"{cls.__name__} overrides {sorted(derived)}"
 
 

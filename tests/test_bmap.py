@@ -324,6 +324,22 @@ def _stiff_queue(spread=1e4, fast=range(5)):
     return dataclasses.replace(B, mu=MuRule(table=(arrival_rate(B) / 0.8,)))
 
 
+def test_transform_at_a_point_is_its_grid_entry_bit_for_bit(fleet, pure_disaster):
+    # a float z takes the scalar route through dhat and power_series_from;
+    # it must give the stack entry the grid computes for the same point
+    rng = np.random.default_rng(19)
+    for B in [*fleet.values(), pure_disaster, tailed_queue(), tailed_queue(d=5, ratio=0.7),
+              random_bmap(rng, d=8, psi=0.3)]:
+        grid = _beta_grid(B)
+        stack = B.dhat(grid)
+        for i in range(0, grid.size, 13):
+            for z in (grid[i], float(grid[i])):
+                assert np.array_equal(B.dhat(z), stack[i])
+                if B.tail is not None:
+                    assert np.array_equal(B.tail.power_series_from(2, z),
+                                          B.tail.power_series_from(2, grid[i:i + 1])[0])
+
+
 def test_batched_grid_matches_spectral(fleet, monkeypatch):
     rng = np.random.default_rng(5)
     # tailed_queue's grid ends at 0.999 r_D; at d = 12 the grid's power
@@ -403,6 +419,21 @@ def test_disaster_search_reads_an_overflowing_offset_as_no_bound():
     assert overflowing
     assert_same_certificate(cert, serial_certificate(B))
     assert cert.K == 0 and cert.verified
+
+
+def test_disaster_objective_reads_an_overflowing_ratio_as_zero():
+    # at beta = 35.65 the first feasible offset level is 198 and b' = 3.1e306
+    # is finite, but b'/psi passes the float range: the objective is 0 there,
+    # with no float warning, in the search as in the table
+    D0 = np.array([[-1.29254099, 0.41582937], [0.23277882, -0.93403837]])
+    D1 = np.array([[0.41597161, 0.46074001], [0.3229861, 0.37827345]])
+    B = BmapModel(d=2, D=(D0, D1), mu=MuRule(table=(2.564457687437209,), eventual="affine",
+                                            slope=0.12822288437186044),
+                  psi=0.007693373062311626)
+    K, c_prime, b_prime, _ = _disaster_constants(B, 35.648737945928396, _mu_levels(B))
+    assert K == 198 and c_prime > 0.0 and math.isinf(b_prime / B.psi)
+    assert c_prime / (1.0 + b_prime / B.psi) == 0.0
+    assert_table_matches_the_objective(B)
 
 
 def _count_calls(monkeypatch, module, name):

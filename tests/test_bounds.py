@@ -79,6 +79,15 @@ def test_bound_at_zero_is_four_b_over_c(mm1_cert_and_model, fleet_certs,
             4 * c.b / c.c, rel=1e-13)
 
 
+def test_report_bound_curve_refuses_a_negative_time(mm1_cert_and_model):
+    cert, G = mm1_cert_and_model
+    report = bounds.bound_report(cert, G, 10)
+    assert report.bound_at(0.0) == theorem_bound(cert, G, 10, 0.0)
+    for t in (-1.0, -1e-300, float("nan")):
+        with pytest.raises(InputError, match="time must be >= 0"):
+            report.bound_at(t)
+
+
 def test_weighted_diag_structure(mm1_cert_and_model):
     # for the single-phase queue each weighted diagonal term is
     # (service + arrival diagonal) / profile, so scaling by beta^n must

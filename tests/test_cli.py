@@ -1,12 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import bmtrunc
 from bmtrunc import build_generator, cli, lc_truncate, load_model
 from bmtrunc.cli import CSV_HEADER, exit_code_for, main
 from bmtrunc.errors import (
@@ -194,6 +198,12 @@ def test_bound_past_the_float_range_is_a_one_line_error(runner, tmp_path):
     assert "float range" in lines[0]
 
 
+def test_bound_rejects_a_negative_time(runner, mm1_path):
+    result = runner.invoke(main, ["bound", "--model", mm1_path, "--n", "10", "--t", "-1"])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == ["error: time must be >= 0, got -1.0"]
+
+
 def test_bound_rejects_non_queue_models(runner, tmp_path):
     doc = banded_doc({
         0: {0: [[-1.0]], 1: [[1.0]]},
@@ -266,3 +276,21 @@ def test_sweep_guards(runner, mm1_path):
                                       "2", "--n-max", "4", "--style", "custom"])
     assert no_weights.exit_code == 2
     assert "custom style needs --weights" in no_weights.output
+
+
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_sweep_rejects_a_step_below_one(runner, mm1_path, step):
+    result = runner.invoke(main, ["sweep", "--model", mm1_path, "--n-min", "2",
+                                  "--n-max", "4", "--step", step])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [f"error: sweep step must be >= 1, got {step}"]
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # a fresh start imports the CLI; only `sweep --jobs` above 1 needs a process pool
+    code = ("import sys, bmtrunc.cli\n"
+            "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    src = os.path.dirname(os.path.dirname(bmtrunc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
 from bmtrunc import (
     FiniteBlockMatrix,
@@ -17,8 +18,22 @@ from bmtrunc import (
 )
 from bmtrunc.bmap import BmapModel
 from bmtrunc.blockmat import BandedModel, MuRule
+from bmtrunc.order import TAU_ORD, _scan, _tail_table, _TailSumView
 
-from helpers import block_increasing, break_monotone, dominated_pair, random_bmap, t_matrix
+from helpers import (
+    banded_queue_rows,
+    block_increasing,
+    break_monotone,
+    dominated_pair,
+    random_bmap,
+    regime_queues,
+    scalar_monotone_scan,
+    scalar_scan,
+    scalar_tail_sum,
+    t_matrix,
+    tailed_mg1,
+    tailed_queue,
+)
 
 
 def test_td_transform_matches_explicit_multiplication():
@@ -196,3 +211,67 @@ def test_nan_slack_is_a_violation():
         assert rep.margin == -np.inf, name
         assert rep.worst_violation is not None, name
 
+
+def _nan_banded():
+    rows = {0: {0: [[-1.0]], 1: [[1.0]]}, 1: {-1: [[float("nan")]], 0: [[-3.0]], 1: [[1.0]]}}
+    return BandedModel(d=1, L=1, U=1, K_hom=1, rows=rows)
+
+
+def _scan_models(fleet_models, pure_disaster):
+    """Every model kind, with and without tails, at d = 1, 2 and 8, plus a
+    model that is not block monotone and one whose slack is NaN."""
+    models = dict(fleet_models, tailed_queue=tailed_queue(), pure_disaster=pure_disaster,
+                  banded=banded_queue_rows(fleet_models["d2"]),
+                  mg1_tail=tailed_mg1(np.random.default_rng(23)),
+                  d8=random_bmap(np.random.default_rng(3), d=8, psi=0.3), nan=_nan_banded())
+    # the two-up rate of row 0 exceeds everything row 1 sends past level 1
+    models["not_monotone"] = BandedModel(d=1, L=1, U=2, K_hom=1, rows={
+        0: {0: [[-3.0]], 2: [[3.0]]},
+        1: {-1: [[1.0]], 0: [[-1.5]], 1: [[0.25]], 2: [[0.25]]},
+    })
+    return models
+
+
+def test_tail_table_is_tail_sum_bit_for_bit(fleet_models, pure_disaster):
+    for name, model in _scan_models(fleet_models, pure_disaster).items():
+        rows, cols = model.bm_check_level() + 1, model.bm_check_level() + model.upper_hint() + 3
+        table = _tail_table(model, rows, cols)
+        assert table.shape == (rows, cols, model.d, model.d)
+        for k in range(rows):
+            for l in range(cols):
+                entry = model.tail_sum(k, l)
+                assert np.array_equal(table[k, l], entry, equal_nan=True), (name, k, l)
+                assert np.array_equal(entry, scalar_tail_sum(model, k, l), equal_nan=True), (
+                    name, k, l)
+
+
+def test_monotone_scan_matches_the_per_pair_loop(fleet_models, pure_disaster):
+    outcomes = set()
+    for name, model in _scan_models(fleet_models, pure_disaster).items():
+        found = generator_is_block_monotone(model)
+        assert found == scalar_monotone_scan(model), name
+        outcomes.add((found.holds, found.margin == -np.inf))
+    # holding, violated and NaN reports are all covered
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+@given(B=regime_queues())
+def test_monotone_scan_matches_the_per_pair_loop_on_regime_queues(B):
+    assert generator_is_block_monotone(B) == scalar_monotone_scan(B)
+
+
+def test_dominance_scan_matches_the_per_pair_loop(fleet_models, pure_disaster):
+    models = _scan_models(fleet_models, pure_disaster)
+    d2 = models["d2_disaster"]
+    pairs = [(lc_truncate(d2, 7), d2), (fc_truncate(d2, 7), lc_truncate(d2, 7)),
+             (lc_truncate(d2, 7), fc_truncate(d2, 7)), (models["d2"], d2),
+             (lc_truncate(d2, 5).matrix, d2), (models["nan"], models["not_monotone"]),
+             (models["not_monotone"], models["nan"])]
+    for left, right in pairs:
+        a, b = _TailSumView(left), _TailSumView(right)
+        k_top = max(a.check_level, b.check_level)
+        col_top = [max(a.col_extent(k), b.col_extent(k)) for k in range(k_top + 1)]
+        valid = np.arange(max(col_top) + 1) <= np.array(col_top)[:, None]
+        found = _scan(np.arange(k_top + 1), valid, a.table(valid), b.table(valid), TAU_ORD)
+        expected = scalar_scan(range(k_top + 1), lambda k: col_top[k], a.sum, b.sum, TAU_ORD)
+        assert found == expected, (type(left).__name__, type(right).__name__)

@@ -1,20 +1,21 @@
 import dataclasses
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from bmtrunc import (
-    BandedModel,
     CertificateNotVerified,
     DimensionMismatch,
     DistributionVector,
     FiniteBlockMatrix,
-    GeometricTail,
     GeometricVector,
     InputError,
     KNotZero,
-    Mg1Model,
     MultipleClosedClasses,
     TruncationSpec,
     build_generator,
@@ -28,7 +29,14 @@ from bmtrunc import (
     tv_distance,
     v_norm,
 )
-from helpers import dense_stationary, random_bmap, scalar_stationary, tailed_queue
+from helpers import (
+    banded_queue_rows,
+    dense_stationary,
+    random_bmap,
+    scalar_stationary,
+    tailed_mg1,
+    tailed_queue,
+)
 
 
 def test_stationary_two_state_exact():
@@ -83,15 +91,6 @@ def test_stationary_matches_dense_elimination(fleet_models, n):
                                        err_msg=f"{name} {corner.spec.style}")
 
 
-def _conservative_blocks(rng, d, count):
-    """`count` nonnegative blocks whose first gets a diagonal that makes
-    the sum of them all conservative."""
-    blocks = [rng.uniform(0.05, 0.5, (d, d)) for _ in range(count)]
-    np.fill_diagonal(blocks[0], 0.0)
-    blocks[0] -= np.diag(sum(b.sum(axis=1) for b in blocks))
-    return blocks
-
-
 def _corner_models(fleet_models):
     """Queues at d = 1, 2 and 8 with and without psi, a geometric tail, a
     banded model and an M/G/1-type model with a tail."""
@@ -100,18 +99,8 @@ def _corner_models(fleet_models):
     for d in (1, 8):
         for psi in (0.0, 0.4):
             models[f"d{d}_psi{psi}"] = random_bmap(rng, d=d, psi=psi)
-    # the d2 queue's rows, level-homogeneous from its constant service on
-    d2 = fleet_models["d2"]
-    models["banded"] = BandedModel(d=2, L=1, U=3, K_hom=2, rows={
-        k: {l - k: d2.block(k, l) for l in range(max(k - 1, 0), k + 4)} for k in range(3)
-    })
-    A0, Am1, A1, A2 = _conservative_blocks(rng, 2, 4)
-    B0, B1, B2 = _conservative_blocks(rng, 2, 3)
-    # the tail's mass moves into A(0)'s diagonal
-    tail = GeometricTail(coef=rng.uniform(0.05, 0.3, (2, 2)), ratio=0.5)
-    A0 -= np.diag(tail.sum_from(3).sum(axis=1))
-    models["mg1_tail"] = Mg1Model(d=2, repeat=[Am1, A0, A1, A2], boundary=[B0, B1, B2],
-                                  tail=tail)
+    models["banded"] = banded_queue_rows(fleet_models["d2"])
+    models["mg1_tail"] = tailed_mg1(rng)
     return models
 
 
@@ -187,6 +176,38 @@ def test_uniformized_vector_matches_transition_matrix(d2_psi05):
         np.testing.assert_allclose(solve._uniformized(Q, p0, t, 1e-12),
                                    p0 @ transition_matrix(Q, t).values,
                                    rtol=0.0, atol=1e-14)
+
+
+def _poisson_series(lam, tol):
+    """The Poisson series of uniformization, term by term, until the mass
+    left is below tol: the loop the default tol's weights must match."""
+    weights = [math.exp(-lam)]
+    cum = weights[0]
+    while cum < 1.0 - tol:
+        weights.append(weights[-1] * lam / len(weights))
+        cum += weights[-1]
+    return np.array(weights)
+
+
+def test_poisson_weights_at_the_default_tol_are_unchanged():
+    for lam in (1e-3, 0.7, 5.45, 27.25, 50.0, 123.4, 400.0, 699.9):
+        assert np.array_equal(solve._poisson_weights(lam, 1e-12), _poisson_series(lam, 1e-12))
+
+
+def test_poisson_weights_end_where_float64_stops_resolving_tol():
+    # 1 - 1e-16 lies above the float sum of the Poisson(50) pmf: the series
+    # used to run forever, so the check runs in a process of its own
+    code = (
+        "import numpy as np\n"
+        "from bmtrunc import solve, transition_matrix\n"
+        "w = solve._poisson_weights(50.0, 1e-16)\n"
+        "assert abs(w.sum() - 1.0) < 1e-15 and w[-1] < 1e-15, w\n"
+        "P = transition_matrix(np.array([[-1.0, 1.0], [1.0, -1.0]]), 50.0, tol=1e-16)\n"
+        "assert np.allclose(P.values, 0.5, atol=1e-15), P.values\n"
+    )
+    src = os.path.dirname(os.path.dirname(solve.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_transition_matrix_semigroup():
