@@ -41,7 +41,7 @@ from .errors import (
 )
 from .order import generator_is_block_monotone
 from .solve import stationary, tv_distance
-from .truncate import lc_truncate
+from .truncate import check_truncation_levels, lc_truncate
 
 BETA_CAP = 64.0
 GRID_POINTS = 200
@@ -539,44 +539,39 @@ def _closed_form_theta(B: BmapModel, cert: DriftCertificate, n: int,
     return max(-math.log(s / (2.0 * cert.c)), 0.0)
 
 
-def _level0_certificate(B: BmapModel, beta: float | None = None,
-                        mode: str = "auto") -> DriftCertificate:
+def _level0_certificate(B: BmapModel, beta: float | None = None) -> DriftCertificate:
     """The certificate route shared by bound_pipeline and the CLI sweep.
 
-    Picks the search by the disaster rate ("auto") or by `mode`, and converts
-    a level-K certificate to level-0 form.  A given beta must lie in
-    (1, r_D).  The search checks the generator's block monotonicity.
+    Picks the search by the disaster rate, and converts a level-K
+    certificate to level-0 form.  A given beta must lie in (1, r_D).  The
+    search checks the generator's block monotonicity.
     """
-    if mode not in ("auto", "no_disaster", "disaster"):
-        raise InputError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = "no_disaster" if B.psi == 0.0 else "disaster"
-    if mode == "no_disaster" and B.psi != 0.0:
-        raise InputError("no_disaster mode on a model with psi > 0")
-    if mode == "disaster" and B.psi == 0.0:
-        raise InputError("disaster mode on a model with psi = 0")
     if beta is not None and not 1.0 < beta < B.r_D:
         raise InputError(f"geometric base beta={beta} must lie in (1, {B.r_D:g})")
-    if mode == "no_disaster":
+    if B.psi == 0.0:
         cert = find_beta_no_disaster(B, beta=beta)
     else:
         cert = find_constants_disaster(B, beta=beta)
     return _bounds.corollary_transform(cert, B)
 
 
-def bound_pipeline(B: BmapModel, n_range, mode: str = "auto",
-                   beta: float | None = None, n_ref: int | None = None) -> list[BoundReport]:
+def bound_pipeline(B: BmapModel, n_range, beta: float | None = None,
+                   n_ref: int | None = None) -> list[BoundReport]:
     """End-to-end bounds for a sweep of truncation levels.
 
     Picks the certificate route by the disaster rate, converts a level-K
     certificate to level-0 form when needed, and evaluates the minimized
-    bound at each n.  The application's closed-form minimizer is evaluated
+    bound at each n.  Every n must be at least 1, and n_ref, when given,
+    must exceed each n.  The application's closed-form minimizer is evaluated
     alongside the generic one; any disagreement beyond 1e-9 relative is
     recorded on the report rather than silently dropped.  Each report's
     runtime_ms covers its level's corner solve (when n_ref is given) and the
     bound evaluation.
     """
-    cert = _level0_certificate(B, beta=beta, mode=mode)
+    n_range = list(n_range)
+    for n in n_range:
+        check_truncation_levels(n, n_ref)
+    cert = _level0_certificate(B, beta=beta)
     pi_ref = None
     if n_ref is not None:
         pi_ref = stationary(lc_truncate(B, n_ref).matrix, source="lc")

@@ -30,6 +30,7 @@ from .errors import (
     InputError,
     KNotZero,
 )
+from .truncate import check_truncation_levels
 
 DRIFT_TOL = 1e-10
 
@@ -135,22 +136,12 @@ class BoundReport:
         )
 
 
-def _require_usable(cert: DriftCertificate, need_k0: bool = True):
-    if not cert.verified:
-        raise CertificateNotVerified("certificate has not passed drift_check")
-    if need_k0 and cert.K != 0:
-        raise KNotZero(
-            f"certificate carries an offset through level K={cert.K}; "
-            "apply corollary_transform first"
-        )
-
-
 def drift_check(model: BlockGeneratorModel, v: GeometricVector, c: float, b: float,
-                K: int = 0, tol: float = DRIFT_TOL) -> DriftCertificate:
+                K: int = 0) -> DriftCertificate:
     """Verify Qv <= -c v + b 1(level <= K) at every level and certify it.
 
     Row k passes when its slack s(k) = (Qv)(k) + c v(k) - b 1(k <= K) is at
-    most tol * max(1, c max v(k), b).  Rows up to the fit horizon k_fit (> K)
+    most DRIFT_TOL * max(1, c max v(k), b).  Rows up to the fit horizon k_fit (> K)
     are checked exactly; past it the model's exact law (`slack_law`) gives
     s(k) = beta**k (a0 + a1 k) + g0 per phase.  If beta**k (a0 + a1 k) and
     beta**k a1 are nonpositive at k_fit, within its tolerance, the geometric
@@ -176,7 +167,7 @@ def drift_check(model: BlockGeneratorModel, v: GeometricVector, c: float, b: flo
             raise CertificateNotVerified(
                 f"row {k} of the drift check passes the float range (beta={v.beta:.6g})"
             ) from None
-        tau = tol * max(1.0, c * float(np.max(vk)), b)
+        tau = DRIFT_TOL * max(1.0, c * float(np.max(vk)), b)
         worst = int(np.argmax(s))
         if s[worst] > tau:
             raise DriftViolated(level=k, phase=worst, slack=float(s[worst]))
@@ -195,7 +186,7 @@ def drift_check(model: BlockGeneratorModel, v: GeometricVector, c: float, b: flo
         pk = beta ** ks
         s = pk[:, None] * (a0 + a1 * ks[:, None]) + g0
         scale = np.maximum(max(1.0, b), c * (pk * u_max + v.shift))
-        for k_bad in ks[s.max(axis=1) > tol * scale]:
+        for k_bad in ks[s.max(axis=1) > DRIFT_TOL * scale]:
             check_row(int(k_bad))
         k = int(ks[-1])
     origin = (
@@ -210,35 +201,52 @@ def weighted_diag_sum(cert: DriftCertificate, model: BlockGeneratorModel, n: int
     return float(np.sum(model.diag_abs(n) / cert.v.level(n)))
 
 
+def _evaluate(cert: DriftCertificate, model: BlockGeneratorModel, n: int) -> BoundReport:
+    """The one evaluation of the bound at level n: w(n), theta(n) =
+    max(-log(w(n)/(2c)), 0), t_star = theta/c and the minimum
+    (4b/c)(theta+1)e^{-theta}, which is 0 when w(n) = 0.  The certificate
+    must be verified and in level-0 form."""
+    if not cert.verified:
+        raise CertificateNotVerified("certificate has not passed drift_check")
+    if cert.K != 0:
+        raise KNotZero(
+            f"certificate carries an offset through level K={cert.K}; "
+            "apply corollary_transform first"
+        )
+    check_truncation_levels(n)
+    w = weighted_diag_sum(cert, model, n)
+    theta = math.inf if w <= 0.0 else max(-math.log(w / (2.0 * cert.c)), 0.0)
+    finite = not math.isinf(theta)
+    return BoundReport(
+        n=n,
+        t_star=theta / cert.c if finite else math.inf,
+        bound_min=(4.0 * cert.b / cert.c) * (theta + 1.0) * math.exp(-theta) if finite else 0.0,
+        c=cert.c,
+        b=cert.b,
+        weighted_diag=w,
+        theta=theta,
+        origin=cert.origin,
+    )
+
+
 def theorem_bound(cert: DriftCertificate, model: BlockGeneratorModel, n: int, t: float) -> float:
     """The raw bound curve (b/c)(4 e^{-ct} + 2 t w(n)) at one time point."""
-    _require_usable(cert)
-    if t < 0:
-        raise InputError(f"time must be >= 0, got {t}")
-    w = weighted_diag_sum(cert, model, n)
-    return (cert.b / cert.c) * (4.0 * math.exp(-cert.c * t) + 2.0 * t * w)
+    return _evaluate(cert, model, n).bound_at(t)
 
 
 def decay_exponent(cert: DriftCertificate, model: BlockGeneratorModel, n: int) -> float:
     """theta(n) = max(-log(w(n)/(2c)), 0), the dimensionless decay depth."""
-    _require_usable(cert)
-    w = weighted_diag_sum(cert, model, n)
-    if w <= 0.0:
-        return math.inf
-    return max(-math.log(w / (2.0 * cert.c)), 0.0)
+    return _evaluate(cert, model, n).theta
 
 
 def t_star(cert: DriftCertificate, model: BlockGeneratorModel, n: int) -> float:
     """Minimizing time of the bound curve: theta(n)/c."""
-    return decay_exponent(cert, model, n) / cert.c
+    return _evaluate(cert, model, n).t_star
 
 
 def minimized_bound(cert: DriftCertificate, model: BlockGeneratorModel, n: int) -> float:
     """(4b/c)(theta+1)e^{-theta}: the bound curve's value at t_star."""
-    theta = decay_exponent(cert, model, n)
-    if math.isinf(theta):
-        return 0.0
-    return (4.0 * cert.b / cert.c) * (theta + 1.0) * math.exp(-theta)
+    return _evaluate(cert, model, n).bound_min
 
 
 def corollary_transform(cert: DriftCertificate, model: BlockGeneratorModel) -> DriftCertificate:
@@ -269,22 +277,10 @@ def corollary_transform(cert: DriftCertificate, model: BlockGeneratorModel) -> D
 
 def bound_report(cert: DriftCertificate, model: BlockGeneratorModel, n: int,
                  true_tv: float | None = None, style: str = "lc") -> BoundReport:
-    """Evaluate the minimized bound at one truncation level."""
+    """Evaluate the minimized bound at one truncation level n >= 1."""
     started = time.perf_counter()
-    _require_usable(cert)
-    w = weighted_diag_sum(cert, model, n)
-    theta = decay_exponent(cert, model, n)
-    report = BoundReport(
-        n=n,
-        t_star=theta / cert.c if not math.isinf(theta) else math.inf,
-        bound_min=minimized_bound(cert, model, n),
-        c=cert.c,
-        b=cert.b,
-        weighted_diag=w,
-        theta=theta,
-        true_tv=true_tv,
-        style=style,
-        origin=cert.origin,
-    )
+    report = _evaluate(cert, model, n)
+    report.true_tv = true_tv
+    report.style = style
     report.runtime_ms = (time.perf_counter() - started) * 1e3
     return report

@@ -71,12 +71,6 @@ def exit_code_for(exc: BaseException) -> int:
     return 3
 
 
-def _load(cfg: RunConfig):
-    if cfg.model_path is None:
-        raise InputError("a model file is required")
-    return load_model(cfg.model_path)
-
-
 def _truncation(model, cfg: RunConfig, n: int, style: str):
     if style == LAST_COLUMN:
         return lc_truncate(model, n)
@@ -97,7 +91,7 @@ def parse_weights_resolved(weights: dict, n: int) -> dict:
 
 
 def run_validate(cfg: RunConfig) -> int:
-    model = _load(cfg)
+    model = load_model(cfg.model_path)
     report = validate_q_matrix(model)
     bm = generator_is_block_monotone(model)
     parts = [
@@ -121,9 +115,7 @@ def run_validate(cfg: RunConfig) -> int:
 
 
 def run_truncate(cfg: RunConfig) -> int:
-    model = _load(cfg)
-    if cfg.n is None:
-        raise InputError("--n is required")
+    model = load_model(cfg.model_path)
     trunc = _truncation(model, cfg, cfg.n, cfg.style)
     values = trunc.matrix.values
     if cfg.out:
@@ -138,9 +130,7 @@ def run_truncate(cfg: RunConfig) -> int:
 
 
 def run_solve(cfg: RunConfig) -> int:
-    model = _load(cfg)
-    if cfg.n is None:
-        raise InputError("--n is required")
+    model = load_model(cfg.model_path)
     trunc = _truncation(model, cfg, cfg.n, cfg.style)
     pi = stationary(trunc.matrix, source=cfg.style)
     rows = [
@@ -161,9 +151,7 @@ def run_solve(cfg: RunConfig) -> int:
 
 
 def run_bound(cfg: RunConfig) -> int:
-    model = _load(cfg)
-    if cfg.n is None:
-        raise InputError("--n is required")
+    model = load_model(cfg.model_path)
     if not isinstance(model, BmapQueueModel):
         raise InputError(
             "bounds need a BmapQueue model; other kinds carry no certificate recipe"
@@ -234,9 +222,7 @@ def _sweep_worker(args):
 
 
 def run_sweep(cfg: RunConfig) -> int:
-    model = _load(cfg)
-    if cfg.n_min is None or cfg.n_max is None:
-        raise InputError("--n-min and --n-max are required")
+    model = load_model(cfg.model_path)
     if cfg.n_min < 1 or cfg.n_max < cfg.n_min:
         raise InputError(f"bad sweep range [{cfg.n_min}, {cfg.n_max}]")
     if cfg.step < 1:
@@ -351,7 +337,7 @@ def solve(model_path, n, style, weights, out):
 @click.option("--t", type=float, default=None, help="Also evaluate the bound here.")
 @click.option("--beta", type=float, default=None, help="Geometric base override.")
 @click.option("--n-ref", type=int, default=None,
-              help="Reference level for a measured error comparison.")
+              help="Reference level for a measured error comparison (above --n).")
 def bound(model_path, n, t, beta, n_ref):
     """Total-variation error bound for the last-column truncation."""
     cfg = RunConfig(model_path=model_path, n=n, t=t, beta=beta, n_ref=n_ref)

@@ -6,6 +6,9 @@ from the highest level down, and its inverse takes per-phase first
 differences.  Monotonicity and dominance checks reduce to sign conditions on
 transformed arrays; for infinitely described models the checks use exact tail
 sums over a finite level range that level-homogeneity makes sufficient.
+Every model, a truncation's augmented generator included, is read through one
+table of its `tail_sums` rows, and a finite matrix through `_col_tail`; each
+row's columns reach one past its `band`.
 """
 
 from __future__ import annotations
@@ -215,11 +218,13 @@ def generator_is_block_monotone(M, d: int | None = None, tol: float = TAU_ORD) -
     one past the band, and one `_scan` compares each row with the next.
     """
     if isinstance(M, BlockGeneratorModel):
-        top, reach = M.bm_check_level(), M.upper_hint() + 1
-        table = _tail_table(M, top + 1, top + reach + 1)
-        levels = np.arange(1, top + 1)
-        valid = np.arange(top + reach + 1) <= levels[:, None] + reach
-        return _scan(levels, valid, table[:-1], table[1:], tol, skip_diagonal=True)[0]
+        top = M.bm_check_level()
+        reach = _reach(M, top + 1)
+        col_top = np.maximum(reach[:-1], reach[1:])
+        table = _tail_table(M, top + 1, int(col_top.max()) + 1)
+        valid = np.arange(table.shape[1]) <= col_top[:, None]
+        return _scan(np.arange(1, top + 1), valid, table[:-1], table[1:], tol,
+                     skip_diagonal=True)[0]
     if isinstance(M, FiniteBlockMatrix):
         values, d = M.values, M.d
     else:
@@ -233,68 +238,23 @@ def generator_is_block_monotone(M, d: int | None = None, tol: float = TAU_ORD) -
     return _report(slack, _tol(tol, values))
 
 
-class _TailSumView:
-    """Uniform S(k; l) access for dominance checks across representations."""
-
-    def __init__(self, obj):
-        from .truncate import TruncatedGenerator
-
-        self.tail = None
-        if isinstance(obj, TruncatedGenerator):
-            self.d = obj.base.d
-            self.check_level = max(
-                obj.base.bm_check_level(), obj.spec.n + obj.base.upper_hint() + 2
-            )
-            self.col_extent = lambda k: max(obj.spec.n, k) + 1
-            self.sum = obj.virtual_tail_sum
-        elif isinstance(obj, BlockGeneratorModel):
-            self.d = obj.d
-            self.check_level = obj.bm_check_level()
-            self.col_extent = lambda k: k + obj.upper_hint() + 1
-            self.sum = obj.tail_sum
-            self.tail = obj.row_tail(self.check_level)
-        elif isinstance(obj, FiniteBlockMatrix):
-            self.d = obj.d
-            self.check_level = obj.n
-            self.col_extent = lambda k: obj.n + 1
-            vals = obj.values
-            n, dd = obj.n, obj.d
-
-            def finite_sum(k, l, vals=vals, n=n, dd=dd):
-                if k > n or l > n:
-                    return np.zeros((dd, dd))
-                row = vals[k * dd:(k + 1) * dd]
-                return row[:, max(l, 0) * dd:].reshape(dd, -1, dd).sum(axis=1)
-
-            self.sum = finite_sum
-        else:
-            raise IncompatibleModels(f"cannot take tail sums of {type(obj).__name__}")
-
-    def table(self, valid: np.ndarray) -> np.ndarray:
-        """S(k; l) at the pairs `valid` marks, rows k and columns l, else 0."""
-        out = np.zeros(valid.shape + (self.d, self.d))
-        for k, l in zip(*np.nonzero(valid)):
-            out[k, l] = self.sum(int(k), int(l))
-        return out
-
-
-def generator_dominates(M, M_tilde, d: int | None = None, tol: float = TAU_ORD) -> DominanceReport:
+def generator_dominates(M, M_tilde, tol: float = TAU_ORD) -> DominanceReport:
     """Check Q T_d <= Q~ T_d, i.e. S(k; l) <= S~(k; l) entrywise for all k, l.
 
-    Accepts any mix of finite matrices, models and truncations; the scan
-    covers every level up to both homogeneity horizons, and analytic tails
-    beyond the scan are compared in closed form.
+    Accepts any mix of finite matrices and models, truncations included; the
+    scan covers every level up to both homogeneity horizons and every column
+    either row's band reaches, and analytic tails beyond the scan are
+    compared in closed form.
     """
-    a = _TailSumView(M)
-    b = _TailSumView(M_tilde)
-    if a.d != b.d:
-        raise IncompatibleModels(f"block sizes differ: {a.d} vs {b.d}")
-    k_top = max(a.check_level, b.check_level)
-    levels = np.arange(k_top + 1)
-    col_top = np.array([max(a.col_extent(k), b.col_extent(k)) for k in levels])
-    valid = np.arange(col_top.max() + 1) <= col_top[:, None]
-    report, tau = _scan(levels, valid, a.table(valid), b.table(valid), tol)
-    tail_rep = _tail_beyond(a, b, k_top, tau)
+    k_top = max(_check_depth(M), _check_depth(M_tilde))
+    if M.d != M_tilde.d:
+        raise IncompatibleModels(f"block sizes differ: {M.d} vs {M_tilde.d}")
+    col_top = np.maximum(_reach(M, k_top + 1), _reach(M_tilde, k_top + 1))
+    shape = (k_top + 1, int(col_top.max()) + 1)
+    valid = np.arange(shape[1]) <= col_top[:, None]
+    report, tau = _scan(np.arange(k_top + 1), valid, _table(M, *shape),
+                        _table(M_tilde, *shape), tol)
+    tail_rep = _tail_beyond(_scan_tail(M), _scan_tail(M_tilde), k_top, tau)
     if tail_rep is not None and tail_rep[1] > max(0.0, -report.margin):
         return DominanceReport(
             holds=tail_rep[1] <= tau,
@@ -304,7 +264,41 @@ def generator_dominates(M, M_tilde, d: int | None = None, tol: float = TAU_ORD) 
     return report
 
 
-def _tail_beyond(a: _TailSumView, b: _TailSumView, k_top: int, tau: float):
+def _check_depth(M) -> int:
+    """Last level a tail-sum scan of M must check; past it rows repeat or vanish."""
+    if isinstance(M, BlockGeneratorModel):
+        return M.bm_check_level()
+    if isinstance(M, FiniteBlockMatrix):
+        return M.n
+    raise IncompatibleModels(f"cannot take tail sums of {type(M).__name__}")
+
+
+def _reach(M, rows: int) -> np.ndarray:
+    """One past the last band column of each row k < rows: from there on
+    S(k; l) is zero or a model's analytic tail."""
+    if isinstance(M, BlockGeneratorModel):
+        return np.array([M.band(k)[1] + 1 for k in range(rows)])
+    return np.full(rows, M.n + 1)
+
+
+def _table(M, rows: int, cols: int) -> np.ndarray:
+    """S(k; l) for k < rows and l < cols, shape (rows, cols, d, d): a model's
+    from `_tail_table`, a finite matrix's from `_col_tail`, zero past its corner."""
+    if isinstance(M, BlockGeneratorModel):
+        return _tail_table(M, rows, cols)
+    d, m = M.d, M.n + 1
+    sums = _col_tail(M.values, d).reshape(m, d, m, d).transpose(0, 2, 1, 3)
+    out = np.zeros((rows, cols, d, d))
+    out[:m, :m] = sums[:rows, :cols]
+    return out
+
+
+def _scan_tail(M):
+    """The geometric tail of M's rows past its check depth, if it has one."""
+    return M.row_tail(M.bm_check_level()) if isinstance(M, BlockGeneratorModel) else None
+
+
+def _tail_beyond(ta, tb, k_top: int, tau: float):
     """Compare geometric remainders past the scanned columns.
 
     Only the left side matters when it has no analytic tail (its sums vanish
@@ -312,10 +306,8 @@ def _tail_beyond(a: _TailSumView, b: _TailSumView, k_top: int, tau: float):
     tail present, domination beyond every scanned column needs the right tail
     to decay no faster and to dominate at the first unscanned offset.
     """
-    ta = a.tail
     if ta is None or not np.any(ta.coef):
         return None
-    tb = b.tail
     if tb is None:
         mag = float(np.max(ta.coef)) * ta.ratio / (1.0 - ta.ratio)
         return ((k_top + 1,), mag)

@@ -244,7 +244,7 @@ class DecayReport:
 
 
 def transient_decay_check(model, cert, times, start_level: int = 0,
-                          n_ref: int = 200, eps_trunc: float | None = None) -> DecayReport:
+                          n_ref: int = 200) -> DecayReport:
     """Check the exponential-ergodicity envelope on a finite proxy.
 
     The chain is started at the given level with phases drawn from the phase
@@ -269,8 +269,7 @@ def transient_decay_check(model, cert, times, start_level: int = 0,
     pi_ref = stationary(proxy.matrix, source="lc")
     xi = phase_generator(model)
     phase_law = stationary(FiniteBlockMatrix(d, xi)).values
-    if eps_trunc is None:
-        eps_trunc = _bounds.minimized_bound(cert, model, n_ref)
+    eps_trunc = _bounds.minimized_bound(cert, model, n_ref)
     v_vec = cert.v.levels(n_ref)
     p0 = np.zeros((n_ref + 1) * d)
     p0[start_level * d:(start_level + 1) * d] = phase_law

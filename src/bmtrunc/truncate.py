@@ -8,8 +8,10 @@ spreads the excess over chosen target levels with phase preserved.
 
 Rows above n are never materialized for solving: they keep their original
 blocks over columns 0..n plus the fold, their diagonal block in place, and
-nothing else.  That frozen structure is what virtual_tail_sum and
-extended_matrix expose for ordering checks and transience probes.
+nothing else.  `TruncatedGenerator` is that augmented generator as a
+banded-block model: it supplies `block(k, l)` and the band of each row, and
+its tail sums, windows and row products come from `BlockGeneratorModel` like
+every other model's, for ordering checks and transience probes alike.
 """
 
 from __future__ import annotations
@@ -31,47 +33,44 @@ FIRST_COLUMN = "fc"
 CUSTOM = "custom"
 
 
+def check_truncation_levels(n: int, n_ref: int | None = None):
+    """The levels a truncation and its reference may take: n >= 1 and, when a
+    reference level is given, n_ref > n; anything else raises InputError."""
+    if n < 1:
+        raise InputError(f"truncation level must be >= 1, got {n}")
+    if n_ref is not None and n_ref <= n:
+        raise InputError(f"reference level n_ref={n_ref} must exceed the truncation level {n}")
+
+
 @dataclass(frozen=True)
 class TruncationSpec:
     """Truncation level, augmentation style, and redistribution weights.
 
     weights maps target levels (0..n) to fractions of the excess mass; it is
-    required for the custom style and ignored otherwise.  weights_by_source
-    optionally overrides the shared weights for specific source levels.
+    required for the custom style and ignored otherwise.
     """
 
     n: int
     style: str = LAST_COLUMN
     weights: dict | None = None
-    weights_by_source: dict | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"truncation level must be >= 1, got {self.n}")
+        check_truncation_levels(self.n)
         if self.style not in (LAST_COLUMN, FIRST_COLUMN, CUSTOM):
             raise InputError(f"unknown truncation style {self.style!r}")
         if self.style == CUSTOM:
-            if not self.weights and not self.weights_by_source:
+            if not self.weights:
                 raise InvalidRedistribution("custom truncation needs weights")
-            if self.weights:
-                _check_weights(self.weights, self.n)
-            for k, w in (self.weights_by_source or {}).items():
-                _check_weights(w, self.n)
+            _check_weights(self.weights, self.n)
 
-    def weights_for(self, source_level: int) -> dict:
-        """Resolved target weights for one source row."""
+    @property
+    def targets(self) -> dict:
+        """Target level -> fraction of every row's folded excess."""
         if self.style == LAST_COLUMN:
             return {self.n: 1.0}
         if self.style == FIRST_COLUMN:
             return {0: 1.0}
-        by_src = self.weights_by_source or {}
-        if source_level in by_src:
-            return by_src[source_level]
-        if self.weights is None:
-            raise InvalidRedistribution(
-                f"no redistribution weights for source level {source_level}"
-            )
-        return self.weights
+        return {int(level): frac for level, frac in self.weights.items()}
 
 
 def _check_weights(w: dict, n: int):
@@ -88,17 +87,28 @@ def _check_weights(w: dict, n: int):
         raise InvalidRedistribution(f"weights sum to {total}, expected 1")
 
 
-@dataclass
-class TruncatedGenerator:
-    """A conservative corner matrix plus the frozen structure above it."""
+@dataclass(eq=False)
+class TruncatedGenerator(BlockGeneratorModel):
+    """The augmented generator: a conservative corner plus the frozen rows above it.
+
+    Row k <= n is the corner's row, over columns 0..n.  Row k > n keeps the
+    base's blocks over columns 0..n plus its folded excess, and its own
+    diagonal block; so row k lives in columns 0..max(n, k) and has no tail.
+    The band hints are the base's, and the homogeneity level is the base's
+    pushed past the corner, so the scan depth `bm_check_level()` is
+    max(base.bm_check_level(), n + U + 2): beyond it every row is a base row
+    shifted along with a constant fold.
+    """
 
     base: BlockGeneratorModel
     spec: TruncationSpec
     matrix: FiniteBlockMatrix
 
-    @property
-    def d(self) -> int:
-        return self.base.d
+    kind = "Truncated"
+
+    def __post_init__(self):
+        self.d = self.base.d
+        self._zero = np.zeros((self.d, self.d))
 
     @property
     def n(self) -> int:
@@ -112,49 +122,40 @@ class TruncatedGenerator:
             e = e - self.base.block(k, k)
         return e
 
-    def virtual_tail_sum(self, k: int, l: int) -> np.ndarray:
-        """S(k; l) of the full augmented generator, any row, exact."""
-        d = self.d
+    def block(self, k: int, l: int) -> np.ndarray:
         n = self.n
         if k <= n:
-            if l > n:
-                return np.zeros((d, d))
-            row = self.matrix.values[k * d:(k + 1) * d]
-            return row[:, l * d:].reshape(d, -1, d).sum(axis=1)
-        out = np.zeros((d, d))
-        if l <= n:
-            for m in range(l, n + 1):
-                out = out + self.base.block(k, m)
-            w = self.spec.weights_for(k)
-            frac = sum(fr for lev, fr in w.items() if int(lev) >= l)
-            out = out + frac * self.excess(k)
-        if l <= k:
-            out = out + self.base.block(k, k)
-        return out
+            return self.matrix.block(k, l) if 0 <= l <= n else self._zero
+        if l == k:
+            return self.base.block(k, k)
+        if not 0 <= l <= n:
+            return self._zero
+        frac = self.spec.targets.get(l)
+        if frac is None:
+            return self.base.block(k, l)
+        return self.base.block(k, l) + frac * self.excess(k)
+
+    def band(self, k: int) -> tuple[int, int, None]:
+        return 0, max(self.n, k), None
+
+    def homogeneity_level(self) -> int:
+        return max(self.base.homogeneity_level(), self.n + 1 - self.base.lower_hint())
+
+    def upper_hint(self) -> int:
+        return self.base.upper_hint()
+
+    def lower_hint(self) -> int:
+        return self.base.lower_hint()
 
     def extended_matrix(self, probe: int) -> FiniteBlockMatrix:
         """Materialize levels 0..n+probe of the augmented generator."""
         if probe < 0:
             raise InputError(f"probe must be >= 0, got {probe}")
-        d, n = self.d, self.n
-        top = n + probe
-        out = np.zeros(((top + 1) * d, (top + 1) * d))
-        out[: (n + 1) * d, : (n + 1) * d] = self.matrix.values
-        for k in range(n + 1, top + 1):
-            rows = slice(k * d, (k + 1) * d)
-            for l in range(n + 1):
-                out[rows, l * d:(l + 1) * d] = self.base.block(k, l)
-            e = self.excess(k)
-            for lev, frac in self.spec.weights_for(k).items():
-                l = int(lev)
-                out[rows, l * d:(l + 1) * d] += frac * e
-            out[rows, k * d:(k + 1) * d] = self.base.block(k, k)
-        return FiniteBlockMatrix(d, out)
+        return self.window(self.n + probe)
 
 
 def _truncate(M: BlockGeneratorModel, spec: TruncationSpec) -> TruncatedGenerator:
-    d = M.d
-    n = spec.n
+    d, n, targets = M.d, spec.n, spec.targets
     corner = M.window(n).values
     for k in range(n + 1):
         _lo, hi, tail = M.band(k)
@@ -164,8 +165,7 @@ def _truncate(M: BlockGeneratorModel, spec: TruncationSpec) -> TruncatedGenerato
         if not np.any(e):
             continue
         rows = slice(k * d, (k + 1) * d)
-        for lev, frac in spec.weights_for(k).items():
-            l = int(lev)
+        for l, frac in targets.items():
             corner[rows, l * d:(l + 1) * d] += frac * e
     result = FiniteBlockMatrix(d, corner)
     defect = float(np.max(np.abs(corner.sum(axis=1))))

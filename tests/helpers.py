@@ -8,7 +8,9 @@ and the one-state-at-a-time fill-aware loop the level-group solver must
 match bit for bit, and the window oracle asks for every block pair: the
 plain algorithms the library's band-aware ones must reproduce.  The
 ordering scan's oracle compares tail sums one (k, l) pair at a time, as
-the scan over stacked tables must reproduce bit for bit.  The
+the scan over stacked tables must reproduce bit for bit, and a
+truncation's rows are also summed by hand, as `TruncatedGenerator` did
+before it was a banded-block model.  The
 power-iteration and offset-level oracles are the plain loops the
 certificate search must match bit for bit, and the serial search is the
 search as it ran before its grid was batched; the batched grid's offset
@@ -28,11 +30,13 @@ from bmtrunc import (
     BmapModel,
     BmapQueueModel,
     DominanceReport,
+    FiniteBlockMatrix,
     GeometricTail,
     Mg1Model,
     MultipleClosedClasses,
     MuRule,
     NoConvergence,
+    TruncatedGenerator,
     find_beta_no_disaster,
     find_constants_disaster,
     spectral,
@@ -46,7 +50,7 @@ from bmtrunc.bmap import (
     _offset_scores,
     _offset_table,
 )
-from bmtrunc.order import TAU_ORD
+from bmtrunc.order import TAU_ORD, _tail_beyond
 from bmtrunc.solve import PIVOT_FLOOR
 
 
@@ -188,6 +192,103 @@ def scalar_monotone_scan(M, tol=TAU_ORD):
                        skip_diagonal=True)[0]
 
 
+def virtual_tail_sum(T, k, l):
+    """S(k; l) of a truncation's augmented generator, summed by hand: the
+    corner row's pairwise column sum for k <= n, else the base's blocks over
+    l..n, the folded share of the excess and the frozen diagonal block."""
+    d, n = T.d, T.n
+    if k <= n:
+        if l > n:
+            return np.zeros((d, d))
+        row = T.matrix.values[k * d:(k + 1) * d]
+        return row[:, l * d:].reshape(d, -1, d).sum(axis=1)
+    out = np.zeros((d, d))
+    if l <= n:
+        for m in range(l, n + 1):
+            out = out + T.base.block(k, m)
+        frac = sum(fr for lev, fr in T.spec.targets.items() if lev >= l)
+        out = out + frac * T.excess(k)
+    if l <= k:
+        out = out + T.base.block(k, k)
+    return out
+
+
+def extended_fold(T, probe):
+    """Levels 0..n+probe of a truncation's augmented generator, filled by
+    hand: the corner, then each row above it from the base's blocks over
+    columns 0..n, the fold of its excess and its diagonal block."""
+    d, n = T.d, T.n
+    top = n + probe
+    out = np.zeros(((top + 1) * d, (top + 1) * d))
+    out[: (n + 1) * d, : (n + 1) * d] = T.matrix.values
+    for k in range(n + 1, top + 1):
+        rows = slice(k * d, (k + 1) * d)
+        for l in range(n + 1):
+            out[rows, l * d:(l + 1) * d] = T.base.block(k, l)
+        e = T.excess(k)
+        for l, frac in T.spec.targets.items():
+            out[rows, l * d:(l + 1) * d] += frac * e
+        out[rows, k * d:(k + 1) * d] = T.base.block(k, k)
+    return out
+
+
+def finite_tail_sum(F, k, l):
+    """S(k; l) of a finite block matrix, its blocks added from the last
+    column down as `order._col_tail` adds them; zero past the corner."""
+    out = np.zeros((F.d, F.d))
+    if k <= F.n:
+        for m in range(F.n, l - 1, -1):
+            out = out + F.block(k, m)
+    return out
+
+
+def pairwise_tail_sum(F, k, l):
+    """S(k; l) of a finite block matrix by numpy's pairwise column sum;
+    zero past the corner."""
+    d, n = F.d, F.n
+    if k > n or l > n:
+        return np.zeros((d, d))
+    return F.values[k * d:(k + 1) * d, l * d:].reshape(d, -1, d).sum(axis=1)
+
+
+def _hand_view(M):
+    """(check level, column extent, S(k; l), tail) of one side of a
+    dominance check with a truncation's sums taken by hand: truncations by
+    `virtual_tail_sum`, finite matrices by pairwise column sums."""
+    if isinstance(M, TruncatedGenerator):
+        level = max(M.base.bm_check_level(), M.n + M.base.upper_hint() + 2)
+        return level, lambda k: max(M.n, k) + 1, lambda k, l: virtual_tail_sum(M, k, l), None
+    if isinstance(M, FiniteBlockMatrix):
+        return M.n, lambda k: M.n + 1, lambda k, l: pairwise_tail_sum(M, k, l), None
+    level = M.bm_check_level()
+    return level, lambda k: k + M.upper_hint() + 1, M.tail_sum, M.row_tail(level)
+
+
+def hand_dominates(M, M_tilde, tol=TAU_ORD):
+    """`generator_dominates` over `_hand_view` sums, one (k, l) pair at a
+    time; returns the report and the scan's tolerance."""
+    a_top, a_ext, a_sum, a_tail = _hand_view(M)
+    b_top, b_ext, b_sum, b_tail = _hand_view(M_tilde)
+    k_top = max(a_top, b_top)
+    report, tau = scalar_scan(range(k_top + 1), lambda k: max(a_ext(k), b_ext(k)),
+                              a_sum, b_sum, tol)
+    tail_rep = _tail_beyond(a_tail, b_tail, k_top, tau)
+    if tail_rep is not None and tail_rep[1] > max(0.0, -report.margin):
+        report = DominanceReport(holds=tail_rep[1] <= tau, worst_violation=tail_rep,
+                                 margin=min(report.margin, -tail_rep[1]))
+    return report, tau
+
+
+def banded_two_down(rng):
+    """A conservative d = 2 `BandedModel` with L = U = 2, level-homogeneous
+    from level 3; row k's diagonal block makes it conservative."""
+    rows = {}
+    for k in range(4):
+        offsets = [0] + [o for o in range(-min(k, 2), 3) if o != 0]
+        rows[k] = dict(zip(offsets, conservative_blocks(rng, 2, len(offsets))))
+    return BandedModel(d=2, L=2, U=2, K_hom=3, rows=rows)
+
+
 def conservative_blocks(rng, d, count):
     """`count` nonnegative blocks whose first gets a diagonal that makes
     the sum of them all conservative."""
@@ -233,8 +334,7 @@ def brute_corner(model, spec):
     out = brute_window(model, n)
     for k in range(n + 1):
         e = model.tail_sum(k, n + 1)
-        for level, frac in spec.weights_for(k).items():
-            l = int(level)
+        for l, frac in spec.targets.items():
             out[k * d:(k + 1) * d, l * d:(l + 1) * d] += frac * e
     return out
 

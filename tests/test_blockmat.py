@@ -25,7 +25,7 @@ from bmtrunc import (
     load_model,
     validate_q_matrix,
 )
-from bmtrunc import blockmat
+from bmtrunc import blockmat, truncate
 from bmtrunc.blockmat import (
     BlockGeneratorModel,
     check_block_length,
@@ -461,10 +461,11 @@ def test_slack_law_matches_apply_row():
 
 
 def test_model_kinds_supply_only_blocks_and_band_hints():
-    kinds = [cls for cls in vars(blockmat).values()
+    kinds = [cls for mod in (blockmat, truncate) for cls in vars(mod).values()
              if isinstance(cls, type) and issubclass(cls, BlockGeneratorModel)
              and cls is not BlockGeneratorModel]
-    assert {cls.__name__ for cls in kinds} == {"BandedModel", "Mg1Model", "BmapQueueModel"}
+    assert {cls.__name__ for cls in kinds} == {"BandedModel", "Mg1Model", "BmapQueueModel",
+                                               "TruncatedGenerator"}
     for cls in kinds:
         derived = {"tail_sum", "tail_sums", "apply_row", "window"} & set(vars(cls))
         assert not derived, f"{cls.__name__} overrides {sorted(derived)}"

@@ -202,13 +202,11 @@ def test_pipeline_origins_carry_no_disagreement(fleet, pure_disaster):
             assert "disagree" not in rep.origin
 
 
-def test_pipeline_mode_handling(d2_psi0, d2_psi05):
-    with pytest.raises(InputError):
-        bound_pipeline(d2_psi0, [5], mode="nonsense")
-    with pytest.raises(InputError):
-        bound_pipeline(d2_psi0, [5], mode="disaster")
-    with pytest.raises(InputError):
-        bound_pipeline(d2_psi05, [5], mode="no_disaster")
+def test_pipeline_refuses_levels_that_do_not_exist(d2_psi0):
+    for n_range, n_ref in (([-1], None), ([0], None), ([5, 0], None), ([5], 3), ([5], 5),
+                           ([5, 10], 8)):
+        with pytest.raises(InputError):
+            bound_pipeline(d2_psi0, n_range, n_ref=n_ref)
 
 
 def test_pipeline_reports(d2_psi0):

@@ -155,6 +155,16 @@ def test_bound_report_fields(mm1_cert_and_model):
                                               rel=1e-12)
 
 
+def test_bound_report_refuses_levels_that_do_not_exist(mm1_cert_and_model):
+    cert, G = mm1_cert_and_model
+    for n in (0, -1):
+        for evaluate in (bounds.bound_report, minimized_bound, t_star, decay_exponent):
+            with pytest.raises(InputError, match="truncation level must be >= 1"):
+                evaluate(cert, G, n)
+        with pytest.raises(InputError, match="truncation level must be >= 1"):
+            theorem_bound(cert, G, n, 1.0)
+
+
 def test_corollary_transform_is_identity_at_level_zero(mm1_cert_and_model):
     cert, G = mm1_cert_and_model
     flat = corollary_transform(cert, G)

@@ -204,6 +204,15 @@ def test_bound_rejects_a_negative_time(runner, mm1_path):
     assert result.output.splitlines() == ["error: time must be >= 0, got -1.0"]
 
 
+def test_bound_refuses_levels_that_do_not_exist(runner, mm1_path):
+    for levels in (["--n", "-1"], ["--n", "0"], ["--n", "5", "--n-ref", "3"],
+                   ["--n", "5", "--n-ref", "5"]):
+        result = runner.invoke(main, ["bound", "--model", mm1_path, *levels])
+        assert result.exit_code == 2, (levels, result.output)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), levels
+
+
 def test_bound_rejects_non_queue_models(runner, tmp_path):
     doc = banded_doc({
         0: {0: [[-1.0]], 1: [[1.0]]},

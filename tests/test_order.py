@@ -18,13 +18,14 @@ from bmtrunc import (
 )
 from bmtrunc.bmap import BmapModel
 from bmtrunc.blockmat import BandedModel, MuRule
-from bmtrunc.order import TAU_ORD, _scan, _tail_table, _TailSumView
+from bmtrunc.order import TAU_ORD, _tail_table
 
 from helpers import (
     banded_queue_rows,
     block_increasing,
     break_monotone,
     dominated_pair,
+    finite_tail_sum,
     random_bmap,
     regime_queues,
     scalar_monotone_scan,
@@ -261,17 +262,22 @@ def test_monotone_scan_matches_the_per_pair_loop_on_regime_queues(B):
 
 
 def test_dominance_scan_matches_the_per_pair_loop(fleet_models, pure_disaster):
+    # every pair below has a tailless left side, so the report is the scan's
     models = _scan_models(fleet_models, pure_disaster)
     d2 = models["d2_disaster"]
     pairs = [(lc_truncate(d2, 7), d2), (fc_truncate(d2, 7), lc_truncate(d2, 7)),
              (lc_truncate(d2, 7), fc_truncate(d2, 7)), (models["d2"], d2),
-             (lc_truncate(d2, 5).matrix, d2), (models["nan"], models["not_monotone"]),
-             (models["not_monotone"], models["nan"])]
+             (lc_truncate(d2, 5).matrix, d2), (d2, lc_truncate(d2, 5).matrix),
+             (models["nan"], models["not_monotone"]), (models["not_monotone"], models["nan"])]
+
+    def view(M):  # (check level, last scanned column of row k, S(k; l))
+        if isinstance(M, FiniteBlockMatrix):
+            return M.n, lambda k: M.n + 1, lambda k, l: finite_tail_sum(M, k, l)
+        return M.bm_check_level(), lambda k: M.band(k)[1] + 1, M.tail_sum
+
     for left, right in pairs:
-        a, b = _TailSumView(left), _TailSumView(right)
-        k_top = max(a.check_level, b.check_level)
-        col_top = [max(a.col_extent(k), b.col_extent(k)) for k in range(k_top + 1)]
-        valid = np.arange(max(col_top) + 1) <= np.array(col_top)[:, None]
-        found = _scan(np.arange(k_top + 1), valid, a.table(valid), b.table(valid), TAU_ORD)
-        expected = scalar_scan(range(k_top + 1), lambda k: col_top[k], a.sum, b.sum, TAU_ORD)
-        assert found == expected, (type(left).__name__, type(right).__name__)
+        (a_top, a_col, a_sum), (b_top, b_col, b_sum) = view(left), view(right)
+        expected = scalar_scan(range(max(a_top, b_top) + 1), lambda k: max(a_col(k), b_col(k)),
+                               a_sum, b_sum, TAU_ORD)[0]
+        assert generator_dominates(left, right) == expected, (type(left).__name__,
+                                                              type(right).__name__)

@@ -10,8 +10,22 @@ from bmtrunc import (
     check_no_closed_classes_above,
     custom_truncate,
     fc_truncate,
+    generator_dominates,
     generator_is_block_monotone,
     lc_truncate,
+)
+
+from bmtrunc.order import TAU_ORD, _table
+from bmtrunc.truncate import check_truncation_levels
+
+from helpers import (
+    banded_two_down,
+    extended_fold,
+    hand_dominates,
+    pairwise_tail_sum,
+    tailed_mg1,
+    tailed_queue,
+    virtual_tail_sum,
 )
 
 
@@ -42,11 +56,17 @@ def test_truncation_spec_validation():
         TruncationSpec(n=3, style="diagonal")
 
 
-def test_weights_by_source_overrides_default():
-    spec = TruncationSpec(n=2, style="custom", weights={0: 1.0},
-                          weights_by_source={1: {1: 1.0}})
-    assert spec.weights_for(1) == {1: 1.0}
-    assert spec.weights_for(3) == {0: 1.0}
+def test_truncation_level_rule():
+    # the one rule behind TruncationSpec, bound_report, bound_pipeline and
+    # `bmtrunc bound`: a level n >= 1 and a reference level above it
+    for n, n_ref in ((1, None), (1, 2), (7, 8), (40, 200)):
+        check_truncation_levels(n, n_ref)
+    for n, n_ref in ((0, None), (-1, None), (0, 5)):
+        with pytest.raises(InputError, match="truncation level must be >= 1"):
+            check_truncation_levels(n, n_ref)
+    for n, n_ref in ((5, 5), (5, 3), (5, -1)):
+        with pytest.raises(InputError, match="must exceed the truncation level"):
+            check_truncation_levels(n, n_ref)
 
 
 def test_corners_are_conservative(fleet_models):
@@ -102,7 +122,7 @@ def test_virtual_rows_stay_conservative(d2_psi05):
     model = build_generator(d2_psi05)
     trunc = lc_truncate(model, 4)
     for k in range(5, 9):
-        np.testing.assert_allclose(trunc.virtual_tail_sum(k, 0).sum(axis=1),
+        np.testing.assert_allclose(trunc.tail_sum(k, 0).sum(axis=1),
                                    np.zeros(model.d), atol=1e-12)
 
 
@@ -121,3 +141,79 @@ def test_closed_class_above_is_detected():
     }
     m = BandedModel(d=1, L=1, U=1, K_hom=2, rows=rows)
     assert not check_no_closed_classes_above(lc_truncate(m, 1), probe=3)
+
+
+def _truncations(fleet_models, pure_disaster):
+    """lc, fc and custom truncations at n = 3 and 7 of the fleet, the
+    pure-reset queue, a tailed M/G/1-type model and a two-down banded model."""
+    models = dict(fleet_models, pure_disaster=build_generator(pure_disaster),
+                  mg1_tail=tailed_mg1(np.random.default_rng(23)),
+                  banded_l2=banded_two_down(np.random.default_rng(5)))
+    out = {}
+    for name, model in models.items():
+        for n in (3, 7):
+            spec = TruncationSpec(n=n, style="custom", weights={0: 0.25, 1: 0.25, n: 0.5})
+            out[name, n] = (model, {"lc": lc_truncate(model, n), "fc": fc_truncate(model, n),
+                                    "custom": custom_truncate(model, spec)})
+    return out
+
+
+def test_extended_matrix_is_the_hand_fold(fleet_models, pure_disaster):
+    for key, (_model, truncs) in _truncations(fleet_models, pure_disaster).items():
+        for style, trunc in truncs.items():
+            for probe in (0, 1, 3):
+                assert np.array_equal(trunc.extended_matrix(probe).values,
+                                      extended_fold(trunc, probe)), (key, style, probe)
+    with pytest.raises(InputError):
+        trunc.extended_matrix(-1)
+
+
+def test_tail_sums_match_the_hand_sums(fleet_models, pure_disaster):
+    eps = np.finfo(float).eps
+    for key, (_model, truncs) in _truncations(fleet_models, pure_disaster).items():
+        for style, trunc in truncs.items():
+            top = trunc.bm_check_level() + 2
+            rows = np.abs(trunc.extended_matrix(top - trunc.n).values).sum(axis=1)
+            for k in range(top + 1):
+                scale = float(rows[k * trunc.d:(k + 1) * trunc.d].max())
+                for l in range(max(trunc.n, k) + 3):
+                    gap = np.abs(trunc.tail_sum(k, l) - virtual_tail_sum(trunc, k, l)).max()
+                    assert gap <= 4 * eps * scale, (key, style, k, l, gap)
+            # the corner's own table, as the ordering checks read a finite matrix
+            corner = trunc.matrix
+            table = _table(corner, corner.n + 1, corner.n + 2)
+            for k in range(corner.n + 1):
+                scale = float(rows[k * trunc.d:(k + 1) * trunc.d].max())
+                for l in range(corner.n + 2):
+                    gap = np.abs(table[k, l] - pairwise_tail_sum(corner, k, l)).max()
+                    assert gap <= 4 * eps * scale, (key, style, k, l, gap)
+
+
+def test_dominance_matches_the_hand_sums(fleet_models, pure_disaster):
+    failing = 0
+    for key, (model, truncs) in _truncations(fleet_models, pure_disaster).items():
+        lc, fc, custom = truncs["lc"], truncs["fc"], truncs["custom"]
+        pairs = [(lc, model), (fc, model), (custom, model), (model, lc), (fc, lc), (lc, fc),
+                 (custom, lc), (lc, custom), (fc, custom), (custom, fc), (lc.matrix, model),
+                 (lc.matrix, fc), (fc, lc.matrix), (lc.matrix, custom.matrix)]
+        for i, (left, right) in enumerate(pairs):
+            found = generator_dominates(left, right)
+            expected, tau = hand_dominates(left, right)
+            assert found.holds == expected.holds, (key, i)
+            assert found.margin == expected.margin or (
+                abs(found.margin - expected.margin) <= 1e-14 * tau / TAU_ORD), (key, i)
+            if not expected.holds:
+                failing += 1
+                assert found.worst_violation == expected.worst_violation, (key, i)
+    assert failing > 0
+
+
+def test_last_column_truncation_is_block_monotone(fleet_models, pure_disaster):
+    # LC augmentation keeps block monotonicity, checked on the augmented
+    # generator itself, rows above the corner included
+    models = dict(fleet_models, pure_disaster=build_generator(pure_disaster),
+                  tailed_queue=tailed_queue())
+    for name, model in models.items():
+        assert generator_is_block_monotone(model).holds, name
+        for n in (1, 3, 7):
+            assert generator_is_block_monotone(lc_truncate(model, n)).holds, (name, n)
