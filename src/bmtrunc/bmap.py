@@ -108,7 +108,7 @@ class SpectralRecord:
     iterations: int
 
 
-def spectral(B: BmapModel, z: float, seed: int = 0) -> SpectralRecord:
+def spectral(B: BmapModel, z: float) -> SpectralRecord:
     """Perron root and eigenvectors of Dhat(z).
 
     Shifts by the largest diagonal rate so the iteration matrix is
@@ -131,14 +131,6 @@ def spectral(B: BmapModel, z: float, seed: int = 0) -> SpectralRecord:
                               residual=0.0, iterations=0)
     E = np.eye(d) + dh / shift
     ET = E.T
-    rng = None
-
-    def reseed():
-        nonlocal rng
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        return rng.random(d) + 0.5, rng.random(d) + 0.5
-
     y = np.ones(d)
     # Ex = E @ x for the current normalized x: the Rayleigh quotient's
     # product is the next iterate
@@ -162,16 +154,9 @@ def spectral(B: BmapModel, z: float, seed: int = 0) -> SpectralRecord:
             break
         x = Ex
         y = ET @ y
-        # iterates of the nonnegative E stay nonnegative
-        nx = float(_max(x))
-        ny = float(_max(y))
-        if nx <= 0.0 or ny <= 0.0:
-            x, y = reseed()
-            Ex = E @ x
-            rprev = math.inf
-            continue
-        x /= nx
-        y /= ny
+        # E is nonnegative and irreducible, so iterates from positive starts stay positive
+        x /= float(_max(x))
+        y /= float(_max(y))
         Ex = E @ x
         r = float((y @ Ex) / (y @ x))
         done = abs(r - rprev) < 1e-13 * max(1.0, abs(r))

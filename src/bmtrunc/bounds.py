@@ -125,7 +125,6 @@ class BoundReport:
     theta: float
     true_tv: float | None = None
     runtime_ms: float = 0.0
-    style: str = "lc"
     origin: str = ""
 
     def bound_at(self, t: float) -> float:
@@ -276,11 +275,10 @@ def corollary_transform(cert: DriftCertificate, model: BlockGeneratorModel) -> D
 
 
 def bound_report(cert: DriftCertificate, model: BlockGeneratorModel, n: int,
-                 true_tv: float | None = None, style: str = "lc") -> BoundReport:
+                 true_tv: float | None = None) -> BoundReport:
     """Evaluate the minimized bound at one truncation level n >= 1."""
     started = time.perf_counter()
     report = _evaluate(cert, model, n)
     report.true_tv = true_tv
-    report.style = style
     report.runtime_ms = (time.perf_counter() - started) * 1e3
     return report

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockmat import FiniteBlockMatrix
+from . import bounds as _bounds
+from .blockmat import FiniteBlockMatrix, phase_generator
 from .errors import (
     CertificateNotVerified,
     DimensionMismatch,
@@ -36,6 +37,7 @@ from .errors import (
     MultipleClosedClasses,
     NoConvergence,
 )
+from .truncate import lc_truncate
 
 PIVOT_FLOOR = 1e-14
 RESIDUAL_FACTOR = 1e-12
@@ -254,10 +256,6 @@ def transient_decay_check(model, cert, times, start_level: int = 0,
     truncation slack, reported and added to the envelope rather than ignored.
     The start level must lie in 0..n_ref.
     """
-    from . import bounds as _bounds
-    from .blockmat import phase_generator
-    from .truncate import lc_truncate
-
     if not cert.verified:
         raise CertificateNotVerified("run drift_check before the decay check")
     if cert.K != 0:

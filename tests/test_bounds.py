@@ -148,7 +148,6 @@ def test_bound_report_fields(mm1_cert_and_model):
     rep = bounds.bound_report(cert, G, 10, true_tv=0.012)
     assert rep.n == 10
     assert rep.c == cert.c and rep.b == cert.b
-    assert rep.style == "lc"
     assert rep.true_tv == 0.012
     assert rep.bound_min == pytest.approx(8.572417387538925, rel=1e-12)
     assert rep.weighted_diag == pytest.approx(3.0 * cert.v.beta ** -10,

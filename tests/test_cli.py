@@ -248,10 +248,9 @@ def test_sweep_csv_contract(runner, mm1_path):
     assert lc_tv == sorted(lc_tv, reverse=True)
 
 
-def test_sweep_to_file_and_parallel(runner, mm1_path, tmp_path):
+def test_sweep_to_file(runner, mm1_path, tmp_path):
     out = tmp_path / "sweep.csv"
-    result = runner.invoke(main, sweep_args(mm1_path, ["--jobs", "2",
-                                                       "--out", str(out)]))
+    result = runner.invoke(main, sweep_args(mm1_path, ["--out", str(out)]))
     assert result.exit_code == 0
     assert f"wrote 6 rows to {out}" in result.output
     with open(out) as fh:
@@ -287,6 +286,33 @@ def test_sweep_guards(runner, mm1_path):
     assert "custom style needs --weights" in no_weights.output
 
 
+@pytest.mark.parametrize("level", ["-1", "-2"])
+def test_solve_refuses_negative_weight_levels(runner, mm1_path, level):
+    # only the literal n names the top level; -1 is a level like any other
+    result = runner.invoke(main, ["solve", "--model", mm1_path, "--n", "3",
+                                  "--style", "custom", "--weights", f"{level}=1"])
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines() == [f"error: target level {level} outside 0..3"]
+
+
+@pytest.mark.parametrize("level", ["3", "-1"])
+def test_sweep_error_row(runner, mm1_path, tmp_path, level):
+    args = ["sweep", "--model", mm1_path, "--n-min", "2", "--n-max", "4", "--step", "2",
+            "--style", "custom", "--weights", f"{level}=1"]
+    message = f"error: target level {level} outside 0..2"
+    expected = [",".join(CSV_HEADER), "error,InvalidRedistribution,,,,,"]
+    printed = runner.invoke(main, args)
+    assert printed.exit_code == 2
+    lines = printed.output.splitlines()
+    assert message in lines
+    assert [line for line in lines if line != message] == expected
+    out = tmp_path / "sweep.csv"
+    written = runner.invoke(main, [*args, "--out", str(out)])
+    assert written.exit_code == 2
+    assert written.output.splitlines() == [message]
+    assert out.read_text().splitlines() == expected
+
+
 @pytest.mark.parametrize("step", ["0", "-1"])
 def test_sweep_rejects_a_step_below_one(runner, mm1_path, step):
     result = runner.invoke(main, ["sweep", "--model", mm1_path, "--n-min", "2",
@@ -296,7 +322,7 @@ def test_sweep_rejects_a_step_below_one(runner, mm1_path, step):
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
-    # a fresh start imports the CLI; only `sweep --jobs` above 1 needs a process pool
+    # a fresh start imports the CLI; no command needs a process pool
     code = ("import sys, bmtrunc.cli\n"
             "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
             "assert not loaded, loaded\n")

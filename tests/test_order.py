@@ -17,7 +17,7 @@ from bmtrunc import (
     vector_dominates,
 )
 from bmtrunc.bmap import BmapModel
-from bmtrunc.blockmat import BandedModel, MuRule
+from bmtrunc.blockmat import BandedModel, GeometricTail, Mg1Model, MuRule
 from bmtrunc.order import TAU_ORD, _tail_table
 
 from helpers import (
@@ -180,6 +180,20 @@ def test_generator_dominates_models():
     assert generator_dominates(build_generator(faster), build_generator(base)).holds
     rep = generator_dominates(build_generator(base), build_generator(faster))
     assert not rep.holds
+
+
+def test_generator_dominates_checks_one_column_past_the_band():
+    # the queue's row 0 carries its geometric batch tail from column 2 on;
+    # the M/G/1 row 0 stops at column 2, so S~(0; 3) = 0 while the queue
+    # still sends 0.25 that far, and every other pair dominates
+    tail = GeometricTail(coef=[[1.0]], ratio=0.5)
+    queue = BmapModel(d=1, D=(np.array([[-1.5]]), np.array([[1.0]])),
+                      mu=MuRule(table=(3.0,)), tail=tail)
+    mg1 = Mg1Model(d=1, repeat=[[[2.0]], [[-4.25]], [[1.0]], [[1.0]]],
+                   boundary=[[[-2.0]], [[1.0]], [[1.0]]], tail=tail)
+    rep = generator_dominates(build_generator(queue), mg1)
+    assert not rep.holds
+    assert rep.worst_violation == ((0, 0, 3, 0), 0.25)
 
 
 def test_truncations_dominated_by_base_and_each_other(d2_psi05):
