@@ -11,9 +11,11 @@ Every model is read through one banded-block view.  A model kind supplies
 columns k - lower_hint() .. k + upper_hint(), and, under the geometric tail
 `row_tail(k)`, beyond them in closed form.  `BlockGeneratorModel.band` is
 that rule, and the tail sums S(k;l), the row products (Qv)(k), the window
-and the truncation fold all follow it, so a corner over levels 0..n costs
-O(n * band) `block` calls plus one vectorized tail fill per row; past the
-drift fit horizon, `slack_law` gives each row's drift slack in closed form.
+and the truncation fold all follow it.  A corner over levels 0..n takes its
+O(n * band) band blocks from one batched `blocks(ks, ls)` call (a stack of
+`block` calls by default, array arithmetic for the queue model) plus one
+vectorized tail fill per row; past the drift fit horizon, `slack_law` gives
+each row's drift slack in closed form.
 """
 
 from __future__ import annotations
@@ -131,6 +133,17 @@ class MuRule:
             return float(self.table[-1] if self.value is None else self.value)
         return float(self.table[-1] + self.slope * (k - len(self.table)))
 
+    def at(self, ks) -> np.ndarray:
+        """mu(k) for an array of levels, each entry bit-identical to `mu(k)`."""
+        ks = np.asarray(ks, dtype=int)
+        size = len(self.table)
+        listed = np.asarray(self.table, dtype=float)[np.clip(ks - 1, 0, size - 1)]
+        if self.eventual == "constant":
+            beyond = float(self.table[-1] if self.value is None else self.value)
+        else:
+            beyond = self.table[-1] + self.slope * (ks - size)
+        return np.where(ks <= 0, 0.0, np.where(ks <= size, listed, beyond))
+
     @property
     def stable_from(self) -> int:
         """Level from which mu(k) follows the closed eventual law in k."""
@@ -200,9 +213,10 @@ class BlockGeneratorModel:
     A model kind supplies `block(k, l)`, its band hints (`lower_hint`,
     `upper_hint` and, for rows with a geometric tail, `row_tail`) and its
     level metadata (`homogeneity_level`, `drift_fit_level`).  Everything
-    else, `tail_sum`, `apply_row`, `window` and `slack_law` included, is
-    derived here from `band` and `block` (`BmapQueueModel` overrides
-    `slack_law` for affine service).  Models are immutable after construction.
+    else, `blocks`, `tail_sum`, `apply_row`, `window` and `slack_law`
+    included, is derived here from `band` and `block` (`BmapQueueModel`
+    overrides `slack_law` for affine service and `blocks` with array
+    arithmetic).  Models are immutable after construction.
     """
 
     d: int
@@ -210,6 +224,15 @@ class BlockGeneratorModel:
 
     def block(self, k: int, l: int) -> np.ndarray:
         raise NotImplementedError
+
+    def blocks(self, ks, ls) -> np.ndarray:
+        """Q(k_i; l_i) for paired levels, stacked: shape (len(ks), d, d).
+
+        The stacked `block` calls; a model kind may override it with array
+        arithmetic that gives every entry bit for bit.
+        """
+        stack = [self.block(int(k), int(l)) for k, l in zip(ks, ls)]
+        return np.array(stack, dtype=float).reshape(len(stack), self.d, self.d)
 
     def homogeneity_level(self) -> int:
         """Level at and beyond which rows follow the eventual law."""
@@ -304,32 +327,30 @@ class BlockGeneratorModel:
     def window(self, n: int) -> FiniteBlockMatrix:
         """Northwest corner over levels 0..n; not conservative in general.
 
-        Row k calls `block` only on column 0 and its band, and the band
-        blocks of every row go into the corner in one stacked assignment;
-        past the band the row is zero or filled from the geometric tail in
-        closed form.
+        Row k reads only column 0 and its band: the (k, l) pairs of every
+        row come from `band` and are filled by one `blocks` call in one
+        stacked assignment; past the band the row is zero or filled from the
+        geometric tail in closed form.
         """
         if n < 0:
             raise InputError(f"window level must be >= 0, got {n}")
         d = self.d
         out = np.zeros(((n + 1) * d, (n + 1) * d))
         blocks = out.reshape(n + 1, d, n + 1, d)
-        ks, ls, bs = [], [], []
+        ks, ls = [], []
         powers = None
         for k in range(n + 1):
             lo, hi, tail = self.band(k)
-            cols = range(lo, min(hi, n) + 1)
-            for l in (cols if lo == 0 else (0, *cols)):
-                ks.append(k)
-                ls.append(l)
-                bs.append(self.block(k, l))
+            cols = ([0] if lo > 0 else []) + list(range(lo, min(hi, n) + 1))
+            ks += [k] * len(cols)
+            ls += cols
             if tail is not None and hi < n:
                 if powers is None:
                     powers = np.array([tail.ratio ** o for o in range(n + 1)])
                 blocks[k, :, hi + 1:, :] = (
                     tail.coef[:, None, :] * powers[hi + 1 - k:n + 1 - k, None]
                 )
-        blocks[ks, :, ls, :] = np.stack(bs)
+        blocks[ks, :, ls, :] = self.blocks(ks, ls)
         return FiniteBlockMatrix(d, out)
 
     def diag_abs(self, k: int) -> np.ndarray:
@@ -507,6 +528,7 @@ class BmapQueueModel(BlockGeneratorModel):
         self.psi = float(self.psi)
         self._zero = np.zeros((d, d))
         self._eye = np.eye(d)
+        self._stacked_D = np.stack(self.D)
         total = self.phase_sum()
         if not np.all(np.isfinite(total)):
             raise InvalidBmap("D(k) must be finite")
@@ -569,6 +591,33 @@ class BmapQueueModel(BlockGeneratorModel):
             rate = self.psi + (self.mu(1) if k == 1 else 0.0)
             return rate * self._eye
         return self._zero
+
+    def blocks(self, ks, ls) -> np.ndarray:
+        """`block` over paired levels by array arithmetic, entry for entry.
+
+        D(j), or the tail block, on row 0 and above the diagonal;
+        D(0) - (psi + mu(k)) I on the diagonal; mu(k) I below it; and
+        (psi + mu(1) [k = 1]) I in column 0.
+        """
+        ks, ls = np.asarray(ks, dtype=int), np.asarray(ls, dtype=int)
+        out = np.zeros((ks.size, self.d, self.d))
+        j = ls - ks
+        upper = (ls >= 0) & ((ks == 0) | (ls > ks))
+        listed = np.flatnonzero(upper & (j <= self.k_max))
+        out[listed] = self._stacked_D[j[listed]]
+        if self.tail is not None:
+            beyond = np.flatnonzero(upper & (j > self.k_max))
+            powers = np.array([self.tail.ratio ** o for o in j[beyond].tolist()])
+            out[beyond] = self.tail.coef * powers.reshape(-1, 1, 1)
+        mus = self.mu.at(ks)
+        diag = np.flatnonzero((ks >= 1) & (ls == ks))
+        out[diag] = self.D[0] - (self.psi + mus[diag])[:, None, None] * self._eye
+        sub = np.flatnonzero((ks >= 2) & (ls == ks - 1))
+        out[sub] = mus[sub][:, None, None] * self._eye
+        col0 = np.flatnonzero((ks >= 1) & (ls == 0))
+        rates = self.psi + np.where(ks[col0] == 1, mus[col0], 0.0)
+        out[col0] = rates[:, None, None] * self._eye
+        return out
 
     def homogeneity_level(self) -> int:
         return max(2, self.mu.stable_from)

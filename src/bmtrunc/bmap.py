@@ -357,7 +357,7 @@ def find_beta_no_disaster(B: BmapModel, beta: float | None = None) -> DriftCerti
 def _mu_levels(B: BmapModel) -> np.ndarray:
     """mu(0), mu(1), ... through the deepest level an offset window reads."""
     top = max(B.mu.stable_from, K_CAP + 1) + 1
-    return np.array([B.mu(k) for k in range(top + 1)])
+    return B.mu.at(np.arange(top + 1))
 
 
 def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray):

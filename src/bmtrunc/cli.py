@@ -212,26 +212,34 @@ def run_sweep(model_path: str, n_min: int, n_max: int, step: int, n_ref: int | N
     return 0
 
 
+def _fail(exc: BmtruncError):
+    click.echo(f"error: {exc}", err=True)
+    sys.exit(exit_code_for(exc))
+
+
 def _dispatch(runner, *args):
     try:
         code = runner(*args)
     except BmtruncError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(exit_code_for(exc))
+        _fail(exc)
     sys.exit(code)
 
 
 def _parse_weights(text: str | None) -> dict | None:
-    """Parse --weights into level -> fraction; the literal level n stays "n"."""
+    """Parse --weights into level -> fraction; the literal level n stays "n".
+
+    An entry that is not LEVEL=FRACTION with an integer level and a number
+    fails like every other bad input: one error line and exit code 2.
+    """
     if text is None:
         return None
     out = {}
     for part in text.split(","):
-        if "=" not in part:
-            raise click.UsageError(f"bad weight entry {part!r}, expected LEVEL=FRACTION")
-        key, val = part.split("=", 1)
-        key = key.strip()
-        out["n" if key == "n" else int(key)] = float(val)
+        try:
+            key, val = part.split("=", 1)
+            out["n" if key.strip() == "n" else int(key)] = float(val)
+        except ValueError:
+            _fail(InputError(f"bad weight entry {part!r}, expected LEVEL=FRACTION"))
     return out
 
 

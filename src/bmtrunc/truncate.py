@@ -16,6 +16,7 @@ every other model's, for ordering checks and transience probes alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,8 @@ def _check_weights(w: dict, n: int):
     for level, frac in w.items():
         if not 0 <= int(level) <= n:
             raise InvalidRedistribution(f"target level {level} outside 0..{n}")
+        if not math.isfinite(frac):
+            raise InvalidRedistribution(f"non-finite weight {frac} at level {level}")
         if frac < 0:
             raise InvalidRedistribution(f"negative weight {frac} at level {level}")
         total += frac
@@ -169,7 +172,8 @@ def _truncate(M: BlockGeneratorModel, spec: TruncationSpec) -> TruncatedGenerato
             corner[rows, l * d:(l + 1) * d] += frac * e
     result = FiniteBlockMatrix(d, corner)
     defect = float(np.max(np.abs(corner.sum(axis=1))))
-    scale = max(float(np.max(np.abs(corner))), 1.0)
+    # the largest |entry|, without a corner-sized |corner| temporary
+    scale = max(float(corner.max()), -float(corner.min()), 1.0)
     if defect > TAU_CONS * scale * corner.shape[0]:
         raise InvalidRedistribution(
             f"augmented corner is not conservative (defect {defect:.3e}); "

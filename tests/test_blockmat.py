@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from bmtrunc import (
     BandedModel,
+    BmapQueueModel,
     DimensionMismatch,
     FiniteBlockMatrix,
     GeometricTail,
@@ -34,7 +35,16 @@ from bmtrunc.blockmat import (
 )
 from bmtrunc.bounds import GeometricVector
 
-from helpers import bmap_doc, brute_corner, brute_window, tailed_queue, write_model
+from helpers import (
+    affine_disaster_queue,
+    bmap_doc,
+    brute_corner,
+    brute_window,
+    d2_blocks,
+    regime_queues,
+    tailed_queue,
+    write_model,
+)
 
 
 def test_check_block_length():
@@ -344,42 +354,116 @@ def _band_models(fleet_models):
     return models
 
 
+def assert_window_matches_brute_force(model, name=""):
+    for n in (0, 1, 2, 5, 12):
+        np.testing.assert_array_equal(model.window(n).values,
+                                      brute_window(model, n), err_msg=name)
+
+
 def test_window_matches_brute_force(fleet_models):
     for name, model in _band_models(fleet_models).items():
-        for n in (0, 1, 2, 5, 12):
-            np.testing.assert_array_equal(model.window(n).values,
-                                          brute_window(model, n), err_msg=name)
+        assert_window_matches_brute_force(model, name)
+
+
+@given(B=regime_queues())
+def test_window_matches_brute_force_on_regime_queues(B):
+    assert_window_matches_brute_force(B)
 
 
 def test_window_calls_block_only_on_the_band(fleet_models):
     n = 40
     for name, model in _band_models(fleet_models).items():
         calls = []
-        original = model.block
-        model.block = lambda k, l: calls.append((k, l)) or original(k, l)
+        original = model.blocks
+        model.blocks = lambda ks, ls: calls.extend(zip(ks, ls)) or original(ks, ls)
         try:
             model.window(n)
         finally:
-            del model.block
+            del model.blocks
         # column 0 plus the band k-L..k+U, whatever n is
         width = model.lower_hint() + model.upper_hint() + 2
         assert len(calls) <= (n + 1) * width, name
+        assert all(l == 0 or model.band(k)[0] <= l <= model.band(k)[1] for k, l in calls), name
+
+
+def assert_blocks_are_the_block_calls(model, top, name=""):
+    """`blocks` over every pair of rows 0..top and columns -1 .. past the band
+    equals the stacked `block` calls bit for bit, the sign of zero included."""
+    pairs = [(k, l) for k in range(top + 1) for l in range(-1, top + model.upper_hint() + 4)]
+    expected = np.stack([model.block(k, l) for k, l in pairs])
+    ks, ls = (list(levels) for levels in zip(*pairs))
+    for got in (model.blocks(ks, ls), model.blocks(np.array(ks), np.array(ls))):
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64),
+                                      err_msg=name)
+    assert model.blocks([], []).shape == (0, model.d, model.d)
+
+
+def test_blocks_are_the_block_calls(fleet_models, pure_disaster):
+    def queue(mu, psi=0.5):
+        return BmapQueueModel(d=2, D=d2_blocks(), mu=mu, psi=psi)
+
+    models = {
+        **_band_models(fleet_models),  # every kind; queues with psi = 0 and psi > 0
+        "pure_reset": pure_disaster,  # mu = 0
+        "affine_d1": affine_disaster_queue(),
+        "affine_table": queue(MuRule(table=(1.0, 2.0, 2.5), eventual="affine", slope=0.3)),
+        "eventual_value": queue(MuRule(table=(1.0, 2.0), value=4.0), psi=0.0),
+        "tail_psi0": tailed_queue(psi=0.0),
+    }
+    for name, model in models.items():
+        # rows 0, 1, 2 and levels well past every mu table
+        assert_blocks_are_the_block_calls(model, 9, name)
+    # tail blocks far out, where only the closed form fills the row
+    B = models["queue_tail"]
+    far = B.blocks([0, 3, 40], [30, 40, 60])
+    for got, (k, l) in zip(far, [(0, 30), (3, 40), (40, 60)]):
+        np.testing.assert_array_equal(got.view(np.uint64), B.block(k, l).view(np.uint64))
+
+
+@given(B=regime_queues())
+def test_queue_blocks_are_the_block_calls_on_regime_queues(B):
+    assert_blocks_are_the_block_calls(B, 6)
+
+
+def test_mu_rule_at_matches_mu():
+    rules = [
+        MuRule(table=(2.0,)),
+        MuRule(table=(3.0, 3.5), value=3.5),
+        MuRule(table=(1.0, 2.0), value=4.0),
+        MuRule(table=(2.06,), eventual="affine", slope=0.103),
+        MuRule(table=(1.0, 2.0, 2.5), eventual="affine", slope=0.3),
+        MuRule(table=(0.0,)),
+    ]
+    levels = np.arange(-2, 60)
+    for rule in rules:
+        expected = np.array([rule(int(k)) for k in levels])
+        np.testing.assert_array_equal(rule.at(levels).view(np.uint64),
+                                      expected.view(np.uint64), err_msg=repr(rule))
+
+
+def assert_fold_matches_brute_force(model, name=""):
+    for n in (2, 5, 15):
+        custom = TruncationSpec(n=n, style="custom", weights={0: 0.3, n // 2: 0.2, n: 0.5})
+        pairs = [
+            (lc_truncate(model, n), TruncationSpec(n=n, style="lc")),
+            (fc_truncate(model, n), TruncationSpec(n=n, style="fc")),
+            (custom_truncate(model, custom), custom),
+        ]
+        for corner, spec in pairs:
+            np.testing.assert_array_equal(corner.matrix.values, brute_corner(model, spec),
+                                          err_msg=f"{name} {spec.style} n={n}")
 
 
 def test_truncation_fold_matches_brute_force(fleet_models):
     queues = {"queue_tail": tailed_queue()}
     queues.update(fleet_models)
     for name, model in queues.items():
-        for n in (2, 5, 15):
-            custom = TruncationSpec(n=n, style="custom", weights={0: 0.3, n // 2: 0.2, n: 0.5})
-            pairs = [
-                (lc_truncate(model, n), TruncationSpec(n=n, style="lc")),
-                (fc_truncate(model, n), TruncationSpec(n=n, style="fc")),
-                (custom_truncate(model, custom), custom),
-            ]
-            for corner, spec in pairs:
-                np.testing.assert_array_equal(corner.matrix.values, brute_corner(model, spec),
-                                              err_msg=f"{name} {spec.style} n={n}")
+        assert_fold_matches_brute_force(model, name)
+
+
+@given(B=regime_queues())
+def test_truncation_fold_matches_brute_force_on_regime_queues(B):
+    assert_fold_matches_brute_force(B)
 
 
 def test_tail_sum_matches_deep_window(fleet_models):

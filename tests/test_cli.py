@@ -286,13 +286,21 @@ def test_sweep_guards(runner, mm1_path):
     assert "custom style needs --weights" in no_weights.output
 
 
-@pytest.mark.parametrize("level", ["-1", "-2"])
-def test_solve_refuses_negative_weight_levels(runner, mm1_path, level):
+@pytest.mark.parametrize("weights, message", [
     # only the literal n names the top level; -1 is a level like any other
+    pytest.param("-1=1", "target level -1 outside 0..3", id="-1"),
+    pytest.param("-2=1", "target level -2 outside 0..3", id="-2"),
+    pytest.param("x=1", "bad weight entry 'x=1', expected LEVEL=FRACTION", id="x=1"),
+    pytest.param("0=abc", "bad weight entry '0=abc', expected LEVEL=FRACTION", id="0=abc"),
+    pytest.param("0=1,3", "bad weight entry '3', expected LEVEL=FRACTION", id="0=1,3"),
+    pytest.param("0=nan", "non-finite weight nan at level 0", id="0=nan"),
+    pytest.param("0=0.5,3=nan", "non-finite weight nan at level 3", id="0=0.5,3=nan"),
+])
+def test_solve_refuses_bad_weights(runner, mm1_path, weights, message):
     result = runner.invoke(main, ["solve", "--model", mm1_path, "--n", "3",
-                                  "--style", "custom", "--weights", f"{level}=1"])
+                                  "--style", "custom", "--weights", weights])
     assert result.exit_code == 2, result.output
-    assert result.output.splitlines() == [f"error: target level {level} outside 0..3"]
+    assert result.output.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("level", ["3", "-1"])

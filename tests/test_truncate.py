@@ -52,6 +52,9 @@ def test_truncation_spec_validation():
         TruncationSpec(n=3, style="custom", weights={0: 1.5, 3: -0.5})
     with pytest.raises(InvalidRedistribution):
         TruncationSpec(n=3, style="custom", weights={0: 0.5, 4: 0.5})
+    for bad in ({0: float("nan")}, {0: 0.5, 3: float("nan")}, {0: float("inf")}):
+        with pytest.raises(InvalidRedistribution):
+            TruncationSpec(n=3, style="custom", weights=bad)
     with pytest.raises(InputError):
         TruncationSpec(n=3, style="diagonal")
 
