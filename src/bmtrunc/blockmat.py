@@ -529,6 +529,8 @@ class BmapQueueModel(BlockGeneratorModel):
         self._zero = np.zeros((d, d))
         self._eye = np.eye(d)
         self._stacked_D = np.stack(self.D)
+        # the power iteration's shift: E = I + Dhat(z) / shift is nonnegative
+        self._perron_shift = float(np.max(np.abs(np.diag(d0))))
         total = self.phase_sum()
         if not np.all(np.isfinite(total)):
             raise InvalidBmap("D(k) must be finite")

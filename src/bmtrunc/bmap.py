@@ -18,6 +18,10 @@ disaster search reads its offset levels and constants off one table with a
 row per base and a column per level (`_offset_table`).  The grid only picks
 the best base; a golden-section polish around it and the winner call the
 scalar `spectral` (and `_disaster_constants`) at each point they visit.
+`spectral` is a two-sided power iteration of eight numpy calls per step,
+bit for bit the plain loop kept as a test oracle; its shift, the largest
+diagonal rate of D(0), is the queue model's `_perron_shift`, fixed when the
+model is built and shared with the grid's batched iteration.
 """
 
 from __future__ import annotations
@@ -111,30 +115,36 @@ class SpectralRecord:
 def spectral(B: BmapModel, z: float) -> SpectralRecord:
     """Perron root and eigenvectors of Dhat(z).
 
-    Shifts by the largest diagonal rate so the iteration matrix is
-    nonnegative, then runs power iteration on both sides at once, reading the
-    root off the two-sided Rayleigh quotient.  If that has not converged
-    after POWER_ITERS steps, `_dense_perron` of Dhat(z) and of its transpose
-    gives the pair.  The right vector is scaled to minimum component 1 and
-    the left one to unit inner product against it.  The certificate search
-    calls this at the points its golden-section polish visits and at its
-    winner; from DENSE_GRID_D phases on, its grid runs the same iteration
-    batched, in `_power_perron`.
+    Shifts by the largest diagonal rate of D(0) (the queue's
+    `_perron_shift`, fixed at construction) so the iteration matrix
+    E = I + Dhat(z) / shift is nonnegative, then runs power iteration on
+    both sides at once, reading the root off the two-sided Rayleigh
+    quotient.  A step is eight numpy calls: the two products, the two
+    max-normalizations in place and the quotient's two dot products, whose
+    ratio and stop test are taken on Python floats.  The arithmetic is that
+    of the plain loop in `tests/helpers.power_iteration`, bit for bit.  If
+    the quotient has not converged after POWER_ITERS steps, `_dense_perron`
+    of Dhat(z) and of its transpose gives the pair.  The right vector is
+    scaled to minimum component 1 and the left one to unit inner product
+    against it.  The certificate search calls this at the points its
+    golden-section polish visits and at its winner; from DENSE_GRID_D
+    phases on, its grid runs the same iteration batched, in `_power_perron`.
     """
     dh = B.dhat(z)
     d = B.d
-    shift = float(_max(np.abs(np.diag(B.D[0]))))
     norm = max(float(_max(np.abs(dh), axis=None)), 1e-300)
     if d == 1:
         val = float(dh[0, 0])
         return SpectralRecord(z=z, eigenvalue=val, right=np.ones(1), left=np.ones(1),
                               residual=0.0, iterations=0)
-    E = np.eye(d) + dh / shift
+    shift = B._perron_shift
+    E = B._eye + dh / shift
     ET = E.T
+    dot, divide = np.dot, np.divide
     y = np.ones(d)
     # Ex = E @ x for the current normalized x: the Rayleigh quotient's
     # product is the next iterate
-    Ex = E @ np.ones(d)
+    Ex = dot(E, y)
     rprev = math.inf
     iterations = 0
     while True:
@@ -153,12 +163,12 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
                 )
             break
         x = Ex
-        y = ET @ y
+        y = dot(ET, y)
         # E is nonnegative and irreducible, so iterates from positive starts stay positive
-        x /= float(_max(x))
-        y /= float(_max(y))
-        Ex = E @ x
-        r = float((y @ Ex) / (y @ x))
+        divide(x, _max(x), out=x)
+        divide(y, _max(y), out=y)
+        Ex = dot(E, x)
+        r = float(dot(y, Ex)) / float(dot(y, x))
         done = abs(r - rprev) < 1e-13 * max(1.0, abs(r))
         rprev = r
         if done:
@@ -217,7 +227,7 @@ def _grid_perron(B: BmapModel, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray
     if B.d < DENSE_GRID_D:
         roots, right = _dense_perron(B.dhat(grid))
         return roots, right.max(axis=1) / right.min(axis=1)
-    shift = float(np.max(np.abs(np.diag(B.D[0]))))
+    shift = B._perron_shift
     roots = np.empty(grid.size)
     spread = np.empty(grid.size)
     for part in _grid_slices(grid.size, B.d ** 2):

@@ -72,9 +72,9 @@ class GeometricVector:
         return v
 
     def levels(self, n: int) -> np.ndarray:
-        """Flat weight vector over levels 0..n."""
-        with np.errstate(over="ignore"):
-            powers = self.beta ** np.arange(n + 1)
+        """Flat weight vector over levels 0..n, the stack of `level(k)` bit
+        for bit: the powers come from the same scalar pow."""
+        powers = np.array([self._power(k) for k in range(n + 1)])
         if np.isinf(powers[-1]):
             raise self._out_of_range(int(np.argmax(np.isinf(powers))))
         out = powers[:, None] * self.u[None, :]

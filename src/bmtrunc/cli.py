@@ -21,7 +21,13 @@ from . import bmap as _bmap
 from . import bounds as _bounds
 from .blockmat import BmapQueueModel, load_model, validate_q_matrix
 from .errors import BmtruncError, CheckFailure, InputError
-from .order import TAU_ORD, generator_dominates, generator_is_block_monotone, vector_dominates
+from .order import (
+    TAU_ORD,
+    check_ordering_tol,
+    generator_dominates,
+    generator_is_block_monotone,
+    vector_dominates,
+)
 from .solve import stationary, tv_distance
 from .truncate import (
     CUSTOM,
@@ -189,7 +195,7 @@ def run_sweep(model_path: str, n_min: int, n_max: int, step: int, n_ref: int | N
             f"n_ref={n_ref} too small for a trustworthy reference; need >= {4 * n_max}"
         )
     levels = range(n_min, n_max + 1, step)
-    tol = TAU_ORD if tol is None else tol
+    tol = TAU_ORD if tol is None else check_ordering_tol(tol)
     cert = None
     if isinstance(model, BmapQueueModel):
         cert = _bmap._level0_certificate(model, beta=beta)

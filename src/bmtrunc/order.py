@@ -24,7 +24,7 @@ from .blockmat import (
     FiniteBlockMatrix,
     check_block_length,
 )
-from .errors import DimensionMismatch, IncompatibleModels, NotStochastic
+from .errors import DimensionMismatch, IncompatibleModels, InputError, NotStochastic
 
 TAU_ORD = 1e-12
 
@@ -95,9 +95,17 @@ def td_transform(x, d: int, direction: str = "T") -> np.ndarray:
     raise DimensionMismatch(f"expected vector or matrix, got ndim={arr.ndim}")
 
 
+def check_ordering_tol(tol: float) -> float:
+    """Return tol, refusing a negative or NaN one: every check scales it, and
+    such a tol would fail each comparison instead of meaning anything."""
+    if not tol >= 0.0:
+        raise InputError(f"ordering tolerance must be >= 0, got {tol}")
+    return tol
+
+
 def _tol(tol: float, *arrays: np.ndarray) -> float:
     scale = max((float(np.max(np.abs(a))) for a in arrays if a.size), default=0.0)
-    return tol * max(1.0, scale)
+    return check_ordering_tol(tol) * max(1.0, scale)
 
 
 def _report(slack: np.ndarray, tol: float, index_of=None) -> DominanceReport:
@@ -135,6 +143,7 @@ def _scan(levels: np.ndarray, valid: np.ndarray, lower: np.ndarray, upper: np.nd
     order, NaN first within a block.  Returns the report and the scaled
     tolerance.
     """
+    check_ordering_tol(tol)
     rows, cols = np.nonzero(valid)
     if not rows.size:
         return DominanceReport(holds=True, worst_violation=None, margin=np.inf), tol

@@ -174,8 +174,8 @@ def transition_matrix(G, t: float, tol: float = 1e-12, d: int | None = None) -> 
 
 def _uniformized(values: np.ndarray, start: np.ndarray, t: float, tol: float) -> np.ndarray:
     """start @ exp(values * t) by uniformization, one start row or many."""
-    if t < 0:
-        raise InputError(f"time must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise InputError(f"time must be finite and >= 0, got {t}")
     N = values.shape[0]
     sigma = float(np.max(np.abs(np.diag(values)))) if N else 1.0
     if sigma <= 0.0:

@@ -24,6 +24,7 @@ from bmtrunc import (
     delta_D,
     find_beta_no_disaster,
     find_constants_disaster,
+    load_model,
     spectral,
 )
 from bmtrunc.bounds import DRIFT_TOL
@@ -31,6 +32,7 @@ from bmtrunc.cli import main
 from bmtrunc.bmap import (
     DENSE_GRID_D,
     K_CAP,
+    POWER_ITERS,
     _beta_grid,
     _closed_form_theta,
     _dense_perron,
@@ -49,6 +51,7 @@ from helpers import (
     offset_constants,
     power_iteration,
     random_bmap,
+    regime_queues,
     serial_certificate,
     serial_grid_argmax,
     tailed_queue,
@@ -236,6 +239,7 @@ def test_pipeline_runtime_covers_the_corner_solve(mm1, monkeypatch):
 def _assert_same_spectral(B, z):
     rec = spectral(B, z)
     val, right, left, residual, iterations = power_iteration(B, z)
+    assert rec.z == z
     assert rec.eigenvalue == val
     np.testing.assert_array_equal(rec.right, right)
     np.testing.assert_array_equal(rec.left, left)
@@ -257,10 +261,28 @@ def _assert_same_offset_constants(B, beta):
 def test_spectral_is_the_plain_power_iteration(fleet, pure_disaster):
     rng = np.random.default_rng(5)
     models = [*fleet.values(), pure_disaster,
-              *(random_bmap(rng, d=d, psi=0.3) for d in (3, 5, 8))]
+              *(random_bmap(rng, d=d, psi=0.3) for d in (3, 5, 8, 16, 24))]
     for B in models:
         for z in (0.5, 1.0, 1.0 + 1e-6, 1.3, 2.0, 7.5):
             _assert_same_spectral(B, z)
+
+
+@given(B=regime_queues())
+def test_spectral_is_the_plain_power_iteration_on_regime_queues(B):
+    # at the points the search visits; a point that needs more than
+    # POWER_ITERS steps goes to the dense eigensolver, which the plain
+    # iteration does not reproduce
+    for z in (0.5, 1.0 + 1e-6, *_beta_grid(B)[::40]):
+        if spectral(B, z).iterations <= POWER_ITERS:
+            _assert_same_spectral(B, z)
+
+
+def test_perron_shift_is_the_largest_diagonal_rate_of_D0(fleet, pure_disaster, tmp_path):
+    rng = np.random.default_rng(3)
+    loaded = load_model(write_model(tmp_path / "d2.json", bmap_doc(fleet["d2"])))
+    for B in [*fleet.values(), pure_disaster, tailed_queue(), loaded,
+              *(random_bmap(rng, d=d) for d in (1, 4, 24))]:
+        assert B._perron_shift == float(np.max(np.abs(np.diag(B.D[0]))))
 
 
 def test_offset_constants_match_the_rescan(fleet, pure_disaster):

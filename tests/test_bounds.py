@@ -40,6 +40,17 @@ def test_weights_past_the_float_range_are_not_certified(beta):
             weigh(300)
 
 
+def test_weight_levels_are_the_stack_of_level_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        v = GeometricVector(beta=float(rng.uniform(1.0001, 3.0)),
+                            u=rng.uniform(1.0, 4.0, size=int(rng.integers(1, 5))),
+                            shift=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])))
+        n = 40
+        np.testing.assert_array_equal(
+            v.levels(n), np.concatenate([v.level(k) for k in range(n + 1)]))
+
+
 @pytest.fixture(scope="module")
 def mm1_cert_and_model(mm1, fleet_certs):
     return fleet_certs["mm1"], build_generator(mm1)

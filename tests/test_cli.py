@@ -329,6 +329,15 @@ def test_sweep_rejects_a_step_below_one(runner, mm1_path, step):
     assert result.output.splitlines() == [f"error: sweep step must be >= 1, got {step}"]
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_sweep_refuses_a_negative_or_nan_tolerance(runner, mm1_path, tol):
+    result = runner.invoke(main, ["sweep", "--model", mm1_path, "--n-min", "2",
+                                  "--n-max", "4", "--tol", tol])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [
+        f"error: ordering tolerance must be >= 0, got {float(tol)}"]
+
+
 def test_cli_import_leaves_multiprocessing_unloaded():
     # a fresh start imports the CLI; no command needs a process pool
     code = ("import sys, bmtrunc.cli\n"

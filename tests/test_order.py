@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 
 from bmtrunc import (
     FiniteBlockMatrix,
+    InputError,
     NotStochastic,
     build_generator,
     fc_truncate,
@@ -113,6 +116,23 @@ def test_stochastic_monotone_rejects_non_stochastic():
         is_block_monotone_stochastic(np.array([[0.5, 0.4], [0.2, 0.8]]), 1)
     with pytest.raises(NotStochastic):
         is_block_monotone_stochastic(np.array([[1.1, -0.1], [0.0, 1.0]]), 1)
+
+
+@pytest.mark.parametrize("tol", [-1e-12, -math.inf, math.nan])
+def test_ordering_checks_refuse_a_negative_or_nan_tolerance(fleet_models, tol):
+    # such a tol would fail every comparison (or none) instead of meaning anything
+    model = fleet_models["d2"]
+    checks = [
+        lambda: vector_dominates(np.array([0.5, 0.5]), np.array([0.2, 0.8]), 1, tol=tol),
+        lambda: is_block_increasing(np.array([0.0, 1.0]), 1, tol=tol),
+        lambda: is_block_monotone_stochastic(np.eye(4), 2, tol=tol),
+        lambda: generator_is_block_monotone(model, tol=tol),
+        lambda: generator_is_block_monotone(lc_truncate(model, 4).matrix, tol=tol),
+        lambda: generator_dominates(model, model, tol=tol),
+    ]
+    for check in checks:
+        with pytest.raises(InputError, match="ordering tolerance must be >= 0"):
+            check()
 
 
 def test_fleet_generators_are_block_monotone(fleet_models):

@@ -168,6 +168,13 @@ def test_transition_matrix_matches_dense_exponential():
                                np.eye(Q.values.shape[0]), atol=1e-15)
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, -math.inf])
+def test_transition_matrix_refuses_a_time_that_is_not_finite_and_nonnegative(t):
+    Q = np.array([[-1.0, 1.0], [2.0, -2.0]])
+    with pytest.raises(InputError, match="time must be finite and >= 0"):
+        transition_matrix(Q, t)
+
+
 def test_uniformized_vector_matches_transition_matrix(d2_psi05):
     Q = lc_truncate(build_generator(d2_psi05), 60).matrix.values
     rng = np.random.default_rng(2)
@@ -288,6 +295,13 @@ def test_transient_decay_check_guards(mm1, fleet_certs):
     with pytest.raises(CertificateNotVerified):
         transient_decay_check(G, dataclasses.replace(cert, verified=False),
                               times=(0.0,), n_ref=40)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_transient_decay_check_refuses_a_nonfinite_time(mm1, fleet_certs, t):
+    with pytest.raises(InputError, match="time must be finite and >= 0"):
+        transient_decay_check(build_generator(mm1), fleet_certs["mm1"], times=(1.0, t),
+                              n_ref=40)
 
 
 @pytest.mark.parametrize("start_level", [-1, 101, 150])
