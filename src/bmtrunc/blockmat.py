@@ -1,9 +1,10 @@
 """Block-structured conservative q-matrices.
 
 States are (level, phase) pairs with phases 0..d-1 per level, laid out as
-state = level*d + phase.  Infinite generators are finitely described models
-(banded with eventual level-homogeneity, M/G/1-type, or the batch-arrival
-queue whose certificates the bmap module searches); finite pieces are plain
+state = level*d + phase.  Infinite generators are finitely described models:
+banded with eventual level-homogeneity and an optional geometric tail (an
+M/G/1-type generator is one, built by `Mg1Model`), or the batch-arrival
+queue whose certificates the bmap module searches.  Finite pieces are plain
 dense arrays wrapped with their block size.
 
 Every model is read through one banded-block view.  A model kind supplies
@@ -220,7 +221,6 @@ class BlockGeneratorModel:
     """
 
     d: int
-    kind: str
 
     def block(self, k: int, l: int) -> np.ndarray:
         raise NotImplementedError
@@ -359,11 +359,15 @@ class BlockGeneratorModel:
 
 
 class BandedModel(BlockGeneratorModel):
-    """ExplicitBanded: blocks within [k-L, k+U], level-homogeneous above K_hom."""
+    """ExplicitBanded: blocks within [k-L, k+U], level-homogeneous above K_hom.
 
-    kind = "ExplicitBanded"
+    Row k holds the blocks of row min(k, K_hom) at offsets -L..U.  With a
+    geometric tail, every row k >= K_hom also holds, at each offset o > U,
+    the block tail.coef * tail.ratio**o.
+    """
 
-    def __init__(self, d: int, L: int, U: int, K_hom: int, rows: dict):
+    def __init__(self, d: int, L: int, U: int, K_hom: int, rows: dict,
+                 tail: GeometricTail | None = None):
         if K_hom < L:
             raise InputError(
                 f"K_hom={K_hom} must be >= L={L} so the homogeneous row clears level 0"
@@ -372,6 +376,7 @@ class BandedModel(BlockGeneratorModel):
         self.L = L
         self.U = U
         self.K_hom = K_hom
+        self.tail = tail
         self._zero = np.zeros((d, d))
         self._rows = {}
         for k, offsets in rows.items():
@@ -395,8 +400,11 @@ class BandedModel(BlockGeneratorModel):
 
     def block(self, k: int, l: int) -> np.ndarray:
         o = l - k
-        if o < -self.L or o > self.U or l < 0:
+        if o < -self.L or l < 0:
             return self._zero
+        if o > self.U:
+            tail = self.row_tail(k)
+            return self._zero if tail is None else tail.coef * tail.ratio ** o
         return self._row(k).get(o, self._zero)
 
     def homogeneity_level(self) -> int:
@@ -408,62 +416,30 @@ class BandedModel(BlockGeneratorModel):
     def lower_hint(self) -> int:
         return self.L
 
+    def row_tail(self, k: int) -> GeometricTail | None:
+        return self.tail if k >= self.K_hom else None
+
     def drift_fit_level(self) -> int:
         return max(self.K_hom + self.U + 1, self.L + 1)
 
 
-class Mg1Model(BlockGeneratorModel):
-    """Level-independent M/G/1-type generator.
+def Mg1Model(d: int, repeat: list, boundary: list,
+             tail: GeometricTail | None = None) -> BandedModel:
+    """The level-independent M/G/1-type generator, built as a `BandedModel`.
 
     Boundary row 0 has blocks B(0), B(1), ...; every row k >= 1 has blocks
-    A(-1), A(0), A(1), ... starting at column k-1.  An optional geometric tail
-    extends the repeating upper blocks.
+    A(-1), A(0), A(1), ... starting at column k-1, and an optional geometric
+    tail extends them.  So L = K_hom = 1 and U = max(len(A) - 2, len(B) - 1);
+    where the boundary row is the longer one, row 1's band ends in tail blocks.
     """
-
-    kind = "MG1Type"
-
-    def __init__(self, d: int, repeat: list, boundary: list, tail: GeometricTail | None = None):
-        self.d = d
-        self._zero = np.zeros((d, d))
-        self.repeat = tuple(np.asarray(a, dtype=float) for a in repeat)
-        self.boundary = tuple(np.asarray(b, dtype=float) for b in boundary)
-        if len(self.repeat) < 2:
-            raise InvalidModelFile("MG1Type needs at least A(-1) and A(0)")
-        for a in self.repeat + self.boundary:
-            if a.shape != (d, d):
-                raise DimensionMismatch(f"block shape {a.shape}, want {(d, d)}")
-        self.tail = tail
-
-    def block(self, k: int, l: int) -> np.ndarray:
-        if l < 0:
-            return self._zero
-        if k == 0:
-            if l < len(self.boundary):
-                return self.boundary[l]
-            return self._zero
-        o = l - k
-        if o < -1:
-            return self._zero
-        if o + 1 < len(self.repeat):
-            return self.repeat[o + 1]
-        if self.tail is not None:
-            return self.tail.coef * self.tail.ratio ** o
-        return self._zero
-
-    def homogeneity_level(self) -> int:
-        return 1
-
-    def upper_hint(self) -> int:
-        return max(len(self.repeat) - 2, len(self.boundary) - 1)
-
-    def lower_hint(self) -> int:
-        return 1
-
-    def row_tail(self, k: int) -> GeometricTail | None:
-        return self.tail if k >= 1 else None
-
-    def drift_fit_level(self) -> int:
-        return max(2, self.upper_hint() + 2)
+    if len(repeat) < 2:
+        raise InvalidModelFile("MG1Type needs at least A(-1) and A(0)")
+    U = max(len(repeat) - 2, len(boundary) - 1)
+    row1 = {o - 1: a for o, a in enumerate(repeat)}
+    if tail is not None:
+        row1.update({o: tail.coef * tail.ratio ** o for o in range(len(repeat) - 1, U + 1)})
+    return BandedModel(d=d, L=1, U=U, K_hom=1, rows={0: dict(enumerate(boundary)), 1: row1},
+                       tail=tail)
 
 
 def reachable(adj: np.ndarray) -> np.ndarray:
@@ -501,8 +477,6 @@ class BmapQueueModel(BlockGeneratorModel):
     mu: MuRule
     psi: float = 0.0
     tail: GeometricTail | None = None
-
-    kind = "BmapQueue"
 
     def __post_init__(self):
         self.D = tuple(np.asarray(m, dtype=float) for m in self.D)

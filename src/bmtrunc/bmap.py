@@ -291,13 +291,13 @@ def _beta_grid(B: BmapModel) -> np.ndarray:
     return np.geomspace(1.0 + 1e-6, hi, GRID_POINTS)
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = GOLDEN_ITERS):
+def _golden_max(f, lo: float, hi: float):
     """Golden-section maximization; returns (argmax, max)."""
     a, b = lo, hi
     c1 = b - _PHI * (b - a)
     c2 = a + _PHI * (b - a)
     f1, f2 = f(c1), f(c2)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if f1 >= f2:
             b, c2, f2 = c2, c1, f1
             c1 = b - _PHI * (b - a)

@@ -172,10 +172,14 @@ def transition_matrix(G, t: float, tol: float = 1e-12, d: int | None = None) -> 
     return FiniteBlockMatrix(d, _uniformized(values, np.eye(values.shape[0]), t, tol))
 
 
-def _uniformized(values: np.ndarray, start: np.ndarray, t: float, tol: float) -> np.ndarray:
-    """start @ exp(values * t) by uniformization, one start row or many."""
+def _check_time(t: float) -> None:
     if not 0.0 <= t < math.inf:
         raise InputError(f"time must be finite and >= 0, got {t}")
+
+
+def _uniformized(values: np.ndarray, start: np.ndarray, t: float, tol: float) -> np.ndarray:
+    """start @ exp(values * t) by uniformization, one start row or many."""
+    _check_time(t)
     N = values.shape[0]
     sigma = float(np.max(np.abs(np.diag(values)))) if N else 1.0
     if sigma <= 0.0:
@@ -262,6 +266,8 @@ def transient_decay_check(model, cert, times, start_level: int = 0,
         raise KNotZero("decay envelope needs a level-0 certificate; transform first")
     if not 0 <= start_level <= n_ref:
         raise InputError(f"start level {start_level} outside the proxy's levels 0..{n_ref}")
+    for t in times:
+        _check_time(t)
     d = model.d
     proxy = lc_truncate(model, n_ref)
     pi_ref = stationary(proxy.matrix, source="lc")

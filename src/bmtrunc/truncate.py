@@ -107,8 +107,6 @@ class TruncatedGenerator(BlockGeneratorModel):
     spec: TruncationSpec
     matrix: FiniteBlockMatrix
 
-    kind = "Truncated"
-
     def __post_init__(self):
         self.d = self.base.d
         self._zero = np.zeros((self.d, self.d))

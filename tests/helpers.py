@@ -10,7 +10,8 @@ plain algorithms the library's band-aware ones must reproduce.  The
 ordering scan's oracle compares tail sums one (k, l) pair at a time, as
 the scan over stacked tables must reproduce bit for bit, and a
 truncation's rows are also summed by hand, as `TruncatedGenerator` did
-before it was a banded-block model.  The
+before it was a banded-block model, and `mg1_block` is the M/G/1-type row
+rule that `Mg1Model`'s `BandedModel` must reproduce.  The
 power-iteration and offset-level oracles are the plain loops the
 certificate search must match bit for bit, and the serial search is the
 search as it ran before its grid was batched; the batched grid's offset
@@ -306,14 +307,41 @@ def banded_queue_rows(queue):
     })
 
 
-def tailed_mg1(rng):
-    """A conservative d = 2 M/G/1-type model whose repeating row ends in a
-    geometric tail; the tail's mass moves into A(0)'s diagonal."""
+def tailed_mg1_parts(rng):
+    """(repeat, boundary, tail) of a conservative d = 2 M/G/1-type model whose
+    repeating row ends in a geometric tail; the tail's mass moves into A(0)'s
+    diagonal."""
     A0, Am1, A1, A2 = conservative_blocks(rng, 2, 4)
     B0, B1, B2 = conservative_blocks(rng, 2, 3)
     tail = GeometricTail(coef=rng.uniform(0.05, 0.3, (2, 2)), ratio=0.5)
     A0 -= np.diag(tail.sum_from(3).sum(axis=1))
-    return Mg1Model(d=2, repeat=[Am1, A0, A1, A2], boundary=[B0, B1, B2], tail=tail)
+    return [Am1, A0, A1, A2], [B0, B1, B2], tail
+
+
+def tailed_mg1(rng):
+    """The model of `tailed_mg1_parts`."""
+    return Mg1Model(2, *tailed_mg1_parts(rng))
+
+
+def mg1_block(repeat, boundary, tail, k, l):
+    """Q(k; l) of the M/G/1-type generator, one rule per row kind.
+
+    Row 0 is B(0), B(1), ... and nothing past them; row k >= 1 is A(-1),
+    A(0), ... from column k - 1 on, then the tail block coef * ratio**(l - k).
+    """
+    zero = np.zeros_like(repeat[0], dtype=float)
+    if l < 0:
+        return zero
+    if k == 0:
+        return np.asarray(boundary[l], dtype=float) if l < len(boundary) else zero
+    o = l - k
+    if o < -1:
+        return zero
+    if o + 1 < len(repeat):
+        return np.asarray(repeat[o + 1], dtype=float)
+    if tail is not None:
+        return tail.coef * tail.ratio ** o
+    return zero
 
 
 def brute_window(model, n):

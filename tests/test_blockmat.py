@@ -41,7 +41,9 @@ from helpers import (
     brute_corner,
     brute_window,
     d2_blocks,
+    mg1_block,
     regime_queues,
+    tailed_mg1_parts,
     tailed_queue,
     write_model,
 )
@@ -303,7 +305,7 @@ def test_load_model_banded_and_mg1(tmp_path):
         },
     }
     m = load_model(write_model(tmp_path / "mg1.json", mg1))
-    assert isinstance(m, Mg1Model)
+    assert isinstance(m, BandedModel)
     np.testing.assert_array_equal(m.block(2, 3), [[1.0]])
 
 
@@ -329,8 +331,10 @@ def test_load_model_rejects_malformed_files(tmp_path):
         load_model(write_model(tmp_path / "clash.json", k_max_clash))
 
 
-def _band_models(fleet_models):
-    """One model of each kind, tails included, plus the fleet queues."""
+def _band_model_parts():
+    """The banded model of `_band_models` and its M/G/1 models' (repeat,
+    boundary, tail): without a tail, with one, and with a boundary row
+    shorter than the repeating one."""
     rng = np.random.default_rng(8)
 
     def blk():
@@ -342,14 +346,19 @@ def _band_models(fleet_models):
     repeat = [blk() for _ in range(3)]
     boundary = [blk() for _ in range(4)]
     tail = GeometricTail(coef=blk(), ratio=0.5)
-    models = {
-        "banded": banded,
-        "mg1": Mg1Model(d=2, repeat=repeat, boundary=boundary),
-        "mg1_tail": Mg1Model(d=2, repeat=repeat, boundary=boundary, tail=tail),
-        "mg1_short_boundary_tail": Mg1Model(d=2, repeat=repeat, boundary=boundary[:1],
-                                            tail=tail),
-        "queue_tail": tailed_queue(),
+    return banded, {
+        "mg1": (repeat, boundary, None),
+        "mg1_tail": (repeat, boundary, tail),
+        "mg1_short_boundary_tail": (repeat, boundary[:1], tail),
     }
+
+
+def _band_models(fleet_models):
+    """One model of each kind, tails included, plus the fleet queues."""
+    banded, mg1_parts = _band_model_parts()
+    models = {"banded": banded}
+    models.update({name: Mg1Model(2, *parts) for name, parts in mg1_parts.items()})
+    models["queue_tail"] = tailed_queue()
     models.update(fleet_models)
     return models
 
@@ -501,9 +510,9 @@ def test_apply_row_matches_window_product(fleet_models):
                                        atol=1e-13, err_msg=f"{name} k={k}")
 
 
-def _slack_law_models():
-    """A banded model with L = U = 2, an M/G/1 model with a tail, and tailed
-    queues under constant and affine service, with and without disasters."""
+def _slack_law_model_parts():
+    """The banded model of `_slack_law_models` and its M/G/1 model's
+    (repeat, boundary, tail)."""
     rng = np.random.default_rng(11)
 
     def blk():
@@ -513,11 +522,14 @@ def _slack_law_models():
         k: {o: blk() for o in range(-min(k, 2), 3)} for k in range(4)
     })
     tail = GeometricTail(coef=blk(), ratio=0.4)
-    models = {
-        "banded": banded,
-        "mg1_tail": Mg1Model(d=2, repeat=[blk() for _ in range(3)],
-                             boundary=[blk() for _ in range(2)], tail=tail),
-    }
+    return banded, ([blk() for _ in range(3)], [blk() for _ in range(2)], tail)
+
+
+def _slack_law_models():
+    """A banded model with L = U = 2, an M/G/1 model with a tail, and tailed
+    queues under constant and affine service, with and without disasters."""
+    banded, mg1_parts = _slack_law_model_parts()
+    models = {"banded": banded, "mg1_tail": Mg1Model(2, *mg1_parts)}
     base = tailed_queue()
     for rule in (MuRule(table=(2.5, 3.0)),
                  MuRule(table=(2.5, 3.0), eventual="affine", slope=0.4)):
@@ -544,11 +556,76 @@ def test_slack_law_matches_apply_row():
             assert not np.any(a1)
 
 
+def _mg1_cases():
+    """(repeat, boundary, tail) of the M/G/1 models of `_band_models`,
+    `_slack_law_models` and `tailed_mg1`."""
+    _, cases = _band_model_parts()
+    cases["slack_law_mg1_tail"] = _slack_law_model_parts()[1]
+    cases["tailed_mg1"] = tailed_mg1_parts(np.random.default_rng(23))
+    return cases
+
+
+def assert_same_bits(got, expected, name):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    assert got.shape == expected.shape, name
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64), err_msg=name)
+
+
+def test_mg1_model_follows_the_mg1_block_rule():
+    """Blocks, corners, tail sums, row products and the slack law of an
+    `Mg1Model` are those of `mg1_block` under the band [k - 1, k + U] with
+    U = max(len(A) - 2, len(B) - 1) and the tail on rows k >= 1, bit for bit."""
+    v = GeometricVector(beta=1.3, u=np.linspace(1.0, 2.0, 2), shift=0.7)
+    c = 0.2
+    for name, (repeat, boundary, tail) in _mg1_cases().items():
+        model = Mg1Model(2, repeat, boundary, tail)
+        assert isinstance(model, BandedModel), name
+        U = max(len(repeat) - 2, len(boundary) - 1)
+
+        def block(k, l):
+            return mg1_block(repeat, boundary, tail, k, l)
+
+        def tail_sum(k, l):
+            out = np.zeros((2, 2))
+            for m in range(l, k + U + 1):
+                out = out + block(k, m)
+            if tail is not None and k >= 1:
+                out = out + tail.sum_from(max(l, k + U + 1) - k)
+            return out
+
+        top = 8 + U + 3
+        for k in range(9):
+            for l in range(-1, top + 1):
+                assert_same_bits(model.block(k, l), block(k, l), f"{name} block({k}, {l})")
+            assert_same_bits(model.tail_sums(k, 0, top + 1),
+                             [tail_sum(k, l) for l in range(top + 1)], f"{name} S({k}; .)")
+            row = np.zeros(2)
+            for l in range(k + U + 1):
+                row = row + block(k, l) @ v.level(l)
+            if tail is not None and k >= 1:
+                row = row + v.beta ** k * (tail.power_series_from(U + 1, v.beta) @ v.u)
+                row = row + v.shift * tail.sum_from(U + 1).sum(axis=1)
+            assert_same_bits(model.apply_row(k, v), row, f"{name} (Qv)({k})")
+        for n in (0, 1, 2, 5, 12):
+            brute = np.block([[block(k, l) for l in range(n + 1)] for k in range(n + 1)])
+            assert_same_bits(model.window(n).values, brute, f"{name} window({n})")
+        k = max(2, U + 2)
+        assert model.drift_fit_level() == k, name
+        a0 = c * v.u
+        for l in range(k - 1, k + U + 1):
+            a0 = a0 + v.beta ** (l - k) * (block(k, l) @ v.u)
+        if tail is not None:
+            a0 = a0 + tail.power_series_from(U + 1, v.beta) @ v.u
+        g0 = v.shift * (tail_sum(k, 1).sum(axis=1) + c) + block(k, 0) @ v.u
+        for got, expected in zip(model.slack_law(v, c), (a0, np.zeros(2), g0)):
+            assert_same_bits(got, expected, f"{name} slack law")
+
+
 def test_model_kinds_supply_only_blocks_and_band_hints():
     kinds = [cls for mod in (blockmat, truncate) for cls in vars(mod).values()
              if isinstance(cls, type) and issubclass(cls, BlockGeneratorModel)
              and cls is not BlockGeneratorModel]
-    assert {cls.__name__ for cls in kinds} == {"BandedModel", "Mg1Model", "BmapQueueModel",
+    assert {cls.__name__ for cls in kinds} == {"BandedModel", "BmapQueueModel",
                                                "TruncatedGenerator"}
     for cls in kinds:
         derived = {"tail_sum", "tail_sums", "apply_row", "window"} & set(vars(cls))

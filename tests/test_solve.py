@@ -298,10 +298,15 @@ def test_transient_decay_check_guards(mm1, fleet_certs):
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
-def test_transient_decay_check_refuses_a_nonfinite_time(mm1, fleet_certs, t):
+def test_transient_decay_check_refuses_a_nonfinite_time(monkeypatch, mm1, fleet_certs, t):
+    # the times are checked before the n_ref proxy is built
+    calls = []
+    monkeypatch.setattr(solve, "lc_truncate",
+                        lambda *args: calls.append(args) or lc_truncate(*args))
     with pytest.raises(InputError, match="time must be finite and >= 0"):
         transient_decay_check(build_generator(mm1), fleet_certs["mm1"], times=(1.0, t),
                               n_ref=40)
+    assert calls == []
 
 
 @pytest.mark.parametrize("start_level", [-1, 101, 150])
