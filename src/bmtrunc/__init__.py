@@ -71,6 +71,7 @@ from .order import (
 from .solve import (
     DecayReport,
     DistributionVector,
+    solve_truncation,
     stationary,
     transient_decay_check,
     transition_matrix,
@@ -84,6 +85,7 @@ from .truncate import (
     custom_truncate,
     fc_truncate,
     lc_truncate,
+    truncation,
 )
 
 __version__ = "0.1.0"

@@ -12,15 +12,18 @@ Every model is read through one banded-block view.  A model kind supplies
 columns k - lower_hint() .. k + upper_hint(), and, under the geometric tail
 `row_tail(k)`, beyond them in closed form.  `BlockGeneratorModel.band` is
 that rule, and the tail sums S(k;l), the row products (Qv)(k), the window
-and the truncation fold all follow it.  A corner over levels 0..n takes its
-O(n * band) band blocks from one batched `blocks(ks, ls)` call (a stack of
-`block` calls by default, array arithmetic for the queue model) plus one
-vectorized tail fill per row; past the drift fit horizon, `slack_law` gives
-each row's drift slack in closed form.
+and the truncation fold all follow it.  A corner over levels 0..n is read
+from `band` once, into a `CornerLayout` that the window, its vector
+product and the truncation fold share.  It takes its O(n * band) band
+blocks from one batched `blocks(ks, ls)` call (a stack of `block` calls
+by default, array arithmetic for the queue model) plus one vectorized tail
+fill per row; past the drift fit horizon, `slack_law` gives each row's
+drift slack in closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -208,16 +211,104 @@ class GeometricTail:
         return factor * self.coef if scalar else factor[..., None, None] * self.coef
 
 
+@dataclass(frozen=True, eq=False)
+class CornerLayout:
+    """Where each row of a model's corner over levels 0..n lives, from `band`.
+
+    Row k holds band blocks in column 0 (when lo[k] > 0) and in columns
+    lo[k]..min(hi[k], n).  A tailed row also holds the tail block
+    tail.coef * tail.ratio**(l - k) in every column l > hi[k]; a model's
+    rows share one tail.  The rows that reach past level n, through their
+    band or a tail, are the ones a truncation folds.  `window` fills a
+    corner from it, `_truncate` folds one, and `product` multiplies a
+    vector by one without forming it.
+    """
+
+    n: int
+    lo: np.ndarray
+    hi: np.ndarray
+    tail: GeometricTail | None
+    tailed: np.ndarray
+
+    @functools.cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ks, ls): the level pair of every band block, row by row, column 0 first."""
+        col0 = (self.lo > 0).astype(int)
+        counts = col0 + np.maximum(np.minimum(self.hi, self.n) - self.lo + 1, 0)
+        ks = np.repeat(np.arange(self.n + 1), counts)
+        pos = np.arange(ks.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        ls = np.where(pos < col0[ks], 0, self.lo[ks] + pos - col0[ks])
+        return ks, ls
+
+    def filled(self) -> np.ndarray:
+        """Rows holding tail blocks inside the corner."""
+        return np.flatnonzero(self.tailed & (self.hi < self.n))
+
+    def folded(self) -> np.ndarray:
+        """Rows that reach past level n."""
+        return np.flatnonzero(self.tailed | (self.hi > self.n))
+
+    def product(self, x, band: np.ndarray) -> np.ndarray:
+        """x @ window(n) for a vector x over levels 0..n, without the window.
+
+        band holds the band blocks at `pairs`, as `blocks` gives them.  The
+        tail blocks coef * ratio**(l - k) past each tailed row's band add
+        up, column by column, to a first-order geometric recurrence, taken
+        in closed form.  It equals x @ window(n).values up to rounding.
+        """
+        d = band.shape[-1]
+        X = np.asarray(x, dtype=float).reshape(self.n + 1, d)
+        ks, ls = self.pairs
+        terms = np.matmul(X[ks, None, :], band)[:, 0, :]
+        cols = (ls[:, None] * d + np.arange(d)).ravel()
+        out = np.bincount(cols, weights=terms.ravel(), minlength=X.size)
+        filled = self.filled()
+        if filled.size:
+            tail = self.tail
+            start = self.hi[filled] + 1
+            pulses = np.zeros_like(X)
+            np.add.at(pulses, start, (X[filled] @ tail.coef)
+                      * (tail.ratio ** (start - filled).astype(float))[:, None])
+            out += _geometric_sums(pulses, tail.ratio).ravel()
+        return out
+
+
+def _geometric_sums(pulses: np.ndarray, ratio: float) -> np.ndarray:
+    """out[l] = sum over j <= l of ratio**(l - j) * pulses[j], without a loop over l.
+
+    The levels go in chunks of about sqrt(m): one lower-triangular power
+    matrix gives each chunk's own sums, a second carries each chunk's last
+    sum into the later chunks.  Both matrices have about m entries.
+    """
+    m = pulses.shape[0]
+    size = math.isqrt(max(m - 1, 0)) + 1
+    count = -(-m // size)
+    chunks = np.zeros((count * size, pulses.shape[1]))
+    chunks[:m] = pulses
+    chunks = chunks.reshape(count, size, -1)
+
+    def powers(steps: int, length: int) -> np.ndarray:
+        gap = np.subtract.outer(np.arange(length), np.arange(length))
+        return np.where(gap >= 0, ratio ** (steps * np.maximum(gap, 0.0)), 0.0)
+
+    local = powers(1, size) @ chunks
+    ends = powers(size, count) @ local[:, -1]
+    carried = np.zeros_like(ends)
+    carried[1:] = ends[:-1]
+    out = local + ratio ** np.arange(1.0, size + 1.0)[:, None] * carried[:, None, :]
+    return out.reshape(count * size, -1)[:m]
+
+
 class BlockGeneratorModel:
     """Base for finitely described infinite block generators.
 
     A model kind supplies `block(k, l)`, its band hints (`lower_hint`,
     `upper_hint` and, for rows with a geometric tail, `row_tail`) and its
     level metadata (`homogeneity_level`, `drift_fit_level`).  Everything
-    else, `blocks`, `tail_sum`, `apply_row`, `window` and `slack_law`
-    included, is derived here from `band` and `block` (`BmapQueueModel`
-    overrides `slack_law` for affine service and `blocks` with array
-    arithmetic).  Models are immutable after construction.
+    else, `blocks`, `tail_sum`, `apply_row`, `layout`, `window` and
+    `slack_law` included, is derived here from `band` and `block`
+    (`BmapQueueModel` overrides `slack_law` for affine service and `blocks`
+    with array arithmetic).  Models are immutable after construction.
     """
 
     d: int
@@ -324,32 +415,37 @@ class BlockGeneratorModel:
     def bm_check_level(self) -> int:
         return self.homogeneity_level() + self.lower_hint() + self.upper_hint() + 1
 
-    def window(self, n: int) -> FiniteBlockMatrix:
-        """Northwest corner over levels 0..n; not conservative in general.
-
-        Row k reads only column 0 and its band: the (k, l) pairs of every
-        row come from `band` and are filled by one `blocks` call in one
-        stacked assignment; past the band the row is zero or filled from the
-        geometric tail in closed form.
-        """
+    def layout(self, n: int) -> CornerLayout:
+        """Where the rows of the corner over levels 0..n live: `band` read once per row."""
         if n < 0:
             raise InputError(f"window level must be >= 0, got {n}")
+        lo, hi, tails = zip(*(self.band(k) for k in range(n + 1)))
+        return CornerLayout(
+            n=n, lo=np.array(lo), hi=np.array(hi),
+            tail=next((t for t in tails if t is not None), None),
+            tailed=np.array([t is not None for t in tails]),
+        )
+
+    def window(self, n: int, layout: CornerLayout | None = None) -> FiniteBlockMatrix:
+        """Northwest corner over levels 0..n; not conservative in general.
+
+        Rows follow `layout(n)` (pass it when already read): the band blocks
+        come from one `blocks` call over its pairs in one stacked
+        assignment, and a tailed row is filled past its band in closed form.
+        """
+        lay = self.layout(n) if layout is None else layout
         d = self.d
         out = np.zeros(((n + 1) * d, (n + 1) * d))
         blocks = out.reshape(n + 1, d, n + 1, d)
-        ks, ls = [], []
-        powers = None
-        for k in range(n + 1):
-            lo, hi, tail = self.band(k)
-            cols = ([0] if lo > 0 else []) + list(range(lo, min(hi, n) + 1))
-            ks += [k] * len(cols)
-            ls += cols
-            if tail is not None and hi < n:
-                if powers is None:
-                    powers = np.array([tail.ratio ** o for o in range(n + 1)])
+        filled = lay.filled()
+        if filled.size:
+            tail = lay.tail
+            powers = np.array([tail.ratio ** o for o in range(n + 1)])
+            for k, hi in zip(filled.tolist(), lay.hi[filled].tolist()):
                 blocks[k, :, hi + 1:, :] = (
                     tail.coef[:, None, :] * powers[hi + 1 - k:n + 1 - k, None]
                 )
+        ks, ls = lay.pairs
         blocks[ks, :, ls, :] = self.blocks(ks, ls)
         return FiniteBlockMatrix(d, out)
 
@@ -380,6 +476,9 @@ class BandedModel(BlockGeneratorModel):
         self._zero = np.zeros((d, d))
         self._rows = {}
         for k, offsets in rows.items():
+            if not 0 <= k <= K_hom:
+                # row k > K_hom would never be read: rows from K_hom on repeat row K_hom
+                raise InvalidModelFile(f"block row at level {k} outside 0..K_hom={K_hom}")
             row = {}
             for o, mat in offsets.items():
                 mat = np.asarray(mat, dtype=float)
@@ -389,6 +488,10 @@ class BandedModel(BlockGeneratorModel):
                     )
                 if not -L <= o <= U:
                     raise InputError(f"offset {o} outside band [-{L}, {U}]")
+                if k + o < 0:
+                    raise InvalidModelFile(
+                        f"block at level {k}, offset {o} lies in column {k + o} < 0"
+                    )
                 row[o] = mat
             self._rows[k] = row
         for k in range(K_hom + 1):
@@ -434,6 +537,8 @@ def Mg1Model(d: int, repeat: list, boundary: list,
     """
     if len(repeat) < 2:
         raise InvalidModelFile("MG1Type needs at least A(-1) and A(0)")
+    if not boundary:
+        raise InvalidModelFile("MG1Type needs a boundary row: at least B(0)")
     U = max(len(repeat) - 2, len(boundary) - 1)
     row1 = {o - 1: a for o, a in enumerate(repeat)}
     if tail is not None:
@@ -752,11 +857,13 @@ def load_model(path) -> BlockGeneratorModel:
     except OSError as exc:
         raise InvalidModelFile(f"{path}: {exc}") from exc
     try:
-        d = int(doc["d"])
+        d = doc["d"]
         kind = doc["kind"]
         params = doc.get("parameters", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidModelFile(f"{path}: missing or malformed d/kind") from exc
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise InvalidModelFile(f"{path}: d must be an integer, got {d!r}")
     if d < 1:
         raise InvalidModelFile(f"{path}: d must be >= 1, got {d}")
     try:

@@ -44,8 +44,8 @@ from .errors import (
     NoPositiveC,
 )
 from .order import generator_is_block_monotone
-from .solve import stationary, tv_distance
-from .truncate import check_truncation_levels, lc_truncate
+from .solve import solve_truncation, stationary, tv_distance
+from .truncate import TruncationSpec, check_truncation_levels
 
 BETA_CAP = 64.0
 GRID_POINTS = 200
@@ -569,13 +569,13 @@ def bound_pipeline(B: BmapModel, n_range, beta: float | None = None,
     cert = _level0_certificate(B, beta=beta)
     pi_ref = None
     if n_ref is not None:
-        pi_ref = stationary(lc_truncate(B, n_ref).matrix, source="lc")
+        pi_ref = solve_truncation(B, TruncationSpec(n=n_ref))
     reports = []
     for n in n_range:
         started = time.perf_counter()
         true_tv = None
         if pi_ref is not None:
-            pi_n = stationary(lc_truncate(B, n).matrix, source="lc")
+            pi_n = solve_truncation(B, TruncationSpec(n=n))
             true_tv = tv_distance(pi_n, pi_ref)
         report = _bounds.bound_report(cert, B, n, true_tv=true_tv)
         theta_closed = _closed_form_theta(B, cert, n)

@@ -28,16 +28,8 @@ from .order import (
     generator_is_block_monotone,
     vector_dominates,
 )
-from .solve import stationary, tv_distance
-from .truncate import (
-    CUSTOM,
-    FIRST_COLUMN,
-    LAST_COLUMN,
-    TruncationSpec,
-    custom_truncate,
-    fc_truncate,
-    lc_truncate,
-)
+from .solve import solve_truncation, tv_distance
+from .truncate import CUSTOM, FIRST_COLUMN, LAST_COLUMN, TruncationSpec, truncation
 
 CSV_HEADER = ["n", "style", "t_star", "bound_min", "true_tv", "ordering_pass", "runtime_ms"]
 
@@ -50,15 +42,13 @@ def exit_code_for(exc: BaseException) -> int:
     return 3
 
 
-def _truncation(model, n: int, style: str, weights: dict | None):
-    if style == LAST_COLUMN:
-        return lc_truncate(model, n)
-    if style == FIRST_COLUMN:
-        return fc_truncate(model, n)
+def _spec(n: int, style: str, weights: dict | None) -> TruncationSpec:
+    if style != CUSTOM:
+        return TruncationSpec(n=n, style=style)
     if weights is None:
         raise InputError("custom style needs --weights")
     targets = {n if level == "n" else level: frac for level, frac in weights.items()}
-    return custom_truncate(model, TruncationSpec(n=n, style=CUSTOM, weights=targets))
+    return TruncationSpec(n=n, style=CUSTOM, weights=targets)
 
 
 def run_validate(model_path: str, against_path: str | None) -> int:
@@ -85,7 +75,7 @@ def run_validate(model_path: str, against_path: str | None) -> int:
 
 def run_truncate(model_path: str, n: int, style: str, weights: dict | None,
                  out: str | None) -> int:
-    values = _truncation(load_model(model_path), n, style, weights).matrix.values
+    values = truncation(load_model(model_path), _spec(n, style, weights)).matrix.values
     if out:
         if out.endswith(".npy"):
             np.save(out, values)
@@ -100,11 +90,11 @@ def run_truncate(model_path: str, n: int, style: str, weights: dict | None,
 def run_solve(model_path: str, n: int, style: str, weights: dict | None,
               out: str | None) -> int:
     model = load_model(model_path)
-    pi = stationary(_truncation(model, n, style, weights).matrix, source=style)
+    pi = solve_truncation(model, _spec(n, style, weights))
     rows = [(k, i, pi.values[k * model.d + i]) for k in range(n + 1) for i in range(model.d)]
     if out:
         with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["level", "phase", "probability"])
             writer.writerows(rows)
         click.echo(f"wrote {len(rows)} states to {out}")
@@ -144,8 +134,7 @@ def _sweep_rows(model, cert, pi_ref_values, n: int, styles: tuple, weights: dict
     elapsed = {}
     for style in styles:
         started = time.perf_counter()
-        trunc = _truncation(model, n, style, weights)
-        solutions[style] = stationary(trunc.matrix, source=style).values
+        solutions[style] = solve_truncation(model, _spec(n, style, weights)).values
         elapsed[style] = (time.perf_counter() - started) * 1e3
     chain = [FIRST_COLUMN, CUSTOM, LAST_COLUMN]
     present = [s for s in chain if s in solutions]
@@ -199,9 +188,9 @@ def run_sweep(model_path: str, n_min: int, n_max: int, step: int, n_ref: int | N
     cert = None
     if isinstance(model, BmapQueueModel):
         cert = _bmap._level0_certificate(model, beta=beta)
-    pi_ref = stationary(lc_truncate(model, n_ref).matrix, source="lc")
+    pi_ref = solve_truncation(model, TruncationSpec(n=n_ref))
     with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
+        writer = csv.DictWriter(fh, fieldnames=CSV_HEADER, lineterminator="\n")
         writer.writeheader()
         try:
             # every level is solved before any row is written, so a failing

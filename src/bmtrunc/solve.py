@@ -15,9 +15,19 @@ that window, and every other entry of it only gains exact zeros.  The
 pivot's scale still sums its whole row and the back-substitution keeps its
 order, so the result is bit for bit that of a dense update.  On a banded
 corner of N states that is O(N * band^2) work, and O(N^2 * band) under a
-geometric tail, against O(N^3) dense.  Uniformization propagates a start
-distribution as vector x matrix products, O(N^2) per Poisson term; only
-`transition_matrix` forms matrix powers.
+geometric tail, against O(N^3) dense.
+
+Two paths own their arrays differently.  `stationary(G)` never writes to G:
+it eliminates a copy and takes the residual x G from G, so it holds two
+N x N arrays.  `solve_truncation(M, spec)` builds the corner itself,
+eliminates it in place and takes the residual from the model, so it holds
+one.  The truncation callers (the bound pipeline, the sweep, `bmtrunc
+solve`) take the second; explicit matrices, the phase law and the decay
+proxy, whose matrix uniformization reads again, take the first.
+
+Uniformization propagates a start distribution as vector x matrix
+products, O(N^2) per Poisson term, with one sequence of terms for all the
+times asked; only `transition_matrix` forms matrix powers.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as _bounds
-from .blockmat import FiniteBlockMatrix, phase_generator
+from .blockmat import BlockGeneratorModel, FiniteBlockMatrix, phase_generator
 from .errors import (
     CertificateNotVerified,
     DimensionMismatch,
@@ -37,7 +47,7 @@ from .errors import (
     MultipleClosedClasses,
     NoConvergence,
 )
-from .truncate import lc_truncate
+from .truncate import TruncationSpec, lc_truncate, truncation
 
 PIVOT_FLOOR = 1e-14
 RESIDUAL_FACTOR = 1e-12
@@ -72,6 +82,10 @@ def _square_values(G, d: int | None):
 def stationary(G, d: int | None = None, source: str = "full-reference") -> DistributionVector:
     """Stationary distribution of a finite conservative q-matrix.
 
+    G is never written to: the elimination runs on a copy, and the
+    residual x G is taken from G itself.  `solve_truncation` is the path
+    that owns its corner and overwrites it, one array per solve.
+
     States are eliminated highest index first.  Elimination folds each
     removed state's rates back into the remaining ones using only additions,
     multiplications and divisions of nonnegative numbers, so no cancellation
@@ -87,9 +101,32 @@ def stationary(G, d: int | None = None, source: str = "full-reference") -> Distr
     closed class.
     """
     values, d = _square_values(G, d)
-    N = values.shape[0]
-    diag_scale = float(np.max(np.abs(np.diag(values)))) if N else 0.0
-    A = values.copy()
+    x, diag_scale = _eliminate(values.copy(), d)
+    _check_residual(x @ values, diag_scale)
+    return DistributionVector(d=d, values=x, source=source)
+
+
+def solve_truncation(M: BlockGeneratorModel, spec: TruncationSpec) -> DistributionVector:
+    """Stationary distribution of the truncation of M that spec names.
+
+    The corner is built as `truncation(M, spec)` builds it, then eliminated
+    in place by the kernel of `stationary`, so the result is that of
+    `stationary(truncation(M, spec).matrix)` bit for bit while only one
+    corner-sized array is ever held.  The residual x Q is taken from the
+    model (`TruncatedGenerator.corner_product`), since the corner is gone
+    by then, under the same contract.
+    """
+    trunc = truncation(M, spec)
+    x, diag_scale = _eliminate(trunc.matrix.values, M.d)
+    _check_residual(trunc.corner_product(x), diag_scale)
+    return DistributionVector(d=M.d, values=x, source=spec.style)
+
+
+def _eliminate(A: np.ndarray, d: int) -> tuple[np.ndarray, float]:
+    """The stationary vector of the q-matrix A and A's largest |diagonal|,
+    by group elimination of A in place; A's entries are garbage after."""
+    N = A.shape[0]
+    diag_scale = float(np.max(np.abs(np.diag(A)))) if N else 0.0
     floor = PIVOT_FLOOR * max(1.0, diag_scale)
     width = d * -(-GROUP_STATES // d)
     for top in range(N, 1, -width):
@@ -120,13 +157,17 @@ def stationary(G, d: int | None = None, source: str = "full-reference") -> Distr
     for s in range(1, N):
         x[s] = x[:s] @ A[:s, s]
     x /= x.sum()
-    residual = float(np.max(np.abs(x @ values))) if N else 0.0
+    return x, diag_scale
+
+
+def _check_residual(xq: np.ndarray, diag_scale: float) -> None:
+    """Refuse x whose residual x Q passes RESIDUAL_FACTOR * max(1, max |diag Q|)."""
+    residual = float(np.max(np.abs(xq))) if xq.size else 0.0
     if residual > RESIDUAL_FACTOR * max(1.0, diag_scale):
         raise NoConvergence(
             f"stationary residual {residual:.3e} exceeds contract "
             f"{RESIDUAL_FACTOR * max(1.0, diag_scale):.3e}"
         )
-    return DistributionVector(d=d, values=x, source=source)
 
 
 def _poisson_weights(lam: float, tol: float) -> np.ndarray:
@@ -169,7 +210,7 @@ def transition_matrix(G, t: float, tol: float = 1e-12, d: int | None = None) -> 
     drops below tol.
     """
     values, d = _square_values(G, d)
-    return FiniteBlockMatrix(d, _uniformized(values, np.eye(values.shape[0]), t, tol))
+    return FiniteBlockMatrix(d, _uniformized(values, np.eye(values.shape[0]), [t], tol)[0])
 
 
 def _check_time(t: float) -> None:
@@ -177,23 +218,31 @@ def _check_time(t: float) -> None:
         raise InputError(f"time must be finite and >= 0, got {t}")
 
 
-def _uniformized(values: np.ndarray, start: np.ndarray, t: float, tol: float) -> np.ndarray:
-    """start @ exp(values * t) by uniformization, one start row or many."""
-    _check_time(t)
+def _uniformized(values: np.ndarray, start: np.ndarray, times, tol: float) -> list:
+    """start @ exp(values * t) for each t by uniformization, one start row or many.
+
+    I + values/sigma is built once, in place, and one sequence of terms
+    start, start A, start A^2, ... serves every time: each time adds the
+    terms it needs, with its own Poisson weights, into its own output.
+    """
+    for t in times:
+        _check_time(t)
     N = values.shape[0]
     sigma = float(np.max(np.abs(np.diag(values)))) if N else 1.0
     if sigma <= 0.0:
         sigma = 1.0
-    A = np.eye(N) + values / sigma
-    weights = _poisson_weights(sigma * t, tol)
-    out = np.zeros_like(start)
+    A = values / sigma
+    A.flat[::N + 1] += 1.0
+    weights = [_poisson_weights(sigma * t, tol) for t in times]
+    outs = [np.zeros_like(start) for _ in times]
     term = start
-    for i, w in enumerate(weights):
+    for i in range(max((w.size for w in weights), default=0)):
         if i > 0:
             term = term @ A
-        if w > 0.0:
-            out += w * term
-    return out
+        for w, out in zip(weights, outs):
+            if i < w.size and w[i] > 0.0:
+                out += w[i] * term
+    return outs
 
 
 def _pad_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,12 +327,10 @@ def transient_decay_check(model, cert, times, start_level: int = 0,
     p0 = np.zeros((n_ref + 1) * d)
     p0[start_level * d:(start_level + 1) * d] = phase_law
     v_start = float(phase_law @ cert.v.level(start_level)) if start_level > 0 else 0.0
-    measured = []
-    limits = []
-    for t in times:
-        pt = _uniformized(proxy.matrix.values, p0, t, 1e-12)
-        measured.append(v_norm(pt - pi_ref.values, v_vec))
-        limits.append(2.0 * math.exp(-cert.c * t) * (v_start + cert.b / cert.c) + eps_trunc)
+    measured = [v_norm(pt - pi_ref.values, v_vec)
+                for pt in _uniformized(proxy.matrix.values, p0, times, 1e-12)]
+    limits = [2.0 * math.exp(-cert.c * t) * (v_start + cert.b / cert.c) + eps_trunc
+              for t in times]
     return DecayReport(
         times=list(times),
         measured=measured,

@@ -11,7 +11,10 @@ blocks over columns 0..n plus the fold, their diagonal block in place, and
 nothing else.  `TruncatedGenerator` is that augmented generator as a
 banded-block model: it supplies `block(k, l)` and the band of each row, and
 its tail sums, windows and row products come from `BlockGeneratorModel` like
-every other model's, for ordering checks and transience probes alike.
+every other model's, for ordering checks and transience probes alike.  It
+also keeps the base's corner layout, its band blocks and each folded
+row's cut mass S(k; n+1), so `corner_product` gives x Q for the corner
+without reading it, and a solver may overwrite the corner.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from .blockmat import (
     TAU_CONS,
     BlockGeneratorModel,
+    CornerLayout,
     FiniteBlockMatrix,
     reachable,
 )
@@ -106,6 +110,11 @@ class TruncatedGenerator(BlockGeneratorModel):
     base: BlockGeneratorModel
     spec: TruncationSpec
     matrix: FiniteBlockMatrix
+    # the base's layout over levels 0..n, the band blocks at its pairs, and
+    # S(k; n+1) of each of its folded rows: what the fold added to the corner
+    base_layout: CornerLayout
+    band_blocks: np.ndarray
+    cut: np.ndarray
 
     def __post_init__(self):
         self.d = self.base.d
@@ -122,6 +131,24 @@ class TruncatedGenerator(BlockGeneratorModel):
         if k > self.n:
             e = e - self.base.block(k, k)
         return e
+
+    def corner_product(self, x) -> np.ndarray:
+        """x @ matrix for a vector x over levels 0..n, from the base model.
+
+        The window's part is `CornerLayout.product` over the band blocks;
+        the fold adds, at each target level, its fraction of the sum over
+        folded rows of x(k) S(k; n+1).  It equals x @ matrix.values up to
+        rounding and never reads the corner, so it holds also once the
+        corner has been overwritten.
+        """
+        d, n = self.d, self.n
+        out = self.base_layout.product(x, self.band_blocks)
+        X = np.asarray(x, dtype=float).reshape(n + 1, d)
+        folded = np.einsum("ki,kij->j", X[self.base_layout.folded()], self.cut)
+        levels = out.reshape(n + 1, d)
+        for l, frac in self.spec.targets.items():
+            levels[l] += frac * folded
+        return out
 
     def block(self, k: int, l: int) -> np.ndarray:
         n = self.n
@@ -156,18 +183,19 @@ class TruncatedGenerator(BlockGeneratorModel):
 
 
 def _truncate(M: BlockGeneratorModel, spec: TruncationSpec) -> TruncatedGenerator:
-    d, n, targets = M.d, spec.n, spec.targets
-    corner = M.window(n).values
-    for k in range(n + 1):
-        _lo, hi, tail = M.band(k)
-        if hi <= n and tail is None:
-            continue
-        e = M.tail_sum(k, n + 1)
-        if not np.any(e):
-            continue
-        rows = slice(k * d, (k + 1) * d)
-        for l, frac in targets.items():
-            corner[rows, l * d:(l + 1) * d] += frac * e
+    d, n = M.d, spec.n
+    layout = M.layout(n)
+    corner = M.window(n, layout).values
+    blocks = corner.reshape(n + 1, d, n + 1, d)
+    ks, ls = layout.pairs
+    # the band blocks `window` wrote, before the fold lands on some of them
+    band_blocks = blocks[ks, :, ls, :]
+    folded = layout.folded()
+    cut = np.array([M.tail_sum(k, n + 1) for k in folded.tolist()]).reshape(-1, d, d)
+    # a row whose cut is all zeros is left alone, signed zeros included
+    live = cut.any(axis=(1, 2))
+    for l, frac in spec.targets.items():
+        blocks[folded[live], :, l, :] += frac * cut[live]
     result = FiniteBlockMatrix(d, corner)
     defect = float(np.max(np.abs(corner.sum(axis=1))))
     # the largest |entry|, without a corner-sized |corner| temporary
@@ -177,7 +205,8 @@ def _truncate(M: BlockGeneratorModel, spec: TruncationSpec) -> TruncatedGenerato
             f"augmented corner is not conservative (defect {defect:.3e}); "
             "the source model's tail sums are inconsistent"
         )
-    return TruncatedGenerator(base=M, spec=spec, matrix=result)
+    return TruncatedGenerator(base=M, spec=spec, matrix=result, base_layout=layout,
+                              band_blocks=band_blocks, cut=cut)
 
 
 def lc_truncate(M: BlockGeneratorModel, n: int) -> TruncatedGenerator:
@@ -195,6 +224,15 @@ def custom_truncate(M: BlockGeneratorModel, spec: TruncationSpec) -> TruncatedGe
     if spec.style != CUSTOM:
         raise InvalidRedistribution(f"custom_truncate needs style 'custom', got {spec.style!r}")
     return _truncate(M, spec)
+
+
+def truncation(M: BlockGeneratorModel, spec: TruncationSpec) -> TruncatedGenerator:
+    """The truncation that spec names, by lc_truncate, fc_truncate or custom_truncate."""
+    if spec.style == LAST_COLUMN:
+        return lc_truncate(M, spec.n)
+    if spec.style == FIRST_COLUMN:
+        return fc_truncate(M, spec.n)
+    return custom_truncate(M, spec)
 
 
 def check_no_closed_classes_above(T: TruncatedGenerator, probe: int | None = None,

@@ -215,6 +215,17 @@ def test_banded_model_validates_band_and_coverage():
     with pytest.raises(InputError):
         BandedModel(d=1, L=1, U=1, K_hom=1,
                     rows={0: {0: [[-1.0]]}, 1: {2: [[1.0]]}})
+    # blocks the model would never read are refused, not stored
+    rows = {0: {0: [[-1.0]], 1: [[1.0]]}, 1: {-1: [[1.0]], 0: [[-1.0]]}}
+    for level, offset in ((-3, 0), (2, 0), (5, -1), (0, -1)):
+        bad = {k: dict(v) for k, v in rows.items()}
+        bad.setdefault(level, {})[offset] = [[0.5]]
+        with pytest.raises(InvalidModelFile):
+            BandedModel(d=1, L=1, U=1, K_hom=1, rows=bad)
+    two_down = {0: {0: [[-1.0]]}, 1: {0: [[-1.0]]}, 2: {0: [[-1.0]]}}
+    two_down[1][-2] = [[1.0]]
+    with pytest.raises(InvalidModelFile, match="column -1 < 0"):
+        BandedModel(d=1, L=2, U=1, K_hom=2, rows=two_down)
 
 
 def test_mg1_model_block_layout():
@@ -309,6 +320,16 @@ def test_load_model_banded_and_mg1(tmp_path):
     np.testing.assert_array_equal(m.block(2, 3), [[1.0]])
 
 
+def test_mg1_model_needs_a_boundary_row(tmp_path):
+    A = [np.array([[2.0]]), np.array([[-3.0]]), np.array([[1.0]])]
+    with pytest.raises(InvalidModelFile, match="boundary row"):
+        Mg1Model(d=1, repeat=A, boundary=[])
+    doc = {"d": 1, "kind": "MG1Type",
+           "parameters": {"A": [[[2.0]], [[-3.0]], [[1.0]]], "B": []}}
+    with pytest.raises(InvalidModelFile, match="boundary row"):
+        load_model(write_model(tmp_path / "mg1.json", doc))
+
+
 def test_load_model_rejects_malformed_files(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("this is not json")
@@ -329,6 +350,18 @@ def test_load_model_rejects_malformed_files(tmp_path):
     k_max_clash["parameters"]["k_max"] = 5
     with pytest.raises(InvalidModelFile):
         load_model(write_model(tmp_path / "clash.json", k_max_clash))
+    # banded blocks the model would never read: below level 0, above K_hom
+    blocks = [{"level": 0, "offset": 0, "matrix": [[-1.0]]},
+              {"level": 0, "offset": 1, "matrix": [[1.0]]},
+              {"level": 1, "offset": -1, "matrix": [[2.0]]},
+              {"level": 1, "offset": 0, "matrix": [[-3.0]]},
+              {"level": 1, "offset": 1, "matrix": [[1.0]]}]
+    for level in (-3, 2):
+        doc = {"d": 1, "kind": "ExplicitBanded",
+               "parameters": {"L": 1, "U": 1, "K_hom": 1, "blocks": blocks + [
+                   {"level": level, "offset": 0, "matrix": [[-0.5]]}]}}
+        with pytest.raises(InvalidModelFile, match=f"level {level} outside 0..K_hom=1"):
+            load_model(write_model(tmp_path / "banded.json", doc))
 
 
 def _band_model_parts():

@@ -224,14 +224,14 @@ def test_pipeline_reports(d2_psi0):
 
 
 def test_pipeline_runtime_covers_the_corner_solve(mm1, monkeypatch):
-    real = bmap.stationary
+    real = bmap.solve_truncation
 
-    def slow_corner_solve(G, *args, source="full-reference", **kwargs):
-        if source == "lc":
+    def slow_corner_solve(M, spec):
+        if spec.style == "lc":
             time.sleep(0.03)
-        return real(G, *args, source=source, **kwargs)
+        return real(M, spec)
 
-    monkeypatch.setattr(bmap, "stationary", slow_corner_solve)
+    monkeypatch.setattr(bmap, "solve_truncation", slow_corner_solve)
     reps = bound_pipeline(mm1, [5, 10], n_ref=40)
     assert all(r.runtime_ms >= 30.0 for r in reps)
 

@@ -259,15 +259,41 @@ def test_sweep_to_file(runner, mm1_path, tmp_path):
     assert {r["style"] for r in rows} == {"lc", "fc"}
 
 
+def test_sweep_and_solve_write_lf_lines(runner, mm1_path, tmp_path):
+    # stdout_bytes, not output: the runner's text output folds CRLF into LF
+    printed = runner.invoke(main, sweep_args(mm1_path))
+    assert printed.exit_code == 0
+    assert b"\r" not in printed.stdout_bytes
+    assert printed.stdout_bytes.count(b"\n") == 7
+    sweep_out, solve_out = tmp_path / "sweep.csv", tmp_path / "pi.csv"
+    for args, out in ((sweep_args(mm1_path, ["--out", str(sweep_out)]), sweep_out),
+                      (["solve", "--model", mm1_path, "--n", "5", "--out", str(solve_out)],
+                       solve_out)):
+        assert runner.invoke(main, args).exit_code == 0
+        assert b"\r" not in out.read_bytes() and out.read_bytes().endswith(b"\n")
+
+
+@pytest.mark.parametrize("d", [1.7, True, "2", None, [2]])
+def test_model_file_refuses_a_d_that_is_not_an_integer(runner, mm1, tmp_path, d):
+    doc = dict(bmap_doc(mm1), d=d)
+    path = write_model(tmp_path / "q.json", doc)
+    with pytest.raises(InvalidModelFile, match="d must be an integer"):
+        load_model(path)
+    result = runner.invoke(main, ["solve", "--model", path, "--n", "3"])
+    assert result.exit_code == 2
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "d must be an integer" in lines[0]
+
+
 def test_sweep_rows_time_their_own_style(runner, mm1_path, monkeypatch):
-    real = cli.stationary
+    real = cli.solve_truncation
 
-    def slow_lc_solve(G, *args, source="full-reference", **kwargs):
-        if source == "lc":
+    def slow_lc_solve(M, spec):
+        if spec.style == "lc":
             time.sleep(0.05)
-        return real(G, *args, source=source, **kwargs)
+        return real(M, spec)
 
-    monkeypatch.setattr(cli, "stationary", slow_lc_solve)
+    monkeypatch.setattr(cli, "solve_truncation", slow_lc_solve)
     result = runner.invoke(main, sweep_args(mm1_path))
     assert result.exit_code == 0
     rows = list(csv.DictReader(io.StringIO(result.output)))

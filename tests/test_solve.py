@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,15 +18,18 @@ from bmtrunc import (
     InputError,
     KNotZero,
     MultipleClosedClasses,
+    NoConvergence,
     TruncationSpec,
     build_generator,
     custom_truncate,
     fc_truncate,
     lc_truncate,
     solve,
+    solve_truncation,
     stationary,
     transient_decay_check,
     transition_matrix,
+    truncation,
     tv_distance,
     v_norm,
 )
@@ -36,6 +40,7 @@ from helpers import (
     scalar_stationary,
     tailed_mg1,
     tailed_queue,
+    uniformized_per_time,
 )
 
 
@@ -113,8 +118,12 @@ def test_stationary_is_bit_identical_to_the_scalar_loop(fleet_models):
             for corner in (lc_truncate(model, n), fc_truncate(model, n),
                            custom_truncate(model, custom)):
                 Q = corner.matrix
-                assert np.array_equal(stationary(Q).values, scalar_stationary(Q.values)), (
+                expected = scalar_stationary(Q.values)
+                assert np.array_equal(stationary(Q).values, expected), (
                     f"{name} n={n} {corner.spec.style}")
+                # the in-place solve of the same corner, from the model
+                assert np.array_equal(solve_truncation(model, corner.spec).values, expected), (
+                    f"{name} n={n} {corner.spec.style} in place")
     # raw arrays are eliminated in groups of 16 states, whatever their blocks
     raw = [lc_truncate(random_bmap(rng, d=3, psi=0.2), 30).matrix.values,
            fc_truncate(tailed_queue(d=5), 12).matrix.values]
@@ -123,6 +132,52 @@ def test_stationary_is_bit_identical_to_the_scalar_loop(fleet_models):
     raw.append(dense - np.diag(dense.sum(axis=1)))
     for G in raw:
         assert np.array_equal(stationary(G).values, scalar_stationary(G))
+
+
+def test_corner_product_is_the_dense_residual(fleet_models):
+    rng = np.random.default_rng(37)
+    for name, model in _corner_models(fleet_models).items():
+        for n in (9, 40):
+            specs = (TruncationSpec(n=n), TruncationSpec(n=n, style="fc"),
+                     TruncationSpec(n=n, style="custom",
+                                    weights={0: 0.25, n // 2: 0.25, n: 0.5}))
+            for spec in specs:
+                trunc = truncation(model, spec)
+                Q = trunc.matrix.values
+                x = rng.uniform(0.01, 1.0, Q.shape[0])
+                dense = x @ Q
+                scale = max(1.0, float(np.max(x @ np.abs(Q))))
+                err = float(np.max(np.abs(trunc.corner_product(x) - dense)))
+                assert err <= 1e-14 * scale, f"{name} n={n} {spec.style}: {err:.3e}"
+
+
+def test_solve_truncation_refuses_a_vector_that_breaks_the_contract(monkeypatch, fleet_models):
+    model = fleet_models["d2"]
+    real = solve._eliminate
+
+    def off_by_a_little(A, d):
+        x, diag_scale = real(A, d)
+        x[-1] += 1e-6
+        return x, diag_scale
+
+    monkeypatch.setattr(solve, "_eliminate", off_by_a_little)
+    for spec in (TruncationSpec(n=30), TruncationSpec(n=30, style="fc")):
+        with pytest.raises(NoConvergence, match="stationary residual"):
+            solve_truncation(model, spec)
+
+
+def test_solve_truncation_holds_one_corner(fleet_models):
+    # N = 700 states: the corner is 3.9 MB, and a copy of it would pass the cap
+    model, spec = fleet_models["d2"], TruncationSpec(n=349)
+    N = (spec.n + 1) * model.d
+    solve_truncation(model, spec)
+    tracemalloc.start()
+    try:
+        solve_truncation(model, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * N * N, f"peak {peak / 8 / N / N:.2f} corners"
 
 
 def test_reducible_corner_fails_at_the_scalar_loops_state():
@@ -180,9 +235,29 @@ def test_uniformized_vector_matches_transition_matrix(d2_psi05):
     rng = np.random.default_rng(2)
     p0 = rng.dirichlet(np.ones(Q.shape[0]))
     for t in (0.0, 1.0, 5.0):
-        np.testing.assert_allclose(solve._uniformized(Q, p0, t, 1e-12),
+        np.testing.assert_allclose(solve._uniformized(Q, p0, [t], 1e-12)[0],
                                    p0 @ transition_matrix(Q, t).values,
                                    rtol=0.0, atol=1e-14)
+
+
+def test_uniformized_times_share_one_term_sequence(d2_psi05):
+    Q = lc_truncate(build_generator(d2_psi05), 40).matrix.values
+    p0 = np.random.default_rng(4).dirichlet(np.ones(Q.shape[0]))
+    times = (5.0, 0.0, 1.0, 17.3, 5.0)
+    for start in (p0, np.eye(Q.shape[0])[:3]):
+        found = solve._uniformized(Q, start, times, 1e-12)
+        assert len(found) == len(times)
+        for t, out in zip(times, found):
+            assert np.array_equal(out, uniformized_per_time(Q, start, t, 1e-12)), t
+
+
+def test_decay_report_is_the_per_time_report(monkeypatch, fleet_models, fleet_certs):
+    args = (fleet_models["d2"], fleet_certs["d2"], (0.5, 1.0, 5.0))
+    shared = transient_decay_check(*args, start_level=3, n_ref=60)
+    monkeypatch.setattr(solve, "_uniformized", lambda values, start, times, tol: [
+        uniformized_per_time(values, start, t, tol) for t in times])
+    per_time = transient_decay_check(*args, start_level=3, n_ref=60)
+    assert shared == per_time
 
 
 def _poisson_series(lam, tol):
