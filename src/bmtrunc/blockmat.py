@@ -847,6 +847,13 @@ def _parse_mu(obj) -> MuRule:
     )
 
 
+def _json_int(value, what: str, path) -> int:
+    """An integer field of a model file; a bool or a float is refused."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidModelFile(f"{path}: {what} must be an integer, got {value!r}")
+    return value
+
+
 def load_model(path) -> BlockGeneratorModel:
     """Read a model file: JSON with top-level {d, kind, parameters}."""
     try:
@@ -862,14 +869,13 @@ def load_model(path) -> BlockGeneratorModel:
         params = doc.get("parameters", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidModelFile(f"{path}: missing or malformed d/kind") from exc
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise InvalidModelFile(f"{path}: d must be an integer, got {d!r}")
+    d = _json_int(d, "d", path)
     if d < 1:
         raise InvalidModelFile(f"{path}: d must be >= 1, got {d}")
     try:
         if kind == "BmapQueue":
             D = list(params["D"])
-            if "k_max" in params and int(params["k_max"]) != len(D) - 1:
+            if "k_max" in params and _json_int(params["k_max"], "k_max", path) != len(D) - 1:
                 raise InvalidModelFile(
                     f"k_max={params['k_max']} disagrees with {len(D)} D blocks"
                 )
@@ -883,16 +889,16 @@ def load_model(path) -> BlockGeneratorModel:
         if kind == "ExplicitBanded":
             rows: dict = {}
             for entry in params["blocks"]:
-                k = int(entry["level"])
-                o = int(entry["offset"])
+                k = _json_int(entry["level"], "block level", path)
+                o = _json_int(entry["offset"], "block offset", path)
                 rows.setdefault(k, {})[o] = _parse_matrix(
                     entry["matrix"], d, f"block level {k} offset {o}"
                 )
             return BandedModel(
                 d=d,
-                L=int(params["L"]),
-                U=int(params["U"]),
-                K_hom=int(params["K_hom"]),
+                L=_json_int(params["L"], "L", path),
+                U=_json_int(params["U"], "U", path),
+                K_hom=_json_int(params["K_hom"], "K_hom", path),
                 rows=rows,
             )
         if kind == "MG1Type":

@@ -61,6 +61,10 @@ GRID_BATCH_ENTRIES = 2 ** 14
 # the dense eigensolver; no spectral call of the benchmark workloads takes
 # more than 43.
 POWER_ITERS = 100
+# Both power iterations stop when Rayleigh quotients r agree to PERRON_STOP *
+# max(1, |r|), and accept residuals up to PERRON_RESIDUAL * max |Dhat(z)|.
+PERRON_STOP = 1e-13
+PERRON_RESIDUAL = 1e-12
 # Below this many phases one dense eigensolve of the whole stack gives the
 # grid's Perron data sooner than the batched power iteration, each of whose
 # steps is a dozen calls on small arrays; from d = 8 on the iteration wins.
@@ -157,7 +161,7 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
             y = _dense_perron(dh.T)[1]
             res_r = float(_max(np.abs(dh @ x - val * x)))
             res_l = float(_max(np.abs(y @ dh - val * y)))
-            if max(res_r, res_l) > 1e-12 * norm:
+            if max(res_r, res_l) > PERRON_RESIDUAL * norm:
                 raise NoConvergence(
                     f"no Perron pair at z={z}; is the phase process reducible?"
                 )
@@ -169,15 +173,15 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
         divide(y, _max(y), out=y)
         Ex = dot(E, x)
         r = float(dot(y, Ex)) / float(dot(y, x))
-        done = abs(r - rprev) < 1e-13 * max(1.0, abs(r))
+        done = abs(r - rprev) < PERRON_STOP * max(1.0, abs(r))
         rprev = r
         if done:
             # the left residual only counts once the right one passes
             val = (r - 1.0) * shift
             res_r = float(_max(np.abs(dh @ x - val * x)))
-            if res_r <= 1e-12 * norm:
+            if res_r <= PERRON_RESIDUAL * norm:
                 res_l = float(_max(np.abs(y @ dh - val * y)))
-                if res_l <= 1e-12 * norm:
+                if res_l <= PERRON_RESIDUAL * norm:
                     break
     u = x / float(_min(x))
     eta = y / float(y @ u)
@@ -263,14 +267,14 @@ def _power_perron(dh: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]
         x = V[0]
         V = W / W.max(axis=2, keepdims=True)
         r = np.einsum("md,md->m", V[1], W[0]) / np.einsum("md,md->m", V[1], x)
-        done = np.abs(r - rprev) < 1e-13 * np.maximum(1.0, r)
+        done = np.abs(r - rprev) < PERRON_STOP * np.maximum(1.0, r)
         rprev = r
         if not (np.all(done | ~pending) or step == POWER_ITERS - 1):
             continue
         # Dhat = shift (E - I), so Dhat x - delta x = shift (E x - r x)
         xy = np.stack([x, V[1]])
         res = shift * np.abs((M @ xy[..., None])[..., 0] - r[:, None] * xy).max(axis=(0, 2))
-        ok = pending & done & (res <= 1e-12 * norm)
+        ok = pending & done & (res <= PERRON_RESIDUAL * norm)
         roots[ok] = (r[ok] - 1.0) * shift
         spread[ok] = (x[ok] / x[ok].min(axis=1, keepdims=True)).max(axis=1)
         pending &= ~ok

@@ -3,12 +3,15 @@
 Everything here is phrased through the block summation operator T_d: right
 multiplication turns a row vector or matrix into per-phase cumulative sums
 from the highest level down, and its inverse takes per-phase first
-differences.  Monotonicity and dominance checks reduce to sign conditions on
-transformed arrays; for infinitely described models the checks use exact tail
-sums over a finite level range that level-homogeneity makes sufficient.
-Every model, a truncation's augmented generator included, is read through one
-table of its `tail_sums` rows, and a finite matrix through `_col_tail`; each
-row's columns reach one past its `band`.
+differences.  Every monotonicity and dominance check is a sign condition on
+such tail sums, and one scan, `_scan`, makes them all: it compares two
+stacked tables of blocks entrywise and forgives a shortfall of up to
+TAU_ORD times the largest entry it compared (at least 1).  A model's table,
+a truncation's augmented generator included, is read from its `tail_sums`
+rows, each row's columns reaching one past its `band`, over a finite level
+range that level-homogeneity makes sufficient.  A finite matrix's table
+comes from `_col_tail`, and a vector is a table with one column of 1 x d
+blocks.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ TAU_ORD = 1e-12
 class DominanceReport:
     """Outcome of an ordering check.
 
-    worst_violation is (index, magnitude) at the entry with the least slack;
-    margin is that minimal slack itself (negative when the check fails).
+    worst_violation is (location, magnitude) at the entry with the least
+    slack, located at (k, i, l, j) in a table of blocks and at (level,
+    phase) in a vector; margin is that minimal slack itself (negative when
+    the check fails).
     """
 
     holds: bool
@@ -68,16 +73,6 @@ def _col_diff(values: np.ndarray, d: int) -> np.ndarray:
     return out.reshape(rows, cols)
 
 
-def _row_diff(values: np.ndarray, d: int) -> np.ndarray:
-    """Left-multiply by the inverse of T_d: block row k minus block row k-1."""
-    rows, cols = values.shape
-    n_lev = check_block_length(rows, d)
-    v = values.reshape(n_lev, d, cols)
-    out = v.copy()
-    out[1:] -= v[:-1]
-    return out.reshape(rows, cols)
-
-
 def td_transform(x, d: int, direction: str = "T") -> np.ndarray:
     """Apply T_d (or its inverse) on the right of a row vector or matrix.
 
@@ -103,67 +98,63 @@ def check_ordering_tol(tol: float) -> float:
     return tol
 
 
-def _tol(tol: float, *arrays: np.ndarray) -> float:
-    scale = max((float(np.max(np.abs(a))) for a in arrays if a.size), default=0.0)
-    return check_ordering_tol(tol) * max(1.0, scale)
+def _scan(lower: np.ndarray, upper: np.ndarray, tol: float, valid: np.ndarray | None = None,
+          first: int = 0, skip_diagonal: bool = False):
+    """Check lower(k, l) <= upper(k, l) entrywise, block by block.
 
-
-def _report(slack: np.ndarray, tol: float, index_of=None) -> DominanceReport:
-    """Build a report from a slack array that must be >= -tol everywhere."""
-    if slack.size == 0:
-        return DominanceReport(holds=True, worst_violation=None, margin=np.inf)
-    flat = int(np.argmin(slack))
-    idx = np.unravel_index(flat, slack.shape)
-    if index_of is not None:
-        idx = index_of(idx)
-    margin = _no_nan(float(slack.reshape(-1)[flat]))
-    magnitude = max(0.0, -margin)
-    return DominanceReport(
-        holds=magnitude <= tol,
-        worst_violation=(tuple(int(i) for i in idx), magnitude),
-        margin=margin,
-    )
-
-
-def _no_nan(x: float) -> float:
-    """A NaN slack is a violation: count it as -inf (argmin finds it first)."""
-    return -math.inf if math.isnan(x) else x
-
-
-def _scan(levels: np.ndarray, valid: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-          tol: float, skip_diagonal: bool = False):
-    """Check lower(k, l) <= upper(k, l) entrywise over the pairs `valid` marks.
-
-    lower and upper are stacked tables of d x d blocks, shape (rows, columns,
-    d, d), whose row r holds level levels[r] and column l level l.  The
-    tolerance is tol times the largest table entry seen (at least 1; a block
-    holding a NaN adds nothing to it).  With skip_diagonal the pairs
-    (k,i;k,i) are left out, as block monotonicity asks.  A NaN slack counts
-    as -inf, and the worst violation is the first least slack in (k, l, i, j)
-    order, NaN first within a block.  Returns the report and the scaled
-    tolerance.
+    lower and upper are stacked tables of blocks, shape (rows, columns, a,
+    b), whose row r holds level first + r and column l level l.  valid
+    marks the (row, column) pairs to compare; without it every pair is
+    compared, and the tables are read in place.  The tolerance is tol times
+    the largest entry compared (at least 1; a NaN adds nothing to it).
+    With skip_diagonal the entries (k,i;k,i) are left out, as block
+    monotonicity asks; it needs valid.  A NaN slack counts as -inf and is
+    the worst violation if there is one; otherwise that is the first least
+    slack in (k, l, i, j) order.  It is located at (k, i, l, j).  Returns
+    the report and the scaled tolerance.
     """
     check_ordering_tol(tol)
-    rows, cols = np.nonzero(valid)
-    if not rows.size:
-        return DominanceReport(holds=True, worst_violation=None, margin=np.inf), tol
-    lo = lower[rows, cols]
-    hi = upper[rows, cols]
+    block = lower.shape[2:]
+    if valid is None:
+        lo, hi = lower.reshape(-1, *block), upper.reshape(-1, *block)
+    else:
+        rows, cols = np.nonzero(valid)
+        lo, hi = lower[rows, cols], upper[rows, cols]
     slack = hi - lo
     if skip_diagonal:
-        slack[levels[rows] == cols] += np.diag(np.full(slack.shape[-1], np.inf))
-    peaks = np.abs(np.stack([lo, hi])).reshape(2, rows.size, -1).max(axis=2)
-    tau = tol * float(peaks[~np.isnan(peaks)].max(initial=1.0))
-    flat = slack.reshape(rows.size, -1)
-    least = flat.min(axis=1)
-    least[np.isnan(least)] = -math.inf
-    p = int(np.argmin(least))
-    if least[p] == math.inf:
+        eye = np.arange(block[0])
+        slack[np.flatnonzero(rows + first == cols)[:, None], eye, eye] = np.inf
+    tau = tol * float(max(np.fmax.reduce(np.abs(a), axis=None, initial=1.0) for a in (lo, hi)))
+    q = int(np.argmin(slack)) if slack.size else None
+    margin = math.inf if q is None else float(slack.flat[q])
+    if margin == math.inf:
         return DominanceReport(holds=True, worst_violation=None, margin=np.inf), tau
-    margin = float(least[p])
-    i, j = np.unravel_index(int(np.argmin(flat[p])), slack.shape[1:])
-    worst = ((int(levels[rows[p]]), int(i), int(cols[p]), int(j)), max(0.0, -margin))
+    margin = -math.inf if math.isnan(margin) else margin
+    p, i, j = np.unravel_index(q, slack.shape)
+    k, l = divmod(int(p), lower.shape[1]) if valid is None else (rows[p], cols[p])
+    worst = ((int(first + k), int(i), int(l), int(j)), max(0.0, -margin))
     return DominanceReport(holds=worst[1] <= tau, worst_violation=worst, margin=margin), tau
+
+
+def _vector_scan(lower: np.ndarray, upper: np.ndarray, tol: float) -> DominanceReport:
+    """`_scan` of two (levels, d) arrays as tables with one column of 1 x d
+    blocks; the worst violation is located at (level, phase)."""
+    report = _scan(lower[:, None, None], upper[:, None, None], tol)[0]
+    if report.worst_violation is not None:
+        (k, _, _, j), magnitude = report.worst_violation
+        report.worst_violation = ((k, j), magnitude)
+    return report
+
+
+def _finite_scan(M: FiniteBlockMatrix, tol: float, skip_diagonal: bool = False) -> DominanceReport:
+    """inv(T_d) M T_d >= 0 entrywise, read off M's tail-sum table: row k
+    against row k - 1, row 0 against zeros."""
+    m = M.n + 1
+    upper = _table(M, m, m)
+    lower = np.zeros_like(upper)
+    lower[1:] = upper[:-1]
+    return _scan(lower, upper, tol, valid=np.ones((m, m), dtype=bool),
+                 skip_diagonal=skip_diagonal)[0]
 
 
 def _tail_table(M: BlockGeneratorModel, rows: int, cols: int) -> np.ndarray:
@@ -178,8 +169,7 @@ def _tail_table(M: BlockGeneratorModel, rows: int, cols: int) -> np.ndarray:
 def is_block_increasing(f, d: int, tol: float = TAU_ORD) -> DominanceReport:
     """Check f(k, i) <= f(k+1, i) for every phase i and adjacent levels."""
     lev = _levels(f, d)
-    slack = lev[1:] - lev[:-1]
-    return _report(slack, _tol(tol, lev), index_of=lambda ij: (ij[0], ij[1]))
+    return _vector_scan(lev[:-1], lev[1:], tol)
 
 
 def vector_dominates(mu, eta, d: int, tol: float = TAU_ORD) -> DominanceReport:
@@ -194,8 +184,7 @@ def vector_dominates(mu, eta, d: int, tol: float = TAU_ORD) -> DominanceReport:
     pb[: b.shape[0]] = b
     ta = np.flip(np.cumsum(np.flip(pa, 0), 0), 0)
     tb = np.flip(np.cumsum(np.flip(pb, 0), 0), 0)
-    slack = tb - ta
-    return _report(slack, _tol(tol, ta, tb), index_of=lambda ij: (ij[0], ij[1]))
+    return _vector_scan(ta, tb, tol)
 
 
 def is_block_monotone_stochastic(P, d: int, tol: float = TAU_ORD) -> DominanceReport:
@@ -204,27 +193,26 @@ def is_block_monotone_stochastic(P, d: int, tol: float = TAU_ORD) -> DominanceRe
     Equivalent to every entry of inv(T_d) P T_d being nonnegative, i.e. the
     per-phase cumulative row tails are nondecreasing in the row level.
     """
-    values = P.values if isinstance(P, FiniteBlockMatrix) else np.asarray(P, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {values.shape}")
+    P = FiniteBlockMatrix(d, getattr(P, "values", P))
+    values = P.values
     row_defect = float(np.max(np.abs(values.sum(axis=1) - 1.0)))
     if row_defect > TAU_CONS * max(1.0, float(np.max(np.abs(values)))):
         raise NotStochastic(f"row sums deviate from 1 by {row_defect:.3e}")
     if float(values.min()) < -TAU_CONS:
         raise NotStochastic(f"negative entry {values.min():.3e}")
-    transformed = _row_diff(_col_tail(values, d), d)
-    return _report(transformed, _tol(tol, values))
+    return _finite_scan(P, tol)
 
 
 def generator_is_block_monotone(M, d: int | None = None, tol: float = TAU_ORD) -> DominanceReport:
     """Check block monotonicity of a conservative generator.
 
-    For a finite matrix this is nonnegativity of the off-diagonal entries of
-    inv(T_d) Q T_d.  For a model the same condition is evaluated through exact
-    tail sums S(k; l) over levels k up to the homogeneity level plus band
-    width; beyond that the rows repeat and the inequalities with them.  The
-    sums come from one table, rows 0..bm_check_level() and columns up to
-    one past the band, and one `_scan` compares each row with the next.
+    This is nonnegativity of the off-diagonal entries of inv(T_d) Q T_d,
+    i.e. S(k-1; l) <= S(k; l) entrywise off the diagonal.  A finite matrix
+    has every row of its tail-sum table checked, row 0 against zeros.  For
+    a model the rows run up to the homogeneity level plus band width;
+    beyond that they repeat and the inequalities with them.  The sums come
+    from one table, rows 0..bm_check_level() and columns up to one past the
+    band, and one `_scan` compares each row with the next.
     """
     if isinstance(M, BlockGeneratorModel):
         top = M.bm_check_level()
@@ -232,19 +220,12 @@ def generator_is_block_monotone(M, d: int | None = None, tol: float = TAU_ORD) -
         col_top = np.maximum(reach[:-1], reach[1:])
         table = _tail_table(M, top + 1, int(col_top.max()) + 1)
         valid = np.arange(table.shape[1]) <= col_top[:, None]
-        return _scan(np.arange(1, top + 1), valid, table[:-1], table[1:], tol,
-                     skip_diagonal=True)[0]
-    if isinstance(M, FiniteBlockMatrix):
-        values, d = M.values, M.d
-    else:
-        values = np.asarray(M, dtype=float)
+        return _scan(table[:-1], table[1:], tol, valid=valid, first=1, skip_diagonal=True)[0]
+    if not isinstance(M, FiniteBlockMatrix):
         if d is None:
             raise DimensionMismatch("block size d required for a plain array")
-    transformed = _row_diff(_col_tail(values, d), d)
-    mask = np.ones_like(transformed, dtype=bool)
-    np.fill_diagonal(mask, False)
-    slack = transformed[mask]
-    return _report(slack, _tol(tol, values))
+        M = FiniteBlockMatrix(d, M)
+    return _finite_scan(M, tol, skip_diagonal=True)
 
 
 def generator_dominates(M, M_tilde, tol: float = TAU_ORD) -> DominanceReport:
@@ -261,8 +242,7 @@ def generator_dominates(M, M_tilde, tol: float = TAU_ORD) -> DominanceReport:
     col_top = np.maximum(_reach(M, k_top + 1), _reach(M_tilde, k_top + 1))
     shape = (k_top + 1, int(col_top.max()) + 1)
     valid = np.arange(shape[1]) <= col_top[:, None]
-    report, tau = _scan(np.arange(k_top + 1), valid, _table(M, *shape),
-                        _table(M_tilde, *shape), tol)
+    report, tau = _scan(_table(M, *shape), _table(M_tilde, *shape), tol, valid=valid)
     tail_rep = _tail_beyond(_scan_tail(M), _scan_tail(M_tilde), k_top, tau)
     if tail_rep is not None and tail_rep[1] > max(0.0, -report.margin):
         return DominanceReport(

@@ -19,11 +19,12 @@ geometric tail, against O(N^3) dense.
 
 Two paths own their arrays differently.  `stationary(G)` never writes to G:
 it eliminates a copy and takes the residual x G from G, so it holds two
-N x N arrays.  `solve_truncation(M, spec)` builds the corner itself,
-eliminates it in place and takes the residual from the model, so it holds
-one.  The truncation callers (the bound pipeline, the sweep, `bmtrunc
-solve`) take the second; explicit matrices, the phase law and the decay
-proxy, whose matrix uniformization reads again, take the first.
+N x N arrays.  A truncation's corner is eliminated in place, with the
+residual taken from the model, so a solve holds one.  The truncation
+callers (the bound pipeline, the sweep, `bmtrunc solve`) go through
+`solve_truncation`, which builds the corner itself; the decay check
+uniformizes from its proxy's corner first and then solves that corner in
+place.  Only explicit matrices and the phase law take `stationary`.
 
 Uniformization propagates a start distribution as vector x matrix
 products, O(N^2) per Poisson term, with one sequence of terms for all the
@@ -47,7 +48,7 @@ from .errors import (
     MultipleClosedClasses,
     NoConvergence,
 )
-from .truncate import TruncationSpec, lc_truncate, truncation
+from .truncate import TruncatedGenerator, TruncationSpec, lc_truncate, truncation
 
 PIVOT_FLOOR = 1e-14
 RESIDUAL_FACTOR = 1e-12
@@ -116,10 +117,15 @@ def solve_truncation(M: BlockGeneratorModel, spec: TruncationSpec) -> Distributi
     model (`TruncatedGenerator.corner_product`), since the corner is gone
     by then, under the same contract.
     """
-    trunc = truncation(M, spec)
-    x, diag_scale = _eliminate(trunc.matrix.values, M.d)
+    return _solve_in_place(truncation(M, spec))
+
+
+def _solve_in_place(trunc: TruncatedGenerator) -> DistributionVector:
+    """Eliminate trunc's corner in place and check the residual x Q from
+    the model; the corner's entries are garbage after."""
+    x, diag_scale = _eliminate(trunc.matrix.values, trunc.d)
     _check_residual(trunc.corner_product(x), diag_scale)
-    return DistributionVector(d=M.d, values=x, source=spec.style)
+    return DistributionVector(d=trunc.d, values=x, source=trunc.spec.style)
 
 
 def _eliminate(A: np.ndarray, d: int) -> tuple[np.ndarray, float]:
@@ -319,7 +325,6 @@ def transient_decay_check(model, cert, times, start_level: int = 0,
         _check_time(t)
     d = model.d
     proxy = lc_truncate(model, n_ref)
-    pi_ref = stationary(proxy.matrix, source="lc")
     xi = phase_generator(model)
     phase_law = stationary(FiniteBlockMatrix(d, xi)).values
     eps_trunc = _bounds.minimized_bound(cert, model, n_ref)
@@ -327,8 +332,10 @@ def transient_decay_check(model, cert, times, start_level: int = 0,
     p0 = np.zeros((n_ref + 1) * d)
     p0[start_level * d:(start_level + 1) * d] = phase_law
     v_start = float(phase_law @ cert.v.level(start_level)) if start_level > 0 else 0.0
-    measured = [v_norm(pt - pi_ref.values, v_vec)
-                for pt in _uniformized(proxy.matrix.values, p0, times, 1e-12)]
+    # uniformization reads the corner, then the solve eliminates it in place
+    terms = _uniformized(proxy.matrix.values, p0, times, 1e-12)
+    pi_ref = _solve_in_place(proxy)
+    measured = [v_norm(pt - pi_ref.values, v_vec) for pt in terms]
     limits = [2.0 * math.exp(-cert.c * t) * (v_start + cert.b / cert.c) + eps_trunc
               for t in times]
     return DecayReport(

@@ -8,10 +8,12 @@ and the one-state-at-a-time fill-aware loop the level-group solver must
 match bit for bit, and the window oracle asks for every block pair: the
 plain algorithms the library's band-aware ones must reproduce.  The
 ordering scan's oracle compares tail sums one (k, l) pair at a time, as
-the scan over stacked tables must reproduce bit for bit, and a
-truncation's rows are also summed by hand, as `TruncatedGenerator` did
-before it was a banded-block model, and `mg1_block` is the M/G/1-type row
-rule that `Mg1Model`'s `BandedModel` must reproduce.  The
+the scan over stacked tables must reproduce bit for bit; the finite-matrix
+and vector checks' oracle is the flat-array report they were made with
+before the scan served them too.  A truncation's rows are also summed by
+hand, as `TruncatedGenerator` did before it was a banded-block model, and
+`mg1_block` is the M/G/1-type row rule that `Mg1Model`'s `BandedModel`
+must reproduce.  The
 power-iteration and offset-level oracles are the plain loops the
 certificate search must match bit for bit, and the serial search is the
 search as it ran before its grid was batched; the batched grid's offset
@@ -40,7 +42,9 @@ from bmtrunc import (
     TruncatedGenerator,
     find_beta_no_disaster,
     find_constants_disaster,
+    lc_truncate,
     spectral,
+    td_transform,
 )
 from bmtrunc.bmap import (
     _beta_grid,
@@ -749,3 +753,125 @@ def regime_queues(draw):
     }[rule]
     return BmapQueueModel(d=d, D=[D0, *batches], mu=service, psi=psi_share * lam,
                           tail=tail)
+
+
+def row_diff(values, d):
+    """Left-multiply by the inverse of T_d: block row k minus block row k-1."""
+    rows, cols = values.shape
+    v = values.reshape(rows // d, d, cols)
+    out = v.copy()
+    out[1:] -= v[:-1]
+    return out.reshape(rows, cols)
+
+
+def order_scale(*arrays):
+    """The ordering checks' tolerance scale: the largest |entry| of the
+    arrays compared, at least 1; a NaN adds nothing."""
+    return max([1.0] + [abs(x) for a in arrays for x in np.ravel(a) if not math.isnan(x)])
+
+
+def flat_report(slack, tau, index_of=None):
+    """An ordering report from a slack array that must be >= -tau everywhere,
+    as the finite-matrix and vector checks built it on their own: the first
+    NaN, or else the first least entry, in C order, located by its index."""
+    if slack.size == 0:
+        return DominanceReport(holds=True, worst_violation=None, margin=np.inf)
+    flat = int(np.argmin(slack))
+    idx = np.unravel_index(flat, slack.shape)
+    if index_of is not None:
+        idx = index_of(idx)
+    margin = float(slack.reshape(-1)[flat])
+    margin = -math.inf if math.isnan(margin) else margin
+    magnitude = max(0.0, -margin)
+    return DominanceReport(holds=magnitude <= tau,
+                           worst_violation=(tuple(int(i) for i in idx), magnitude),
+                           margin=margin)
+
+
+def finite_order_oracle(values, d, skip_diagonal=False, tol=TAU_ORD):
+    """Block monotonicity of a finite matrix from the entries of
+    inv(T_d) M T_d, its diagonal dropped for a generator.  Its location is
+    an index into the flat slack, not (k, i, l, j).  The tolerance is tol
+    times `order_scale` of the tail sums M T_d, the rule of the scan; a
+    finite matrix's used to be scaled by its largest entry instead."""
+    tails = td_transform(values, d)
+    slack = row_diff(tails, d)
+    if skip_diagonal:
+        slack = slack[~np.eye(len(slack), dtype=bool)]
+    return flat_report(slack, tol * order_scale(tails))
+
+
+def vector_order_oracle(lower, upper, tol=TAU_ORD):
+    """lower <= upper entrywise for two (levels, d) arrays, located at
+    (level, phase)."""
+    return flat_report(upper - lower, tol * order_scale(lower, upper),
+                       index_of=lambda ij: (ij[0], ij[1]))
+
+
+def vector_dominates_oracle(mu, eta, d, tol=TAU_ORD):
+    """`vector_order_oracle` of the per-phase tail sums of the two vectors,
+    the shorter one padded with zeros."""
+    n = max(len(mu), len(eta)) // d
+    tails = []
+    for x in (mu, eta):
+        padded = np.zeros((n, d))
+        padded[: len(x) // d] = np.reshape(x, (-1, d))
+        tails.append(np.flip(np.cumsum(np.flip(padded, 0), 0), 0))
+    return vector_order_oracle(*tails, tol)
+
+
+def _perturb(rng, values, noise, nan):
+    """values plus zero-row-sum noise of the given size, and optionally one
+    NaN entry."""
+    jitter = noise * rng.normal(size=values.shape)
+    out = values + (jitter - jitter.mean(axis=-1, keepdims=True))
+    if nan:
+        out[np.unravel_index(int(rng.integers(out.size)), out.shape)] = np.nan
+    return out
+
+
+@st.composite
+def finite_order_cases(draw):
+    """(Q, P, d): a generator and the kernel I + Q / (2 max |q_ii|) made
+    from it, over one to five levels of d <= 3 phases.  Q is a queue's
+    last-column corner, block monotone, or a random generator with rates
+    up to 5 and half its entries zero.  Both get 1e-11 noise or none, and
+    one NaN entry or none."""
+    d = draw(st.integers(1, 3))
+    levels = draw(st.integers(1, 5))
+    corner = levels > 1 and draw(st.booleans())
+    noise = draw(st.sampled_from([0.0, 1e-11]))
+    nan = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if corner:
+        Q = lc_truncate(random_bmap(rng, d=d), levels - 1).matrix.values.copy()
+    else:
+        size = levels * d
+        Q = rng.uniform(0.0, 5.0, (size, size)) * (rng.random((size, size)) < 0.5)
+        np.fill_diagonal(Q, 0.0)
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+    P = np.eye(len(Q)) + Q / (2.0 * max(1.0, float(np.abs(np.diag(Q)).max())))
+    return _perturb(rng, Q, noise, nan), _perturb(rng, P, noise, nan), d
+
+
+@st.composite
+def vector_order_cases(draw):
+    """(mu, eta, f, d) over d <= 4 phases: mu a distribution on one to six
+    levels; eta mu with 1e-11 noise or an independent distribution whose
+    length may differ; f nondecreasing in level, with flat steps, with
+    1e-11 noise or none.  mu and f may carry one NaN entry."""
+    d = draw(st.integers(1, 4))
+    levels = draw(st.integers(1, 6))
+    near = draw(st.booleans())
+    other = draw(st.integers(1, 6))
+    noise = draw(st.sampled_from([0.0, 1e-11]))
+    nan = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mu = rng.dirichlet(np.ones(levels * d))
+    eta = mu + 1e-11 * rng.normal(size=mu.shape) if near else rng.dirichlet(np.ones(other * d))
+    steps = rng.uniform(0.0, 1.0, (levels, d)) * (rng.random((levels, d)) < 0.5)
+    f = steps.cumsum(axis=0).ravel() + noise * rng.normal(size=levels * d)
+    if nan:
+        mu[int(rng.integers(mu.size))] = np.nan
+        f[int(rng.integers(f.size))] = np.nan
+    return mu, eta, f, d

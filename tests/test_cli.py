@@ -285,6 +285,30 @@ def test_model_file_refuses_a_d_that_is_not_an_integer(runner, mm1, tmp_path, d)
     assert len(lines) == 1 and lines[0].startswith("error: ") and "d must be an integer" in lines[0]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("U", 1.9), ("L", True), ("K_hom", 1.2), ("level", 1.7), ("offset", 1.2),
+    ("k_max", 1.5), ("k_max", True),
+])
+def test_model_file_refuses_integer_fields_that_are_not_integers(runner, mm1, tmp_path,
+                                                                 field, value):
+    # int() would truncate each of these to the value the file needs
+    if field == "k_max":
+        doc = bmap_doc(mm1)
+        doc["parameters"]["k_max"] = value
+    else:
+        doc = banded_doc({0: {0: [[-1.0]], 1: [[1.0]]},
+                          1: {-1: [[2.0]], 0: [[-3.0]], 1: [[1.0]]}})
+        params = doc["parameters"]
+        (params if field in params else params["blocks"][-1])[field] = value
+    path = write_model(tmp_path / "m.json", doc)
+    with pytest.raises(InvalidModelFile, match=f"{field} must be an integer"):
+        load_model(path)
+    result = runner.invoke(main, ["validate", "--model", path])
+    assert result.exit_code == 2
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_sweep_rows_time_their_own_style(runner, mm1_path, monkeypatch):
     real = cli.solve_truncation
 

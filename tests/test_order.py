@@ -28,6 +28,8 @@ from helpers import (
     block_increasing,
     break_monotone,
     dominated_pair,
+    finite_order_cases,
+    finite_order_oracle,
     finite_tail_sum,
     random_bmap,
     regime_queues,
@@ -37,6 +39,9 @@ from helpers import (
     t_matrix,
     tailed_mg1,
     tailed_queue,
+    vector_dominates_oracle,
+    vector_order_cases,
+    vector_order_oracle,
 )
 
 
@@ -315,3 +320,47 @@ def test_dominance_scan_matches_the_per_pair_loop(fleet_models, pure_disaster):
                                a_sum, b_sum, TAU_ORD)[0]
         assert generator_dominates(left, right) == expected, (type(left).__name__,
                                                               type(right).__name__)
+
+
+def test_finite_generator_violation_is_located_by_level_and_phase():
+    # row (1, 0) sums to -3 over phase 0 from level 0 on, row (0, 0) to -1
+    Q = np.array([[-1.0, 1.0, 0.0, 0.0], [1.0, -2.0, 0.0, 1.0],
+                  [0.0, 2.0, -3.0, 1.0], [1.0, 0.0, 1.0, -2.0]])
+    rep = generator_is_block_monotone(FiniteBlockMatrix(2, Q))
+    assert (rep.holds, rep.worst_violation, rep.margin) == (False, ((1, 0, 0, 0), 2.0), -2.0)
+    swap = is_block_monotone_stochastic(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
+    assert swap.worst_violation == ((1, 0, 1, 0), 1.0)
+
+
+def test_finite_tolerance_scales_with_the_largest_tail_sum_compared():
+    # the largest tail sum is 5, half the largest entry, and a 7e-12
+    # shortfall at (2, 0, 0, 0) exceeds TAU_ORD times that scale
+    Q = np.array([[-1.0, 1.0, 0.0], [5.0, -10.0, 5.0], [-7e-12, 1.0, -1.0]])
+    rep = generator_is_block_monotone(FiniteBlockMatrix(1, Q))
+    assert not rep.holds
+    assert rep.worst_violation == ((2, 0, 0, 0), 7e-12)
+
+
+def _assert_same_report(found, expected, located=True):
+    assert found.holds == expected.holds
+    assert float(found.margin).hex() == float(expected.margin).hex()
+    if located:
+        assert found.worst_violation == expected.worst_violation
+
+
+@given(case=finite_order_cases())
+def test_finite_checks_give_the_flat_report(case):
+    Q, P, d = case
+    _assert_same_report(generator_is_block_monotone(FiniteBlockMatrix(d, Q)),
+                        finite_order_oracle(Q, d, skip_diagonal=True), located=False)
+    _assert_same_report(is_block_monotone_stochastic(P, d), finite_order_oracle(P, d),
+                        located=False)
+
+
+@given(case=vector_order_cases())
+def test_vector_checks_give_the_flat_report(case):
+    mu, eta, f, d = case
+    levels = f.reshape(-1, d)
+    _assert_same_report(vector_dominates(mu, eta, d), vector_dominates_oracle(mu, eta, d))
+    _assert_same_report(vector_dominates(eta, mu, d), vector_dominates_oracle(eta, mu, d))
+    _assert_same_report(is_block_increasing(f, d), vector_order_oracle(levels[:-1], levels[1:]))
