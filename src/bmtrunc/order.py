@@ -6,12 +6,12 @@ from the highest level down, and its inverse takes per-phase first
 differences.  Every monotonicity and dominance check is a sign condition on
 such tail sums, and one scan, `_scan`, makes them all: it compares two
 stacked tables of blocks entrywise and forgives a shortfall of up to
-TAU_ORD times the largest entry it compared (at least 1).  A model's table,
-a truncation's augmented generator included, is read from its `tail_sums`
-rows, each row's columns reaching one past its `band`, over a finite level
-range that level-homogeneity makes sufficient.  A finite matrix's table
-comes from `_col_tail`, and a vector is a table with one column of 1 x d
-blocks.
+TAU_ORD times the largest finite entry it compared (at least 1).  A model's
+table, a truncation's augmented generator included, is read from its
+`tail_sums` rows, each row's columns reaching one past its `band`, over a
+finite level range that level-homogeneity makes sufficient.  A finite
+matrix's table comes from `_col_tail`, and a vector is a table with one
+column of 1 x d blocks.
 """
 
 from __future__ import annotations
@@ -61,7 +61,11 @@ def _col_tail(values: np.ndarray, d: int) -> np.ndarray:
     rows, cols = values.shape
     n_lev = check_block_length(cols, d)
     v = values.reshape(rows, n_lev, d)
-    return np.flip(np.cumsum(np.flip(v, axis=1), axis=1), axis=1).reshape(rows, cols)
+    # +inf and -inf in one tail sum give a NaN, which every scan counts as
+    # a violation
+    with np.errstate(invalid="ignore"):
+        tails = np.cumsum(np.flip(v, axis=1), axis=1)
+    return np.flip(tails, axis=1).reshape(rows, cols)
 
 def _col_diff(values: np.ndarray, d: int) -> np.ndarray:
     """Right-multiply by the inverse of T_d: first differences across column blocks."""
@@ -106,12 +110,13 @@ def _scan(lower: np.ndarray, upper: np.ndarray, tol: float, valid: np.ndarray | 
     b), whose row r holds level first + r and column l level l.  valid
     marks the (row, column) pairs to compare; without it every pair is
     compared, and the tables are read in place.  The tolerance is tol times
-    the largest entry compared (at least 1; a NaN adds nothing to it).
-    With skip_diagonal the entries (k,i;k,i) are left out, as block
-    monotonicity asks; it needs valid.  A NaN slack counts as -inf and is
-    the worst violation if there is one; otherwise that is the first least
-    slack in (k, l, i, j) order.  It is located at (k, i, l, j).  Returns
-    the report and the scaled tolerance.
+    the largest finite entry compared (at least 1; a NaN or an infinity
+    adds nothing to it, so an infinite shortfall fails).  With
+    skip_diagonal the entries (k,i;k,i) are left out, as block monotonicity
+    asks; it needs valid.  A NaN slack counts as -inf and is the worst
+    violation if there is one; otherwise that is the first least slack in
+    (k, l, i, j) order.  It is located at (k, i, l, j).  Returns the report
+    and the scaled tolerance.
     """
     check_ordering_tol(tol)
     block = lower.shape[2:]
@@ -124,7 +129,7 @@ def _scan(lower: np.ndarray, upper: np.ndarray, tol: float, valid: np.ndarray | 
     if skip_diagonal:
         eye = np.arange(block[0])
         slack[np.flatnonzero(rows + first == cols)[:, None], eye, eye] = np.inf
-    tau = tol * float(max(np.fmax.reduce(np.abs(a), axis=None, initial=1.0) for a in (lo, hi)))
+    tau = tol * float(max(np.max(np.abs(a), initial=1.0, where=np.isfinite(a)) for a in (lo, hi)))
     q = int(np.argmin(slack)) if slack.size else None
     margin = math.inf if q is None else float(slack.flat[q])
     if margin == math.inf:

@@ -8,14 +8,16 @@ matters because bound validation compares total-variation errors down to
 1e-10 and below.
 
 Costs follow the fill of the corner, not its size.  States are eliminated
-in groups of whole levels, and each group finds its fill window once: the
-rows from the first one that reaches the group's columns, and the runs of
-columns that the group's own rows reach.  The group's own fill never leaves
-that window, and every other entry of it only gains exact zeros.  The
-pivot's scale still sums its whole row and the back-substitution keeps its
-order, so the result is bit for bit that of a dense update.  On a banded
-corner of N states that is O(N * band^2) work, and O(N^2 * band) under a
-geometric tail, against O(N^3) dense.
+in groups of whole levels.  Each group reads its pattern once and bounds
+every pivot's fill from it: the rows from the first one that reaches the
+pivot's column or a later pivot's, and, in each run of columns the group's
+rows reach, the columns from the first one that the pivot's row or a later
+pivot's reaches.  Fill only spreads from a later pivot to an earlier one,
+so no pivot's fill leaves its bounds, and every other entry inside them
+only gains exact zeros.  The pivot's scale still sums its whole row and the
+back-substitution keeps its order, so the result is bit for bit that of a
+dense update.  On a banded corner of N states that is O(N * band^2) work,
+and O(N^2 * band) under a geometric tail, against O(N^3) dense.
 
 Two paths own their arrays differently.  `stationary(G)` never writes to G:
 it eliminates a copy and takes the residual x G from G, so it holds two
@@ -53,7 +55,7 @@ from .truncate import TruncatedGenerator, TruncationSpec, lc_truncate, truncatio
 PIVOT_FLOOR = 1e-14
 RESIDUAL_FACTOR = 1e-12
 # Fewest states per elimination group; a group is made of whole levels.
-GROUP_STATES = 16
+GROUP_STATES = 64
 
 
 @dataclass
@@ -92,10 +94,13 @@ def stationary(G, d: int | None = None, source: str = "full-reference") -> Distr
     multiplications and divisions of nonnegative numbers, so no cancellation
     occurs and small stationary probabilities come out with full relative
     accuracy.  States go in groups of d * ceil(GROUP_STATES / d), whole
-    levels of d phases (d = 1 for a plain array).  Each group takes its
-    fill window once, and each of its pivots adds a rank-1 update to that
-    window, one slice per run of columns.  Every entry the fold can change
-    lies in the window, and every other entry of the window gains an exact
+    levels of d phases (d = 1 for a plain array).  Each group reads its
+    pattern once and bounds each pivot's fill: rows from the first one
+    that reaches the pivot or a later pivot of the group, and in each run
+    of the group's columns, the columns from the first one that the
+    pivot's row or a later pivot's row reaches.  Each pivot adds a rank-1
+    update inside its bounds, one slice per run.  Every entry the fold can
+    change lies inside them, and every other entry there gains an exact
     zero, so the result is the dense update's, to the last bit, at a cost
     proportional to the fill.  A vanishing elimination pivot means the
     state cannot reach the surviving ones, i.e. the chain has more than one
@@ -135,15 +140,27 @@ def _eliminate(A: np.ndarray, d: int) -> tuple[np.ndarray, float]:
     diag_scale = float(np.max(np.abs(np.diag(A)))) if N else 0.0
     floor = PIVOT_FLOOR * max(1.0, diag_scale)
     width = d * -(-GROUP_STATES // d)
+    # reach[1 + c] marks column c of the group's rows; the ends stay False
+    reach = np.zeros(N + 2, dtype=bool)
     for top in range(N, 1, -width):
         g0 = max(top - width, 1)
-        # the group's fill stays in rows r0.. and in the runs of columns its
-        # own rows reach; the rest of the update would only add exact zeros
-        r0 = int(np.argmax((A[:top, g0:top] != 0.0).any(axis=1)))
-        reach = (A[g0:top, :top] != 0.0).any(axis=0)
-        edges = np.flatnonzero(np.diff(reach, prepend=False, append=False))
-        runs = edges.reshape(-1, 2).tolist()
-        for s in range(top - 1, g0 - 1, -1):
+        # pivots go top - 1 down to g0, and fill only spreads from a later
+        # pivot to an earlier one, so the first row, and in each run of
+        # columns the first column, that the pivot or a later one reaches
+        # bound the pivot's fill (where none does, argmax gives the start);
+        # the rest of the update would only add exact zeros
+        into = A[:top, top - 1:g0 - 1:-1] != 0.0
+        out = A[top - 1:g0 - 1:-1, :top] != 0.0
+        rows = np.minimum.accumulate(into.argmax(axis=0)).tolist()
+        np.any(out, axis=0, out=reach[1:top + 1])
+        reach[top + 1] = False
+        runs = np.flatnonzero(reach[:top + 1] != reach[1:top + 2]).reshape(-1, 2)
+        first = np.empty((len(runs), top - g0), dtype=np.intp)
+        for j, (c0, c1) in enumerate(runs.tolist()):
+            out[:, c0:c1].argmax(axis=1, out=first[j])
+        starts = (np.minimum.accumulate(first, axis=1) + runs[:, :1]).T.tolist()
+        ends = runs[:, 1].tolist()
+        for s, r0, cols in zip(range(top - 1, g0 - 1, -1), rows, starts):
             scale = float(np.add.reduce(A[s, :s]))
             if scale <= floor:
                 raise MultipleClosedClasses(
@@ -152,7 +169,7 @@ def _eliminate(A: np.ndarray, d: int) -> tuple[np.ndarray, float]:
                 )
             piv = A[r0:s, s, None]
             piv /= scale
-            for c0, c1 in runs:
+            for c0, c1 in zip(cols, ends):
                 if c0 >= s:
                     break
                 c1 = min(c1, s)

@@ -765,9 +765,9 @@ def row_diff(values, d):
 
 
 def order_scale(*arrays):
-    """The ordering checks' tolerance scale: the largest |entry| of the
-    arrays compared, at least 1; a NaN adds nothing."""
-    return max([1.0] + [abs(x) for a in arrays for x in np.ravel(a) if not math.isnan(x)])
+    """The ordering checks' tolerance scale: the largest finite |entry| of
+    the arrays compared, at least 1; a NaN or an infinity adds nothing."""
+    return max([1.0] + [abs(x) for a in arrays for x in np.ravel(a) if math.isfinite(x)])
 
 
 def flat_report(slack, tau, index_of=None):
@@ -875,3 +875,36 @@ def vector_order_cases(draw):
         mu[int(rng.integers(mu.size))] = np.nan
         f[int(rng.integers(f.size))] = np.nan
     return mu, eta, f, d
+
+
+@st.composite
+def sparse_generators(draw):
+    """(G, d): a random irreducible generator over 1 to 40 levels of d <= 5
+    phases.  Its rates are spread over six decades, on a random pattern of
+    density 0.03 to 0.5 within a band of levels, plus a random cycle through
+    every state, which makes it irreducible and links far states.  Rows may
+    also be folded onto column 0, as a first-column corner folds them, and
+    the upper triangle past the band may be dense, as a geometric tail
+    makes it."""
+    d = draw(st.integers(1, 5))
+    levels = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.03, 0.15, 0.5]))
+    down, up = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    fold = draw(st.booleans())
+    tail = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = levels * d
+    level = np.arange(size) // d
+    gap = level[None, :] - level[:, None]
+    pattern = (gap >= -down) & (gap <= up) & (rng.random((size, size)) < density)
+    cycle = rng.permutation(size)
+    pattern[cycle, np.roll(cycle, -1)] = True
+    if fold:
+        pattern[:, 0] |= rng.random(size) < 0.5
+    if tail:
+        pattern |= gap > up
+    rates = rng.uniform(0.1, 1.0, (size, size)) * 10.0 ** rng.uniform(-3.0, 3.0, (size, size))
+    G = np.where(pattern, rates, 0.0)
+    np.fill_diagonal(G, 0.0)
+    np.fill_diagonal(G, -G.sum(axis=1))
+    return G, d

@@ -252,6 +252,21 @@ def test_nan_slack_is_a_violation():
         assert rep.worst_violation is not None, name
 
 
+def test_infinite_shortfall_is_a_violation():
+    # an infinite entry adds nothing to the tolerance, or it would forgive
+    # every shortfall, its own infinite one included
+    inf = float("inf")
+    reports = {
+        "vector": vector_dominates([0.0, inf], [1.0, 0.0], 1),
+        "finite_generator": generator_is_block_monotone(
+            FiniteBlockMatrix(1, [[-inf, inf], [1.0, -1.0]])),
+    }
+    for name, rep in reports.items():
+        assert not rep.holds, name
+        assert rep.margin == -np.inf, name
+        assert rep.worst_violation[1] == np.inf, name
+
+
 def _nan_banded():
     rows = {0: {0: [[-1.0]], 1: [[1.0]]}, 1: {-1: [[float("nan")]], 0: [[-3.0]], 1: [[1.0]]}}
     return BandedModel(d=1, L=1, U=1, K_hom=1, rows=rows)

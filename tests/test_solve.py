@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
 
 from bmtrunc import (
     CertificateNotVerified,
@@ -38,6 +39,7 @@ from helpers import (
     dense_stationary,
     random_bmap,
     scalar_stationary,
+    sparse_generators,
     tailed_mg1,
     tailed_queue,
     uniformized_per_time,
@@ -97,8 +99,8 @@ def test_stationary_matches_dense_elimination(fleet_models, n):
 
 
 def _corner_models(fleet_models):
-    """Queues at d = 1, 2 and 8 with and without psi, a geometric tail, a
-    banded model and an M/G/1-type model with a tail."""
+    """Queues at d = 1, 2 and 8 with and without psi and at d = 24 with psi,
+    a geometric tail, a banded model and an M/G/1-type model with a tail."""
     rng = np.random.default_rng(23)
     models = dict(fleet_models, queue_tail=tailed_queue())
     for d in (1, 8):
@@ -106,6 +108,9 @@ def _corner_models(fleet_models):
             models[f"d{d}_psi{psi}"] = random_bmap(rng, d=d, psi=psi)
     models["banded"] = banded_queue_rows(fleet_models["d2"])
     models["mg1_tail"] = tailed_mg1(rng)
+    # wide blocks: a group is one level, and a row's runs of columns hold
+    # level 0 apart from its band
+    models["d24_psi0.4"] = random_bmap(rng, d=24, psi=0.4)
     return models
 
 
@@ -124,7 +129,8 @@ def test_stationary_is_bit_identical_to_the_scalar_loop(fleet_models):
                 # the in-place solve of the same corner, from the model
                 assert np.array_equal(solve_truncation(model, corner.spec).values, expected), (
                     f"{name} n={n} {corner.spec.style} in place")
-    # raw arrays are eliminated in groups of 16 states, whatever their blocks
+    # raw arrays are eliminated in groups of GROUP_STATES (64) states,
+    # whatever their blocks
     raw = [lc_truncate(random_bmap(rng, d=3, psi=0.2), 30).matrix.values,
            fc_truncate(tailed_queue(d=5), 12).matrix.values]
     dense = rng.uniform(0.0, 1.0, (37, 37))
@@ -132,6 +138,14 @@ def test_stationary_is_bit_identical_to_the_scalar_loop(fleet_models):
     raw.append(dense - np.diag(dense.sum(axis=1)))
     for G in raw:
         assert np.array_equal(stationary(G).values, scalar_stationary(G))
+
+
+@given(case=sparse_generators())
+def test_stationary_is_the_scalar_loop_on_sparse_generators(case):
+    # far links, folds onto column 0 and dense upper triangles move a
+    # pivot's first row and column below its own as fill spreads down
+    G, d = case
+    assert np.array_equal(stationary(G, d).values, scalar_stationary(G))
 
 
 def test_corner_product_is_the_dense_residual(fleet_models):
@@ -183,8 +197,8 @@ def test_solve_truncation_holds_one_corner(fleet_models):
 def test_reducible_corner_fails_at_the_scalar_loops_state():
     rng = np.random.default_rng(31)
     # closed classes on states 0..19 and 20..44, and 13 top states that lead
-    # only into the first: the pivot vanishes at state 20, inside the group
-    # of states 10..25
+    # only into the first: the pivot vanishes at state 20, inside the one
+    # group of states 1..57
     G = np.zeros((58, 58))
     G[:20, :20] = rng.uniform(0.1, 1.0, (20, 20))
     G[20:45, 20:45] = rng.uniform(0.1, 1.0, (25, 25))
