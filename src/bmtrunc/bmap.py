@@ -12,10 +12,18 @@ Dhat(z) = sum z^k D(k) and its Perron root delta_D(z): the root is 0 at
 z = 1, increasing and convex, and its slope at 1 is the arrival rate.  The
 certificate search picks a geometric base beta inside the transform's radius
 of convergence to maximize the certified decay rate.  It scores a fixed grid
-of 200 bases in array passes: a batched two-sided power iteration over the
-stacked transforms gives their Perron data (`_grid_perron`), and the
-disaster search reads its offset levels and constants off one table with a
-row per base and a column per level (`_offset_table`).  The grid only picks
+of 200 increasing bases part by part, in array passes: a batched two-sided
+power iteration over the stacked transforms gives their Perron data
+(`_grid_perron`), and the disaster search reads its offset levels and
+constants off a table with a row per base and a column per level
+(`_offset_table`).  Two exact facts let the disaster search skip work.
+c'(K), the decay rate past offset level K, never decreases in K, so
+c'(K_CAP) <= 0 rules out every K at a base, and neither the table nor the
+scalar scan looks further there.  And each decay bracket
+mu(k)(1 - 1/beta) + psi(1 - beta^-k) - delta_D(beta) is concave in beta
+(delta_D is convex) and 0 at beta = 1, so the bases with a feasible offset
+form a prefix of the grid: the search stops after the first part whose
+last base has none.  The grid only picks
 the best base; a golden-section polish around it and the winner call the
 scalar `spectral` (and `_disaster_constants`) at each point they visit.
 `spectral` is a two-sided power iteration of eight numpy calls per step,
@@ -55,7 +63,8 @@ K_CAP = 200
 # float64): the whole grid goes in one batch up to d = 9.  A batch holds its
 # transforms and the stacked iteration matrices [E, E^T], about 384 KB, where
 # the whole grid at d = 24 would hold about 2.8 MB.  The disaster table goes
-# in chunks whose working arrays hold as many entries together.
+# in chunks whose working arrays hold as many entries together, and below
+# DENSE_GRID_D phases the disaster search scores its grid in parts as large.
 GRID_BATCH_ENTRIES = 2 ** 14
 # Power steps before spectral, or the grid's batched iteration, hands over to
 # the dense eigensolver; no spectral call of the benchmark workloads takes
@@ -204,7 +213,7 @@ def _dense_perron(dh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of its right eigenvector, unnormalized; the left vector is the right one
     of the transpose.  `spectral` and `_power_perron` call it for the points
     their power iteration leaves unconverged after POWER_ITERS steps, and
-    `_grid_perron` for the whole grid below DENSE_GRID_D phases.
+    `_grid_perron` for a part of the grid below DENSE_GRID_D phases.
     """
     vals, vecs = np.linalg.eig(dh)
     i = np.argmax(vals.real, axis=-1)[..., None]
@@ -291,8 +300,21 @@ def delta_D(B: BmapModel, z: float) -> float:
 
 
 def _beta_grid(B: BmapModel) -> np.ndarray:
-    hi = min(0.999 * B.r_D, BETA_CAP)
-    return np.geomspace(1.0 + 1e-6, hi, GRID_POINTS)
+    """GRID_POINTS bases from 1 + 1e-6 up to min(0.999 r_D, BETA_CAP), increasing.
+
+    A transform that converges only up to r_D <= (1 + 1e-6) / 0.999 leaves
+    no room for the grid: the search's own error (NoPositiveC without
+    disasters, NoFeasibleK with them) refuses it before a base below 1 is
+    ever scored.
+    """
+    lo, hi = 1.0 + 1e-6, min(0.999 * B.r_D, BETA_CAP)
+    if not hi > lo:
+        error = NoPositiveC if B.psi == 0.0 else NoFeasibleK
+        raise error(
+            f"no geometric base fits between 1 and the batch transform's radius "
+            f"of convergence r_D = {B.r_D:.9g}: the search needs 0.999 r_D > 1 + 1e-6"
+        )
+    return np.geomspace(lo, hi, GRID_POINTS)
 
 
 def _golden_max(f, lo: float, hi: float):
@@ -313,17 +335,37 @@ def _golden_max(f, lo: float, hi: float):
     return ((a + b) / 2.0, max(f1, f2))
 
 
-def _best_beta(B: BmapModel, objective, grid_objective) -> float:
+def _grid_scores(B: BmapModel, grid: np.ndarray, grid_objective, width: int) -> np.ndarray:
+    """grid_objective(bases, delta_D, max u / min u) over the grid, part by
+    part in increasing beta, up to the first part whose last base scores
+    -inf; the bases past that part are left at -inf, unscored.
+
+    From DENSE_GRID_D phases on, a part is one batch of `_grid_perron`'s
+    power iteration, whose values depend on the batch a base shares.
+    Below, where the dense eigensolver works matrix by matrix, a part holds
+    GRID_BATCH_ENTRIES // width bases, `width` being the entries per base of
+    the objective's working arrays.  A finite objective never stops early.
+    """
+    values = np.full(grid.size, -math.inf)
+    step = B.d ** 2 if B.d >= DENSE_GRID_D else width
+    for part in _grid_slices(grid.size, step):
+        values[part] = grid_objective(grid[part], *_grid_perron(B, grid[part]))
+        if values[part][-1] == -math.inf:
+            break
+    return values
+
+
+def _best_beta(B: BmapModel, objective, grid_objective, width: int) -> float:
     """The grid base of largest objective, polished by golden section.
 
-    `_grid_perron` gives the Perron data of the whole grid, and
-    grid_objective(grid, delta_D, max u / min u) scores every base at once;
-    the polish calls objective(beta), which takes them from `spectral`.  The
-    grid scores agree with objective to rounding and only pick the bracket.
+    `_grid_scores` scores the grid in parts, each from its `_grid_perron`
+    data, with grid_objective and `width` as it takes them; the polish
+    calls objective(beta), which takes them from `spectral`.  The grid
+    scores agree with objective to rounding and only pick the bracket.
     Raises NoFeasibleK when no grid base has a finite objective.
     """
     grid = _beta_grid(B)
-    values = grid_objective(grid, *_grid_perron(B, grid))
+    values = _grid_scores(B, grid, grid_objective, width)
     i = int(np.argmax(values))
     if not np.isfinite(values[i]):
         raise NoFeasibleK(
@@ -355,7 +397,7 @@ def find_beta_no_disaster(B: BmapModel, beta: float | None = None) -> DriftCerti
 
     build_generator(B)
     if beta is None:
-        beta = _best_beta(B, c_of, c_of_grid)
+        beta = _best_beta(B, c_of, c_of_grid, 1)
     rec = spectral(B, beta)
     c = mu_inf * (1.0 - 1.0 / beta) - rec.eigenvalue
     if c <= 0.0:
@@ -380,9 +422,12 @@ def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray):
     The decay bracket mu(k)(1 - 1/beta) + psi(1 - beta^-k) - delta_D(beta) is
     evaluated once per level k.  c'(K), its infimum over k > K, is the
     minimum over levels K+1 .. max(stable_from, K+1)+1: past the mu table
-    the bracket only grows.  The bracket first goes over levels
-    0 .. stable_from+1 only, which settle K = 0 .. stable_from-1, and over
-    every level up to the cap's window only when none of those is feasible.
+    the bracket only grows.  So c'(K) never decreases in K, and
+    `_can_certify` returns None at once when c'(K_CAP) is not positive.
+    Otherwise the bracket goes over levels 0 .. stable_from+1, which settle
+    K = 0 .. stable_from-1, and over a window twice as deep, up to the
+    cap's, until one K is feasible; the entries of a window are those of
+    the cap's, so K, c' and b' do not depend on where the scan stops.
     `mus` is `_mu_levels(B)`, computed once per search, and `spectral`
     supplies delta_D(beta) and u(beta).  Returns (K, c', b', spectral
     record) or None when no K up to the cap makes the bracket positive.  b'
@@ -392,15 +437,18 @@ def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray):
     delta, u_max = rec.eigenvalue, float(rec.right.max())
     psi = B.psi
     slope = 1.0 - 1.0 / beta
-    for size in (min(B.mu.stable_from + 2, mus.size), mus.size):
-        decay = [beta ** (-k) for k in range(size)]
-        bracket = mus[:size] * slope + psi * (1.0 - np.array(decay)) - delta
-        c_of_K = _offset_rates(B, bracket)
+    past_cap = np.array([beta ** (-k) for k in range(K_CAP + 1, mus.size)])
+    if not _can_certify(B, mus, slope, past_cap, delta):
+        return None
+    size = B.mu.stable_from + 2
+    decay = []
+    while True:
+        decay += [beta ** (-k) for k in range(len(decay), size)]
+        c_of_K = _offset_rates(B, _bracket(B, mus[:size], slope, np.array(decay), delta))
         feasible = np.flatnonzero(c_of_K > 0.0)
         if feasible.size or size == mus.size:
             break
-    if feasible.size == 0:
-        return None
+        size = min(2 * size, mus.size)
     K = int(feasible[0])
     c_prime = float(c_of_K[K])
     try:
@@ -416,6 +464,28 @@ def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray):
         for k in range(K + 1)
     )) * u_max
     return K, c_prime, b_prime, rec
+
+
+def _bracket(B: BmapModel, mus: np.ndarray, slope, decay: np.ndarray, delta) -> np.ndarray:
+    """The decay bracket at the levels of `mus`, from slope = 1 - 1/beta,
+    decay = beta^-k at those levels and delta = delta_D(beta).
+
+    The scalar scan takes beta^-k from scalar powers, the table from array
+    powers, which may differ in the last bit; each passes its own here.
+    """
+    return mus * slope + B.psi * (1.0 - decay) - delta
+
+
+def _can_certify(B: BmapModel, mus: np.ndarray, slope, decay: np.ndarray, delta):
+    """Whether some offset level K <= K_CAP is feasible, per base.
+
+    c'(K) never decreases in K: below the split it is a suffix minimum,
+    from there on a minimum of two bracket entries, which never decrease
+    past stable_from.  So c'(K_CAP), the bracket's minimum over the levels
+    past K_CAP of `mus` (where `decay` holds beta^-k), decides, and it is
+    bit for bit the entry of `_offset_rates` on the whole bracket.
+    """
+    return _min(_bracket(B, mus[K_CAP + 1:], slope, decay, delta), axis=-1) > 0.0
 
 
 def _offset_rates(B: BmapModel, bracket: np.ndarray) -> np.ndarray:
@@ -439,38 +509,44 @@ def _offset_table(B: BmapModel, betas: np.ndarray, deltas: np.ndarray,
                   spreads: np.ndarray, mus: np.ndarray):
     """`_disaster_constants` at many bases at once, from their Perron data.
 
-    One table row per base and one column per level, in chunks of rows
-    whose working arrays, about four of the table's size, hold
-    GRID_BATCH_ENTRIES entries; `deltas` and `spreads` are delta_D and
-    max u / min u at each base.  Returns the arrays (K, c', b'), with K = -1 where no
-    offset level up to the cap is feasible (c' and b' are then meaningless)
-    and b' = inf where beta^K passes the float range.  The values agree
+    `deltas` and `spreads` are delta_D and max u / min u at each base.
+    Only the bases that `_can_certify` passes get a table, with a row per
+    base and a column per level: first over levels 0 .. stable_from+1,
+    then over the cap's window for the rows that leaves without a feasible
+    K.  Rows go in chunks whose working arrays, about four of the table's
+    size, hold GRID_BATCH_ENTRIES entries.  Returns the arrays (K, c', b'),
+    with K = -1 where no offset level up to the cap is feasible (c' and b'
+    are then 0) and b' = inf where beta^K passes the float range.  A row's
+    values do not depend on the bases it shares a table with, and agree
     with the scalar scan to rounding.
     """
-    K = np.empty(betas.size, dtype=int)
-    c_prime = np.empty(betas.size)
-    b_prime = np.empty(betas.size)
+    K = np.full(betas.size, -1)
+    c_prime = np.zeros(betas.size)
+    b_prime = np.zeros(betas.size)
     levels = np.arange(mus.size)
-    for part in _grid_slices(betas.size, 4 * mus.size):
-        beta = betas[part, None]
-        slope = 1.0 - 1.0 / beta
-        bracket = B.psi * (1.0 - beta ** -levels)
-        bracket += mus * slope
-        bracket -= deltas[part, None]
-        c_of_K = _offset_rates(B, bracket)
-        feasible = c_of_K > 0.0
-        K[part] = np.where(feasible.any(axis=1), feasible.argmax(axis=1), -1)
-        c_first = np.take_along_axis(c_of_K, K[part, None], axis=1)
-        c_prime[part] = c_first[:, 0]
-        with np.errstate(over="ignore"):
-            # beta^k for k <= K is finite on a row exactly when beta^K is
-            overflow = np.isinf(beta[:, 0] ** K[part])
-            top = np.where(overflow, 0, np.maximum(K[part], 0))[:, None]
-            cols = levels[:top.max() + 1]
-            terms = (c_first - bracket[:, cols]) * beta ** np.minimum(cols, top)
-            terms[cols > top] = -math.inf
-            b_prime[part] = terms.max(axis=1) * spreads[part]
-        b_prime[part][overflow] = math.inf
+    slopes = 1.0 - 1.0 / betas[:, None]
+    rows = np.flatnonzero(_can_certify(B, mus, slopes, betas[:, None] ** -levels[K_CAP + 1:],
+                                       deltas[:, None]))
+    for size in (B.mu.stable_from + 2, mus.size):
+        for part in _grid_slices(rows.size, 4 * size):
+            row = rows[part]
+            beta = betas[row, None]
+            bracket = _bracket(B, mus[:size], slopes[row], beta ** -levels[:size],
+                               deltas[row, None])
+            c_of_K = _offset_rates(B, bracket)
+            feasible = c_of_K > 0.0
+            K[row] = np.where(feasible.any(axis=1), feasible.argmax(axis=1), -1)
+            c_first = np.take_along_axis(c_of_K, np.maximum(K[row, None], 0), axis=1)
+            c_prime[row] = c_first[:, 0]
+            with np.errstate(over="ignore"):
+                # beta^k for k <= K is finite on a row exactly when beta^K is
+                overflow = np.isinf(beta[:, 0] ** K[row])
+                top = np.where(overflow, 0, np.maximum(K[row], 0))[:, None]
+                cols = levels[:top.max() + 1]
+                terms = (c_first - bracket[:, cols]) * beta ** np.minimum(cols, top)
+                terms[cols > top] = -math.inf
+                b_prime[row] = np.where(overflow, math.inf, terms.max(axis=1) * spreads[row])
+        rows = rows[K[rows] < 0]
     return K, c_prime, b_prime
 
 
@@ -510,7 +586,7 @@ def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCer
         return _offset_scores(B, *_offset_table(B, grid, roots, spread, mus))
 
     if beta is None:
-        beta = _best_beta(B, objective, grid_objective)
+        beta = _best_beta(B, objective, grid_objective, 4 * mus.size)
     found = _disaster_constants(B, beta, mus)
     if found is None:
         raise NoFeasibleK(f"no offset level up to {K_CAP} works at beta={beta}")

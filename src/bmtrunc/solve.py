@@ -107,6 +107,8 @@ def stationary(G, d: int | None = None, source: str = "full-reference") -> Distr
     closed class.
     """
     values, d = _square_values(G, d)
+    if values.shape[0] == 0:
+        raise DimensionMismatch("a stationary distribution needs at least one state")
     x, diag_scale = _eliminate(values.copy(), d)
     _check_residual(x @ values, diag_scale)
     return DistributionVector(d=d, values=x, source=source)

@@ -17,13 +17,17 @@ must reproduce.  The
 power-iteration and offset-level oracles are the plain loops the
 certificate search must match bit for bit, and the serial search is the
 search as it ran before its grid was batched; the batched grid's offset
-table must match that search's objective.  The slack oracle checks a
+table must match that search's objective.  The whole-grid scores, from
+the table as it was before it skipped the bases and levels that cannot
+hold an offset, are what the search's part-by-part scores must reproduce
+bit for bit.  The slack oracle checks a
 certificate row by row, and `regime_queues` draws the queues it is checked
 on.
 """
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
@@ -46,12 +50,16 @@ from bmtrunc import (
     spectral,
     td_transform,
 )
+from bmtrunc import bmap
 from bmtrunc.bmap import (
+    DENSE_GRID_D,
     _beta_grid,
     _disaster_constants,
     _golden_max,
     _grid_perron,
+    _grid_slices,
     _mu_levels,
+    _offset_rates,
     _offset_scores,
     _offset_table,
 )
@@ -478,7 +486,8 @@ def offset_constants(B, beta, rec, k_cap):
     For K = 0, 1, ... up to k_cap, c'(K) is the minimum of the decay bracket
     over levels K+1 .. max(stable_from, K+1)+1, evaluated afresh for each K;
     the first positive one wins.  `rec` supplies delta_D(beta) and u(beta).
-    Returns (K, c', b') or None.
+    Returns (K, c', b') or None, with b' = inf where beta**K passes the
+    float range.
     """
     delta = rec.eigenvalue
     psi = B.psi
@@ -490,6 +499,8 @@ def offset_constants(B, beta, rec, k_cap):
         ks = range(K + 1, max(B.mu.stable_from, K + 1) + 2)
         c_prime = min(bracket(k) for k in ks)
         if c_prime > 0.0:
+            if math.log(beta) * K > math.log(np.finfo(float).max):
+                return K, c_prime, math.inf
             u_max = float(rec.right.max())
             b_prime = max(
                 (c_prime + delta - B.mu(k) * (1.0 - 1.0 / beta)
@@ -549,11 +560,18 @@ def assert_table_matches_the_objective(B):
     The grid's Perron roots are held to an absolute residual of 1e-12
     max|Dhat(beta)|, so values agree to 1e-9 relative or to that much
     absolute, and the two may pick different offset levels only where c' at
-    the lower one lies within it of 0.  Returns the table's K and b'.
+    the lower one lies within it of 0.  Wherever an offset level is
+    feasible, the table's row is `whole_offset_table`'s bit for bit.
+    Returns the table's K and b'.
     """
     grid = _beta_grid(B)
     mus = _mu_levels(B)
-    K, c_prime, b_prime = _offset_table(B, grid, *_grid_perron(B, grid), mus)
+    perron = _grid_perron(B, grid)
+    K, c_prime, b_prime = _offset_table(B, grid, *perron, mus)
+    whole = whole_offset_table(B, grid, *perron, mus)
+    np.testing.assert_array_equal(K, whole[0])
+    for found, expected in zip((c_prime, b_prime), whole[1:]):
+        np.testing.assert_array_equal(found[K >= 0], expected[K >= 0])
     scores = _offset_scores(B, K, c_prime, b_prime)
     objective = serial_objective(B)
     for beta, k, c, b, score in zip(grid, K, c_prime, b_prime, scores):
@@ -568,6 +586,88 @@ def assert_table_matches_the_objective(B):
             assert b == math.inf and score == 0.0
         assert math.isclose(score, objective(beta), rel_tol=1e-9, abs_tol=tol), (beta, score)
     return K, b_prime
+
+
+def whole_offset_table(B, betas, deltas, spreads, mus):
+    """The disaster table over every base and every level of the cap's
+    window, as `_offset_table` built it before it skipped the bases and
+    levels that cannot hold a feasible offset: (K, c', b'), K = -1 where no
+    offset level is feasible."""
+    K = np.empty(betas.size, dtype=int)
+    c_prime = np.empty(betas.size)
+    b_prime = np.empty(betas.size)
+    levels = np.arange(mus.size)
+    for part in _grid_slices(betas.size, 4 * mus.size):
+        beta = betas[part, None]
+        slope = 1.0 - 1.0 / beta
+        bracket = B.psi * (1.0 - beta ** -levels)
+        bracket += mus * slope
+        bracket -= deltas[part, None]
+        c_of_K = _offset_rates(B, bracket)
+        feasible = c_of_K > 0.0
+        K[part] = np.where(feasible.any(axis=1), feasible.argmax(axis=1), -1)
+        c_first = np.take_along_axis(c_of_K, K[part, None], axis=1)
+        c_prime[part] = c_first[:, 0]
+        with np.errstate(over="ignore"):
+            overflow = np.isinf(beta[:, 0] ** K[part])
+            top = np.where(overflow, 0, np.maximum(K[part], 0))[:, None]
+            cols = levels[:top.max() + 1]
+            terms = (c_first - bracket[:, cols]) * beta ** np.minimum(cols, top)
+            terms[cols > top] = -math.inf
+            b_prime[part] = terms.max(axis=1) * spreads[part]
+        b_prime[part][overflow] = math.inf
+    return K, c_prime, b_prime
+
+
+def whole_grid_scores(B):
+    """The disaster search's grid scores from one `_grid_perron` call and
+    one `whole_offset_table` over the whole grid."""
+    grid = _beta_grid(B)
+    return _offset_scores(B, *whole_offset_table(B, grid, *_grid_perron(B, grid),
+                                                 _mu_levels(B)))
+
+
+def searched_grid_scores(B):
+    """The grid scores the disaster search computes, -inf where it stopped
+    before scoring, caught on their way to its argmax."""
+    seen = []
+    real = bmap._grid_scores
+
+    def caught(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    with mock.patch.object(bmap, "_grid_scores", caught):
+        find_constants_disaster(B)
+    assert len(seen) == 1
+    return seen[0]
+
+
+def assert_feasible_prefix(B):
+    """The two facts the disaster search's skips rest on, and the skips.
+
+    c'(K) from `_offset_rates` on the whole bracket never decreases in K at
+    any grid base, the bases with a finite score form a prefix of the grid,
+    and the search's part-by-part scores are `whole_grid_scores` bit for
+    bit up to the end of the first part whose last base scores -inf, and
+    -inf from there on.  Returns that end.
+    """
+    grid = _beta_grid(B)
+    mus = _mu_levels(B)
+    deltas = _grid_perron(B, grid)[0][:, None]
+    bracket = mus * (1.0 - 1.0 / grid[:, None]) + B.psi * (
+        1.0 - grid[:, None] ** -np.arange(mus.size)) - deltas
+    assert (np.diff(_offset_rates(B, bracket), axis=1) >= 0.0).all()
+    oracle = whole_grid_scores(B)
+    feasible = int(np.isfinite(oracle).sum())
+    assert np.isfinite(oracle[:feasible]).all(), oracle
+    width = B.d ** 2 if B.d >= DENSE_GRID_D else 4 * mus.size
+    stop = next((min(part.stop, grid.size) for part in _grid_slices(grid.size, width)
+                 if part.stop > feasible), grid.size)
+    found = searched_grid_scores(B)
+    np.testing.assert_array_equal(found[:stop], oracle[:stop])
+    assert (found[stop:] == -math.inf).all()
+    return stop
 
 
 def assert_same_certificate(found, expected):

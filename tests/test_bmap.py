@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bmtrunc import (
@@ -16,6 +16,7 @@ from bmtrunc import (
     InputError,
     InvalidBmap,
     MuRule,
+    NoFeasibleK,
     NoPositiveC,
     arrival_rate,
     bmap,
@@ -43,6 +44,7 @@ from bmtrunc.bmap import (
 )
 from helpers import (
     affine_disaster_queue,
+    assert_feasible_prefix,
     assert_same_certificate,
     assert_table_matches_the_objective,
     bmap_doc,
@@ -286,15 +288,23 @@ def test_perron_shift_is_the_largest_diagonal_rate_of_D0(fleet, pure_disaster, t
 
 
 def test_offset_constants_match_the_rescan(fleet, pure_disaster):
+    # at every grid base, the ones past the feasible prefix too, where the
+    # scan returns None at once
     outcomes = set()
-    for B in [*fleet.values(), pure_disaster]:
+    for B in [*fleet.values(), pure_disaster, tailed_queue(), affine_disaster_queue()]:
         grid = _beta_grid(B)
-        betas = [*grid[::7], float(grid[3]), 1.0005, 1.2, 3.0]
-        for beta in betas:
-            found = _assert_same_offset_constants(B, beta)
-            outcomes.add(None if found is None else min(found[0], 1))
+        found = [_assert_same_offset_constants(B, beta) for beta in grid]
+        feasible = [f is not None for f in found]
+        assert feasible == sorted(feasible, reverse=True) and not feasible[-1]
+        found += [_assert_same_offset_constants(B, beta)
+                  for beta in (float(grid[3]), 1.0005, 1.2, 3.0) if beta < grid[-1]]
+        outcomes |= {None if f is None else min(f[0], 1) for f in found}
     # infeasible betas, level-0 certificates and offset ones are all covered
     assert outcomes == {None, 0, 1}
+    # the affine queue's offset levels climb past 150, where the scan's
+    # window grows, and beta**K overflows
+    offsets = [f for f in found if f is not None]
+    assert max(f[0] for f in offsets) > 150 and any(f[2] == math.inf for f in offsets)
 
 
 @pytest.mark.parametrize("zeros, expected_K", [(K_CAP, K_CAP), (K_CAP + 1, None)])
@@ -416,6 +426,23 @@ def test_offset_table_matches_the_scalar_objective(fleet, pure_disaster):
     K, b_prime = assert_table_matches_the_objective(affine_disaster_queue())
     # the affine queue's grid reaches offset levels whose beta**K overflows
     assert K.max() > 150 and np.isinf(b_prime).any()
+
+
+def test_feasible_bases_form_a_prefix(fleet, pure_disaster):
+    stops = {name: assert_feasible_prefix(B) for name, B in [
+        ("d2_disaster", fleet["d2_disaster"]), ("pure_disaster", pure_disaster),
+        ("tailed", tailed_queue()), ("affine", affine_disaster_queue()),
+        ("d8", random_bmap(np.random.default_rng(5), d=8, psi=0.3))]}
+    # below DENSE_GRID_D phases the search stops after a part of 20 bases;
+    # at d = 8 the grid is one batch of the power iteration
+    assert stops["d2_disaster"] < 100 and stops["pure_disaster"] < 100
+    assert stops["d8"] == 200
+
+
+@given(B=regime_queues())
+def test_feasible_bases_form_a_prefix_on_regime_queues(B):
+    assume(B.psi > 0.0)
+    assert_feasible_prefix(B)
 
 
 def test_search_matches_the_serial_oracle(fleet, pure_disaster):
@@ -544,3 +571,20 @@ def test_bound_rejects_out_of_range_beta(d2_psi0, tmp_path, beta):
                                        "--beta", beta])
     assert result.exit_code == 2, result.output
     assert f"beta={float(beta)}" in result.output
+
+
+@pytest.mark.parametrize("psi, error", [(0.0, NoPositiveC), (0.3, NoFeasibleK)])
+def test_a_radius_too_close_to_1_refuses_the_search(tmp_path, psi, error):
+    # a batch tail of ratio 0.9995 gives r_D = 1.0005, so 0.999 r_D lies
+    # below 1 + 1e-6: the search refuses the queue with its own error, on
+    # r_D, and never scores a base below 1
+    tail = GeometricTail(coef=np.array([[0.001]]), ratio=0.9995)
+    D1 = np.array([[0.5]])
+    B = BmapQueueModel(d=1, D=[-(D1 + tail.sum_from(2)), D1], mu=MuRule(table=(5.0,)),
+                       psi=psi, tail=tail)
+    with pytest.raises(error, match="r_D = 1.00050025"):
+        (find_beta_no_disaster if psi == 0.0 else find_constants_disaster)(B)
+    path = write_model(tmp_path / "q.json", bmap_doc(B))
+    result = CliRunner().invoke(main, ["bound", "--model", path, "--n", "10"])
+    assert result.exit_code == 3, result.output
+    assert "r_D = 1.00050025" in result.output

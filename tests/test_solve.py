@@ -322,6 +322,12 @@ def test_long_horizon_rows_reach_stationarity(mm1):
         np.testing.assert_allclose(row, pi.values, atol=1e-9)
 
 
+def test_stationary_refuses_a_matrix_with_no_states():
+    for G in (np.zeros((0, 0)), FiniteBlockMatrix(2, np.zeros((0, 0)))):
+        with pytest.raises(DimensionMismatch, match="at least one state"):
+            stationary(G)
+
+
 def test_tv_distance_basics():
     a = DistributionVector(d=1, values=np.array([1.0, 0.0, 0.0]))
     b = DistributionVector(d=1, values=np.array([0.0, 0.0, 1.0]))
