@@ -18,12 +18,11 @@ power iteration over the stacked transforms gives their Perron data
 constants off a table with a row per base and a column per level
 (`_offset_table`).  Two exact facts let the disaster search skip work.
 c'(K), the decay rate past offset level K, never decreases in K, so
-c'(K_CAP) <= 0 rules out every K at a base, and neither the table nor the
-scalar scan looks further there.  And each decay bracket
-mu(k)(1 - 1/beta) + psi(1 - beta^-k) - delta_D(beta) is concave in beta
-(delta_D is convex) and 0 at beta = 1, so the bases with a feasible offset
-form a prefix of the grid: the search stops after the first part whose
-last base has none.  The grid only picks
+c'(K_CAP) <= 0 rules out every K at a base, and the table builds no row
+for it.  And each decay bracket mu(k)(1 - 1/beta) + psi(1 - beta^-k) -
+delta_D(beta) is concave in beta (delta_D is convex) and 0 at beta = 1, so
+the bases with a feasible offset form a prefix of the grid: the search
+stops after the first part whose last base has none.  The grid only picks
 the best base; a golden-section polish around it and the winner call the
 scalar `spectral` (and `_disaster_constants`) at each point they visit.
 `spectral` is a two-sided power iteration of eight numpy calls per step,
@@ -335,37 +334,40 @@ def _golden_max(f, lo: float, hi: float):
     return ((a + b) / 2.0, max(f1, f2))
 
 
-def _grid_scores(B: BmapModel, grid: np.ndarray, grid_objective, width: int) -> np.ndarray:
-    """grid_objective(bases, delta_D, max u / min u) over the grid, part by
+def _grid_scores(B: BmapModel, grid: np.ndarray, grid_objective, bases: int) -> np.ndarray:
+    """grid_objective(betas, delta_D, max u / min u) over the grid, part by
     part in increasing beta, up to the first part whose last base scores
     -inf; the bases past that part are left at -inf, unscored.
 
     From DENSE_GRID_D phases on, a part is one batch of `_grid_perron`'s
     power iteration, whose values depend on the batch a base shares.
     Below, where the dense eigensolver works matrix by matrix, a part holds
-    GRID_BATCH_ENTRIES // width bases, `width` being the entries per base of
-    the objective's working arrays.  A finite objective never stops early.
+    `bases` bases.  A finite objective never stops early.
     """
     values = np.full(grid.size, -math.inf)
-    step = B.d ** 2 if B.d >= DENSE_GRID_D else width
-    for part in _grid_slices(grid.size, step):
+    if B.d >= DENSE_GRID_D:
+        parts = _grid_slices(grid.size, B.d ** 2)
+    else:
+        parts = [slice(i, i + bases) for i in range(0, grid.size, bases)]
+    for part in parts:
         values[part] = grid_objective(grid[part], *_grid_perron(B, grid[part]))
         if values[part][-1] == -math.inf:
             break
     return values
 
 
-def _best_beta(B: BmapModel, objective, grid_objective, width: int) -> float:
+def _best_beta(B: BmapModel, objective, grid_objective, bases: int) -> float:
     """The grid base of largest objective, polished by golden section.
 
     `_grid_scores` scores the grid in parts, each from its `_grid_perron`
-    data, with grid_objective and `width` as it takes them; the polish
-    calls objective(beta), which takes them from `spectral`.  The grid
-    scores agree with objective to rounding and only pick the bracket.
+    data, with grid_objective and, below DENSE_GRID_D phases, `bases` bases
+    per part; the polish calls objective(beta), which takes them from
+    `spectral`.  The grid scores agree with objective to rounding and only
+    pick the bracket.
     Raises NoFeasibleK when no grid base has a finite objective.
     """
     grid = _beta_grid(B)
-    values = _grid_scores(B, grid, grid_objective, width)
+    values = _grid_scores(B, grid, grid_objective, bases)
     i = int(np.argmax(values))
     if not np.isfinite(values[i]):
         raise NoFeasibleK(
@@ -397,7 +399,8 @@ def find_beta_no_disaster(B: BmapModel, beta: float | None = None) -> DriftCerti
 
     build_generator(B)
     if beta is None:
-        beta = _best_beta(B, c_of, c_of_grid, 1)
+        # the whole grid in one part: its finite scores never stop early
+        beta = _best_beta(B, c_of, c_of_grid, GRID_POINTS)
     rec = spectral(B, beta)
     c = mu_inf * (1.0 - 1.0 / beta) - rec.eigenvalue
     if c <= 0.0:
@@ -422,12 +425,9 @@ def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray):
     The decay bracket mu(k)(1 - 1/beta) + psi(1 - beta^-k) - delta_D(beta) is
     evaluated once per level k.  c'(K), its infimum over k > K, is the
     minimum over levels K+1 .. max(stable_from, K+1)+1: past the mu table
-    the bracket only grows.  So c'(K) never decreases in K, and
-    `_can_certify` returns None at once when c'(K_CAP) is not positive.
-    Otherwise the bracket goes over levels 0 .. stable_from+1, which settle
-    K = 0 .. stable_from-1, and over a window twice as deep, up to the
-    cap's, until one K is feasible; the entries of a window are those of
-    the cap's, so K, c' and b' do not depend on where the scan stops.
+    the bracket only grows.  The bracket first goes over levels
+    0 .. stable_from+1 only, which settle K = 0 .. stable_from-1, and over
+    every level up to the cap's window only when none of those is feasible.
     `mus` is `_mu_levels(B)`, computed once per search, and `spectral`
     supplies delta_D(beta) and u(beta).  Returns (K, c', b', spectral
     record) or None when no K up to the cap makes the bracket positive.  b'
@@ -437,18 +437,15 @@ def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray):
     delta, u_max = rec.eigenvalue, float(rec.right.max())
     psi = B.psi
     slope = 1.0 - 1.0 / beta
-    past_cap = np.array([beta ** (-k) for k in range(K_CAP + 1, mus.size)])
-    if not _can_certify(B, mus, slope, past_cap, delta):
-        return None
-    size = B.mu.stable_from + 2
-    decay = []
-    while True:
-        decay += [beta ** (-k) for k in range(len(decay), size)]
-        c_of_K = _offset_rates(B, _bracket(B, mus[:size], slope, np.array(decay), delta))
+    for size in (min(B.mu.stable_from + 2, mus.size), mus.size):
+        decay = [beta ** (-k) for k in range(size)]
+        bracket = mus[:size] * slope + psi * (1.0 - np.array(decay)) - delta
+        c_of_K = _offset_rates(B, bracket)
         feasible = np.flatnonzero(c_of_K > 0.0)
         if feasible.size or size == mus.size:
             break
-        size = min(2 * size, mus.size)
+    if feasible.size == 0:
+        return None
     K = int(feasible[0])
     c_prime = float(c_of_K[K])
     try:
@@ -468,10 +465,11 @@ def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray):
 
 def _bracket(B: BmapModel, mus: np.ndarray, slope, decay: np.ndarray, delta) -> np.ndarray:
     """The decay bracket at the levels of `mus`, from slope = 1 - 1/beta,
-    decay = beta^-k at those levels and delta = delta_D(beta).
+    decay = beta^-k at those levels and delta = delta_D(beta), for the
+    table and its feasibility test.
 
-    The scalar scan takes beta^-k from scalar powers, the table from array
-    powers, which may differ in the last bit; each passes its own here.
+    The scalar scan in `_disaster_constants` does the same arithmetic on
+    scalar powers, which may differ from the array powers in the last bit.
     """
     return mus * slope + B.psi * (1.0 - decay) - delta
 
@@ -516,7 +514,8 @@ def _offset_table(B: BmapModel, betas: np.ndarray, deltas: np.ndarray,
     K.  Rows go in chunks whose working arrays, about four of the table's
     size, hold GRID_BATCH_ENTRIES entries.  Returns the arrays (K, c', b'),
     with K = -1 where no offset level up to the cap is feasible (c' and b'
-    are then 0) and b' = inf where beta^K passes the float range.  A row's
+    are then meaningless, and 0 at the bases `_can_certify` rejects) and
+    b' = inf where beta^K passes the float range.  A row's
     values do not depend on the bases it shares a table with, and agree
     with the scalar scan to rounding.
     """
@@ -586,7 +585,9 @@ def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCer
         return _offset_scores(B, *_offset_table(B, grid, roots, spread, mus))
 
     if beta is None:
-        beta = _best_beta(B, objective, grid_objective, 4 * mus.size)
+        # parts of as many bases as one chunk of the offset table's rows
+        beta = _best_beta(B, objective, grid_objective,
+                          max(1, GRID_BATCH_ENTRIES // (4 * mus.size)))
     found = _disaster_constants(B, beta, mus)
     if found is None:
         raise NoFeasibleK(f"no offset level up to {K_CAP} works at beta={beta}")

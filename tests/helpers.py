@@ -53,6 +53,7 @@ from bmtrunc import (
 from bmtrunc import bmap
 from bmtrunc.bmap import (
     DENSE_GRID_D,
+    GRID_BATCH_ENTRIES,
     _beta_grid,
     _disaster_constants,
     _golden_max,
@@ -661,9 +662,12 @@ def assert_feasible_prefix(B):
     oracle = whole_grid_scores(B)
     feasible = int(np.isfinite(oracle).sum())
     assert np.isfinite(oracle[:feasible]).all(), oracle
-    width = B.d ** 2 if B.d >= DENSE_GRID_D else 4 * mus.size
-    stop = next((min(part.stop, grid.size) for part in _grid_slices(grid.size, width)
-                 if part.stop > feasible), grid.size)
+    if B.d >= DENSE_GRID_D:
+        ends = [min(part.stop, grid.size) for part in _grid_slices(grid.size, B.d ** 2)]
+    else:
+        bases = max(1, GRID_BATCH_ENTRIES // (4 * mus.size))
+        ends = range(bases, grid.size, bases)
+    stop = next((end for end in ends if end > feasible), grid.size)
     found = searched_grid_scores(B)
     np.testing.assert_array_equal(found[:stop], oracle[:stop])
     assert (found[stop:] == -math.inf).all()

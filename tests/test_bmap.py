@@ -289,7 +289,7 @@ def test_perron_shift_is_the_largest_diagonal_rate_of_D0(fleet, pure_disaster, t
 
 def test_offset_constants_match_the_rescan(fleet, pure_disaster):
     # at every grid base, the ones past the feasible prefix too, where the
-    # scan returns None at once
+    # scan finds no offset level
     outcomes = set()
     for B in [*fleet.values(), pure_disaster, tailed_queue(), affine_disaster_queue()]:
         grid = _beta_grid(B)
@@ -301,8 +301,8 @@ def test_offset_constants_match_the_rescan(fleet, pure_disaster):
         outcomes |= {None if f is None else min(f[0], 1) for f in found}
     # infeasible betas, level-0 certificates and offset ones are all covered
     assert outcomes == {None, 0, 1}
-    # the affine queue's offset levels climb past 150, where the scan's
-    # window grows, and beta**K overflows
+    # the affine queue's offset levels climb past 150, where the scan reads
+    # the cap's window, and beta**K overflows
     offsets = [f for f in found if f is not None]
     assert max(f[0] for f in offsets) > 150 and any(f[2] == math.inf for f in offsets)
 
