@@ -9,21 +9,30 @@ is also the generator every other module reads.
 
 Everything a drift certificate needs comes from the transform
 Dhat(z) = sum z^k D(k) and its Perron root delta_D(z): the root is 0 at
-z = 1, increasing and convex, and its slope at 1 is the arrival rate.  The
-certificate search picks a geometric base beta inside the transform's radius
-of convergence to maximize the certified decay rate.  It scores a fixed grid
-of 200 increasing bases part by part, in array passes: a batched two-sided
-power iteration over the stacked transforms gives their Perron data
-(`_grid_perron`), and the disaster search reads its offset levels and
-constants off a table with a row per base and a column per level
-(`_offset_table`).  Two exact facts let the disaster search skip work.
-c'(K), the decay rate past offset level K, never decreases in K, so
-c'(K_CAP) <= 0 rules out every K at a base, and the table builds no row
-for it.  And each decay bracket mu(k)(1 - 1/beta) + psi(1 - beta^-k) -
-delta_D(beta) is concave in beta (delta_D is convex) and 0 at beta = 1, so
-the bases with a feasible offset form a prefix of the grid: the search
-stops after the first part whose last base has none.  The grid only picks
-the best base; a golden-section polish around it and the winner call the
+z = 1 and increasing, and its slope at 1 is the arrival rate.  It need not
+be convex in z (a phase cycle closed by arrivals gives sqrt(z) - 1), but it
+is convex in t = log z: every entry of I + Dhat(e^t) / shift is a
+nonnegative combination of exponentials e^{kt}, hence log-convex, so that
+matrix's Perron root 1 + delta_D / shift is log-convex, and delta_D convex,
+in t (Kingman, Quart. J. Math. 12, 1961).  The
+certificate search picks a geometric base beta inside the transform's
+radius of convergence to maximize the certified decay rate.  It scores a
+fixed grid of 200 bases, evenly spaced in log beta, in parts of increasing
+beta, in array passes: a batched two-sided power iteration over the stacked
+transforms gives their Perron data (`_grid_perron`), and the disaster
+search reads its offset levels and constants off a table with a row per
+base and a column per level (`_offset_table`).  Exact facts let both
+searches stop early.  Without disasters, c(beta) = mu_inf (1 - 1/beta) -
+delta_D(beta) is concave in log beta, so its grid scores rise to one peak
+and fall after it: the search stops after the first part that holds a fall.
+With disasters, c'(K), the decay rate past offset level K, never decreases
+in K, so c'(K_CAP) <= 0 rules out every K at a base, and the table builds
+no row for it.  And each decay bracket mu(k)(1 - 1/beta) + psi(1 -
+beta^-k) - delta_D(beta) is concave in log beta and 0 at beta = 1, so it
+is positive on an interval that starts at 1, and the bases with a
+feasible offset form a prefix of the grid: the search stops
+after the first part whose last base has none.  The grid only picks the
+best base; a golden-section polish around it and the winner call the
 scalar `spectral` (and `_disaster_constants`) at each point they visit.
 `spectral` is a two-sided power iteration of eight numpy calls per step,
 bit for bit the plain loop kept as a test oracle; its shift, the largest
@@ -58,12 +67,16 @@ BETA_CAP = 64.0
 GRID_POINTS = 200
 GOLDEN_ITERS = 30
 K_CAP = 200
-# Matrix entries per batch of the beta grid's power iteration (128 KB of
-# float64): the whole grid goes in one batch up to d = 9.  A batch holds its
-# transforms and the stacked iteration matrices [E, E^T], about 384 KB, where
-# the whole grid at d = 24 would hold about 2.8 MB.  The disaster table goes
-# in chunks whose working arrays hold as many entries together, and below
-# DENSE_GRID_D phases the disaster search scores its grid in parts as large.
+# Bases per part of the grid search.  Both searches stop after a part, so
+# smaller parts skip more bases, but each part pays the power iteration's
+# per-step calls again, whatever its size.
+GRID_PART = 32
+# Matrix entries per part of the grid's Perron data (128 KB of float64): a
+# part holds GRID_PART bases up to d = 22 and fewer above, 28 at d = 24.  It
+# holds its transforms and the stacked iteration matrices [E, E^T], about
+# 384 KB, where the whole grid at d = 24 would hold about 2.8 MB.  The
+# disaster table goes in chunks whose working arrays hold as many entries
+# together.
 GRID_BATCH_ENTRIES = 2 ** 14
 # Power steps before spectral, or the grid's batched iteration, hands over to
 # the dense eigensolver; no spectral call of the benchmark workloads takes
@@ -73,7 +86,7 @@ POWER_ITERS = 100
 # max(1, |r|), and accept residuals up to PERRON_RESIDUAL * max |Dhat(z)|.
 PERRON_STOP = 1e-13
 PERRON_RESIDUAL = 1e-12
-# Below this many phases one dense eigensolve of the whole stack gives the
+# Below this many phases one dense eigensolve of a part's stack gives the
 # grid's Perron data sooner than the batched power iteration, each of whose
 # steps is a dozen calls on small arrays; from d = 8 on the iteration wins.
 DENSE_GRID_D = 8
@@ -210,9 +223,10 @@ def _dense_perron(dh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dense eigendecomposition covers the whole stack.  Per matrix, the root
     is the eigenvalue of largest real part and the vector the absolute value
     of its right eigenvector, unnormalized; the left vector is the right one
-    of the transpose.  `spectral` and `_power_perron` call it for the points
-    their power iteration leaves unconverged after POWER_ITERS steps, and
-    `_grid_perron` for a part of the grid below DENSE_GRID_D phases.
+    of the transpose.  A matrix's values do not depend on the stack it is
+    in.  `spectral` and `_power_perron` call it for the points their power
+    iteration leaves unconverged after POWER_ITERS steps, and `_grid_perron`
+    for a part of the grid below DENSE_GRID_D phases.
     """
     vals, vecs = np.linalg.eig(dh)
     i = np.argmax(vals.real, axis=-1)[..., None]
@@ -230,31 +244,29 @@ def _grid_slices(size: int, width: int) -> list[slice]:
 def _grid_perron(B: BmapModel, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Perron roots delta_D(z) and spreads max u / min u over a grid of bases.
 
-    Below DENSE_GRID_D phases, one `_dense_perron` call on the stacked
-    transforms; from there on `_power_perron`, GRID_BATCH_ENTRIES matrix
-    entries at a time.  The values agree with `spectral` to rounding.
+    One call on the stacked transforms: `_dense_perron` below DENSE_GRID_D
+    phases, `_power_perron` from there on.  The search hands it one part at
+    a time, at most GRID_BATCH_ENTRIES matrix entries.  A base's values do
+    not depend on the bases it shares the call with, and agree with
+    `spectral` to rounding.
     """
     if B.d == 1:
         return B.dhat(grid)[:, 0, 0], np.ones(grid.size)
     if B.d < DENSE_GRID_D:
         roots, right = _dense_perron(B.dhat(grid))
         return roots, right.max(axis=1) / right.min(axis=1)
-    shift = B._perron_shift
-    roots = np.empty(grid.size)
-    spread = np.empty(grid.size)
-    for part in _grid_slices(grid.size, B.d ** 2):
-        roots[part], spread[part] = _power_perron(B.dhat(grid[part]), shift)
-    return roots, spread
+    return _power_perron(B.dhat(grid), B._perron_shift)
 
 
 def _power_perron(dh: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]:
     """Perron roots and spreads max u / min u of a stack of transforms.
 
     The two-sided power iteration of `spectral` on each matrix of the
-    stack, with its shift, its stop rule and its residual contract.  The
-    residuals are checked once every base still iterating has stopped, and
-    a base that passes keeps the values of that step.  The bases left after
-    POWER_ITERS steps go to one `_dense_perron` call.
+    stack, with its shift, its stop rule and its residual contract.  At
+    each step the residuals of the bases whose stop test passes are
+    checked, and a base that passes them keeps that step's values, as
+    `spectral` does: a base's values do not depend on the stack it is in.
+    The bases left after POWER_ITERS steps go to one `_dense_perron` call.
     """
     m, d = dh.shape[:2]
     roots = np.empty(m)
@@ -270,22 +282,24 @@ def _power_perron(dh: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]
     V[0] /= V[0].max(axis=1, keepdims=True)
     rprev = np.full(m, math.inf)
     pending = np.ones(m, dtype=bool)
-    for step in range(POWER_ITERS):
+    for _ in range(POWER_ITERS):
         W = (M @ V[..., None])[..., 0]
         x = V[0]
         V = W / W.max(axis=2, keepdims=True)
         r = np.einsum("md,md->m", V[1], W[0]) / np.einsum("md,md->m", V[1], x)
         done = np.abs(r - rprev) < PERRON_STOP * np.maximum(1.0, r)
         rprev = r
-        if not (np.all(done | ~pending) or step == POWER_ITERS - 1):
+        stop = np.flatnonzero(pending & done)
+        if not stop.size:
             continue
         # Dhat = shift (E - I), so Dhat x - delta x = shift (E x - r x)
-        xy = np.stack([x, V[1]])
-        res = shift * np.abs((M @ xy[..., None])[..., 0] - r[:, None] * xy).max(axis=(0, 2))
-        ok = pending & done & (res <= PERRON_RESIDUAL * norm)
+        xy = np.stack([x[stop], V[1, stop]])
+        res = shift * np.abs((M[:, stop] @ xy[..., None])[..., 0]
+                             - r[stop, None] * xy).max(axis=(0, 2))
+        ok = stop[res <= PERRON_RESIDUAL * norm[stop]]
         roots[ok] = (r[ok] - 1.0) * shift
         spread[ok] = (x[ok] / x[ok].min(axis=1, keepdims=True)).max(axis=1)
-        pending &= ~ok
+        pending[ok] = False
         if not pending.any():
             return roots, spread
     # E's second eigenvalue is close to +-1 in modulus at these bases
@@ -334,40 +348,38 @@ def _golden_max(f, lo: float, hi: float):
     return ((a + b) / 2.0, max(f1, f2))
 
 
-def _grid_scores(B: BmapModel, grid: np.ndarray, grid_objective, bases: int) -> np.ndarray:
+def _grid_scores(B: BmapModel, grid: np.ndarray, grid_objective, stop) -> np.ndarray:
     """grid_objective(betas, delta_D, max u / min u) over the grid, part by
-    part in increasing beta, up to the first part whose last base scores
-    -inf; the bases past that part are left at -inf, unscored.
+    part in increasing beta, up to the first part after which
+    stop(scores) holds; the bases past that part are left at -inf,
+    unscored.
 
-    From DENSE_GRID_D phases on, a part is one batch of `_grid_perron`'s
-    power iteration, whose values depend on the batch a base shares.
-    Below, where the dense eigensolver works matrix by matrix, a part holds
-    `bases` bases.  A finite objective never stops early.
+    A part holds GRID_PART bases, or GRID_BATCH_ENTRIES // d^2 when fewer,
+    and gets its Perron data from one `_grid_perron` call, whose values do
+    not depend on the part.  `scores` runs from the base before the part
+    (the part's own first base for the first part) to the part's end.
     """
     values = np.full(grid.size, -math.inf)
-    if B.d >= DENSE_GRID_D:
-        parts = _grid_slices(grid.size, B.d ** 2)
-    else:
-        parts = [slice(i, i + bases) for i in range(0, grid.size, bases)]
-    for part in parts:
+    size = min(GRID_PART, max(1, GRID_BATCH_ENTRIES // B.d ** 2))
+    for start in range(0, grid.size, size):
+        part = slice(start, start + size)
         values[part] = grid_objective(grid[part], *_grid_perron(B, grid[part]))
-        if values[part][-1] == -math.inf:
+        if stop(values[max(start - 1, 0):part.stop]):
             break
     return values
 
 
-def _best_beta(B: BmapModel, objective, grid_objective, bases: int) -> float:
+def _best_beta(B: BmapModel, objective, grid_objective, stop) -> float:
     """The grid base of largest objective, polished by golden section.
 
-    `_grid_scores` scores the grid in parts, each from its `_grid_perron`
-    data, with grid_objective and, below DENSE_GRID_D phases, `bases` bases
-    per part; the polish calls objective(beta), which takes them from
-    `spectral`.  The grid scores agree with objective to rounding and only
-    pick the bracket.
+    `_grid_scores` scores the grid part by part with grid_objective, from
+    `_grid_perron` data, until the search's stop rule holds; the polish
+    calls objective(beta), which takes them from `spectral`.  The grid
+    scores agree with objective to rounding and only pick the bracket.
     Raises NoFeasibleK when no grid base has a finite objective.
     """
     grid = _beta_grid(B)
-    values = _grid_scores(B, grid, grid_objective, bases)
+    values = _grid_scores(B, grid, grid_objective, stop)
     i = int(np.argmax(values))
     if not np.isfinite(values[i]):
         raise NoFeasibleK(
@@ -397,13 +409,21 @@ def find_beta_no_disaster(B: BmapModel, beta: float | None = None) -> DriftCerti
     def c_of_grid(grid, roots, _spread):
         return mu_inf * (1.0 - 1.0 / grid) - roots
 
+    def past_peak(scores):
+        # c is concave in log beta, and the grid is evenly spaced in it:
+        # after its first fall it only falls
+        return bool((np.diff(scores) < 0.0).any())
+
     build_generator(B)
-    if beta is None:
-        # the whole grid in one part: its finite scores never stop early
-        beta = _best_beta(B, c_of, c_of_grid, GRID_POINTS)
+    given = beta is not None
+    if not given:
+        beta = _best_beta(B, c_of, c_of_grid, past_peak)
     rec = spectral(B, beta)
     c = mu_inf * (1.0 - 1.0 / beta) - rec.eigenvalue
     if c <= 0.0:
+        if given:
+            raise NoPositiveC(f"geometric base beta={beta} certifies no decay: "
+                              f"c(beta) = {c:.6g} <= 0")
         lam = arrival_rate(B)
         raise NoPositiveC(
             f"no geometric base certifies decay: service floor {mu_inf} vs "
@@ -584,10 +604,13 @@ def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCer
     def grid_objective(grid, roots, spread):
         return _offset_scores(B, *_offset_table(B, grid, roots, spread, mus))
 
+    def past_feasible(scores):
+        # the bases with a feasible offset form a prefix of the grid; the
+        # objective is not unimodal, so the peak rule does not apply
+        return scores[-1] == -math.inf
+
     if beta is None:
-        # parts of as many bases as one chunk of the offset table's rows
-        beta = _best_beta(B, objective, grid_objective,
-                          max(1, GRID_BATCH_ENTRIES // (4 * mus.size)))
+        beta = _best_beta(B, objective, grid_objective, past_feasible)
     found = _disaster_constants(B, beta, mus)
     if found is None:
         raise NoFeasibleK(f"no offset level up to {K_CAP} works at beta={beta}")

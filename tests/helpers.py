@@ -52,8 +52,9 @@ from bmtrunc import (
 )
 from bmtrunc import bmap
 from bmtrunc.bmap import (
-    DENSE_GRID_D,
     GRID_BATCH_ENTRIES,
+    GRID_PART,
+    GRID_POINTS,
     _beta_grid,
     _disaster_constants,
     _golden_max,
@@ -628,9 +629,16 @@ def whole_grid_scores(B):
                                                  _mu_levels(B)))
 
 
+def whole_grid_c(B):
+    """The disaster-free search's grid scores, c(beta) = inf mu (1 - 1/beta)
+    - delta_D(beta), from one `_grid_perron` call over the whole grid."""
+    grid = _beta_grid(B)
+    return B.mu.infimum() * (1.0 - 1.0 / grid) - _grid_perron(B, grid)[0]
+
+
 def searched_grid_scores(B):
-    """The grid scores the disaster search computes, -inf where it stopped
-    before scoring, caught on their way to its argmax."""
+    """The grid scores the search computes, -inf where it stopped before
+    scoring, caught on their way to its argmax."""
     seen = []
     real = bmap._grid_scores
 
@@ -639,9 +647,30 @@ def searched_grid_scores(B):
         return seen[-1]
 
     with mock.patch.object(bmap, "_grid_scores", caught):
-        find_constants_disaster(B)
+        (find_beta_no_disaster if B.psi == 0.0 else find_constants_disaster)(B)
     assert len(seen) == 1
     return seen[0]
+
+
+def assert_searched_up_to(B, oracle, last):
+    """The search's grid scores are `oracle` bit for bit up to the end of
+    the part that holds base `last`, and -inf from there on.  A part holds
+    GRID_PART bases, or GRID_BATCH_ENTRIES // d^2 when fewer.  Returns that
+    end."""
+    size = min(GRID_PART, max(1, GRID_BATCH_ENTRIES // B.d ** 2))
+    stop = min((last // size + 1) * size, GRID_POINTS)
+    found = searched_grid_scores(B)
+    np.testing.assert_array_equal(found[:stop], oracle[:stop])
+    assert (found[stop:] == -math.inf).all()
+    return stop
+
+
+def assert_peak_prefix(B):
+    """The disaster-free search scores its grid up to the end of the first
+    part that holds a fall, bit for bit `whole_grid_c`.  Returns that end."""
+    oracle = whole_grid_c(B)
+    falls = np.flatnonzero(np.diff(oracle) < 0.0)
+    return assert_searched_up_to(B, oracle, falls[0] + 1 if falls.size else GRID_POINTS - 1)
 
 
 def assert_feasible_prefix(B):
@@ -662,16 +691,7 @@ def assert_feasible_prefix(B):
     oracle = whole_grid_scores(B)
     feasible = int(np.isfinite(oracle).sum())
     assert np.isfinite(oracle[:feasible]).all(), oracle
-    if B.d >= DENSE_GRID_D:
-        ends = [min(part.stop, grid.size) for part in _grid_slices(grid.size, B.d ** 2)]
-    else:
-        bases = max(1, GRID_BATCH_ENTRIES // (4 * mus.size))
-        ends = range(bases, grid.size, bases)
-    stop = next((end for end in ends if end > feasible), grid.size)
-    found = searched_grid_scores(B)
-    np.testing.assert_array_equal(found[:stop], oracle[:stop])
-    assert (found[stop:] == -math.inf).all()
-    return stop
+    return assert_searched_up_to(B, oracle, min(feasible, grid.size - 1))
 
 
 def assert_same_certificate(found, expected):
@@ -817,12 +837,15 @@ def regime_queues(draw):
     d <= 8 phases; up to three listed batch sizes, optionally followed by a
     geometric tail; constant, increasing-table, affine or no service (pure
     reset); disaster rate psi in {0, 0.01, 1} times the arrival rate (pure
-    reset needs psi > 0); phase switching at the arrival time scale or 10**4
-    times faster; and loads lambda / inf mu from 0.3 up to 0.999.  The
-    service rate is set from the arrival rate measured on the drawn blocks,
-    so the load holds exactly.  All phases switch on one time scale: with
-    phases 10**4 apart, row slacks sit below the rounding of their own sums
-    and drift_check's tolerance cannot tell them from zero.
+    reset needs psi > 0); phases that switch freely, at the arrival time
+    scale or 10**4 times faster, or step along a cycle 0 -> 1 -> ... -> d-1
+    that only batches close, which can make delta_D concave in z (as
+    sqrt(z) - 1 at d = 2); and loads lambda / inf mu from 0.3 up to 0.999.
+    The service rate is set from the arrival rate measured on the drawn
+    blocks, so the load holds exactly.  All phases switch on one time scale,
+    a cycle's steps on that of the batches that close it: with phases 10**4
+    apart, row slacks sit below the rounding of their own sums and
+    drift_check's tolerance cannot tell them from zero.
     """
     d = draw(st.integers(1, 8))
     k_max = draw(st.integers(1, 3))
@@ -830,14 +853,20 @@ def regime_queues(draw):
     rule = draw(st.sampled_from(["constant", "table", "affine", "reset"]))
     rho = draw(st.sampled_from([0.3, 0.8, 0.99, 0.999]))
     psi_share = draw(st.sampled_from([0.01, 1.0] if rule == "reset" else [0.0, 0.01, 1.0]))
-    spread = draw(st.sampled_from([1.0, 1e4]))
+    cycle = draw(st.booleans())
+    spread = draw(st.sampled_from([1.0] if cycle else [1.0, 1e4]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     off = rng.uniform(0.2, 1.0, (d, d)) * spread
     np.fill_diagonal(off, 0.0)
-    batches = [rng.uniform(0.05, 0.5, (d, d)) * 0.5 ** k for k in range(k_max)]
+    # a batch moves the phase anywhere, or only from d-1 back to 0
+    reach = np.ones((d, d))
+    if cycle:
+        off *= np.eye(d, k=1)
+        reach = np.eye(d, k=1 - d)
+    batches = [rng.uniform(0.05, 0.5, (d, d)) * 0.5 ** k * reach for k in range(k_max)]
     tail, tail_mass = None, np.zeros((d, d))
     if tail_ratio is not None:
-        tail = GeometricTail(coef=rng.uniform(0.02, 0.1, (d, d)), ratio=tail_ratio)
+        tail = GeometricTail(coef=rng.uniform(0.02, 0.1, (d, d)) * reach, ratio=tail_ratio)
         tail_mass = tail.sum_from(k_max + 1)
     D0 = off - np.diag(off.sum(axis=1) + sum(b.sum(axis=1) for b in batches)
                        + tail_mass.sum(axis=1))

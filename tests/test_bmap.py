@@ -32,6 +32,8 @@ from bmtrunc.bounds import DRIFT_TOL
 from bmtrunc.cli import main
 from bmtrunc.bmap import (
     DENSE_GRID_D,
+    GRID_BATCH_ENTRIES,
+    GRID_PART,
     K_CAP,
     POWER_ITERS,
     _beta_grid,
@@ -45,6 +47,7 @@ from bmtrunc.bmap import (
 from helpers import (
     affine_disaster_queue,
     assert_feasible_prefix,
+    assert_peak_prefix,
     assert_same_certificate,
     assert_table_matches_the_objective,
     bmap_doc,
@@ -57,6 +60,7 @@ from helpers import (
     serial_certificate,
     serial_grid_argmax,
     tailed_queue,
+    whole_grid_c,
     write_model,
 )
 
@@ -350,8 +354,12 @@ def _stiff_queue(spread=1e4, fast=range(5)):
     off[list(fast)] *= spread
     batches = base.D[1:]
     D0 = off - np.diag(off.sum(axis=1) + sum(m.sum(axis=1) for m in batches))
-    B = BmapModel(d=5, D=(D0, *batches), mu=MuRule(table=(1.0,)))
-    return dataclasses.replace(B, mu=MuRule(table=(arrival_rate(B) / 0.8,)))
+    return _at_load(BmapModel(d=5, D=(D0, *batches), mu=MuRule(table=(1.0,))), 0.8)
+
+
+def _at_load(B, rho):
+    """B with constant service at arrival rate / rho."""
+    return dataclasses.replace(B, mu=MuRule(table=(arrival_rate(B) / rho,)))
 
 
 def test_transform_at_a_point_is_its_grid_entry_bit_for_bit(fleet, pure_disaster):
@@ -372,18 +380,19 @@ def test_transform_at_a_point_is_its_grid_entry_bit_for_bit(fleet, pure_disaster
 
 def test_batched_grid_matches_spectral(fleet, monkeypatch):
     rng = np.random.default_rng(5)
-    # tailed_queue's grid ends at 0.999 r_D; at d = 12 the grid's power
-    # iteration runs in two batches; with phases 0, 1 and 4 switching 10**3
-    # times faster than the others, power iteration stalls at most bases
-    # of the grid but not all
+    # tailed_queue's grid ends at 0.999 r_D; at d = 24 a part of the search
+    # holds fewer than GRID_PART bases; with phases 0, 1 and 4 switching
+    # 10**3 times faster than the others, power iteration stalls at most
+    # bases of the grid but not all
     partly_stiff = _stiff_queue(1e3, fast=(0, 1, 4))
     queues = [*fleet.values(), tailed_queue(), _stiff_queue(), partly_stiff,
-              *(random_bmap(rng, d=d, psi=0.3) for d in (3, 5, 8, 12))]
+              *(random_bmap(rng, d=d, psi=0.3) for d in (3, 5, 8, 12, 24))]
     brackets = []
     golden = bmap._golden_max
     monkeypatch.setattr(bmap, "_golden_max",
                         lambda f, lo, hi: brackets.append((lo, hi)) or golden(f, lo, hi))
     dense_calls = _count_calls(monkeypatch, bmap, "_dense_perron")
+    grid_calls = _count_calls(monkeypatch, bmap, "_grid_perron")
     for B in queues:
         grid = _beta_grid(B)
         stack = B.dhat(grid)
@@ -402,6 +411,14 @@ def test_batched_grid_matches_spectral(fleet, monkeypatch):
             assert (0 < fallback < grid.size) == (B is partly_stiff)
             found_roots.append(power[0])
             found_spreads.append(power[1])
+            # each base keeps its own stop step: any split of the stack, and
+            # a base alone, give its values bit for bit, stiff bases included
+            splits = (np.array_split(np.arange(grid.size), [1, 7, 100, 101, 150]),
+                      [[i] for i in range(0, grid.size, 9)])
+            for part in (part for split in splits for part in split):
+                alone = _power_perron(stack[part], shift)
+                np.testing.assert_array_equal(alone[0], power[0][part])
+                np.testing.assert_array_equal(alone[1], power[1][part])
         eig_roots, eig_right = _dense_perron(stack)
         found_roots.append(eig_roots)
         found_spreads.append(eig_right.max(axis=1) / eig_right.min(axis=1))
@@ -412,11 +429,16 @@ def test_batched_grid_matches_spectral(fleet, monkeypatch):
             # max u / min u reaches the disaster objective
             for found in found_spreads:
                 assert found[i] == pytest.approx(rec.right.max(), rel=1e-9)
-        # the polish brackets the grid point the serial scan picks
+        # the polish brackets the grid point the serial scan picks, and the
+        # search hands the Perron data one part at a time
         brackets.clear()
+        grid_calls.clear()
         (find_beta_no_disaster if B.psi == 0.0 else find_constants_disaster)(B)
         i = serial_grid_argmax(B)
         assert brackets == [(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)])]
+        size = min(GRID_PART, GRID_BATCH_ENTRIES // B.d ** 2)
+        assert [len(args[1]) for args in grid_calls[:-1]] == [size] * (len(grid_calls) - 1)
+        assert size == (28 if B.d == 24 else 32)
 
 
 def test_offset_table_matches_the_scalar_objective(fleet, pure_disaster):
@@ -433,16 +455,64 @@ def test_feasible_bases_form_a_prefix(fleet, pure_disaster):
         ("d2_disaster", fleet["d2_disaster"]), ("pure_disaster", pure_disaster),
         ("tailed", tailed_queue()), ("affine", affine_disaster_queue()),
         ("d8", random_bmap(np.random.default_rng(5), d=8, psi=0.3))]}
-    # below DENSE_GRID_D phases the search stops after a part of 20 bases;
-    # at d = 8 the grid is one batch of the power iteration
+    # parts hold 32 bases at d = 8 as below it, and the d = 8 queue's
+    # feasible bases end in the first
     assert stops["d2_disaster"] < 100 and stops["pure_disaster"] < 100
-    assert stops["d8"] == 200
+    assert stops["d8"] == 32
 
 
 @given(B=regime_queues())
 def test_feasible_bases_form_a_prefix_on_regime_queues(B):
     assume(B.psi > 0.0)
     assert_feasible_prefix(B)
+
+
+def test_disaster_free_search_stops_after_its_peak(fleet):
+    rng = np.random.default_rng(7)
+    stops = {name: assert_peak_prefix(B) for name, B in [
+        ("mm1", fleet["mm1"]), ("d2", fleet["d2"]), ("tailed", tailed_queue(psi=0.0)),
+        ("stiff", _stiff_queue()),
+        *((f"d{d}", _at_load(random_bmap(rng, d=d), 0.7)) for d in (8, 24))]}
+    # most peaks lie in the first part: 32 bases, 28 at d = 24; the tailed
+    # queue's grid ends at 0.999 r_D = 2.4975, and its peak in the third
+    assert stops == {"mm1": 32, "d2": 32, "tailed": 96, "stiff": 32, "d8": 32, "d24": 28}
+
+
+@given(B=regime_queues())
+def test_disaster_free_grid_scores_fall_after_their_peak_on_regime_queues(B):
+    # c is concave in log beta, and the grid is evenly spaced in it: after
+    # the first fall no score rises by more than the grid's rounding
+    assume(B.psi == 0.0)
+    scores = whole_grid_c(B)
+    rises = np.diff(scores)
+    falls = np.flatnonzero(rises < 0.0)
+    if falls.size:
+        scale = np.abs(B.dhat(_beta_grid(B))).max(axis=(1, 2))
+        assert (rises[falls[0]:] <= 1e-12 * scale[falls[0] + 1:]).all(), scores
+    assert_peak_prefix(B)
+    assert_same_certificate(find_beta_no_disaster(B), serial_certificate(B))
+
+
+def _phase_cycle(mu, psi):
+    """Phase 0 steps to phase 1 without an arrival, phase 1 back to 0 with
+    one: Dhat(z) = [[-1, 1], [z, -1]] and delta_D(z) = sqrt(z) - 1."""
+    return BmapModel(d=2, D=(np.array([[-1.0, 1.0], [0.0, -1.0]]),
+                             np.array([[0.0, 0.0], [1.0, 0.0]])),
+                     mu=MuRule(table=(mu,)), psi=psi)
+
+
+def test_a_phase_cycle_gives_a_concave_transform():
+    # delta_D is convex in log z but not in z; both searches rest only on
+    # the former
+    B = _phase_cycle(2.0, 0.0)
+    assert abs(delta_D(B, 4.0) - 1.0) <= 1e-12
+    roots = [delta_D(B, z) for z in np.linspace(1.0, 9.0, 17)]
+    assert (np.diff(roots, 2) < 0.0).all()
+    for mu in (1.2, 2.0):
+        for psi in (0.0, 0.5):
+            B = _phase_cycle(mu, psi)
+            search = find_beta_no_disaster if psi == 0.0 else find_constants_disaster
+            assert_same_certificate(search(B), serial_certificate(B))
 
 
 def test_search_matches_the_serial_oracle(fleet, pure_disaster):
@@ -571,6 +641,17 @@ def test_bound_rejects_out_of_range_beta(d2_psi0, tmp_path, beta):
                                        "--beta", beta])
     assert result.exit_code == 2, result.output
     assert f"beta={float(beta)}" in result.output
+
+
+def test_a_given_beta_without_decay_is_named(mm1, tmp_path):
+    # the search certifies this queue; the given base does not
+    path = write_model(tmp_path / "mm1.json", bmap_doc(mm1))
+    result = CliRunner().invoke(main, ["bound", "--model", path, "--n", "3",
+                                       "--beta", "10"])
+    assert result.exit_code == 3, result.output
+    assert "beta=10.0" in result.output and "c(beta) = -7.2" in result.output
+    with pytest.raises(NoPositiveC, match="beta=10.0"):
+        find_beta_no_disaster(mm1, beta=10.0)
 
 
 @pytest.mark.parametrize("psi, error", [(0.0, NoPositiveC), (0.3, NoFeasibleK)])
