@@ -68,6 +68,19 @@ def check_block_length(size: int, d: int) -> int:
     return size // d
 
 
+def zero_corner(n: int, d: int) -> np.ndarray:
+    """Zeros over levels 0..n of d phases; InputError, naming the states and
+    the size, where numpy cannot allocate them or index that many."""
+    if n < 0:
+        raise InputError(f"window level must be >= 0, got {n}")
+    states = (n + 1) * d
+    try:
+        return np.zeros((states, states))
+    except (MemoryError, ValueError) as exc:
+        raise InputError(f"the corner over levels 0..{n} has {states} states: its float64 matrix "
+                         f"needs {8 * states ** 2 / 2 ** 30:.3g} GiB and cannot be allocated") from exc
+
+
 @dataclass
 class FiniteBlockMatrix:
     """Dense square matrix over levels 0..n with d phases per level."""
@@ -253,8 +266,9 @@ class CornerLayout:
 
         band holds the band blocks at `pairs`, as `blocks` gives them.  The
         tail blocks coef * ratio**(l - k) past each tailed row's band add
-        up, column by column, to a first-order geometric recurrence, taken
-        in closed form.  It equals x @ window(n).values up to rounding.
+        up, column by column, to a first-order geometric recurrence: a
+        running sum carried from each level to the next.  It equals
+        x @ window(n).values up to rounding.
         """
         d = band.shape[-1]
         X = np.asarray(x, dtype=float).reshape(self.n + 1, d)
@@ -269,34 +283,10 @@ class CornerLayout:
             pulses = np.zeros_like(X)
             np.add.at(pulses, start, (X[filled] @ tail.coef)
                       * (tail.ratio ** (start - filled).astype(float))[:, None])
-            out += _geometric_sums(pulses, tail.ratio).ravel()
+            for l in range(1, self.n + 1):
+                pulses[l] += tail.ratio * pulses[l - 1]
+            out += pulses.ravel()
         return out
-
-
-def _geometric_sums(pulses: np.ndarray, ratio: float) -> np.ndarray:
-    """out[l] = sum over j <= l of ratio**(l - j) * pulses[j], without a loop over l.
-
-    The levels go in chunks of about sqrt(m): one lower-triangular power
-    matrix gives each chunk's own sums, a second carries each chunk's last
-    sum into the later chunks.  Both matrices have about m entries.
-    """
-    m = pulses.shape[0]
-    size = math.isqrt(max(m - 1, 0)) + 1
-    count = -(-m // size)
-    chunks = np.zeros((count * size, pulses.shape[1]))
-    chunks[:m] = pulses
-    chunks = chunks.reshape(count, size, -1)
-
-    def powers(steps: int, length: int) -> np.ndarray:
-        gap = np.subtract.outer(np.arange(length), np.arange(length))
-        return np.where(gap >= 0, ratio ** (steps * np.maximum(gap, 0.0)), 0.0)
-
-    local = powers(1, size) @ chunks
-    ends = powers(size, count) @ local[:, -1]
-    carried = np.zeros_like(ends)
-    carried[1:] = ends[:-1]
-    out = local + ratio ** np.arange(1.0, size + 1.0)[:, None] * carried[:, None, :]
-    return out.reshape(count * size, -1)[:m]
 
 
 class BlockGeneratorModel:
@@ -417,8 +407,6 @@ class BlockGeneratorModel:
 
     def layout(self, n: int) -> CornerLayout:
         """Where the rows of the corner over levels 0..n live: `band` read once per row."""
-        if n < 0:
-            raise InputError(f"window level must be >= 0, got {n}")
         lo, hi, tails = zip(*(self.band(k) for k in range(n + 1)))
         return CornerLayout(
             n=n, lo=np.array(lo), hi=np.array(hi),
@@ -426,16 +414,18 @@ class BlockGeneratorModel:
             tailed=np.array([t is not None for t in tails]),
         )
 
-    def window(self, n: int, layout: CornerLayout | None = None) -> FiniteBlockMatrix:
+    def window(self, n: int, layout: CornerLayout | None = None,
+               out: np.ndarray | None = None) -> FiniteBlockMatrix:
         """Northwest corner over levels 0..n; not conservative in general.
 
         Rows follow `layout(n)` (pass it when already read): the band blocks
         come from one `blocks` call over its pairs in one stacked
         assignment, and a tailed row is filled past its band in closed form.
+        It fills `out`, a `zero_corner`, allocated before `layout` when not given.
         """
-        lay = self.layout(n) if layout is None else layout
         d = self.d
-        out = np.zeros(((n + 1) * d, (n + 1) * d))
+        out = zero_corner(n, d) if out is None else out
+        lay = self.layout(n) if layout is None else layout
         blocks = out.reshape(n + 1, d, n + 1, d)
         filled = lay.filled()
         if filled.size:

@@ -14,11 +14,11 @@ be convex in z (a phase cycle closed by arrivals gives sqrt(z) - 1), but it
 is convex in t = log z: every entry of I + Dhat(e^t) / shift is a
 nonnegative combination of exponentials e^{kt}, hence log-convex, so that
 matrix's Perron root 1 + delta_D / shift is log-convex, and delta_D convex,
-in t (Kingman, Quart. J. Math. 12, 1961).  The
-certificate search picks a geometric base beta inside the transform's
-radius of convergence to maximize the certified decay rate.  It scores a
-fixed grid of 200 bases, evenly spaced in log beta, in parts of increasing
-beta, in array passes: a batched two-sided power iteration over the stacked
+in t (Kingman, Quart. J. Math. 12, 1961).  The certificate search picks a
+geometric base beta inside the transform's radius of convergence to
+maximize the certified decay rate.  It scores a fixed grid of 200 bases,
+evenly spaced in log beta, in parts of 32 bases of increasing beta, in
+array passes: a batched two-sided power iteration over the stacked
 transforms gives their Perron data (`_grid_perron`), and the disaster
 search reads its offset levels and constants off a table with a row per
 base and a column per level (`_offset_table`).  Exact facts let both
@@ -26,18 +26,18 @@ searches stop early.  Without disasters, c(beta) = mu_inf (1 - 1/beta) -
 delta_D(beta) is concave in log beta, so its grid scores rise to one peak
 and fall after it: the search stops after the first part that holds a fall.
 With disasters, c'(K), the decay rate past offset level K, never decreases
-in K, so c'(K_CAP) <= 0 rules out every K at a base, and the table builds
-no row for it.  And each decay bracket mu(k)(1 - 1/beta) + psi(1 -
-beta^-k) - delta_D(beta) is concave in log beta and 0 at beta = 1, so it
-is positive on an interval that starts at 1, and the bases with a
-feasible offset form a prefix of the grid: the search stops
-after the first part whose last base has none.  The grid only picks the
-best base; a golden-section polish around it and the winner call the
-scalar `spectral` (and `_disaster_constants`) at each point they visit.
-`spectral` is a two-sided power iteration of eight numpy calls per step,
-bit for bit the plain loop kept as a test oracle; its shift, the largest
-diagonal rate of D(0), is the queue model's `_perron_shift`, fixed when the
-model is built and shared with the grid's batched iteration.
+in K, so a base has a feasible offset exactly when c'(K_CAP) > 0.  And each
+decay bracket mu(k)(1 - 1/beta) + psi(1 - beta^-k) - delta_D(beta) is
+concave in log beta and 0 at beta = 1, so it is positive on an interval
+that starts at 1, and the bases with a feasible offset form a prefix of
+the grid: the search stops after the first part whose last base has none.
+The grid only picks the best base; a golden-section polish around it and
+the winner call the scalar `spectral` (and `_disaster_constants`) at each
+point they visit.  `spectral` is a two-sided power iteration of eight
+numpy calls per step, bit for bit the plain loop kept as a test oracle; its
+shift, the largest diagonal rate of D(0), is the queue model's
+`_perron_shift`, fixed when the model is built and shared with the grid's
+batched iteration.
 """
 
 from __future__ import annotations
@@ -67,17 +67,10 @@ BETA_CAP = 64.0
 GRID_POINTS = 200
 GOLDEN_ITERS = 30
 K_CAP = 200
-# Bases per part of the grid search.  Both searches stop after a part, so
-# smaller parts skip more bases, but each part pays the power iteration's
-# per-step calls again, whatever its size.
+# Bases per part of the grid search, at every d.  Both searches stop after a
+# part, so smaller parts skip more bases, but each part pays the power
+# iteration's per-step calls again, whatever its size.
 GRID_PART = 32
-# Matrix entries per part of the grid's Perron data (128 KB of float64): a
-# part holds GRID_PART bases up to d = 22 and fewer above, 28 at d = 24.  It
-# holds its transforms and the stacked iteration matrices [E, E^T], about
-# 384 KB, where the whole grid at d = 24 would hold about 2.8 MB.  The
-# disaster table goes in chunks whose working arrays hold as many entries
-# together.
-GRID_BATCH_ENTRIES = 2 ** 14
 # Power steps before spectral, or the grid's batched iteration, hands over to
 # the dense eigensolver; no spectral call of the benchmark workloads takes
 # more than 43.
@@ -235,20 +228,13 @@ def _dense_perron(dh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return roots, np.abs(right)
 
 
-def _grid_slices(size: int, width: int) -> list[slice]:
-    """Consecutive row slices of at most GRID_BATCH_ENTRIES // width rows."""
-    step = max(1, GRID_BATCH_ENTRIES // width)
-    return [slice(i, i + step) for i in range(0, size, step)]
-
-
 def _grid_perron(B: BmapModel, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Perron roots delta_D(z) and spreads max u / min u over a grid of bases.
 
     One call on the stacked transforms: `_dense_perron` below DENSE_GRID_D
-    phases, `_power_perron` from there on.  The search hands it one part at
-    a time, at most GRID_BATCH_ENTRIES matrix entries.  A base's values do
-    not depend on the bases it shares the call with, and agree with
-    `spectral` to rounding.
+    phases, `_power_perron` from there on.  The search hands it one part of
+    GRID_PART bases at a time.  A base's values do not depend on the bases
+    it shares the call with, and agree with `spectral` to rounding.
     """
     if B.d == 1:
         return B.dhat(grid)[:, 0, 0], np.ones(grid.size)
@@ -354,15 +340,13 @@ def _grid_scores(B: BmapModel, grid: np.ndarray, grid_objective, stop) -> np.nda
     stop(scores) holds; the bases past that part are left at -inf,
     unscored.
 
-    A part holds GRID_PART bases, or GRID_BATCH_ENTRIES // d^2 when fewer,
-    and gets its Perron data from one `_grid_perron` call, whose values do
-    not depend on the part.  `scores` runs from the base before the part
-    (the part's own first base for the first part) to the part's end.
+    A part holds GRID_PART bases and gets its Perron data from one
+    `_grid_perron` call.  `scores` runs from the base before the part (the
+    part's own first base for the first part) to the part's end.
     """
     values = np.full(grid.size, -math.inf)
-    size = min(GRID_PART, max(1, GRID_BATCH_ENTRIES // B.d ** 2))
-    for start in range(0, grid.size, size):
-        part = slice(start, start + size)
+    for start in range(0, grid.size, GRID_PART):
+        part = slice(start, start + GRID_PART)
         values[part] = grid_objective(grid[part], *_grid_perron(B, grid[part]))
         if stop(values[max(start - 1, 0):part.stop]):
             break
@@ -457,6 +441,8 @@ def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray):
     delta, u_max = rec.eigenvalue, float(rec.right.max())
     psi = B.psi
     slope = 1.0 - 1.0 / beta
+    # two windows, unlike the table: the polish calls this at every point it
+    # visits, where scalar powers over the whole cap window would cost time
     for size in (min(B.mu.stable_from + 2, mus.size), mus.size):
         decay = [beta ** (-k) for k in range(size)]
         bracket = mus[:size] * slope + psi * (1.0 - np.array(decay)) - delta
@@ -483,29 +469,6 @@ def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray):
     return K, c_prime, b_prime, rec
 
 
-def _bracket(B: BmapModel, mus: np.ndarray, slope, decay: np.ndarray, delta) -> np.ndarray:
-    """The decay bracket at the levels of `mus`, from slope = 1 - 1/beta,
-    decay = beta^-k at those levels and delta = delta_D(beta), for the
-    table and its feasibility test.
-
-    The scalar scan in `_disaster_constants` does the same arithmetic on
-    scalar powers, which may differ from the array powers in the last bit.
-    """
-    return mus * slope + B.psi * (1.0 - decay) - delta
-
-
-def _can_certify(B: BmapModel, mus: np.ndarray, slope, decay: np.ndarray, delta):
-    """Whether some offset level K <= K_CAP is feasible, per base.
-
-    c'(K) never decreases in K: below the split it is a suffix minimum,
-    from there on a minimum of two bracket entries, which never decrease
-    past stable_from.  So c'(K_CAP), the bracket's minimum over the levels
-    past K_CAP of `mus` (where `decay` holds beta^-k), decides, and it is
-    bit for bit the entry of `_offset_rates` on the whole bracket.
-    """
-    return _min(_bracket(B, mus[K_CAP + 1:], slope, decay, delta), axis=-1) > 0.0
-
-
 def _offset_rates(B: BmapModel, bracket: np.ndarray) -> np.ndarray:
     """c'(K) from the decay bracket over levels 0, 1, ..., along the last
     axis, for K = 0 .. K_CAP or as far as those levels reach, which must be
@@ -527,46 +490,30 @@ def _offset_table(B: BmapModel, betas: np.ndarray, deltas: np.ndarray,
                   spreads: np.ndarray, mus: np.ndarray):
     """`_disaster_constants` at many bases at once, from their Perron data.
 
-    `deltas` and `spreads` are delta_D and max u / min u at each base.
-    Only the bases that `_can_certify` passes get a table, with a row per
-    base and a column per level: first over levels 0 .. stable_from+1,
-    then over the cap's window for the rows that leaves without a feasible
-    K.  Rows go in chunks whose working arrays, about four of the table's
-    size, hold GRID_BATCH_ENTRIES entries.  Returns the arrays (K, c', b'),
-    with K = -1 where no offset level up to the cap is feasible (c' and b'
-    are then meaningless, and 0 at the bases `_can_certify` rejects) and
-    b' = inf where beta^K passes the float range.  A row's
+    `deltas` and `spreads` are delta_D and max u / min u at each base.  The
+    table has a row per base and a column per level of the cap's window,
+    the levels of `mus`.  Returns the arrays (K, c', b'), with K = -1 where
+    no offset level up to the cap is feasible (c' and b' are then
+    meaningless) and b' = inf where beta^K passes the float range.  A row's
     values do not depend on the bases it shares a table with, and agree
     with the scalar scan to rounding.
     """
-    K = np.full(betas.size, -1)
-    c_prime = np.zeros(betas.size)
-    b_prime = np.zeros(betas.size)
+    beta = betas[:, None]
     levels = np.arange(mus.size)
-    slopes = 1.0 - 1.0 / betas[:, None]
-    rows = np.flatnonzero(_can_certify(B, mus, slopes, betas[:, None] ** -levels[K_CAP + 1:],
-                                       deltas[:, None]))
-    for size in (B.mu.stable_from + 2, mus.size):
-        for part in _grid_slices(rows.size, 4 * size):
-            row = rows[part]
-            beta = betas[row, None]
-            bracket = _bracket(B, mus[:size], slopes[row], beta ** -levels[:size],
-                               deltas[row, None])
-            c_of_K = _offset_rates(B, bracket)
-            feasible = c_of_K > 0.0
-            K[row] = np.where(feasible.any(axis=1), feasible.argmax(axis=1), -1)
-            c_first = np.take_along_axis(c_of_K, np.maximum(K[row, None], 0), axis=1)
-            c_prime[row] = c_first[:, 0]
-            with np.errstate(over="ignore"):
-                # beta^k for k <= K is finite on a row exactly when beta^K is
-                overflow = np.isinf(beta[:, 0] ** K[row])
-                top = np.where(overflow, 0, np.maximum(K[row], 0))[:, None]
-                cols = levels[:top.max() + 1]
-                terms = (c_first - bracket[:, cols]) * beta ** np.minimum(cols, top)
-                terms[cols > top] = -math.inf
-                b_prime[row] = np.where(overflow, math.inf, terms.max(axis=1) * spreads[row])
-        rows = rows[K[rows] < 0]
-    return K, c_prime, b_prime
+    bracket = mus * (1.0 - 1.0 / beta) + B.psi * (1.0 - beta ** -levels) - deltas[:, None]
+    c_of_K = _offset_rates(B, bracket)
+    feasible = c_of_K > 0.0
+    K = np.where(feasible.any(axis=1), feasible.argmax(axis=1), -1)
+    c_prime = np.take_along_axis(c_of_K, np.maximum(K, 0)[:, None], axis=1)
+    with np.errstate(over="ignore"):
+        # beta^k for k <= K is finite on a row exactly when beta^K is
+        overflow = np.isinf(betas ** K)
+        top = np.where(overflow, 0, np.maximum(K, 0))[:, None]
+        cols = levels[:top.max() + 1]
+        terms = (c_prime - bracket[:, cols]) * beta ** np.minimum(cols, top)
+        terms[cols > top] = -math.inf
+        b_prime = np.where(overflow, math.inf, terms.max(axis=1) * spreads)
+    return K, c_prime[:, 0], b_prime
 
 
 def _offset_scores(B: BmapModel, K: np.ndarray, c_prime: np.ndarray,

@@ -30,6 +30,7 @@ from .blockmat import (
     CornerLayout,
     FiniteBlockMatrix,
     reachable,
+    zero_corner,
 )
 from .errors import InputError, InvalidRedistribution
 
@@ -184,8 +185,10 @@ class TruncatedGenerator(BlockGeneratorModel):
 
 def _truncate(M: BlockGeneratorModel, spec: TruncationSpec) -> TruncatedGenerator:
     d, n = M.d, spec.n
+    # a corner too large to allocate is refused before `layout` walks its levels
+    corner = zero_corner(n, d)
     layout = M.layout(n)
-    corner = M.window(n, layout).values
+    M.window(n, layout, out=corner)
     blocks = corner.reshape(n + 1, d, n + 1, d)
     ks, ls = layout.pairs
     # the band blocks `window` wrote, before the fold lands on some of them

@@ -52,14 +52,12 @@ from bmtrunc import (
 )
 from bmtrunc import bmap
 from bmtrunc.bmap import (
-    GRID_BATCH_ENTRIES,
     GRID_PART,
     GRID_POINTS,
     _beta_grid,
     _disaster_constants,
     _golden_max,
     _grid_perron,
-    _grid_slices,
     _mu_levels,
     _offset_rates,
     _offset_scores,
@@ -562,18 +560,21 @@ def assert_table_matches_the_objective(B):
     The grid's Perron roots are held to an absolute residual of 1e-12
     max|Dhat(beta)|, so values agree to 1e-9 relative or to that much
     absolute, and the two may pick different offset levels only where c' at
-    the lower one lies within it of 0.  Wherever an offset level is
-    feasible, the table's row is `whole_offset_table`'s bit for bit.
-    Returns the table's K and b'.
+    the lower one lies within it of 0.  A row does not depend on the bases
+    it shares the table with: tables of single bases and of parts give the
+    whole grid's rows bit for bit.  Returns the table's K and b'.
     """
     grid = _beta_grid(B)
     mus = _mu_levels(B)
     perron = _grid_perron(B, grid)
-    K, c_prime, b_prime = _offset_table(B, grid, *perron, mus)
-    whole = whole_offset_table(B, grid, *perron, mus)
-    np.testing.assert_array_equal(K, whole[0])
-    for found, expected in zip((c_prime, b_prime), whole[1:]):
-        np.testing.assert_array_equal(found[K >= 0], expected[K >= 0])
+    table = _offset_table(B, grid, *perron, mus)
+    for split in ([[i] for i in range(grid.size)],
+                  np.array_split(np.arange(grid.size), [1, 7, 100, 101, 150])):
+        for part in split:
+            rows = _offset_table(B, grid[part], perron[0][part], perron[1][part], mus)
+            for found, whole in zip(rows, table):
+                np.testing.assert_array_equal(found, whole[part])
+    K, c_prime, b_prime = table
     scores = _offset_scores(B, K, c_prime, b_prime)
     objective = serial_objective(B)
     for beta, k, c, b, score in zip(grid, K, c_prime, b_prime, scores):
@@ -590,43 +591,11 @@ def assert_table_matches_the_objective(B):
     return K, b_prime
 
 
-def whole_offset_table(B, betas, deltas, spreads, mus):
-    """The disaster table over every base and every level of the cap's
-    window, as `_offset_table` built it before it skipped the bases and
-    levels that cannot hold a feasible offset: (K, c', b'), K = -1 where no
-    offset level is feasible."""
-    K = np.empty(betas.size, dtype=int)
-    c_prime = np.empty(betas.size)
-    b_prime = np.empty(betas.size)
-    levels = np.arange(mus.size)
-    for part in _grid_slices(betas.size, 4 * mus.size):
-        beta = betas[part, None]
-        slope = 1.0 - 1.0 / beta
-        bracket = B.psi * (1.0 - beta ** -levels)
-        bracket += mus * slope
-        bracket -= deltas[part, None]
-        c_of_K = _offset_rates(B, bracket)
-        feasible = c_of_K > 0.0
-        K[part] = np.where(feasible.any(axis=1), feasible.argmax(axis=1), -1)
-        c_first = np.take_along_axis(c_of_K, K[part, None], axis=1)
-        c_prime[part] = c_first[:, 0]
-        with np.errstate(over="ignore"):
-            overflow = np.isinf(beta[:, 0] ** K[part])
-            top = np.where(overflow, 0, np.maximum(K[part], 0))[:, None]
-            cols = levels[:top.max() + 1]
-            terms = (c_first - bracket[:, cols]) * beta ** np.minimum(cols, top)
-            terms[cols > top] = -math.inf
-            b_prime[part] = terms.max(axis=1) * spreads[part]
-        b_prime[part][overflow] = math.inf
-    return K, c_prime, b_prime
-
-
 def whole_grid_scores(B):
     """The disaster search's grid scores from one `_grid_perron` call and
-    one `whole_offset_table` over the whole grid."""
+    one `_offset_table` over the whole grid."""
     grid = _beta_grid(B)
-    return _offset_scores(B, *whole_offset_table(B, grid, *_grid_perron(B, grid),
-                                                 _mu_levels(B)))
+    return _offset_scores(B, *_offset_table(B, grid, *_grid_perron(B, grid), _mu_levels(B)))
 
 
 def whole_grid_c(B):
@@ -655,10 +624,8 @@ def searched_grid_scores(B):
 def assert_searched_up_to(B, oracle, last):
     """The search's grid scores are `oracle` bit for bit up to the end of
     the part that holds base `last`, and -inf from there on.  A part holds
-    GRID_PART bases, or GRID_BATCH_ENTRIES // d^2 when fewer.  Returns that
-    end."""
-    size = min(GRID_PART, max(1, GRID_BATCH_ENTRIES // B.d ** 2))
-    stop = min((last // size + 1) * size, GRID_POINTS)
+    GRID_PART bases.  Returns that end."""
+    stop = min((last // GRID_PART + 1) * GRID_PART, GRID_POINTS)
     found = searched_grid_scores(B)
     np.testing.assert_array_equal(found[:stop], oracle[:stop])
     assert (found[stop:] == -math.inf).all()

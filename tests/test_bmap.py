@@ -32,7 +32,6 @@ from bmtrunc.bounds import DRIFT_TOL
 from bmtrunc.cli import main
 from bmtrunc.bmap import (
     DENSE_GRID_D,
-    GRID_BATCH_ENTRIES,
     GRID_PART,
     K_CAP,
     POWER_ITERS,
@@ -380,8 +379,8 @@ def test_transform_at_a_point_is_its_grid_entry_bit_for_bit(fleet, pure_disaster
 
 def test_batched_grid_matches_spectral(fleet, monkeypatch):
     rng = np.random.default_rng(5)
-    # tailed_queue's grid ends at 0.999 r_D; at d = 24 a part of the search
-    # holds fewer than GRID_PART bases; with phases 0, 1 and 4 switching
+    # tailed_queue's grid ends at 0.999 r_D; a part of the search holds
+    # GRID_PART bases at d = 24 as below it; with phases 0, 1 and 4 switching
     # 10**3 times faster than the others, power iteration stalls at most
     # bases of the grid but not all
     partly_stiff = _stiff_queue(1e3, fast=(0, 1, 4))
@@ -436,9 +435,9 @@ def test_batched_grid_matches_spectral(fleet, monkeypatch):
         (find_beta_no_disaster if B.psi == 0.0 else find_constants_disaster)(B)
         i = serial_grid_argmax(B)
         assert brackets == [(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)])]
-        size = min(GRID_PART, GRID_BATCH_ENTRIES // B.d ** 2)
-        assert [len(args[1]) for args in grid_calls[:-1]] == [size] * (len(grid_calls) - 1)
-        assert size == (28 if B.d == 24 else 32)
+        sizes = [len(args[1]) for args in grid_calls]
+        last = min(GRID_PART, grid.size - GRID_PART * (len(sizes) - 1))
+        assert sizes == [GRID_PART] * (len(sizes) - 1) + [last]
 
 
 def test_offset_table_matches_the_scalar_objective(fleet, pure_disaster):
@@ -473,9 +472,9 @@ def test_disaster_free_search_stops_after_its_peak(fleet):
         ("mm1", fleet["mm1"]), ("d2", fleet["d2"]), ("tailed", tailed_queue(psi=0.0)),
         ("stiff", _stiff_queue()),
         *((f"d{d}", _at_load(random_bmap(rng, d=d), 0.7)) for d in (8, 24))]}
-    # most peaks lie in the first part: 32 bases, 28 at d = 24; the tailed
+    # most peaks lie in the first part of 32 bases, at every d; the tailed
     # queue's grid ends at 0.999 r_D = 2.4975, and its peak in the third
-    assert stops == {"mm1": 32, "d2": 32, "tailed": 96, "stiff": 32, "d8": 32, "d24": 28}
+    assert stops == {"mm1": 32, "d2": 32, "tailed": 96, "stiff": 32, "d8": 32, "d24": 32}
 
 
 @given(B=regime_queues())

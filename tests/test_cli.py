@@ -198,6 +198,23 @@ def test_bound_past_the_float_range_is_a_one_line_error(runner, tmp_path):
     assert "float range" in lines[0]
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--n", "10000000000"],
+    ["sweep", "--n-min", "2", "--n-max", "4", "--n-ref", "100000000000"],
+    ["bound", "--n", "5", "--n-ref", "10000000000"],
+])
+def test_an_unallocatable_corner_is_a_one_line_error(runner, mm1_path, args):
+    # the corner is refused before its levels are walked: at once, exit 2
+    started = time.perf_counter()
+    result = runner.invoke(main, [args[0], "--model", mm1_path, *args[1:]])
+    assert time.perf_counter() - started < 10.0
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: the corner over levels 0..")
+    assert "GiB and cannot be allocated" in lines[0]
+
+
 def test_bound_rejects_a_negative_time(runner, mm1_path):
     result = runner.invoke(main, ["bound", "--model", mm1_path, "--n", "10", "--t", "-1"])
     assert result.exit_code == 2

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from bmtrunc import (
     BandedModel,
+    BmapModel,
     InputError,
     InvalidRedistribution,
     TruncationSpec,
@@ -70,6 +73,32 @@ def test_truncation_level_rule():
     for n, n_ref in ((5, 5), (5, 3), (5, -1)):
         with pytest.raises(InputError, match="must exceed the truncation level"):
             check_truncation_levels(n, n_ref)
+
+
+def test_a_corner_past_the_index_range_is_refused_at_once(mm1):
+    # 10**20 entries pass numpy's index range; the refusal names the states
+    # and the size, and comes before `layout` walks 10**10 levels
+    started = time.perf_counter()
+    with pytest.raises(InputError, match=r"10000000001 states: .* 7\.45e\+11 GiB"):
+        lc_truncate(mm1, 10**10)
+    assert time.perf_counter() - started < 5.0
+
+
+def test_a_corner_the_allocator_refuses_is_an_input_error(mm1, monkeypatch):
+    real = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        if shape == (100001, 100001):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+        return real(shape, *args, **kwargs)
+
+    def walked(self, n):
+        raise AssertionError(f"layout({n}) walked before the corner was allocated")
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    monkeypatch.setattr(BmapModel, "layout", walked)
+    with pytest.raises(InputError, match=r"100001 states: .* 74\.5 GiB"):
+        lc_truncate(mm1, 10**5)
 
 
 def test_corners_are_conservative(fleet_models):
