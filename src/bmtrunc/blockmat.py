@@ -39,10 +39,7 @@ from .errors import (
     NotStochastic,
     TailSumUnavailable,
 )
-
-# Tolerance on a row sum that should vanish or a sign that should hold; each
-# conservativity check multiplies it by its own scale.
-TAU_CONS = 1e-10
+from .tolerances import EDGE_FLOOR, SCALE_FLOOR, TAU_CONS
 
 
 def _scalar_pow(x, k: int) -> np.ndarray:
@@ -606,7 +603,7 @@ class BmapQueueModel(BlockGeneratorModel):
         defect = float(np.max(np.abs(total.sum(axis=1))))
         if defect > TAU_CONS * max(1.0, float(np.max(np.abs(total)))):
             raise InvalidBmap(f"sum of D(k) is not conservative (defect {defect:.3e})")
-        if not reachable(total > 1e-300).all():
+        if not reachable(total > EDGE_FLOOR).all():
             raise InvalidBmap("phase process generator sum of D(k) is reducible")
 
     @property
@@ -729,7 +726,7 @@ def validate_q_matrix(M) -> ValidationReport:
         win = M.window(probe)
         report = _validate_finite(win.values, conservative_rows=None)
         defect = 0.0
-        scale = max(report.row_scale, 1e-300)
+        scale = max(report.row_scale, SCALE_FLOOR)
         for k in range(probe + 1):
             defect = max(defect, float(np.max(np.abs(M.tail_sum(k, 0).sum(axis=1)))))
         conservative = defect <= TAU_CONS * scale
@@ -757,7 +754,7 @@ def _validate_finite(values: np.ndarray, conservative_rows) -> ValidationReport:
     off_viol = float(max(0.0, -off.min())) if off.size else 0.0
     diag_viol = float(max(0.0, np.max(np.diag(values)))) if values.size else 0.0
     row_scale = float(np.max(np.abs(values).sum(axis=1))) if values.size else 0.0
-    tau = TAU_CONS * max(row_scale, 1e-300)
+    tau = TAU_CONS * max(row_scale, SCALE_FLOOR)
     if off_viol > tau:
         i, j = np.unravel_index(np.argmin(off), off.shape)
         messages.append(f"negative off-diagonal {values[i, j]:.3e} at ({i},{j})")

@@ -33,7 +33,9 @@ that starts at 1, and the bases with a feasible offset form a prefix of
 the grid: the search stops after the first part whose last base has none.
 The grid only picks the best base; a golden-section polish around it and
 the winner call the scalar `spectral` (and `_disaster_constants`) at each
-point they visit.  `spectral` is a two-sided power iteration of eight
+point they visit, and the winner's certificate goes through `drift_check`,
+once more at the Collatz-Wielandt ratio of its own vector when refuted
+(`_verified`).  `spectral` is a two-sided power iteration of eight
 numpy calls per step, bit for bit the plain loop kept as a test oracle; its
 shift, the largest diagonal rate of D(0), is the queue model's
 `_perron_shift`, fixed when the model is built and shared with the grid's
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,6 +55,7 @@ from .blockmat import BmapQueueModel, FiniteBlockMatrix
 from .bounds import BoundReport, DriftCertificate, GeometricVector
 from .errors import (
     DegenerateArrivals,
+    DriftViolated,
     InputError,
     InvalidBmap,
     NoConvergence,
@@ -61,6 +64,7 @@ from .errors import (
 )
 from .order import generator_is_block_monotone
 from .solve import solve_truncation, stationary, tv_distance
+from .tolerances import PERRON_STOP, RESIDUAL, SCALE_FLOOR, THETA_AGREEMENT
 from .truncate import TruncationSpec, check_truncation_levels
 
 BETA_CAP = 64.0
@@ -75,14 +79,15 @@ GRID_PART = 32
 # the dense eigensolver; no spectral call of the benchmark workloads takes
 # more than 43.
 POWER_ITERS = 100
-# Both power iterations stop when Rayleigh quotients r agree to PERRON_STOP *
-# max(1, |r|), and accept residuals up to PERRON_RESIDUAL * max |Dhat(z)|.
-PERRON_STOP = 1e-13
-PERRON_RESIDUAL = 1e-12
 # Below this many phases one dense eigensolve of a part's stack gives the
 # grid's Perron data sooner than the batched power iteration, each of whose
-# steps is a dozen calls on small arrays; from d = 8 on the iteration wins.
-DENSE_GRID_D = 8
+# steps is a dozen calls on small arrays.  Per part of 32 bases on one core
+# of an Intel Xeon, eigensolve against iteration: 0.5-0.7 against 0.8-0.95
+# ms at d = 8, 1.9 against 1.1-1.2 ms at d = 16 and 4.5 against 1.0-1.3 ms
+# at d = 24 (the benchmark's queues, seed 3); between, at d = 10 and 12,
+# the two are within 20 % of each other and the iteration's step count
+# decides.
+DENSE_GRID_D = 16
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # spectral's reductions, called without the ndarray method's Python layer
 _max = np.maximum.reduce
@@ -150,7 +155,7 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
     """
     dh = B.dhat(z)
     d = B.d
-    norm = max(float(_max(np.abs(dh), axis=None)), 1e-300)
+    norm = max(float(_max(np.abs(dh), axis=None)), SCALE_FLOOR)
     if d == 1:
         val = float(dh[0, 0])
         return SpectralRecord(z=z, eigenvalue=val, right=np.ones(1), left=np.ones(1),
@@ -175,7 +180,7 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
             y = _dense_perron(dh.T)[1]
             res_r = float(_max(np.abs(dh @ x - val * x)))
             res_l = float(_max(np.abs(y @ dh - val * y)))
-            if max(res_r, res_l) > PERRON_RESIDUAL * norm:
+            if max(res_r, res_l) > RESIDUAL * norm:
                 raise NoConvergence(
                     f"no Perron pair at z={z}; is the phase process reducible?"
                 )
@@ -193,9 +198,9 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
             # the left residual only counts once the right one passes
             val = (r - 1.0) * shift
             res_r = float(_max(np.abs(dh @ x - val * x)))
-            if res_r <= PERRON_RESIDUAL * norm:
+            if res_r <= RESIDUAL * norm:
                 res_l = float(_max(np.abs(y @ dh - val * y)))
-                if res_l <= PERRON_RESIDUAL * norm:
+                if res_l <= RESIDUAL * norm:
                     break
     u = x / float(_min(x))
     eta = y / float(y @ u)
@@ -257,7 +262,7 @@ def _power_perron(dh: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]
     m, d = dh.shape[:2]
     roots = np.empty(m)
     spread = np.empty(m)
-    norm = np.maximum(np.abs(dh).max(axis=(1, 2)), 1e-300)
+    norm = np.maximum(np.abs(dh).max(axis=(1, 2)), SCALE_FLOOR)
     # [x, y] times [E, E^T] in one product per step, E = I + Dhat / shift
     # built in place; iterates of the nonnegative, irreducible E stay positive
     M = np.empty((2, m, d, d))
@@ -282,7 +287,7 @@ def _power_perron(dh: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]
         xy = np.stack([x[stop], V[1, stop]])
         res = shift * np.abs((M[:, stop] @ xy[..., None])[..., 0]
                              - r[stop, None] * xy).max(axis=(0, 2))
-        ok = stop[res <= PERRON_RESIDUAL * norm[stop]]
+        ok = stop[res <= RESIDUAL * norm[stop]]
         roots[ok] = (r[ok] - 1.0) * shift
         spread[ok] = (x[ok] / x[ok].min(axis=1, keepdims=True)).max(axis=1)
         pending[ok] = False
@@ -398,12 +403,17 @@ def find_beta_no_disaster(B: BmapModel, beta: float | None = None) -> DriftCerti
         # after its first fall it only falls
         return bool((np.diff(scores) < 0.0).any())
 
+    def constants(rec: SpectralRecord):
+        c = mu_inf * (1.0 - 1.0 / beta) - rec.eigenvalue
+        return c, (c + rec.eigenvalue) * float(rec.right.max()), 0
+
     build_generator(B)
     given = beta is not None
     if not given:
         beta = _best_beta(B, c_of, c_of_grid, past_peak)
     rec = spectral(B, beta)
-    c = mu_inf * (1.0 - 1.0 / beta) - rec.eigenvalue
+    found = constants(rec)
+    c = found[0]
     if c <= 0.0:
         if given:
             raise NoPositiveC(f"geometric base beta={beta} certifies no decay: "
@@ -413,8 +423,32 @@ def find_beta_no_disaster(B: BmapModel, beta: float | None = None) -> DriftCerti
             f"no geometric base certifies decay: service floor {mu_inf} vs "
             f"arrival rate {lam:.6g} leaves c(beta) <= 0 everywhere"
         )
-    b = (c + rec.eigenvalue) * float(rec.right.max())
-    return _bounds.drift_check(B, GeometricVector(beta=beta, u=rec.right), c, b, K=0)
+    return _verified(B, rec, found, constants)
+
+
+def _verified(B: BmapModel, rec: SpectralRecord, found, constants) -> DriftCertificate:
+    """drift_check of the certificate (c, b, K) = found = constants(rec) on
+    the weight beta^k u that rec's point and right vector give.
+
+    rec's root may sit below the Collatz-Wielandt ratio
+    max_i (Dhat(beta) u)_i / u_i of its own u by as much as `spectral`'s
+    residual contract allows, and a row's slack by that gap times beta^k u.
+    The ratio bounds the Perron root from above for any positive u
+    (Collatz 1942, Wielandt 1950), so when the check refutes the
+    certificate, the constants are taken once more with the ratio as the
+    root, and every row the weight's Perron part carries then holds up to
+    the rounding of its own terms.  Constants that form no certificate
+    there (None, or c <= 0) leave the refutation standing.
+    """
+    v = GeometricVector(beta=rec.z, u=rec.right)
+    try:
+        return _bounds.drift_check(B, v, *found)
+    except DriftViolated:
+        ratio = float(_max(B.dhat(rec.z) @ rec.right / rec.right))
+        retry = constants(replace(rec, eigenvalue=ratio))
+        if retry is None or not retry[0] > 0.0:
+            raise
+        return _bounds.drift_check(B, v, *retry)
 
 
 def _mu_levels(B: BmapModel) -> np.ndarray:
@@ -423,33 +457,39 @@ def _mu_levels(B: BmapModel) -> np.ndarray:
     return B.mu.at(np.arange(top + 1))
 
 
-def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray):
+def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray,
+                        rec: SpectralRecord | None = None):
     """Smallest feasible offset level and its constants at one beta.
 
     The decay bracket mu(k)(1 - 1/beta) + psi(1 - beta^-k) - delta_D(beta) is
     evaluated once per level k.  c'(K), its infimum over k > K, is the
     minimum over levels K+1 .. max(stable_from, K+1)+1: past the mu table
-    the bracket only grows.  The bracket first goes over levels
-    0 .. stable_from+1 only, which settle K = 0 .. stable_from-1, and over
-    every level up to the cap's window only when none of those is feasible.
-    `mus` is `_mu_levels(B)`, computed once per search, and `spectral`
-    supplies delta_D(beta) and u(beta).  Returns (K, c', b', spectral
-    record) or None when no K up to the cap makes the bracket positive.  b'
-    is inf when beta^K passes the float range.
+    the bracket only grows.  A window of s levels settles K = 0 .. s-3, the
+    same c'(K) whatever s, so the bracket first goes over levels
+    0 .. stable_from+1 only, and the window doubles, up to the cap's, while
+    none of the K it settles is feasible.  `mus` is `_mu_levels(B)`,
+    computed once per search, and rec, `spectral(B, beta)` unless given,
+    supplies delta_D(beta) and u(beta).  Returns (K, c', b', rec) or None
+    when no K up to the cap makes the bracket positive.  b' is inf when
+    beta^K passes the float range.
     """
-    rec = spectral(B, beta)
+    if rec is None:
+        rec = spectral(B, beta)
     delta, u_max = rec.eigenvalue, float(rec.right.max())
     psi = B.psi
     slope = 1.0 - 1.0 / beta
-    # two windows, unlike the table: the polish calls this at every point it
-    # visits, where scalar powers over the whole cap window would cost time
-    for size in (min(B.mu.stable_from + 2, mus.size), mus.size):
-        decay = [beta ** (-k) for k in range(size)]
+    # growing windows, unlike the table: the polish calls this at every point
+    # it visits, where scalar powers over the whole cap window would cost time
+    size, decay = B.mu.stable_from + 2, []
+    while True:
+        size = min(size, mus.size)
+        decay += [beta ** (-k) for k in range(len(decay), size)]
         bracket = mus[:size] * slope + psi * (1.0 - np.array(decay)) - delta
         c_of_K = _offset_rates(B, bracket)
         feasible = np.flatnonzero(c_of_K > 0.0)
         if feasible.size or size == mus.size:
             break
+        size *= 2
     if feasible.size == 0:
         return None
     K = int(feasible[0])
@@ -556,15 +596,17 @@ def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCer
         # objective is not unimodal, so the peak rule does not apply
         return scores[-1] == -math.inf
 
+    def constants(rec: SpectralRecord):
+        found = _disaster_constants(B, beta, mus, rec)
+        return None if found is None else (found[1], found[2], found[0])
+
     if beta is None:
         beta = _best_beta(B, objective, grid_objective, past_feasible)
-    found = _disaster_constants(B, beta, mus)
+    rec = spectral(B, beta)
+    found = constants(rec)
     if found is None:
         raise NoFeasibleK(f"no offset level up to {K_CAP} works at beta={beta}")
-    K, c_prime, b_prime, rec = found
-    return _bounds.drift_check(
-        B, GeometricVector(beta=beta, u=rec.right), c_prime, b_prime, K=K
-    )
+    return _verified(B, rec, found, constants)
 
 
 def _closed_form_theta(B: BmapModel, cert: DriftCertificate, n: int,
@@ -609,10 +651,10 @@ def bound_pipeline(B: BmapModel, n_range, beta: float | None = None,
     certificate to level-0 form when needed, and evaluates the minimized
     bound at each n.  Every n must be at least 1, and n_ref, when given,
     must exceed each n.  The application's closed-form minimizer is evaluated
-    alongside the generic one; any disagreement beyond 1e-9 relative is
-    recorded on the report rather than silently dropped.  Each report's
-    runtime_ms covers its level's corner solve (when n_ref is given) and the
-    bound evaluation.
+    alongside the generic one; any disagreement beyond THETA_AGREEMENT
+    relative is recorded on the report rather than silently dropped.  Each
+    report's runtime_ms covers its level's corner solve (when n_ref is
+    given) and the bound evaluation.
     """
     n_range = list(n_range)
     for n in n_range:
@@ -631,7 +673,7 @@ def bound_pipeline(B: BmapModel, n_range, beta: float | None = None,
         report = _bounds.bound_report(cert, B, n, true_tv=true_tv)
         theta_closed = _closed_form_theta(B, cert, n)
         gap = abs(theta_closed - report.theta) / max(1.0, abs(report.theta))
-        if gap > 1e-9:
+        if gap > THETA_AGREEMENT:
             report.origin += (
                 f"; closed-form minimizer disagrees with the generic one "
                 f"(relative gap {gap:.3e}), generic kept"

@@ -30,9 +30,8 @@ from .errors import (
     InputError,
     KNotZero,
 )
+from .tolerances import DRIFT_TOL, WEIGHT_FLOOR
 from .truncate import check_truncation_levels
-
-DRIFT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class GeometricVector:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
         if self.beta <= 1.0:
             raise InputError(f"geometric base must exceed 1, got {self.beta}")
-        if float(self.u.min()) < 1.0 - 1e-12:
+        if float(self.u.min()) < WEIGHT_FLOOR:
             raise InputError(f"weight profile dips to {self.u.min()}, must be >= 1")
         if self.shift < 0.0:
             raise InputError(f"shift must be >= 0, got {self.shift}")

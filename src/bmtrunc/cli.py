@@ -22,13 +22,13 @@ from . import bounds as _bounds
 from .blockmat import BmapQueueModel, load_model, validate_q_matrix
 from .errors import BmtruncError, CheckFailure, InputError
 from .order import (
-    TAU_ORD,
     check_ordering_tol,
     generator_dominates,
     generator_is_block_monotone,
     vector_dominates,
 )
 from .solve import solve_truncation, tv_distance
+from .tolerances import TAU_ORD
 from .truncate import CUSTOM, FIRST_COLUMN, LAST_COLUMN, TruncationSpec, truncation
 
 CSV_HEADER = ["n", "style", "t_star", "bound_min", "true_tv", "ordering_pass", "runtime_ms"]

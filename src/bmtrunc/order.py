@@ -21,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import (
-    TAU_CONS,
-    BlockGeneratorModel,
-    FiniteBlockMatrix,
-    check_block_length,
-)
+from .blockmat import BlockGeneratorModel, FiniteBlockMatrix, check_block_length
 from .errors import DimensionMismatch, IncompatibleModels, InputError, NotStochastic
-
-TAU_ORD = 1e-12
+from .tolerances import RATIO_TOL, TAU_CONS, TAU_ORD
 
 
 @dataclass
@@ -305,7 +299,7 @@ def _tail_beyond(ta, tb, k_top: int, tau: float):
     if tb is None:
         mag = float(np.max(ta.coef)) * ta.ratio / (1.0 - ta.ratio)
         return ((k_top + 1,), mag)
-    if ta.ratio > tb.ratio + 1e-15:
+    if ta.ratio > tb.ratio + RATIO_TOL:
         return ((k_top + 1,), float(np.max(ta.coef)))
     m0 = 1
     slack = tb.sum_from(m0) - ta.sum_from(m0)

@@ -50,10 +50,9 @@ from .errors import (
     MultipleClosedClasses,
     NoConvergence,
 )
+from .tolerances import PIVOT_FLOOR, POISSON_TAIL, RESIDUAL, WEIGHT_FLOOR
 from .truncate import TruncatedGenerator, TruncationSpec, lc_truncate, truncation
 
-PIVOT_FLOOR = 1e-14
-RESIDUAL_FACTOR = 1e-12
 # Fewest states per elimination group; a group is made of whole levels.
 GROUP_STATES = 64
 
@@ -186,12 +185,12 @@ def _eliminate(A: np.ndarray, d: int) -> tuple[np.ndarray, float]:
 
 
 def _check_residual(xq: np.ndarray, diag_scale: float) -> None:
-    """Refuse x whose residual x Q passes RESIDUAL_FACTOR * max(1, max |diag Q|)."""
+    """Refuse x whose residual x Q passes RESIDUAL * max(1, max |diag Q|)."""
     residual = float(np.max(np.abs(xq))) if xq.size else 0.0
-    if residual > RESIDUAL_FACTOR * max(1.0, diag_scale):
+    if residual > RESIDUAL * max(1.0, diag_scale):
         raise NoConvergence(
             f"stationary residual {residual:.3e} exceeds contract "
-            f"{RESIDUAL_FACTOR * max(1.0, diag_scale):.3e}"
+            f"{RESIDUAL * max(1.0, diag_scale):.3e}"
         )
 
 
@@ -226,7 +225,7 @@ def _poisson_weights(lam: float, tol: float) -> np.ndarray:
     return w[:cut]
 
 
-def transition_matrix(G, t: float, tol: float = 1e-12, d: int | None = None) -> FiniteBlockMatrix:
+def transition_matrix(G, t: float, tol: float = POISSON_TAIL, d: int | None = None) -> FiniteBlockMatrix:
     """P(t) = exp(Gt) by uniformization.
 
     With sigma the largest diagonal magnitude, A = I + G/sigma is
@@ -303,7 +302,7 @@ def v_norm(x, v) -> float:
         raise DimensionMismatch(
             f"weight vector covers {vv.size} states, signed vector has {xv.size}"
         )
-    if float(vv.min()) < 1.0 - 1e-12:
+    if float(vv.min()) < WEIGHT_FLOOR:
         raise InputError(f"weight vector dips to {vv.min()}, must be >= 1")
     return float(np.abs(xv) @ vv[: xv.size])
 
@@ -352,7 +351,7 @@ def transient_decay_check(model, cert, times, start_level: int = 0,
     p0[start_level * d:(start_level + 1) * d] = phase_law
     v_start = float(phase_law @ cert.v.level(start_level)) if start_level > 0 else 0.0
     # uniformization reads the corner, then the solve eliminates it in place
-    terms = _uniformized(proxy.matrix.values, p0, times, 1e-12)
+    terms = _uniformized(proxy.matrix.values, p0, times, POISSON_TAIL)
     pi_ref = _solve_in_place(proxy)
     measured = [v_norm(pt - pi_ref.values, v_vec) for pt in terms]
     limits = [2.0 * math.exp(-cert.c * t) * (v_start + cert.b / cert.c) + eps_trunc

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockmat import (
-    TAU_CONS,
     BlockGeneratorModel,
     CornerLayout,
     FiniteBlockMatrix,
@@ -33,6 +32,7 @@ from .blockmat import (
     zero_corner,
 )
 from .errors import InputError, InvalidRedistribution
+from .tolerances import LEAK_TOL, TAU_CONS, WEIGHT_SUM_TOL
 
 LAST_COLUMN = "lc"
 FIRST_COLUMN = "fc"
@@ -91,7 +91,7 @@ def _check_weights(w: dict, n: int):
         if frac < 0:
             raise InvalidRedistribution(f"negative weight {frac} at level {level}")
         total += frac
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise InvalidRedistribution(f"weights sum to {total}, expected 1")
 
 
@@ -239,7 +239,7 @@ def truncation(M: BlockGeneratorModel, spec: TruncationSpec) -> TruncatedGenerat
 
 
 def check_no_closed_classes_above(T: TruncatedGenerator, probe: int | None = None,
-                                  tol: float = 1e-12) -> bool:
+                                  tol: float = LEAK_TOL) -> bool:
     """Verify levels above n are all transient in the augmented generator.
 
     Each frozen diagonal block above n is inspected as a sub-generator on its

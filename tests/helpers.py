@@ -822,7 +822,14 @@ def regime_queues(draw):
     psi_share = draw(st.sampled_from([0.01, 1.0] if rule == "reset" else [0.0, 0.01, 1.0]))
     cycle = draw(st.booleans())
     spread = draw(st.sampled_from([1.0] if cycle else [1.0, 1e4]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return regime_queue(d, k_max, tail_ratio, rule, rho, psi_share, cycle, spread,
+                        draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def regime_queue(d, k_max, tail_ratio, rule, rho, psi_share, cycle, spread, seed):
+    """The queue `regime_queues` draws with these choices, its random rates
+    from numpy's generator seeded with seed."""
+    rng = np.random.default_rng(seed)
     off = rng.uniform(0.2, 1.0, (d, d)) * spread
     np.fill_diagonal(off, 0.0)
     # a batch moves the phase anywhere, or only from d-1 back to 0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bmtrunc import (
     BmapModel,
     BmapQueueModel,
+    DriftViolated,
     GeometricTail,
     InputError,
     InvalidBmap,
@@ -23,6 +24,7 @@ from bmtrunc import (
     bound_pipeline,
     build_generator,
     delta_D,
+    drift_check,
     find_beta_no_disaster,
     find_constants_disaster,
     load_model,
@@ -55,6 +57,7 @@ from helpers import (
     offset_constants,
     power_iteration,
     random_bmap,
+    regime_queue,
     regime_queues,
     serial_certificate,
     serial_grid_argmax,
@@ -112,14 +115,19 @@ def test_arrival_rate_single_phase(mm1):
 
 def test_arrival_rate_matches_independent_derivation(d2_psi0):
     # recompute lambda from scratch: stationary phase row eta solves
-    # eta * sum_k D(k) = 0, then lambda = eta (sum_k k D(k)) 1
-    ps = d2_psi0.phase_sum()
-    A = np.vstack([ps.T, np.ones(2)])
-    rhs = np.array([0.0, 0.0, 1.0])
-    eta = np.linalg.lstsq(A, rhs, rcond=None)[0]
-    weighted = sum(k * Dk for k, Dk in enumerate(d2_psi0.D))
-    lam = float(eta @ weighted @ np.ones(2))
-    assert arrival_rate(d2_psi0) == pytest.approx(lam, rel=1e-10)
+    # eta * sum_k D(k) = 0, then lambda = eta (sum_k k D(k)) 1, a geometric
+    # tail's blocks coef * ratio**k summed one by one
+    for B in (d2_psi0, tailed_queue()):
+        blocks = list(B.D)
+        if B.tail is not None:
+            blocks += [B.tail.coef * B.tail.ratio ** k for k in range(len(blocks), 200)]
+        ps = B.phase_sum()
+        A = np.vstack([ps.T, np.ones(2)])
+        rhs = np.array([0.0, 0.0, 1.0])
+        eta = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        weighted = sum(k * Dk for k, Dk in enumerate(blocks))
+        lam = float(eta @ weighted @ np.ones(2))
+        assert arrival_rate(B) == pytest.approx(lam, rel=1e-10)
 
 
 def test_spectral_single_phase_shortcut(mm1):
@@ -197,6 +205,9 @@ def test_closed_form_minimizer_mirrors_generic(fleet, fleet_certs,
             rep = bounds.bound_report(cert, model, n)
             mirrored = _closed_form_theta(B, cert, n, None)
             assert mirrored == pytest.approx(rep.theta, rel=1e-9, abs=1e-12)
+        # where beta**-n underflows the closed form's weighted sum reads 0,
+        # an unbounded decay depth
+        assert _closed_form_theta(B, cert, int(1100 / math.log2(cert.v.beta))) == math.inf
 
 
 def test_pipeline_origins_carry_no_disagreement(fleet, pure_disaster):
@@ -631,6 +642,41 @@ def test_near_critical_two_phase_queue_certifies():
     cert = find_beta_no_disaster(B)
     assert cert.verified and 1.0 < cert.v.beta < 1.01
     assert brute_scaled_slack(B, cert) <= DRIFT_TOL
+
+
+@pytest.mark.parametrize("psi_share, d, k_max, tail_ratio, seed", [
+    (0.0, 4, 3, None, 749326921),
+    (0.01, 3, 3, 0.3, 3288490523),
+])
+def test_a_refuted_certificate_is_retaken_at_the_collatz_wielandt_ratio(
+        psi_share, d, k_max, tail_ratio, seed):
+    # phases switch 10**4 times faster than arrivals (|diag D(0)| about 1e4):
+    # spectral's root meets its residual contract, 1e-12 max|Dhat|, but lies
+    # below the Collatz-Wielandt ratio of its own u by more than drift_check
+    # forgives on row 1, so the certificate built on it is refuted
+    B = regime_queue(d, k_max, tail_ratio, "constant", 0.3, psi_share, False, 1e4, seed)
+    search = find_beta_no_disaster if B.psi == 0.0 else find_constants_disaster
+    cert = search(B)
+    beta, u = cert.v.beta, cert.v.u
+    rec = spectral(B, beta)
+    np.testing.assert_array_equal(u, rec.right)
+    ratio = float(np.max(B.dhat(beta) @ u / u))
+    assert rec.eigenvalue < ratio
+    if B.psi == 0.0:
+        def constants(delta):
+            c = B.mu.infimum() * (1.0 - 1.0 / beta) - delta
+            return c, (c + delta) * float(u.max()), 0
+    else:
+        def constants(delta):
+            K, c_prime, b_prime, _ = _disaster_constants(
+                B, beta, _mu_levels(B), dataclasses.replace(rec, eigenvalue=delta))
+            return c_prime, b_prime, K
+    with pytest.raises(DriftViolated) as refuted:
+        drift_check(B, cert.v, *constants(rec.eigenvalue))
+    assert refuted.value.level == 1
+    assert (cert.c, cert.b, cert.K) == constants(ratio)
+    assert brute_scaled_slack(B, cert) <= DRIFT_TOL
+    assert math.isfinite(bound_pipeline(B, [5])[0].bound_min)
 
 
 @pytest.mark.parametrize("beta", ["0.5", "1.0"])

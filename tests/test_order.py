@@ -337,6 +337,35 @@ def test_dominance_scan_matches_the_per_pair_loop(fleet_models, pure_disaster):
                                                               type(right).__name__)
 
 
+def test_geometric_tails_past_the_scan_are_compared():
+    # d = 1 queues alike but for the geometric batch tail past D(1); the
+    # tails are compared in closed form beyond every scanned column
+    def queue(coef, ratio):
+        tail = GeometricTail(coef=np.array([[coef]]), ratio=ratio)
+        D1 = np.array([[0.5]])
+        return BmapModel(d=1, D=[-D1 - tail.sum_from(2), D1], mu=MuRule(table=(4.0,)),
+                         tail=tail)
+
+    def beyond(left, right):
+        return (max(left.bm_check_level(), right.bm_check_level()) + 1,)
+
+    # a light tail that decays slower: every scanned tail sum holds, and
+    # past column 20 the left one exceeds the right one
+    slow, fast = queue(0.01, 0.6), queue(0.5, 0.5)
+    rep = generator_dominates(slow, fast)
+    assert (rep.holds, rep.worst_violation, rep.margin) == (False, (beyond(slow, fast), 0.01),
+                                                            -0.01)
+    # equal ratios: the left tail's excess over all offsets from 1 on,
+    # 0.1, outweighs the scan's worst shortfall, 0.05 at offset 1
+    heavy, light = queue(0.3, 0.5), queue(0.2, 0.5)
+    rep = generator_dominates(heavy, light)
+    assert not rep.holds
+    assert rep.worst_violation[0] == beyond(heavy, light)
+    assert rep.worst_violation[1] == pytest.approx(0.1, rel=1e-12)
+    assert rep.margin == -rep.worst_violation[1]
+    assert generator_dominates(light, heavy).holds
+
+
 def test_finite_generator_violation_is_located_by_level_and_phase():
     # row (1, 0) sums to -3 over phase 0 from level 0 on, row (0, 0) to -1
     Q = np.array([[-1.0, 1.0, 0.0, 0.0], [1.0, -2.0, 0.0, 1.0],
