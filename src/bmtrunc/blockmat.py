@@ -718,37 +718,19 @@ class BmapQueueModel(BlockGeneratorModel):
 def validate_q_matrix(M) -> ValidationReport:
     """Check q-matrix structure and conservativity.
 
-    Accepts a FiniteBlockMatrix, a plain square array, or a model (checked on
-    a probe window with conservativity taken from exact tail sums).
+    Accepts a FiniteBlockMatrix, a plain square array, or a model.  Signs
+    and finiteness are checked on the values read, the row scale taken
+    from them: a model's probe window over levels 0..bm_check_level(), or
+    the matrix itself.  Conservativity is judged on exact row sums: a
+    model's S(k;0) 1 for k <= bm_check_level(), or the matrix's row sums.
     """
     if isinstance(M, BlockGeneratorModel):
         probe = M.bm_check_level()
-        win = M.window(probe)
-        report = _validate_finite(win.values, conservative_rows=None)
-        defect = 0.0
-        scale = max(report.row_scale, SCALE_FLOOR)
-        for k in range(probe + 1):
-            defect = max(defect, float(np.max(np.abs(M.tail_sum(k, 0).sum(axis=1)))))
-        conservative = defect <= TAU_CONS * scale
-        messages = list(report.messages)
-        if not conservative:
-            messages.append(
-                f"row sums defect {defect:.3e} exceeds {TAU_CONS * scale:.3e}"
-            )
-        return ValidationReport(
-            ok=not messages,
-            conservative=conservative,
-            messages=messages,
-            max_offdiag_violation=report.max_offdiag_violation,
-            max_diag_violation=report.max_diag_violation,
-            max_row_defect=defect,
-            row_scale=report.row_scale,
-        )
-    values = M.values if isinstance(M, FiniteBlockMatrix) else np.asarray(M, dtype=float)
-    return _validate_finite(values, conservative_rows=True)
-
-
-def _validate_finite(values: np.ndarray, conservative_rows) -> ValidationReport:
+        values = M.window(probe).values
+        sums = np.concatenate([M.tail_sum(k, 0).sum(axis=1) for k in range(probe + 1)])
+    else:
+        values = M.values if isinstance(M, FiniteBlockMatrix) else np.asarray(M, dtype=float)
+        sums = values.sum(axis=1)
     messages = []
     off = values - np.diag(np.diag(values))
     off_viol = float(max(0.0, -off.min())) if off.size else 0.0
@@ -763,13 +745,11 @@ def _validate_finite(values: np.ndarray, conservative_rows) -> ValidationReport:
         messages.append(f"positive diagonal {values[i, i]:.3e} at state {i}")
     if not np.all(np.isfinite(values)):
         messages.append("non-finite entries present")
-    row_defect = float(np.max(np.abs(values.sum(axis=1)))) if values.size else 0.0
+    row_defect = float(np.max(np.abs(sums))) if sums.size else 0.0
     conservative = row_defect <= tau
-    if conservative_rows and not conservative:
-        bad = int(np.argmax(np.abs(values.sum(axis=1))))
-        messages.append(
-            f"row sum {values.sum(axis=1)[bad]:.3e} at state {bad} exceeds tolerance {tau:.3e}"
-        )
+    if not conservative:
+        bad = int(np.argmax(np.abs(sums)))
+        messages.append(f"row sum {sums[bad]:.3e} at state {bad} exceeds tolerance {tau:.3e}")
     return ValidationReport(
         ok=not messages,
         conservative=conservative,

@@ -49,12 +49,14 @@ class GeometricVector:
 
     def __post_init__(self):
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        if self.beta <= 1.0:
-            raise InputError(f"geometric base must exceed 1, got {self.beta}")
+        if not 1.0 < self.beta < math.inf:
+            raise InputError(f"geometric base must be finite and exceed 1, got {self.beta}")
+        if not np.all(np.isfinite(self.u)):
+            raise InputError(f"weight profile must be finite, got {self.u}")
         if float(self.u.min()) < WEIGHT_FLOOR:
             raise InputError(f"weight profile dips to {self.u.min()}, must be >= 1")
-        if self.shift < 0.0:
-            raise InputError(f"shift must be >= 0, got {self.shift}")
+        if not 0.0 <= self.shift < math.inf:
+            raise InputError(f"shift must be finite and >= 0, got {self.shift}")
 
     @property
     def d(self) -> int:
@@ -147,9 +149,9 @@ def drift_check(model: BlockGeneratorModel, v: GeometricVector, c: float, b: flo
     the law is walked while that part rises, and the first row it flags is
     recomputed exactly: a violation always names a real row and its slack.
     """
-    if c <= 0:
-        raise InputError(f"decay rate c must be positive, got {c}")
-    if b <= 0:
+    if not 0 < c < math.inf:
+        raise InputError(f"decay rate c must be finite and positive, got {c}")
+    if not b > 0:
         raise InputError(f"offset b must be positive, got {b}")
     if K < 0:
         raise InputError(f"offset level K must be >= 0, got {K}")

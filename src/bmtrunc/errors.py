@@ -56,14 +56,12 @@ class NotConstantAcrossLevels(CheckFailure):
 class DriftViolated(CheckFailure):
     """Drift inequality fails; carries the first failing state."""
 
-    def __init__(self, level, phase, slack, message=None):
+    def __init__(self, level, phase, slack):
         self.level = level
         self.phase = phase
         self.slack = slack
         super().__init__(
-            message
-            or f"drift inequality violated at level {level}, phase {phase} "
-            f"(slack {slack:.3e})"
+            f"drift inequality violated at level {level}, phase {phase} (slack {slack:.3e})"
         )
 
 

@@ -176,13 +176,10 @@ def vector_dominates(mu, eta, d: int, tol: float = TAU_ORD) -> DominanceReport:
     at least those of mu, per phase.  Shorter vectors are padded with zeros."""
     a = _levels(getattr(mu, "values", mu), d)
     b = _levels(getattr(eta, "values", eta), d)
-    n = max(a.shape[0], b.shape[0])
-    pa = np.zeros((n, d))
-    pb = np.zeros((n, d))
-    pa[: a.shape[0]] = a
-    pb[: b.shape[0]] = b
-    ta = np.flip(np.cumsum(np.flip(pa, 0), 0), 0)
-    tb = np.flip(np.cumsum(np.flip(pb, 0), 0), 0)
+    padded = np.zeros((2, max(a.shape[0], b.shape[0]), d))
+    padded[0, :a.shape[0]] = a
+    padded[1, :b.shape[0]] = b
+    ta, tb = _col_tail(padded.reshape(2, -1), d).reshape(padded.shape)
     return _vector_scan(ta, tb, tol)
 
 
@@ -202,7 +199,7 @@ def is_block_monotone_stochastic(P, d: int, tol: float = TAU_ORD) -> DominanceRe
     return _finite_scan(P, tol)
 
 
-def generator_is_block_monotone(M, d: int | None = None, tol: float = TAU_ORD) -> DominanceReport:
+def generator_is_block_monotone(M, tol: float = TAU_ORD) -> DominanceReport:
     """Check block monotonicity of a conservative generator.
 
     This is nonnegativity of the off-diagonal entries of inv(T_d) Q T_d,
@@ -211,7 +208,8 @@ def generator_is_block_monotone(M, d: int | None = None, tol: float = TAU_ORD) -
     a model the rows run up to the homogeneity level plus band width;
     beyond that they repeat and the inequalities with them.  The sums come
     from one table, rows 0..bm_check_level() and columns up to one past the
-    band, and one `_scan` compares each row with the next.
+    band, and one `_scan` compares each row with the next.  Any other input
+    than a model or a FiniteBlockMatrix is refused with IncompatibleModels.
     """
     if isinstance(M, BlockGeneratorModel):
         top = M.bm_check_level()
@@ -221,9 +219,7 @@ def generator_is_block_monotone(M, d: int | None = None, tol: float = TAU_ORD) -
         valid = np.arange(table.shape[1]) <= col_top[:, None]
         return _scan(table[:-1], table[1:], tol, valid=valid, first=1, skip_diagonal=True)[0]
     if not isinstance(M, FiniteBlockMatrix):
-        if d is None:
-            raise DimensionMismatch("block size d required for a plain array")
-        M = FiniteBlockMatrix(d, M)
+        raise IncompatibleModels(f"cannot take tail sums of {type(M).__name__}")
     return _finite_scan(M, tol, skip_diagonal=True)
 
 

@@ -73,12 +73,16 @@ class DistributionVector:
 
 
 def _square_values(G, d: int | None):
+    """G's values and block size; InputError where a rate is NaN or infinite."""
     if isinstance(G, FiniteBlockMatrix):
-        return G.values, G.d
-    values = np.asarray(G, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {values.shape}")
-    return values, (1 if d is None else d)
+        values, d = G.values, G.d
+    else:
+        values, d = np.asarray(G, dtype=float), (1 if d is None else d)
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise DimensionMismatch(f"expected a square matrix, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise InputError("the generator has a NaN or infinite rate")
+    return values, d
 
 
 def stationary(G, d: int | None = None, source: str = "full-reference") -> DistributionVector:
@@ -185,9 +189,10 @@ def _eliminate(A: np.ndarray, d: int) -> tuple[np.ndarray, float]:
 
 
 def _check_residual(xq: np.ndarray, diag_scale: float) -> None:
-    """Refuse x whose residual x Q passes RESIDUAL * max(1, max |diag Q|)."""
+    """Refuse x whose residual x Q passes RESIDUAL * max(1, max |diag Q|),
+    or is NaN."""
     residual = float(np.max(np.abs(xq))) if xq.size else 0.0
-    if residual > RESIDUAL * max(1.0, diag_scale):
+    if not residual <= RESIDUAL * max(1.0, diag_scale):
         raise NoConvergence(
             f"stationary residual {residual:.3e} exceeds contract "
             f"{RESIDUAL * max(1.0, diag_scale):.3e}"

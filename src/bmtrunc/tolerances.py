@@ -79,8 +79,7 @@ POISSON_TAIL = 1e-12
 
 # Leaks: in `truncate.check_no_closed_classes_above`, a frozen diagonal
 # block's entry counts as a transition, and a row sum as a leak out of its
-# level, above LEAK_TOL times max(1, largest |entry| of the block); the
-# default of its `tol`.
+# level, above LEAK_TOL times max(1, largest |entry| of the block).
 # Pinned by tests/test_tolerances.py::test_leak_tolerance.
 LEAK_TOL = 1e-12
 
@@ -99,7 +98,7 @@ THETA_AGREEMENT = 1e-9
 # Scale floor: a scale that a tolerance or a residual is multiplied or
 # divided by is raised to at least SCALE_FLOOR, so that an all-zero matrix
 # gives a positive scale: max |Dhat(z)| in `spectral` and `_power_perron`,
-# the row scale of `validate_q_matrix` and `blockmat._validate_finite`.
+# the row scale of `validate_q_matrix`.
 # Pinned by tests/test_tolerances.py::test_scale_floor.
 SCALE_FLOOR = 1e-300
 

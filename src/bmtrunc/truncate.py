@@ -238,8 +238,7 @@ def truncation(M: BlockGeneratorModel, spec: TruncationSpec) -> TruncatedGenerat
     return custom_truncate(M, spec)
 
 
-def check_no_closed_classes_above(T: TruncatedGenerator, probe: int | None = None,
-                                  tol: float = LEAK_TOL) -> bool:
+def check_no_closed_classes_above(T: TruncatedGenerator, probe: int | None = None) -> bool:
     """Verify levels above n are all transient in the augmented generator.
 
     Each frozen diagonal block above n is inspected as a sub-generator on its
@@ -253,7 +252,7 @@ def check_no_closed_classes_above(T: TruncatedGenerator, probe: int | None = Non
         probe = base.upper_hint() + 1
     for k in range(T.n + 1, T.n + probe + 1):
         block = base.block(k, k)
-        tau = tol * max(1.0, float(np.max(np.abs(block))))
+        tau = LEAK_TOL * max(1.0, float(np.max(np.abs(block))))
         leak = -block.sum(axis=1) > tau
         if not reachable(block > tau)[:, leak].any(axis=1).all():
             return False

@@ -700,12 +700,6 @@ def brute_scaled_slack(model, cert, depth=500):
     return worst
 
 
-def phase_tails(x, d):
-    """Per-phase reverse cumulative sums of a flat vector, as (levels, d)."""
-    m = np.asarray(x, dtype=float).reshape(-1, d)
-    return m[::-1].cumsum(axis=0)[::-1]
-
-
 def t_matrix(levels, d):
     """The block lower-triangular ones matrix, materialized."""
     T = np.zeros((levels * d, levels * d))

@@ -258,6 +258,44 @@ def test_validate_q_matrix_flags_defects():
     assert report.max_offdiag_violation >= 0.2
 
 
+def test_validate_q_matrix_values_are_pinned(fleet_models):
+    # (ok, conservative, max_offdiag_violation, max_diag_violation,
+    # max_row_defect, row_scale, messages), exact: a model's probe window
+    # gives its signs and row scale, its exact row sums S(k;0) 1 the defect
+    tail = GeometricTail(coef=np.array([[0.25]]), ratio=0.5)
+    models = dict(
+        fleet_models,
+        tailed_banded=BandedModel(d=1, L=1, U=1, K_hom=1, tail=tail, rows={
+            0: {0: [[-1.5]], 1: [[1.5]]}, 1: {-1: [[2.0]], 0: [[-3.125]], 1: [[1.0]]}}),
+        mg1=Mg1Model(2, *tailed_mg1_parts(np.random.default_rng(23))),
+        # level 1, phase 1 (state 3) loses 0.75
+        leaky=BandedModel(d=2, L=1, U=1, K_hom=1, rows={
+            0: {0: [[-1.0, 0.5], [0.5, -1.0]], 1: [[0.5, 0.0], [0.0, 0.5]]},
+            1: {-1: [[1.0, 0.0], [0.0, 1.0]], 0: [[-2.0, 0.5], [0.5, -2.5]],
+                1: [[0.5, 0.0], [0.0, 0.25]]}}),
+        bad=FiniteBlockMatrix(1, np.array([[-1.0, 1.0], [2.0, -1.5]])),
+        negative=FiniteBlockMatrix(1, np.array([[-1.0, -0.2], [1.0, -1.0]])),
+    )
+    expected = {
+        "mm1": (True, True, 0.0, 0.0, 0.0, 6.0, []),
+        "d2": (True, True, 0.0, 0.0, 4.440892098500626e-16, 10.9, []),
+        "d2_disaster": (True, True, 0.0, 0.0, 4.440892098500626e-16, 11.9, []),
+        "tailed_banded": (True, True, 0.0, 0.0, 0.0, 6.21875, []),
+        "mg1": (True, True, 0.0, 0.0, 2.220446049250313e-16, 4.364344260958634, []),
+        "leaky": (False, False, 0.0, 0.0, 0.75, 4.25,
+                  ["row sum -7.500e-01 at state 3 exceeds tolerance 4.250e-10"]),
+        "bad": (False, False, 0.0, 0.0, 0.5, 3.5,
+                ["row sum 5.000e-01 at state 1 exceeds tolerance 3.500e-10"]),
+        "negative": (False, False, 0.2, 0.0, 1.2, 2.0,
+                     ["negative off-diagonal -2.000e-01 at (0,1)",
+                      "row sum -1.200e+00 at state 0 exceeds tolerance 2.000e-10"]),
+    }
+    for name, M in models.items():
+        r = validate_q_matrix(M)
+        assert (r.ok, r.conservative, r.max_offdiag_violation, r.max_diag_violation,
+                r.max_row_defect, r.row_scale, r.messages) == expected[name], name
+
+
 def test_phase_generator_collapses_levels(mm1, d2_psi05):
     xi = phase_generator(build_generator(mm1))
     np.testing.assert_allclose(xi, [[0.0]], atol=1e-14)

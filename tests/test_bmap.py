@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bmtrunc import (
     BmapModel,
     BmapQueueModel,
+    DegenerateArrivals,
     DriftViolated,
     GeometricTail,
     InputError,
@@ -677,6 +678,40 @@ def test_a_refuted_certificate_is_retaken_at_the_collatz_wielandt_ratio(
     assert (cert.c, cert.b, cert.K) == constants(ratio)
     assert brute_scaled_slack(B, cert) <= DRIFT_TOL
     assert math.isfinite(bound_pipeline(B, [5])[0].bound_min)
+
+
+def test_a_refutation_stands_when_the_retaken_constants_form_no_certificate(mm1):
+    # c = 10 is far above the queue's decay: drift_check refutes it at level
+    # 0, and constants that give nothing, or c <= 0, leave that standing
+    rec = spectral(mm1, 1.5)
+    for retry in (None, (0.0, 1.0, 0)):
+        with pytest.raises(DriftViolated) as refuted:
+            bmap._verified(mm1, rec, (10.0, 1.0, 0), lambda _rec: retry)
+        assert refuted.value.level == 0
+
+
+def _no_offset_queue():
+    # no service and resets at rate 0.001 against arrivals at rate 1: the
+    # decay bracket psi (1 - beta^-k) - delta_D(beta) is negative at every
+    # level up to K_CAP for every base
+    return BmapModel(d=1, D=(np.array([[-1.0]]), np.array([[1.0]])),
+                     mu=MuRule(table=(0.0,)), psi=0.001)
+
+
+def test_disaster_search_without_a_feasible_base_is_refused():
+    with pytest.raises(NoFeasibleK, match="for any geometric base"):
+        find_constants_disaster(_no_offset_queue())
+
+
+def test_disaster_search_at_a_base_without_an_offset_level_is_refused():
+    with pytest.raises(NoFeasibleK, match="at beta=1.5"):
+        find_constants_disaster(_no_offset_queue(), beta=1.5)
+
+
+def test_arrival_rate_of_a_queue_without_batches_is_refused():
+    B = BmapModel(d=2, D=(np.array([[-1.0, 1.0], [1.0, -1.0]]),), mu=MuRule(table=(2.0,)))
+    with pytest.raises(DegenerateArrivals):
+        arrival_rate(B)
 
 
 @pytest.mark.parametrize("beta", ["0.5", "1.0"])

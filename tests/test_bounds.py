@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,39 @@ def test_geometric_vector_guards():
         GeometricVector(beta=0.9, u=np.array([1.0]))
     with pytest.raises(InputError):
         GeometricVector(beta=2.0, u=np.array([0.5]))
+
+
+def _banded_mm1():
+    """M/M/1 with arrival rate 1 and service rate 2 as a `BandedModel`."""
+    return BandedModel(d=1, L=1, U=1, K_hom=1, rows={
+        0: {0: [[-1.0]], 1: [[1.0]]}, 1: {-1: [[2.0]], 0: [[-3.0]], 1: [[1.0]]}})
+
+
+@pytest.mark.parametrize("beta, u, shift", [
+    (1.5, [math.nan], 0.0),
+    (1.5, [math.inf], 0.0),
+    (1.5, [1.0], math.nan),
+    (1.5, [1.0], math.inf),
+    (math.nan, [1.0], 0.0),
+    (math.inf, [1.0], 0.0),
+], ids=["u_nan", "u_inf", "shift_nan", "shift_inf", "beta_nan", "beta_inf"])
+def test_geometric_vector_refuses_values_that_are_not_finite(beta, u, shift):
+    with pytest.raises(InputError):
+        drift_check(_banded_mm1(), GeometricVector(beta=beta, u=u, shift=shift), c=0.1, b=1.0)
+
+
+@pytest.mark.parametrize("c, b", [(math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan)],
+                         ids=["c_nan", "c_inf", "b_nan"])
+def test_drift_check_refuses_constants_that_are_not_finite(mm1, c, b):
+    v = GeometricVector(beta=1.5, u=[1.0])
+    with pytest.raises(InputError):
+        drift_check(build_generator(mm1), v, c=c, b=b)
+
+
+def test_drift_check_certifies_an_infinite_offset(mm1):
+    # b = inf forgives every offset row and bounds nothing: allowed, as before
+    cert = drift_check(build_generator(mm1), GeometricVector(beta=1.5, u=[1.0]), c=0.1, b=math.inf)
+    assert cert.verified
 
 
 @pytest.mark.parametrize("beta", [37.5, np.float64(37.5)])

@@ -147,6 +147,15 @@ def test_truncate_writes_npy(runner, mm1, mm1_path, tmp_path):
     np.testing.assert_array_equal(np.load(out), expected)
 
 
+def test_truncate_writes_csv(runner, mm1, mm1_path, tmp_path):
+    out = tmp_path / "corner.csv"
+    result = runner.invoke(main, ["truncate", "--model", mm1_path, "--n", "4",
+                                  "--out", str(out)])
+    assert result.exit_code == 0
+    expected = lc_truncate(build_generator(mm1), 4).matrix.values
+    np.testing.assert_array_equal(np.loadtxt(out, delimiter=","), expected)
+
+
 def test_truncate_prints_matrix(runner, mm1_path):
     result = runner.invoke(main, ["truncate", "--model", mm1_path, "--n", "1",
                                   "--style", "fc"])

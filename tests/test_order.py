@@ -6,6 +6,7 @@ from hypothesis import given
 
 from bmtrunc import (
     FiniteBlockMatrix,
+    IncompatibleModels,
     InputError,
     NotStochastic,
     build_generator,
@@ -265,6 +266,27 @@ def test_infinite_shortfall_is_a_violation():
         assert not rep.holds, name
         assert rep.margin == -np.inf, name
         assert rep.worst_violation[1] == np.inf, name
+
+
+def test_opposite_infinite_tails_are_a_violation_without_a_warning():
+    # inf + -inf in one tail sum is a NaN slack, found by the scan; the
+    # RuntimeWarning filter of the suite would turn a float warning into an error
+    rep = vector_dominates([-np.inf, np.inf], [0.5, 0.5], 1)
+    assert not rep.holds
+    assert rep.margin == -np.inf
+
+
+def test_generator_is_block_monotone_takes_only_models_and_block_matrices():
+    Q = [[-1.0, 1.0], [2.0, -2.0]]
+    assert generator_is_block_monotone(FiniteBlockMatrix(1, Q)).holds
+    for M in (np.array(Q), Q):
+        with pytest.raises(IncompatibleModels):
+            generator_is_block_monotone(M)
+
+
+def test_generator_dominates_refuses_different_block_sizes(mm1, d2_psi0):
+    with pytest.raises(IncompatibleModels, match="block sizes differ"):
+        generator_dominates(build_generator(mm1), build_generator(d2_psi0))
 
 
 def _nan_banded():

@@ -34,6 +34,7 @@ from bmtrunc import (
     tv_distance,
     v_norm,
 )
+from bmtrunc.tolerances import POISSON_TAIL
 from helpers import (
     banded_queue_rows,
     dense_stationary,
@@ -323,6 +324,28 @@ def test_long_horizon_rows_reach_stationarity(mm1):
     P = transition_matrix(Q, 1e3)
     for row in P.values:
         np.testing.assert_allclose(row, pi.values, atol=1e-9)
+
+
+@pytest.mark.parametrize("Q", [[[-1.0, 1.0], [math.nan, 0.0]],
+                               [[-1.0, 1.0], [math.inf, -math.inf]]], ids=["nan", "inf"])
+def test_solvers_refuse_a_rate_that_is_not_finite(Q):
+    for G in (Q, FiniteBlockMatrix(1, Q)):
+        with pytest.raises(InputError, match="NaN or infinite rate"):
+            stationary(G)
+        with pytest.raises(InputError, match="NaN or infinite rate"):
+            transition_matrix(G, 1.0)
+
+
+def test_residual_check_refuses_a_nan_residual():
+    with pytest.raises(NoConvergence, match="stationary residual nan"):
+        solve._check_residual(np.array([0.0, math.nan]), 1.0)
+
+
+def test_transition_matrix_of_a_zero_generator_is_the_identity():
+    # with no rate to uniformize by, sigma is taken as 1; the Poisson series
+    # is cut with less than its tail tolerance left
+    P = transition_matrix(np.zeros((3, 3)), 2.0).values
+    np.testing.assert_allclose(P, np.eye(3), rtol=0.0, atol=POISSON_TAIL)
 
 
 def test_stationary_refuses_a_matrix_with_no_states():
