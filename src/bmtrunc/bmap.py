@@ -36,10 +36,12 @@ the winner call the scalar `spectral` (and `_disaster_constants`) at each
 point they visit, and the winner's certificate goes through `drift_check`,
 once more at the Collatz-Wielandt ratio of its own vector when refuted
 (`_verified`).  `spectral` is a two-sided power iteration of eight
-numpy calls per step, bit for bit the plain loop kept as a test oracle; its
-shift, the largest diagonal rate of D(0), is the queue model's
-`_perron_shift`, fixed when the model is built and shared with the grid's
-batched iteration.
+numpy calls per step, bit for bit the plain loop kept as a test oracle.
+Once its quotient settles, it evaluates the exact residuals only at the
+steps where a free lower bound, the distance from the quotient to the next
+normalizers, leaves them a chance to pass.  Its shift, the largest
+diagonal rate of D(0), is the queue model's `_perron_shift`, fixed when
+the model is built and shared with the grid's batched iteration.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # spectral's reductions, called without the ndarray method's Python layer
 _max = np.maximum.reduce
 _min = np.minimum.reduce
+_sum = np.add.reduce
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 # The queue model validates its parameters on construction; this name is kept
@@ -142,32 +146,49 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
     `_perron_shift`, fixed at construction) so the iteration matrix
     E = I + Dhat(z) / shift is nonnegative, then runs power iteration on
     both sides at once, reading the root off the two-sided Rayleigh
-    quotient.  A step is eight numpy calls: the two products, the two
-    max-normalizations in place and the quotient's two dot products, whose
-    ratio and stop test are taken on Python floats.  The arithmetic is that
-    of the plain loop in `tests/helpers.power_iteration`, bit for bit.  If
-    the quotient has not converged after POWER_ITERS steps, `_dense_perron`
-    of Dhat(z) and of its transpose gives the pair.  The right vector is
-    scaled to minimum component 1 and the left one to unit inner product
-    against it.  The certificate search calls this at the points its
-    golden-section polish visits and at its winner; from DENSE_GRID_D
-    phases on, its grid runs the same iteration batched, in `_power_perron`.
+    quotient r.  A step is eight numpy calls: the two products, their two
+    maxima (the next step's normalizers), the two normalizations in place
+    and the quotient's two dot products, whose ratio and stop test are taken
+    on Python floats.  The arithmetic is that of the plain loop in
+    `tests/helpers.power_iteration`, bit for bit.
+
+    Once the quotient settles, a step stops when both residuals meet the
+    contract, and the exact residuals are evaluated only where they can.
+    For x >= 0 with max x = 1 and r >= 0, max_i |(Ex)_i - r x_i| >=
+    |max(Ex) - r| (compare at the argmax of Ex when max(Ex) >= r, at that of
+    x otherwise), and shift (Ex - r x) = Dhat x - val x with
+    val = (r - 1) shift; likewise on the left with E^T y.  Both maxima are
+    the next step's normalizers, so the bound costs no numpy call.  When
+    either bound exceeds the contract by more than `_rounding_margin`'s
+    margin, that residual must fail: neither is evaluated, and the stop step
+    and every bit stay those of the plain loop.
+
+    If the quotient has not converged after POWER_ITERS steps,
+    `_dense_perron` of Dhat(z) and of its transpose gives the pair.  The
+    right vector is scaled to minimum component 1 and the left one to unit
+    inner product against it.  The certificate search calls this at the
+    points its golden-section polish visits and at its winner; from
+    DENSE_GRID_D phases on, its grid runs the same iteration batched, in
+    `_power_perron`.
     """
     dh = B.dhat(z)
     d = B.d
-    norm = max(float(_max(np.abs(dh), axis=None)), SCALE_FLOOR)
+    adh = np.abs(dh)
+    norm = max(float(_max(adh, axis=None)), SCALE_FLOOR)
     if d == 1:
         val = float(dh[0, 0])
         return SpectralRecord(z=z, eigenvalue=val, right=np.ones(1), left=np.ones(1),
                               residual=0.0, iterations=0)
     shift = B._perron_shift
+    limit = RESIDUAL * norm
+    gamma, base = _rounding_margin(adh, shift, limit)
     E = B._eye + dh / shift
     ET = E.T
     dot, divide = np.dot, np.divide
     y = np.ones(d)
-    # Ex = E @ x for the current normalized x: the Rayleigh quotient's
-    # product is the next iterate
-    Ex = dot(E, y)
+    # the next step's unnormalized iterates and their maxima
+    Ex, Ey = dot(E, y), dot(ET, y)
+    mx, my = _max(Ex), _max(Ey)
     rprev = math.inf
     iterations = 0
     while True:
@@ -178,30 +199,33 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
             val, x = _dense_perron(dh)
             val = float(val)
             y = _dense_perron(dh.T)[1]
-            res_r = float(_max(np.abs(dh @ x - val * x)))
-            res_l = float(_max(np.abs(y @ dh - val * y)))
-            if max(res_r, res_l) > RESIDUAL * norm:
+            res_r = _residual(dh @ x, val, x)
+            res_l = _residual(y @ dh, val, y)
+            if max(res_r, res_l) > limit:
                 raise NoConvergence(
                     f"no Perron pair at z={z}; is the phase process reducible?"
                 )
             break
-        x = Ex
-        y = dot(ET, y)
+        x, y = Ex, Ey
         # E is nonnegative and irreducible, so iterates from positive starts stay positive
-        divide(x, _max(x), out=x)
-        divide(y, _max(y), out=y)
-        Ex = dot(E, x)
+        divide(x, mx, out=x)
+        divide(y, my, out=y)
+        Ex, Ey = dot(E, x), dot(ET, y)
+        mx, my = _max(Ex), _max(Ey)
         r = float(dot(y, Ex)) / float(dot(y, x))
         done = abs(r - rprev) < PERRON_STOP * max(1.0, abs(r))
         rprev = r
         if done:
-            # the left residual only counts once the right one passes
             val = (r - 1.0) * shift
-            res_r = float(_max(np.abs(dh @ x - val * x)))
-            if res_r <= RESIDUAL * norm:
-                res_l = float(_max(np.abs(y @ dh - val * y)))
-                if res_l <= RESIDUAL * norm:
-                    break
+            # a residual whose free lower bound exceeds the bar must fail
+            bar = limit + gamma * (base + abs(val))
+            if shift * abs(float(mx) - r) <= bar and shift * abs(float(my) - r) <= bar:
+                # the left residual only counts once the right one passes
+                res_r = _residual(dh @ x, val, x)
+                if res_r <= limit:
+                    res_l = _residual(y @ dh, val, y)
+                    if res_l <= limit:
+                        break
     u = x / float(_min(x))
     eta = y / float(y @ u)
     return SpectralRecord(
@@ -212,6 +236,35 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
         residual=max(res_r, res_l) / norm,
         iterations=iterations,
     )
+
+
+def _residual(product: np.ndarray, val: float, v: np.ndarray) -> float:
+    """max |product - val v|: a Perron residual, Dhat x - val x or y Dhat - val y."""
+    return float(_max(np.abs(product - val * v)))
+
+
+def _rounding_margin(adh: np.ndarray, shift: float, limit: float) -> tuple[float, float]:
+    """(gamma, base): gamma (base + |val|) is the rounding margin of `spectral`'s skip.
+
+    `adh` is |Dhat|, `limit` the residual contract.  With unit roundoff u,
+    g_n = n u / (1 - n u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1) and S the largest row or column sum of adh,
+    and x, y scaled to maximum 1, the computed bound shift |max(Ex) - r|
+    exceeds the exact one, that of I + Dhat / shift at the exact
+    1 + val / shift, by at most g_{d+1} shift + g_{d+2} S (the rounding of E
+    and of its d-term products) plus g_4 |val| (the rounding of val, counted
+    twice to cover an exact 1 + val / shift below 0, where the lemma does
+    not apply).  The computed residual falls short of the exact one by at
+    most g_d S + u |val|, and the skip test's own products and sums lose a
+    relative 4u of the contract.  For d >= 2 all of it is below
+    g_{d+3} (shift + 2 S + |val| + limit); gamma is twice g_{d+3}, so the
+    margin also covers the rounding of its own evaluation.
+    """
+    n = adh.shape[0] + 3
+    unit = n * _UNIT_ROUNDOFF
+    gamma = 2.0 * unit / (1.0 - unit)
+    sums = max(float(_max(_sum(adh, 0))), float(_max(_sum(adh, 1))))
+    return gamma, shift + 2.0 * sums + limit
 
 
 def _dense_perron(dh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -49,6 +49,8 @@ class GeometricVector:
 
     def __post_init__(self):
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
+        if self.u.ndim != 1 or self.u.size == 0:
+            raise InputError(f"weight profile must be a nonempty vector, got shape {self.u.shape}")
         if not 1.0 < self.beta < math.inf:
             raise InputError(f"geometric base must be finite and exceed 1, got {self.beta}")
         if not np.all(np.isfinite(self.u)):

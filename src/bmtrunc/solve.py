@@ -307,7 +307,8 @@ def v_norm(x, v) -> float:
         raise DimensionMismatch(
             f"weight vector covers {vv.size} states, signed vector has {xv.size}"
         )
-    if float(vv.min()) < WEIGHT_FLOOR:
+    # written so that a NaN weight fails it
+    if not vv.min() >= WEIGHT_FLOOR:
         raise InputError(f"weight vector dips to {vv.min()}, must be >= 1")
     return float(np.abs(xv) @ vv[: xv.size])
 

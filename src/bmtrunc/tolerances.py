@@ -51,7 +51,10 @@ PERRON_STOP = 1e-13
 # vector, is accepted when its residual is at most RESIDUAL times the
 # scale of its matrix: max |Dhat(z)|, floored at SCALE_FLOOR, for the
 # Perron pairs of `spectral` and `_power_perron`; max(1, max |diag Q|) for
-# x Q in `solve.stationary` and `solve_truncation`.
+# x Q in `solve.stationary` and `solve_truncation`.  `spectral` evaluates
+# its two residuals only at settled steps where their free lower bounds,
+# less a computed rounding margin (`bmap._rounding_margin`), are within
+# this contract; `_power_perron` at every settled step.
 # Pinned by tests/test_tolerances.py::test_residual_contract.
 RESIDUAL = 1e-12
 

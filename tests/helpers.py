@@ -429,11 +429,13 @@ def affine_disaster_queue(lam=0.617):
                           mu=MuRule(table=(2.06,), eventual="affine", slope=0.103), psi=lam)
 
 
-def power_iteration(B, z, seed=0):
+def power_iteration(B, z, seed=0, settled=None):
     """Perron data of B.dhat(z) by the plain two-sided power iteration.
 
     Returns (eigenvalue, right, left, residual, iterations) with the
     normalizations of `bmtrunc.spectral`: min(right) = 1, left . right = 1.
+    Each step whose stop test passes evaluates both residuals; a `settled`
+    list receives the number of every such step.
     """
     dh = B.dhat(z)
     d = B.d
@@ -466,6 +468,8 @@ def power_iteration(B, z, seed=0):
         done = abs(r - rprev) < 1e-13 * max(1.0, abs(r))
         rprev = r
         if done:
+            if settled is not None:
+                settled.append(iterations)
             val = (r - 1.0) * shift
             res_r = float(np.max(np.abs(dh @ x - val * x)))
             res_l = float(np.max(np.abs(y @ dh - val * y)))

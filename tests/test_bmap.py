@@ -45,7 +45,10 @@ from bmtrunc.bmap import (
     _grid_perron,
     _mu_levels,
     _power_perron,
+    _residual,
+    _rounding_margin,
 )
+from bmtrunc.tolerances import RESIDUAL
 from helpers import (
     affine_disaster_queue,
     assert_feasible_prefix,
@@ -277,8 +280,11 @@ def _assert_same_offset_constants(B, beta):
 
 def test_spectral_is_the_plain_power_iteration(fleet, pure_disaster):
     rng = np.random.default_rng(5)
+    # stiff transforms: phases that switch 10**4 times faster than batches
+    stiff = [regime_queue(d, 2, None, "constant", 0.8, 0.0, False, 1e4, seed)
+             for seed, d in enumerate((2, 8, 24))]
     models = [*fleet.values(), pure_disaster,
-              *(random_bmap(rng, d=d, psi=0.3) for d in (3, 5, 8, 16, 24))]
+              *(random_bmap(rng, d=d, psi=0.3) for d in (3, 5, 8, 16, 24)), *stiff]
     for B in models:
         for z in (0.5, 1.0, 1.0 + 1e-6, 1.3, 2.0, 7.5):
             _assert_same_spectral(B, z)
@@ -292,6 +298,65 @@ def test_spectral_is_the_plain_power_iteration_on_regime_queues(B):
     for z in (0.5, 1.0 + 1e-6, *_beta_grid(B)[::40]):
         if spectral(B, z).iterations <= POWER_ITERS:
             _assert_same_spectral(B, z)
+
+
+def test_spectral_skips_the_residual_checks_that_must_fail(d2_psi0, monkeypatch):
+    # the plain loop evaluates both residuals at every step whose stop test
+    # passes; spectral only where their free lower bounds let them pass
+    calls = _count_calls(monkeypatch, bmap, "_residual")
+    for z in (0.5, 1.3, 7.5):
+        settled = []
+        power_iteration(d2_psi0, z, settled=settled)
+        calls.clear()
+        spectral(d2_psi0, z)
+        assert 2 <= len(calls) < len(settled)
+
+
+def _metzler(rng, d, kind):
+    """A random irreducible Metzler matrix, every off-diagonal rate positive.
+
+    "stiff" makes the rates of every other phase 10**4 times those of the
+    rest; "nearly_decomposable" couples two blocks of phases at 1e-6 of
+    their rates within.
+    """
+    off = rng.uniform(0.2, 1.0, (d, d))
+    if kind == "stiff":
+        off *= np.where(np.arange(d) % 2 == 0, 1e4, 1.0)[:, None]
+    elif kind == "nearly_decomposable":
+        block = np.arange(d) < d // 2
+        off[block[:, None] != block[None, :]] *= 1e-6
+    np.fill_diagonal(off, 0.0)
+    return off - np.diag(off.sum(axis=1) * rng.uniform(0.5, 1.5, d))
+
+
+@given(d=st.integers(2, 24), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_residual_bound_less_its_margin_never_exceeds_the_residual(d, seed):
+    # spectral skips the residuals when shift |max(Ex) - r| or
+    # shift |max(E^T y) - r| exceeds the contract by more than the margin,
+    # which is sound when the bound less the margin never exceeds the
+    # computed residual: at random vectors, and at the Perron pair and near
+    # it, where the residual is down to rounding
+    rng = np.random.default_rng(seed)
+    for kind in ("plain", "stiff", "nearly_decomposable"):
+        dh = _metzler(rng, d, kind)
+        shift = float(np.max(-np.diag(dh)))
+        adh = np.abs(dh)
+        limit = RESIDUAL * float(adh.max())
+        gamma, base = _rounding_margin(adh, shift, limit)
+        E = np.eye(d) + dh / shift
+        right, left = _dense_perron(dh)[1], _dense_perron(dh.T)[1]
+        pairs = [(rng.uniform(0.1, 1.0, d), rng.uniform(0.1, 1.0, d))]
+        for spread in (0.0, 1e-15, 1e-12, 1e-8):
+            pairs.append((right * (1.0 + spread * rng.standard_normal(d)),
+                          left * (1.0 + spread * rng.standard_normal(d))))
+        for x, y in pairs:
+            x, y = x / x.max(), y / y.max()
+            Ex, Ey = E @ x, E.T @ y
+            r = float(y @ Ex) / float(y @ x)
+            val = (r - 1.0) * shift
+            margin = gamma * (base + abs(val))
+            assert shift * abs(float(Ex.max()) - r) - margin <= _residual(dh @ x, val, x)
+            assert shift * abs(float(Ey.max()) - r) - margin <= _residual(y @ dh, val, y)
 
 
 def test_perron_shift_is_the_largest_diagonal_rate_of_D0(fleet, pure_disaster, tmp_path):

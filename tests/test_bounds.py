@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,13 @@ def test_geometric_vector_guards():
         GeometricVector(beta=0.9, u=np.array([1.0]))
     with pytest.raises(InputError):
         GeometricVector(beta=2.0, u=np.array([0.5]))
+
+
+@pytest.mark.parametrize("u, shape", [([], "(0,)"), ([[1.0, 2.0]], "(1, 2)"), (1.0, "()")],
+                         ids=["empty", "row_matrix", "scalar"])
+def test_geometric_vector_refuses_a_profile_that_is_not_a_nonempty_vector(u, shape):
+    with pytest.raises(InputError, match=re.escape(f"shape {shape}")):
+        GeometricVector(beta=1.5, u=u)
 
 
 def _banded_mm1():

@@ -384,6 +384,13 @@ def test_v_norm_hand_value_and_guards():
         v_norm(x, np.array([0.5, 2.0, 4.0]))
 
 
+def test_v_norm_refuses_nan_weights():
+    with pytest.raises(InputError):
+        v_norm([0.5, 0.5], [math.nan, 1.0])
+    with pytest.raises(InputError):
+        v_norm([0.5, 0.5], [1.0, math.nan])
+
+
 def test_geometric_vector_shift_skips_level_zero():
     v = GeometricVector(beta=2.0, u=np.array([1.0]), shift=0.25)
     np.testing.assert_allclose(v.levels(3), [1.0, 2.25, 4.25, 8.25])
