@@ -562,6 +562,30 @@ class BmapQueueModel(BlockGeneratorModel):
     irreducible phase process sum D(k).  r_D is the radius of convergence of the batch-size
     transform: the reciprocal tail ratio when an analytic tail is declared,
     infinite for finitely supported batches.
+
+    Every queue the constructor accepts is block-monotone: S(k-1; l) <=
+    S(k; l) entrywise off the entries (k,i;k,i), where S(k; l) sums row k's
+    blocks in columns >= l.  So the certificate searches do not scan for it
+    (`order.generator_is_block_monotone` still does, for explicit callers).
+    Proof: let D = sum_j D(j).  Row 0 has S(0; 0) = D and S(0; l) =
+    sum_{j >= l} D(j).  A row k >= 1 sums to D in total (at k = 1 column 0
+    carries mu(1) besides psi), S(k; l) = D - psi I for 1 <= l <= k-1,
+    S(k; k) = D - (psi + mu(k)) I and S(k; l) = sum_{j >= l-k} D(j) for
+    l > k.  Off the diagonal, S(k; l) - S(k-1; l) is therefore
+
+    - 0 at l = 0 (both rows sum to D) and at 1 <= l <= k-2;
+    - mu(k-1) I at l = k-1;
+    - D(0) - (psi + mu(k)) I at l = k, whose diagonal is skipped;
+    - D(l-k) at l > k;
+
+    and each is >= 0 by the sign checks below: mu >= 0 (`MuRule`), D(0)
+    has no negative off-diagonal entry, and every D(j), j >= 1, is
+    nonnegative.  A geometric tail only extends D(j) by coef * ratio**j
+    with coef >= 0.  The scan reads these differences off rounded tail
+    sums.  Wherever one is 0 off the diagonal, adjacent rows add the same
+    numbers in the same order, so it comes out exactly 0; the others move
+    by the rounding of the row's rates only, inside the scan's tolerance
+    of TAU_ORD times its largest entry.
     """
 
     d: int

@@ -5,7 +5,9 @@ D(0), D(1), ... (D(0) holds phase transitions without arrivals, D(k) those
 accompanied by a batch of size k).  Level k of the queue drains at rate
 mu(k), and an optional disaster rate psi flushes the whole queue to level 0.
 The queue is `blockmat.BmapQueueModel`, which validates these parameters and
-is also the generator every other module reads.
+is also the generator every other module reads.  Its docstring proves that
+every queue it accepts is block-monotone, so the certificate searches do not
+scan for it; `build_generator` still does, for its explicit callers.
 
 Everything a drift certificate needs comes from the transform
 Dhat(z) = sum z^k D(k) and its Perron root delta_D(z): the root is 0 at
@@ -104,7 +106,11 @@ BmapModel = BmapQueueModel
 
 
 def build_generator(B: BmapModel) -> BmapQueueModel:
-    """Confirm the queue generator's block monotonicity and return it."""
+    """Confirm the queue generator's block monotonicity and return it.
+
+    Every queue `BmapQueueModel` accepts passes; the scan is for callers
+    that want it shown.
+    """
     report = generator_is_block_monotone(B)
     if not report.holds:
         raise InvalidBmap(
@@ -460,7 +466,6 @@ def find_beta_no_disaster(B: BmapModel, beta: float | None = None) -> DriftCerti
         c = mu_inf * (1.0 - 1.0 / beta) - rec.eigenvalue
         return c, (c + rec.eigenvalue) * float(rec.right.max()), 0
 
-    build_generator(B)
     given = beta is not None
     if not given:
         beta = _best_beta(B, c_of, c_of_grid, past_peak)
@@ -629,7 +634,6 @@ def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCer
     """
     if B.psi <= 0.0:
         raise InputError("disaster search requires psi > 0")
-    build_generator(B)
     mus = _mu_levels(B)
 
     def objective(beta_val: float) -> float:
@@ -685,7 +689,8 @@ def _level0_certificate(B: BmapModel, beta: float | None = None) -> DriftCertifi
 
     Picks the search by the disaster rate, and converts a level-K
     certificate to level-0 form.  A given beta must lie in (1, r_D).  The
-    search checks the generator's block monotonicity.
+    queue is block-monotone by construction (`BmapQueueModel`), so neither
+    search scans it.
     """
     if beta is not None and not 1.0 < beta < B.r_D:
         raise InputError(f"geometric base beta={beta} must lie in (1, {B.r_D:g})")

@@ -51,7 +51,7 @@ from .errors import (
     NoConvergence,
 )
 from .tolerances import PIVOT_FLOOR, POISSON_TAIL, RESIDUAL, WEIGHT_FLOOR
-from .truncate import TruncatedGenerator, TruncationSpec, lc_truncate, truncation
+from .truncate import TruncatedGenerator, TruncationSpec, is_level, lc_truncate, truncation
 
 # Fewest states per elimination group; a group is made of whole levels.
 GROUP_STATES = 64
@@ -230,15 +230,18 @@ def _poisson_weights(lam: float, tol: float) -> np.ndarray:
     return w[:cut]
 
 
-def transition_matrix(G, t: float, tol: float = POISSON_TAIL, d: int | None = None) -> FiniteBlockMatrix:
+def transition_matrix(G, t: float, tol: float = POISSON_TAIL) -> FiniteBlockMatrix:
     """P(t) = exp(Gt) by uniformization.
 
     With sigma the largest diagonal magnitude, A = I + G/sigma is
     substochastic-free of negative entries, and P(t) is the Poisson(sigma*t)
     mixture of its powers; the series is cut when the remaining Poisson mass
-    drops below tol.
+    drops below tol, which must lie in [0, 1).
     """
-    values, d = _square_values(G, d)
+    # written so that a NaN tol fails it
+    if not 0.0 <= tol < 1.0:
+        raise InputError(f"Poisson tail tolerance must lie in [0, 1), got {tol}")
+    values, d = _square_values(G, None)
     return FiniteBlockMatrix(d, _uniformized(values, np.eye(values.shape[0]), [t], tol)[0])
 
 
@@ -300,9 +303,15 @@ def tv_distance(a, b) -> float:
 
 
 def v_norm(x, v) -> float:
-    """Weighted absolute sum |x| . v; the weight must cover x and be >= 1."""
+    """Weighted absolute sum |x| . v of two vectors; the weight must be
+    nonempty, cover x and be >= 1."""
     xv = np.asarray(getattr(x, "values", x), dtype=float)
     vv = np.asarray(getattr(v, "values", v), dtype=float)
+    for what, a in (("signed vector", xv), ("weight vector", vv)):
+        if a.ndim != 1:
+            raise DimensionMismatch(f"{what} must be 1-D, got shape {a.shape}")
+    if vv.size == 0:
+        raise InputError("weight vector is empty")
     if vv.size < xv.size:
         raise DimensionMismatch(
             f"weight vector covers {vv.size} states, signed vector has {xv.size}"
@@ -337,12 +346,14 @@ def transient_decay_check(model, cert, times, start_level: int = 0,
     at each time must fit under 2 e^{-ct} (v(start) + b/c), the v(start) term
     dropped at level 0.  Working on the level-n_ref last-column proxy adds a
     truncation slack, reported and added to the envelope rather than ignored.
-    The start level must lie in 0..n_ref.
+    The start level must be an integer in 0..n_ref.
     """
     if not cert.verified:
         raise CertificateNotVerified("run drift_check before the decay check")
     if cert.K != 0:
         raise KNotZero("decay envelope needs a level-0 certificate; transform first")
+    if not is_level(start_level):
+        raise InputError(f"start level must be an integer, got {start_level!r}")
     if not 0 <= start_level <= n_ref:
         raise InputError(f"start level {start_level} outside the proxy's levels 0..{n_ref}")
     for t in times:

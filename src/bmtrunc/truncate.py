@@ -39,11 +39,21 @@ FIRST_COLUMN = "fc"
 CUSTOM = "custom"
 
 
+def is_level(x) -> bool:
+    """x names a level: an int or a numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_truncation_levels(n: int, n_ref: int | None = None):
-    """The levels a truncation and its reference may take: n >= 1 and, when a
-    reference level is given, n_ref > n; anything else raises InputError."""
+    """The levels a truncation and its reference may take: integers with
+    n >= 1 and, when a reference level is given, n_ref > n; anything else
+    raises InputError."""
+    if not is_level(n):
+        raise InputError(f"truncation level must be an integer, got {n!r}")
     if n < 1:
         raise InputError(f"truncation level must be >= 1, got {n}")
+    if n_ref is not None and not is_level(n_ref):
+        raise InputError(f"reference level n_ref must be an integer, got {n_ref!r}")
     if n_ref is not None and n_ref <= n:
         raise InputError(f"reference level n_ref={n_ref} must exceed the truncation level {n}")
 
@@ -84,7 +94,9 @@ def _check_weights(w: dict, n: int):
         raise InvalidRedistribution("empty weight map")
     total = 0.0
     for level, frac in w.items():
-        if not 0 <= int(level) <= n:
+        if not is_level(level):
+            raise InvalidRedistribution(f"target level must be an integer, got {level!r}")
+        if not 0 <= level <= n:
             raise InvalidRedistribution(f"target level {level} outside 0..{n}")
         if not math.isfinite(frac):
             raise InvalidRedistribution(f"non-finite weight {frac} at level {level}")

@@ -22,6 +22,7 @@ from bmtrunc import (
     build_generator,
     custom_truncate,
     fc_truncate,
+    generator_is_block_monotone,
     lc_truncate,
     load_model,
     validate_q_matrix,
@@ -34,6 +35,7 @@ from bmtrunc.blockmat import (
     reachable,
 )
 from bmtrunc.bounds import GeometricVector
+from bmtrunc.tolerances import TAU_ORD
 
 from helpers import (
     affine_disaster_queue,
@@ -191,6 +193,53 @@ def test_queue_rows_conservative(d2_psi05):
     for k in range(8):
         np.testing.assert_allclose(model.tail_sum(k, 0).sum(axis=1),
                                    np.zeros(model.d), atol=1e-13)
+
+
+def _edge_queues():
+    """Queues at the edges of BmapQueueModel's block-monotonicity proof."""
+    D0, D1 = np.array([[-1e4 - 1.0, 1e4], [1.0, -1.5]]), np.array([[0.5, 0.5], [0.3, 0.2]])
+    return {
+        "decreasing_mu": BmapQueueModel(d=2, D=d2_blocks(), mu=MuRule(table=(4.0, 2.5, 1.2))),
+        "pure_reset": BmapQueueModel(d=2, D=d2_blocks(), mu=MuRule(table=(0.0,)), psi=0.7),
+        "affine": BmapQueueModel(d=2, D=d2_blocks(), psi=0.2,
+                                 mu=MuRule(table=(1.0, 1.5), eventual="affine", slope=0.5)),
+        "tail": tailed_queue(),
+        "d1": affine_disaster_queue(),
+        "phases_1e4_apart": BmapQueueModel(d=2, D=(D0, D1), mu=MuRule(table=(3.0,)), psi=0.01),
+    }
+
+
+def _proved_difference(B, k, l):
+    """S(k; l) - S(k-1; l) as BmapQueueModel's docstring derives it."""
+    eye = np.eye(B.d)
+    if l == k - 1 and k >= 2:
+        return B.mu(k - 1) * eye
+    if l == k:
+        return B.D[0] - (B.psi + B.mu(k)) * eye
+    if l > k:
+        return B.block(0, l - k)
+    return np.zeros((B.d, B.d))
+
+
+@pytest.mark.parametrize("name", list(_edge_queues()))
+def test_queue_is_block_monotone_as_its_docstring_proves(name):
+    # every difference of adjacent tail-sum rows is the proof's, to the
+    # scan's tolerance, nonnegative off the diagonal, and exactly 0 off the
+    # diagonal where the proof says 0
+    B = _edge_queues()[name]
+    assert generator_is_block_monotone(B).holds
+    top = B.bm_check_level()
+    cols = top + B.k_max + 3
+    sums = np.stack([B.tail_sums(k, 0, cols) for k in range(top + 1)])
+    tol = TAU_ORD * np.abs(sums).max()
+    off = ~np.eye(B.d, dtype=bool)
+    for k in range(1, top + 1):
+        for l in range(cols):
+            found = sums[k, l] - sums[k - 1, l]
+            proved = _proved_difference(B, k, l)
+            np.testing.assert_allclose(found, proved, rtol=0.0, atol=tol, err_msg=f"{k}, {l}")
+            assert (proved[off] >= 0.0).all(), (k, l)
+            assert (found[off][proved[off] == 0.0] == 0.0).all(), (k, l)
 
 
 def test_banded_model_repeats_beyond_homogeneity():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import time
 import warnings
 
@@ -29,6 +30,7 @@ from bmtrunc import (
     find_beta_no_disaster,
     find_constants_disaster,
     load_model,
+    order,
     spectral,
 )
 from bmtrunc.bounds import DRIFT_TOL
@@ -660,19 +662,33 @@ def test_disaster_search_evaluates_the_winner_once(d2_psi05, monkeypatch):
     _assert_spectral_calls(find_constants_disaster, d2_psi05, monkeypatch)
 
 
-def test_one_monotonicity_check_per_certificate(fleet, pure_disaster, tmp_path,
-                                                monkeypatch):
-    calls = _count_calls(monkeypatch, bmap, "generator_is_block_monotone")
+def test_no_monotonicity_scan_per_certificate(fleet, pure_disaster, tmp_path, monkeypatch):
+    # every queue BmapQueueModel accepts is block-monotone (its docstring
+    # proves it), so no certificate route scans one; the scan is counted
+    # through every bmtrunc module that binds it
+    real = order.generator_is_block_monotone
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bmtrunc":
+            for attr in [a for a, value in vars(module).items() if value is real]:
+                monkeypatch.setattr(module, attr, counted)
+    runner = CliRunner()
     for B in [*fleet.values(), pure_disaster]:
-        calls.clear()
         bound_pipeline(B, [10])
-        assert len(calls) == 1
-    path = write_model(tmp_path / "reset.json", bmap_doc(pure_disaster))
-    calls.clear()
-    result = CliRunner().invoke(main, ["sweep", "--model", path, "--n-min", "4",
-                                       "--n-max", "4"])
-    assert result.exit_code == 0, result.output
-    assert len(calls) == 1
+        path = write_model(tmp_path / "q.json", bmap_doc(B))
+        for command, *options in (("bound", "--n", "10"), ("sweep", "--n-min", "4", "--n-max", "4")):
+            result = runner.invoke(main, [command, "--model", path, *options])
+            assert result.exit_code == 0, result.output
+    assert calls == []
+    # the count sees the explicit callers
+    build_generator(pure_disaster)
+    assert runner.invoke(main, ["validate", "--model", path]).exit_code == 0
+    assert len(calls) == 2
 
 
 def test_pipeline_builds_no_queue_object(fleet, pure_disaster, monkeypatch):

@@ -11,6 +11,7 @@ from bmtrunc import (
     corollary_transform,
     find_beta_no_disaster,
     find_constants_disaster,
+    generator_is_block_monotone,
     lc_truncate,
     minimized_bound,
     stationary,
@@ -48,6 +49,13 @@ def test_certificates_hold_in_every_regime(B):
             pi_ref = stationary(lc_truncate(B, 4 * n).matrix, source="lc")
             assert tv_distance(pi_n, pi_ref) <= allowed
             break
+
+
+@given(B=regime_queues())
+def test_every_regime_queue_is_block_monotone(B):
+    # the certificate searches take this from BmapQueueModel's proof and
+    # no longer scan for it
+    assert generator_is_block_monotone(B).holds
 
 
 @given(B=regime_queues())

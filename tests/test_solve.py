@@ -248,6 +248,20 @@ def test_transition_matrix_refuses_a_time_that_is_not_finite_and_nonnegative(t):
         transition_matrix(Q, t)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 2.0, 1.0, -1e-3, math.inf])
+def test_transition_matrix_refuses_a_tail_tolerance_outside_0_1(tol):
+    # a tol of 1 or more cut the series after its first term: rows of P(1)
+    # summed to exp(-2) = 0.135
+    Q = np.array([[-1.0, 1.0], [2.0, -2.0]])
+    with pytest.raises(InputError, match=r"tolerance must lie in \[0, 1\)"):
+        transition_matrix(Q, 1.0, tol=tol)
+
+
+def test_transition_matrix_at_a_zero_tail_tolerance_is_stochastic():
+    P = transition_matrix(np.array([[-1.0, 1.0], [2.0, -2.0]]), 1.0, tol=0.0).values
+    np.testing.assert_allclose(P.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+
+
 def test_uniformized_vector_matches_transition_matrix(d2_psi05):
     Q = lc_truncate(build_generator(d2_psi05), 60).matrix.values
     rng = np.random.default_rng(2)
@@ -391,6 +405,15 @@ def test_v_norm_refuses_nan_weights():
         v_norm([0.5, 0.5], [1.0, math.nan])
 
 
+def test_v_norm_refuses_malformed_vectors():
+    with pytest.raises(InputError, match="weight vector is empty"):
+        v_norm([], [])
+    with pytest.raises(DimensionMismatch, match=r"weight vector must be 1-D, got shape \(1, 2\)"):
+        v_norm([1.0], [[1.0, 2.0]])
+    with pytest.raises(DimensionMismatch, match=r"signed vector must be 1-D, got shape \(1, 1\)"):
+        v_norm([[0.5]], [1.0, 1.0])
+
+
 def test_geometric_vector_shift_skips_level_zero():
     v = GeometricVector(beta=2.0, u=np.array([1.0]), shift=0.25)
     np.testing.assert_allclose(v.levels(3), [1.0, 2.25, 4.25, 8.25])
@@ -444,6 +467,14 @@ def test_transient_decay_check_rejects_start_outside_the_proxy(mm1, fleet_certs,
     with pytest.raises(InputError, match="start level"):
         transient_decay_check(build_generator(mm1), fleet_certs["mm1"], times=(1.0,),
                               start_level=start_level, n_ref=100)
+
+
+@pytest.mark.parametrize("start_level", [2.5, 2.0, True])
+def test_transient_decay_check_refuses_a_start_level_that_is_not_an_integer(
+        mm1, fleet_certs, start_level):
+    with pytest.raises(InputError, match="start level must be an integer"):
+        transient_decay_check(build_generator(mm1), fleet_certs["mm1"], times=(1.0,),
+                              start_level=start_level, n_ref=40)
 
 
 def test_transient_decay_check_accepts_the_top_level(mm1, fleet_certs):

@@ -145,11 +145,11 @@ def test_poisson_tail():
     G = np.array([[-3.0, 3.0], [1.0, -1.0]])
     terms = [_poisson_weights(6.0, tol).size for tol in (1e-11, 1e-12, 1e-13)]
     assert len(set(terms)) == 3
-    np.testing.assert_array_equal(transition_matrix(G, 2.0, d=1).values,
-                                  transition_matrix(G, 2.0, tol=1e-12, d=1).values)
+    np.testing.assert_array_equal(transition_matrix(G, 2.0).values,
+                                  transition_matrix(G, 2.0, tol=1e-12).values)
     for tol in (1e-11, 1e-13):
-        assert not np.array_equal(transition_matrix(G, 2.0, d=1).values,
-                                  transition_matrix(G, 2.0, tol=tol, d=1).values)
+        assert not np.array_equal(transition_matrix(G, 2.0).values,
+                                  transition_matrix(G, 2.0, tol=tol).values)
 
 
 def test_leak_tolerance():

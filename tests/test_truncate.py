@@ -9,6 +9,7 @@ from bmtrunc import (
     InputError,
     InvalidRedistribution,
     TruncationSpec,
+    bound_pipeline,
     build_generator,
     check_no_closed_classes_above,
     custom_truncate,
@@ -19,7 +20,7 @@ from bmtrunc import (
 )
 
 from bmtrunc.order import TAU_ORD, _table
-from bmtrunc.truncate import check_truncation_levels
+from bmtrunc.truncate import _check_weights, check_truncation_levels
 
 from helpers import (
     banded_two_down,
@@ -73,6 +74,39 @@ def test_truncation_level_rule():
     for n, n_ref in ((5, 5), (5, 3), (5, -1)):
         with pytest.raises(InputError, match="must exceed the truncation level"):
             check_truncation_levels(n, n_ref)
+
+
+@pytest.mark.parametrize("n, n_ref", [(5.5, None), (True, None), (5.0, None), ("5", None),
+                                      (5, 20.0), (5, np.float64(20.0)), (5, False)])
+def test_truncation_levels_are_integers(n, n_ref):
+    with pytest.raises(InputError, match="must be an integer"):
+        check_truncation_levels(n, n_ref)
+
+
+def test_numpy_integer_levels_are_levels():
+    check_truncation_levels(np.int64(5), np.int32(20))
+    _check_weights({np.int64(2): 1.0}, 3)
+
+
+def test_lc_truncate_refuses_a_fractional_level(mm1):
+    with pytest.raises(InputError, match="must be an integer, got 5.5"):
+        lc_truncate(mm1, 5.5)
+
+
+def test_truncation_spec_refuses_a_bool_level():
+    with pytest.raises(InputError, match="must be an integer, got True"):
+        TruncationSpec(n=True)
+
+
+def test_bound_pipeline_refuses_a_fractional_level(mm1):
+    with pytest.raises(InputError, match="must be an integer, got 5.5"):
+        bound_pipeline(mm1, [5.5])
+
+
+@pytest.mark.parametrize("level", [2.5, 2.0, "a", True, None])
+def test_custom_weights_refuse_a_target_that_is_not_a_level(level):
+    with pytest.raises(InvalidRedistribution, match="target level must be an integer"):
+        _check_weights({level: 1.0}, 3)
 
 
 def test_a_corner_past_the_index_range_is_refused_at_once(mm1):
