@@ -72,6 +72,7 @@ from .solve import (
     DecayReport,
     DistributionVector,
     solve_truncation,
+    solve_truncations,
     stationary,
     transient_decay_check,
     transition_matrix,

@@ -65,17 +65,25 @@ def check_block_length(size: int, d: int) -> int:
     return size // d
 
 
-def zero_corner(n: int, d: int) -> np.ndarray:
-    """Zeros over levels 0..n of d phases; InputError, naming the states and
-    the size, where numpy cannot allocate them or index that many."""
+def zero_corners(n: int, d: int, count: int) -> np.ndarray:
+    """A stack of `count` zeroed corners over levels 0..n of d phases, shaped
+    (states, count, states): corner k is [:, k, :], so row s of every corner
+    lies in one block.  InputError, naming the states and the size, where
+    numpy cannot allocate them or index that many."""
     if n < 0:
         raise InputError(f"window level must be >= 0, got {n}")
     states = (n + 1) * d
     try:
-        return np.zeros((states, states))
+        return np.zeros((states, count, states))
     except (MemoryError, ValueError) as exc:
-        raise InputError(f"the corner over levels 0..{n} has {states} states: its float64 matrix "
-                         f"needs {8 * states ** 2 / 2 ** 30:.3g} GiB and cannot be allocated") from exc
+        need = "its float64 matrix needs" if count == 1 else f"{count} float64 matrices need"
+        raise InputError(f"the corner over levels 0..{n} has {states} states: {need} "
+                         f"{8 * count * states ** 2 / 2 ** 30:.3g} GiB and cannot be allocated") from exc
+
+
+def zero_corner(n: int, d: int) -> np.ndarray:
+    """Zeros over levels 0..n of d phases, as `zero_corners` allocates one."""
+    return zero_corners(n, d, 1)[:, 0]
 
 
 @dataclass

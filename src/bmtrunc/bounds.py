@@ -31,7 +31,12 @@ from .errors import (
     KNotZero,
 )
 from .tolerances import DRIFT_TOL, WEIGHT_FLOOR
-from .truncate import check_truncation_levels
+from .truncate import check_truncation_levels, is_level
+
+
+def _check_level(k) -> None:
+    if not is_level(k):
+        raise InputError(f"level must be an integer, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,7 @@ class GeometricVector:
         return self.u.size
 
     def level(self, k: int) -> np.ndarray:
+        _check_level(k)
         power = self._power(k)
         if math.isinf(power):
             first = next(j for j in range(k + 1) if math.isinf(self._power(j)))
@@ -77,6 +83,7 @@ class GeometricVector:
     def levels(self, n: int) -> np.ndarray:
         """Flat weight vector over levels 0..n, the stack of `level(k)` bit
         for bit: the powers come from the same scalar pow."""
+        _check_level(n)
         powers = np.array([self._power(k) for k in range(n + 1)])
         if np.isinf(powers[-1]):
             raise self._out_of_range(int(np.argmax(np.isinf(powers))))

@@ -2,8 +2,8 @@
 
 Subcommands: validate, truncate, solve, bound, sweep.  Exit codes: 0 all
 good, 1 a requested check failed, 2 bad input, 3 a numerical routine gave
-up.  The sweep solves its levels one after another and writes one CSV row
-per (n, style) with the fixed header
+up.  The sweep solves its (n, style) corners in stacks, one elimination
+pass each, and writes one CSV row per (n, style) with the fixed header
 n,style,t_star,bound_min,true_tv,ordering_pass,runtime_ms.
 """
 
@@ -27,7 +27,7 @@ from .order import (
     generator_is_block_monotone,
     vector_dominates,
 )
-from .solve import solve_truncation, tv_distance
+from .solve import solve_truncation, solve_truncations, tv_distance
 from .tolerances import TAU_ORD
 from .truncate import CUSTOM, FIRST_COLUMN, LAST_COLUMN, TruncationSpec, truncation
 
@@ -123,19 +123,32 @@ def run_bound(model_path: str, n: int, t: float | None, beta: float | None,
     return 0
 
 
-def _sweep_rows(model, cert, pi_ref_values, n: int, styles: tuple, weights: dict | None,
+def _stacks(specs: list, d: int, budget: int):
+    """Runs of consecutive specs, each solved as one stack: a run grows while
+    as many corners as it holds, of its last spec's size, stay within
+    budget entries.  The sweep's levels rise, so that size is the run's
+    largest."""
+    run = []
+    for spec in specs:
+        states = (spec.n + 1) * d
+        if run and (len(run) + 1) * states * states > budget:
+            yield run
+            run = []
+        run.append(spec)
+    if run:
+        yield run
+
+
+def _sweep_rows(model, cert, pi_ref_values, n: int, styles: tuple, solved: dict,
                 tol: float) -> list[dict]:
     """All CSV rows for one truncation level.
 
-    A row's runtime_ms is the time its own style took to truncate and solve.
+    solved maps (n, style) to the corner's stationary vector and the wall
+    time, in ms, of the `solve_truncations` call that solved its stack; a
+    row's runtime_ms is that time, shared by every row of the stack.
     """
     d = model.d
-    solutions = {}
-    elapsed = {}
-    for style in styles:
-        started = time.perf_counter()
-        solutions[style] = solve_truncation(model, _spec(n, style, weights)).values
-        elapsed[style] = (time.perf_counter() - started) * 1e3
+    solutions = {style: solved[n, style][0] for style in styles}
     chain = [FIRST_COLUMN, CUSTOM, LAST_COLUMN]
     present = [s for s in chain if s in solutions]
     ordering = True
@@ -160,13 +173,46 @@ def _sweep_rows(model, cert, pi_ref_values, n: int, styles: tuple, weights: dict
             "bound_min": "",
             "true_tv": f"{tv:.9e}",
             "ordering_pass": "yes" if ordering else "no",
-            "runtime_ms": f"{elapsed[style]:.3f}",
+            "runtime_ms": f"{solved[n, style][1]:.3f}",
         }
         if style == LAST_COLUMN and bound_rep is not None:
             row["t_star"] = f"{bound_rep.t_star:.9e}"
             row["bound_min"] = f"{bound_rep.bound_min:.9e}"
         rows.append(row)
     return rows
+
+
+def _sweep_table(model, cert, pi_ref_values, levels, styles: tuple, weights: dict | None,
+                 tol: float) -> list[dict]:
+    """Every CSV row of the sweep, level by level.
+
+    The (n, style) corners are solved by `solve_truncations` in stacks of
+    consecutive corners that hold at most half the reference corner's
+    entries.  A pivot's update makes a temporary as large as its fill,
+    which can be the whole stack, and the reference corner is gone by
+    then, so no stack solve outgrows the reference solve's memory.  A spec
+    that cannot be built (custom weights outside its level) is raised after
+    the specs before it are solved, whose errors come first, as they would
+    one corner at a time.  The rows are built once every corner is solved.
+    """
+    specs, refused = [], None
+    try:
+        for n in levels:
+            for style in styles:
+                specs.append(_spec(n, style, weights))
+    except BmtruncError as exc:
+        refused = exc
+    solved = {}
+    for stack in _stacks(specs, model.d, pi_ref_values.size ** 2 // 2):
+        started = time.perf_counter()
+        vectors = solve_truncations(model, stack)
+        elapsed = (time.perf_counter() - started) * 1e3
+        for spec, pi in zip(stack, vectors):
+            solved[spec.n, spec.style] = (pi.values, elapsed)
+    if refused is not None:
+        raise refused
+    return [row for n in levels
+            for row in _sweep_rows(model, cert, pi_ref_values, n, styles, solved, tol)]
 
 
 def run_sweep(model_path: str, n_min: int, n_max: int, step: int, n_ref: int | None,
@@ -195,8 +241,7 @@ def run_sweep(model_path: str, n_min: int, n_max: int, step: int, n_ref: int | N
         try:
             # every level is solved before any row is written, so a failing
             # level leaves the header and the error row only
-            rows = [row for n in levels
-                    for row in _sweep_rows(model, cert, pi_ref.values, n, styles, weights, tol)]
+            rows = _sweep_table(model, cert, pi_ref.values, levels, styles, weights, tol)
         except BmtruncError as exc:
             writer.writerow({"n": "error", "style": type(exc).__name__})
             click.echo(f"error: {exc}", err=True)

@@ -22,11 +22,22 @@ and O(N^2 * band) under a geometric tail, against O(N^3) dense.
 Two paths own their arrays differently.  `stationary(G)` never writes to G:
 it eliminates a copy and takes the residual x G from G, so it holds two
 N x N arrays.  A truncation's corner is eliminated in place, with the
-residual taken from the model, so a solve holds one.  The truncation
-callers (the bound pipeline, the sweep, `bmtrunc solve`) go through
-`solve_truncation`, which builds the corner itself; the decay check
-uniformizes from its proxy's corner first and then solves that corner in
-place.  Only explicit matrices and the phase law take `stationary`.
+residual taken from the model.  The truncation callers (the bound
+pipeline, the sweep, `bmtrunc solve`) go through `solve_truncations`,
+which writes each spec's corner into one slot of a single zeroed stack,
+largest first, and eliminates the whole stack in one pass: pivots run
+from the largest corner's top state down, the corners larger than the
+pivot take part as one leading slice, and each pivot's fill bounds are
+the union of theirs, which only adds exact zeros.  Each vector is the one
+a lone solve gives, bit for bit, and a lone corner runs the same numpy
+calls as a 2-D loop.  A stack of K corners holds K arrays of the largest
+one's size, and a pivot's update a temporary as large as its fill; the
+sweep packs its corners into stacks of at most half its reference
+corner's entries after that corner is freed, so its peak memory is the
+reference solve's.  `solve_truncation` is the stack of one.  The decay
+check uniformizes from its proxy's corner first and then solves that
+corner in place.  Only explicit matrices and the phase law take
+`stationary`.
 
 Uniformization propagates a start distribution as vector x matrix
 products, O(N^2) per Poisson term, with one sequence of terms for all the
@@ -41,8 +52,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as _bounds
-from .blockmat import BlockGeneratorModel, FiniteBlockMatrix, phase_generator
+from .blockmat import (
+    BlockGeneratorModel,
+    FiniteBlockMatrix,
+    check_block_length,
+    phase_generator,
+    zero_corners,
+)
 from .errors import (
+    BmtruncError,
     CertificateNotVerified,
     DimensionMismatch,
     InputError,
@@ -80,6 +98,7 @@ def _square_values(G, d: int | None):
         values, d = np.asarray(G, dtype=float), (1 if d is None else d)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {values.shape}")
+        check_block_length(values.shape[0], d)
     if not np.isfinite(values).all():
         raise InputError("the generator has a NaN or infinite rate")
     return values, d
@@ -112,7 +131,7 @@ def stationary(G, d: int | None = None, source: str = "full-reference") -> Distr
     values, d = _square_values(G, d)
     if values.shape[0] == 0:
         raise DimensionMismatch("a stationary distribution needs at least one state")
-    x, diag_scale = _eliminate(values.copy(), d)
+    x, diag_scale = _solved(_eliminate(values.copy()[:, None, :], [values.shape[0]], d)[0])
     _check_residual(x @ values, diag_scale)
     return DistributionVector(d=d, values=x, source=source)
 
@@ -125,28 +144,99 @@ def solve_truncation(M: BlockGeneratorModel, spec: TruncationSpec) -> Distributi
     `stationary(truncation(M, spec).matrix)` bit for bit while only one
     corner-sized array is ever held.  The residual x Q is taken from the
     model (`TruncatedGenerator.corner_product`), since the corner is gone
-    by then, under the same contract.
+    by then, under the same contract.  It is `solve_truncations` of one spec.
     """
-    return _solve_in_place(truncation(M, spec))
+    return solve_truncations(M, [spec])[0]
+
+
+def solve_truncations(M: BlockGeneratorModel, specs) -> list[DistributionVector]:
+    """Stationary distributions of the truncations of M that specs name, in
+    their order, each bit for bit what `solve_truncation` returns for it.
+
+    Every corner is written by `truncation` into its own slot of one
+    `zero_corners` stack, largest first, and the stack is eliminated in one
+    pass; each residual is then checked from the model.  The stack holds
+    len(specs) arrays of the largest corner's size.  Where a spec is
+    refused, the error raised is the one that solving the specs one by one
+    in their order raises first: a truncation that fails leaves the specs
+    after it unbuilt, and the eliminations' and residuals' errors are taken
+    in spec order before it.  Only a stack too large to allocate is refused
+    before any corner is built.
+    """
+    specs = list(specs)
+    if not specs:
+        return []
+    d = M.d
+    slots = sorted(range(len(specs)), key=lambda i: -specs[i].n)
+    slot_of = {i: slot for slot, i in enumerate(slots)}
+    sizes = [(specs[i].n + 1) * d for i in slots]
+    stack = zero_corners(specs[slots[0]].n, d, len(specs))
+    truncs, refused = [], None
+    for i, spec in enumerate(specs):
+        slot, size = slot_of[i], sizes[slot_of[i]]
+        try:
+            truncs.append(truncation(M, spec, stack[:size, slot, :size]))
+        except BmtruncError as exc:
+            refused = exc
+            stack[:, slot] = 0.0
+            break
+    results = _eliminate(stack, sizes, d)
+    vectors = [_checked(trunc, results[slot_of[i]]) for i, trunc in enumerate(truncs)]
+    if refused is not None:
+        raise refused
+    return vectors
 
 
 def _solve_in_place(trunc: TruncatedGenerator) -> DistributionVector:
     """Eliminate trunc's corner in place and check the residual x Q from
     the model; the corner's entries are garbage after."""
-    x, diag_scale = _eliminate(trunc.matrix.values, trunc.d)
+    values = trunc.matrix.values
+    return _checked(trunc, _eliminate(values[:, None, :], [values.shape[0]], trunc.d)[0])
+
+
+def _solved(result) -> tuple[np.ndarray, float]:
+    """A corner's `_eliminate` result: its vector and largest |diagonal|,
+    or its refusal, raised."""
+    if isinstance(result, MultipleClosedClasses):
+        raise result
+    return result
+
+
+def _checked(trunc: TruncatedGenerator, result) -> DistributionVector:
+    """trunc's stationary vector from its `_eliminate` result, its residual
+    x Q checked from the model."""
+    x, diag_scale = _solved(result)
     _check_residual(trunc.corner_product(x), diag_scale)
     return DistributionVector(d=trunc.d, values=x, source=trunc.spec.style)
 
 
-def _eliminate(A: np.ndarray, d: int) -> tuple[np.ndarray, float]:
-    """The stationary vector of the q-matrix A and A's largest |diagonal|,
-    by group elimination of A in place; A's entries are garbage after."""
-    N = A.shape[0]
-    diag_scale = float(np.max(np.abs(np.diag(A)))) if N else 0.0
-    floor = PIVOT_FLOOR * max(1.0, diag_scale)
+def _eliminate(S: np.ndarray, sizes: list, d: int) -> list:
+    """Group elimination of a stack of q-matrices in place.
+
+    S is (N, K, N): corner k is S[:sizes[k], k, :sizes[k]], zero-padded to
+    N = sizes[0], with sizes non-increasing.  Per corner the result is its
+    stationary vector and its largest |diagonal|, or the
+    MultipleClosedClasses that eliminating it alone raises.  S's entries
+    are garbage after.
+
+    Pivots run from state N - 1 down, and at pivot s the corners with more
+    than s states take part, as the leading slice S[:, :m].  A group's
+    fill bounds are the union of those corners' patterns, which only adds
+    exact zeros to each; a lone corner is a 2-D view with a scalar pivot,
+    the same numpy calls as a 2-D loop.  A corner whose pivot falls to its
+    floor is recorded, zeroed and divided by 1 from there on, so it gains
+    only zeros and the others go on.
+    """
+    N, K = S.shape[0], S.shape[1]
+    diag_scale = np.abs(np.diagonal(S, axis1=0, axis2=2)).max(axis=1)
+    floors = PIVOT_FLOOR * np.maximum(1.0, diag_scale)
     width = d * -(-GROUP_STATES // d)
     # reach[1 + c] marks column c of the group's rows; the ends stay False
     reach = np.zeros(N + 2, dtype=bool)
+    refused = [None] * K
+    # m corners take part in the pivot; joined[m] is the size of the next one
+    joined = [*sizes, 0]
+    m = 0
     for top in range(N, 1, -width):
         g0 = max(top - width, 1)
         # pivots go top - 1 down to g0, and fill only spreads from a later
@@ -154,8 +244,13 @@ def _eliminate(A: np.ndarray, d: int) -> tuple[np.ndarray, float]:
         # columns the first column, that the pivot or a later one reaches
         # bound the pivot's fill (where none does, argmax gives the start);
         # the rest of the update would only add exact zeros
-        into = A[:top, top - 1:g0 - 1:-1] != 0.0
-        out = A[top - 1:g0 - 1:-1, :top] != 0.0
+        parts = sum(size > g0 for size in sizes)
+        into = S[:top, :parts, top - 1:g0 - 1:-1] != 0.0
+        out = S[top - 1:g0 - 1:-1, :parts, :top] != 0.0
+        if parts == 1:
+            into, out = into[:, 0], out[:, 0]
+        else:
+            into, out = into.any(axis=1), out.any(axis=1)
         rows = np.minimum.accumulate(into.argmax(axis=0)).tolist()
         np.any(out, axis=0, out=reach[1:top + 1])
         reach[top + 1] = False
@@ -166,26 +261,50 @@ def _eliminate(A: np.ndarray, d: int) -> tuple[np.ndarray, float]:
         starts = (np.minimum.accumulate(first, axis=1) + runs[:, :1]).T.tolist()
         ends = runs[:, 1].tolist()
         for s, r0, cols in zip(range(top - 1, g0 - 1, -1), rows, starts):
-            scale = float(np.add.reduce(A[s, :s]))
-            if scale <= floor:
-                raise MultipleClosedClasses(
-                    f"elimination pivot {scale:.3e} at state {s}: no path from "
-                    "the top states back down, the chain is reducible"
-                )
-            piv = A[r0:s, s, None]
+            if joined[m] > s:
+                m = sum(size > s for size in sizes)
+                a, floor = (S[:, 0], floors[0]) if m == 1 else (S[:, :m], floors[:m])
+            scale = np.add.reduce(a[s, ..., :s], -1)
+            low = scale <= floor
+            # a lone corner's pivot is a scalar, whose test needs no any()
+            if low if m == 1 else low.any():
+                scale = _refuse(S, scale, low, s, refused)
+            piv = a[r0:s, ..., s]
             piv /= scale
+            piv = piv[..., None]
             for c0, c1 in zip(cols, ends):
                 if c0 >= s:
                     break
                 c1 = min(c1, s)
-                fill = A[r0:s, c0:c1]
-                fill += piv * A[s, c0:c1]
-    x = np.zeros(N)
-    x[0] = 1.0
-    for s in range(1, N):
-        x[s] = x[:s] @ A[:s, s]
-    x /= x.sum()
-    return x, diag_scale
+                fill = a[r0:s, ..., c0:c1]
+                fill += piv * a[s, ..., c0:c1]
+    results = []
+    for k, size in enumerate(sizes):
+        if refused[k] is not None:
+            results.append(refused[k])
+            continue
+        A = S[:, k]
+        x = np.zeros(size)
+        x[0] = 1.0
+        for s in range(1, size):
+            x[s] = x[:s] @ A[:s, s]
+        x /= x.sum()
+        results.append((x, float(diag_scale[k])))
+    return results
+
+
+def _refuse(S: np.ndarray, scale, low, s: int, refused: list):
+    """Record the refusal of each corner whose pivot at state s is at most
+    its floor, the first time it happens; zero that corner, so that it only
+    gains zeros from here on; and give the scale with 1 in those places."""
+    for k in np.flatnonzero(low).tolist():
+        if refused[k] is None:
+            refused[k] = MultipleClosedClasses(
+                f"elimination pivot {float(np.reshape(scale, -1)[k]):.3e} at state {s}: "
+                "no path from the top states back down, the chain is reducible"
+            )
+            S[:, k] = 0.0
+    return np.where(low, 1.0, scale)
 
 
 def _check_residual(xq: np.ndarray, diag_scale: float) -> None:
@@ -286,30 +405,33 @@ def _pad_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pa, pb
 
 
+def _flat(x, what: str) -> np.ndarray:
+    """The values of x as floats; DimensionMismatch, naming the shape, unless 1-D."""
+    values = np.asarray(getattr(x, "values", x), dtype=float)
+    if values.ndim != 1:
+        raise DimensionMismatch(f"{what} must be 1-D, got shape {values.shape}")
+    return values
+
+
 def tv_distance(a, b) -> float:
     """Total variation distance in the sum convention: values in [0, 2].
 
-    Shorter vectors are zero-padded, which is exactly how truncation outputs
-    embed into the full state space.
+    Both are 1-D.  Shorter vectors are zero-padded, which is exactly how
+    truncation outputs embed into the full state space.
     """
     da = a.d if isinstance(a, DistributionVector) else None
     db = b.d if isinstance(b, DistributionVector) else None
     if da is not None and db is not None and da != db:
         raise DimensionMismatch(f"block sizes differ: {da} vs {db}")
-    va = np.asarray(getattr(a, "values", a), dtype=float)
-    vb = np.asarray(getattr(b, "values", b), dtype=float)
-    pa, pb = _pad_pair(va, vb)
+    pa, pb = _pad_pair(_flat(a, "first vector"), _flat(b, "second vector"))
     return float(np.abs(pa - pb).sum())
 
 
 def v_norm(x, v) -> float:
     """Weighted absolute sum |x| . v of two vectors; the weight must be
     nonempty, cover x and be >= 1."""
-    xv = np.asarray(getattr(x, "values", x), dtype=float)
-    vv = np.asarray(getattr(v, "values", v), dtype=float)
-    for what, a in (("signed vector", xv), ("weight vector", vv)):
-        if a.ndim != 1:
-            raise DimensionMismatch(f"{what} must be 1-D, got shape {a.shape}")
+    xv = _flat(x, "signed vector")
+    vv = _flat(v, "weight vector")
     if vv.size == 0:
         raise InputError("weight vector is empty")
     if vv.size < xv.size:

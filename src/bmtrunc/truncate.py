@@ -31,7 +31,7 @@ from .blockmat import (
     reachable,
     zero_corner,
 )
-from .errors import InputError, InvalidRedistribution
+from .errors import DimensionMismatch, InputError, InvalidRedistribution
 from .tolerances import LEAK_TOL, TAU_CONS, WEIGHT_SUM_TOL
 
 LAST_COLUMN = "lc"
@@ -195,10 +195,14 @@ class TruncatedGenerator(BlockGeneratorModel):
         return self.window(self.n + probe)
 
 
-def _truncate(M: BlockGeneratorModel, spec: TruncationSpec) -> TruncatedGenerator:
+def _truncate(M: BlockGeneratorModel, spec: TruncationSpec,
+              out: np.ndarray | None = None) -> TruncatedGenerator:
     d, n = M.d, spec.n
     # a corner too large to allocate is refused before `layout` walks its levels
-    corner = zero_corner(n, d)
+    corner = zero_corner(n, d) if out is None else out
+    if corner.shape != ((n + 1) * d,) * 2:
+        raise DimensionMismatch(f"a corner over levels 0..{n} of {d} phases does not fit "
+                                f"an array of shape {corner.shape}")
     layout = M.layout(n)
     M.window(n, layout, out=corner)
     blocks = corner.reshape(n + 1, d, n + 1, d)
@@ -224,30 +228,36 @@ def _truncate(M: BlockGeneratorModel, spec: TruncationSpec) -> TruncatedGenerato
                               band_blocks=band_blocks, cut=cut)
 
 
-def lc_truncate(M: BlockGeneratorModel, n: int) -> TruncatedGenerator:
-    """Fold all mass above level n into column n."""
-    return _truncate(M, TruncationSpec(n=n, style=LAST_COLUMN))
+def lc_truncate(M: BlockGeneratorModel, n: int, out=None) -> TruncatedGenerator:
+    """Fold all mass above level n into column n (into `out`, as `truncation`)."""
+    return _truncate(M, TruncationSpec(n=n, style=LAST_COLUMN), out)
 
 
-def fc_truncate(M: BlockGeneratorModel, n: int) -> TruncatedGenerator:
-    """Fold all mass above level n into column 0."""
-    return _truncate(M, TruncationSpec(n=n, style=FIRST_COLUMN))
+def fc_truncate(M: BlockGeneratorModel, n: int, out=None) -> TruncatedGenerator:
+    """Fold all mass above level n into column 0 (into `out`, as `truncation`)."""
+    return _truncate(M, TruncationSpec(n=n, style=FIRST_COLUMN), out)
 
 
-def custom_truncate(M: BlockGeneratorModel, spec: TruncationSpec) -> TruncatedGenerator:
-    """Fold mass above level n following the given redistribution weights."""
+def custom_truncate(M: BlockGeneratorModel, spec: TruncationSpec, out=None) -> TruncatedGenerator:
+    """Fold mass above level n following the given redistribution weights
+    (into `out`, as `truncation`)."""
     if spec.style != CUSTOM:
         raise InvalidRedistribution(f"custom_truncate needs style 'custom', got {spec.style!r}")
-    return _truncate(M, spec)
+    return _truncate(M, spec, out)
 
 
-def truncation(M: BlockGeneratorModel, spec: TruncationSpec) -> TruncatedGenerator:
-    """The truncation that spec names, by lc_truncate, fc_truncate or custom_truncate."""
+def truncation(M: BlockGeneratorModel, spec: TruncationSpec, out=None) -> TruncatedGenerator:
+    """The truncation that spec names, by lc_truncate, fc_truncate or custom_truncate.
+
+    The corner is written into `out` when given: a zeroed (n+1)d x (n+1)d
+    float64 array or view, such as one slot of a `zero_corners` stack;
+    otherwise it gets an array of its own.
+    """
     if spec.style == LAST_COLUMN:
-        return lc_truncate(M, spec.n)
+        return lc_truncate(M, spec.n, out)
     if spec.style == FIRST_COLUMN:
-        return fc_truncate(M, spec.n)
-    return custom_truncate(M, spec)
+        return fc_truncate(M, spec.n, out)
+    return custom_truncate(M, spec, out)
 
 
 def check_no_closed_classes_above(T: TruncatedGenerator, probe: int | None = None) -> bool:

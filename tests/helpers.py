@@ -321,6 +321,26 @@ def banded_two_down(rng):
     return BandedModel(d=2, L=2, U=2, K_hom=3, rows=rows)
 
 
+# d = 1, L = 2: levels 2 and 4 only go up, level 3 jumps down to level 1,
+# and the rows from level 5 on go down one or two levels.  An lc corner at
+# level 2 or 4 folds that level's up rate back onto itself, which closes the
+# level off; every deeper lc corner and every fc corner is irreducible.
+UP_ONLY_ROWS = {
+    0: {0: [[-1.0]], 1: [[1.0]]},
+    1: {-1: [[2.0]], 0: [[-3.0]], 1: [[1.0]]},
+    2: {0: [[-1.0]], 1: [[1.0]]},
+    3: {-2: [[2.0]], 0: [[-3.0]], 1: [[1.0]]},
+    4: {0: [[-1.0]], 1: [[1.0]]},
+    5: {-2: [[1.0]], -1: [[1.0]], 0: [[-3.0]], 1: [[1.0]]},
+}
+
+
+def up_only_banded():
+    """The `BandedModel` of `UP_ONLY_ROWS`."""
+    rows = {k: {o: np.array(m) for o, m in row.items()} for k, row in UP_ONLY_ROWS.items()}
+    return BandedModel(d=1, L=2, U=1, K_hom=5, rows=rows)
+
+
 def conservative_blocks(rng, d, count):
     """`count` nonnegative blocks whose first gets a diagonal that makes
     the sum of them all conservative."""

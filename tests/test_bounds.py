@@ -41,6 +41,17 @@ def test_geometric_vector_refuses_a_profile_that_is_not_a_nonempty_vector(u, sha
         GeometricVector(beta=1.5, u=u)
 
 
+@pytest.mark.parametrize("k", [2.5, np.float64(2.0), True, "2"])
+def test_geometric_vector_refuses_a_level_that_is_not_an_integer(k):
+    v = GeometricVector(beta=2.0, u=[1.0])
+    for weigh in (v.level, v.levels):
+        with pytest.raises(InputError, match=re.escape(f"level must be an integer, got {k!r}")):
+            weigh(k)
+    # numpy integers are levels
+    assert np.array_equal(v.levels(np.int64(2)), v.levels(2))
+    assert np.array_equal(v.level(np.int32(2)), [4.0])
+
+
 def _banded_mm1():
     """M/M/1 with arrival rate 1 and service rate 2 as a `BandedModel`."""
     return BandedModel(d=1, L=1, U=1, K_hom=1, rows={

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import bmtrunc
-from bmtrunc import build_generator, cli, lc_truncate, load_model
+from bmtrunc import build_generator, cli, lc_truncate, load_model, solve
 from bmtrunc.cli import CSV_HEADER, exit_code_for, main
 from bmtrunc.errors import (
     BmtruncError,
@@ -20,7 +21,7 @@ from bmtrunc.errors import (
     InvalidModelFile,
     NoConvergence,
 )
-from helpers import affine_disaster_queue, bmap_doc, write_model
+from helpers import UP_ONLY_ROWS, affine_disaster_queue, bmap_doc, write_model
 
 
 @pytest.fixture()
@@ -335,21 +336,44 @@ def test_model_file_refuses_integer_fields_that_are_not_integers(runner, mm1, tm
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def test_sweep_rows_time_their_own_style(runner, mm1_path, monkeypatch):
-    real = cli.solve_truncation
+def test_sweep_rows_time_their_own_stack(runner, mm1_path, monkeypatch):
+    # 20 corners of 2..11 states; a stack holds at most half the 41-state
+    # reference's 1681 entries: (1, lc) through (7, lc) make 13 corners of
+    # 8^2 states, 832 entries, and (7, fc) starts the next stack
+    real = solve.truncation
 
-    def slow_lc_solve(M, spec):
-        if spec.style == "lc":
+    def slow_first(M, spec, out=None):
+        if (spec.n, spec.style) == (1, "lc"):
             time.sleep(0.05)
-        return real(M, spec)
+        return real(M, spec, out)
 
-    monkeypatch.setattr(cli, "solve_truncation", slow_lc_solve)
-    result = runner.invoke(main, sweep_args(mm1_path))
+    monkeypatch.setattr(solve, "truncation", slow_first)
+    result = runner.invoke(main, ["sweep", "--model", mm1_path, "--n-min", "1",
+                                  "--n-max", "10", "--step", "1", "--n-ref", "40"])
     assert result.exit_code == 0
     rows = list(csv.DictReader(io.StringIO(result.output)))
-    for row in rows:
-        slow = row["style"] == "lc"
-        assert (float(row["runtime_ms"]) >= 50.0) == slow
+    assert len(rows) == 20
+    slow = [(int(row["n"]), row["style"]) for row in rows if float(row["runtime_ms"]) >= 50.0]
+    assert slow == [(n, style) for n in range(1, 7) for style in ("lc", "fc")] + [(7, "lc")]
+    assert len({row["runtime_ms"] for row in rows[:13]}) == 1
+
+
+def test_sweep_stacks_never_outgrow_the_reference(runner, fleet, tmp_path):
+    # 120 corners of up to 122 states: in one stack they would hold 14 MB,
+    # nearly eight times the reference corner's 482^2 entries (1.9 MB), and
+    # a pivot's update may need a temporary as large as its stack
+    path = write_model(tmp_path / "d2.json", bmap_doc(fleet["d2"]))
+    args = ["sweep", "--model", path, "--n-min", "1", "--n-max", "60", "--step", "1",
+            "--n-ref", "240"]
+    assert runner.invoke(main, args).exit_code == 0
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    assert peak <= 1.5 * 8 * 482 ** 2, f"peak {peak / 8 / 482 ** 2:.2f} reference corners"
 
 
 def test_sweep_guards(runner, mm1_path):
@@ -379,20 +403,31 @@ def test_solve_refuses_bad_weights(runner, mm1_path, weights, message):
     assert result.output.splitlines() == [f"error: {message}"]
 
 
-@pytest.mark.parametrize("level", ["3", "-1"])
-def test_sweep_error_row(runner, mm1_path, tmp_path, level):
-    args = ["sweep", "--model", mm1_path, "--n-min", "2", "--n-max", "4", "--step", "2",
-            "--style", "custom", "--weights", f"{level}=1"]
-    message = f"error: target level {level} outside 0..2"
-    expected = [",".join(CSV_HEADER), "error,InvalidRedistribution,,,,,"]
+@pytest.mark.parametrize("case", ["3", "-1", "reducible"])
+def test_sweep_error_row(runner, mm1_path, tmp_path, case):
+    sweep = ["sweep", "--n-min", "2", "--n-max", "4", "--step", "2"]
+    if case == "reducible":
+        # the lc corners at levels 2 and 4 are reducible, and the sweep's
+        # one stack meets level 4's zero pivot first: the error is level
+        # 2's, the first in sweep order, with no RuntimeWarning on the way
+        path = write_model(tmp_path / "up.json", banded_doc(UP_ONLY_ROWS, L=2, K_hom=5))
+        args = [*sweep, "--model", path]
+        message = ("error: elimination pivot 0.000e+00 at state 2: no path from the "
+                   "top states back down, the chain is reducible")
+        error, code = "MultipleClosedClasses", 3
+    else:
+        args = [*sweep, "--model", mm1_path, "--style", "custom", "--weights", f"{case}=1"]
+        message = f"error: target level {case} outside 0..2"
+        error, code = "InvalidRedistribution", 2
+    expected = [",".join(CSV_HEADER), f"error,{error},,,,,"]
     printed = runner.invoke(main, args)
-    assert printed.exit_code == 2
+    assert printed.exit_code == code
     lines = printed.output.splitlines()
     assert message in lines
     assert [line for line in lines if line != message] == expected
     out = tmp_path / "sweep.csv"
     written = runner.invoke(main, [*args, "--out", str(out)])
-    assert written.exit_code == 2
+    assert written.exit_code == code
     assert written.output.splitlines() == [message]
     assert out.read_text().splitlines() == expected
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given
+from hypothesis import strategies as st
 
 from bmtrunc import (
     CertificateNotVerified,
@@ -17,6 +19,7 @@ from bmtrunc import (
     FiniteBlockMatrix,
     GeometricVector,
     InputError,
+    InvalidRedistribution,
     KNotZero,
     MultipleClosedClasses,
     NoConvergence,
@@ -27,6 +30,7 @@ from bmtrunc import (
     lc_truncate,
     solve,
     solve_truncation,
+    solve_truncations,
     stationary,
     transient_decay_check,
     transition_matrix,
@@ -37,6 +41,7 @@ from bmtrunc import (
 from bmtrunc.tolerances import POISSON_TAIL
 from helpers import (
     banded_queue_rows,
+    banded_two_down,
     dense_stationary,
     random_bmap,
     scalar_stationary,
@@ -44,6 +49,7 @@ from helpers import (
     tailed_mg1,
     tailed_queue,
     uniformized_per_time,
+    up_only_banded,
 )
 
 
@@ -149,6 +155,87 @@ def test_stationary_is_the_scalar_loop_on_sparse_generators(case):
     assert np.array_equal(stationary(G, d).values, scalar_stationary(G))
 
 
+def test_solve_truncations_is_solve_truncation_bit_for_bit(fleet_models):
+    # the fleet with a tailed queue, psi > 0, an M/G/1-type model and banded
+    # models with L = 1 and 2; one call per model mixes n = 1..8 in an order
+    # that is not monotone with lc, fc and custom corners, whose weights put
+    # mass on an interior level, so the stack's slots are not in spec order
+    models = dict(_corner_models(fleet_models),
+                  banded_two_down=banded_two_down(np.random.default_rng(43)))
+    specs = []
+    for n in (5, 1, 8, 3, 2, 7, 4, 6):
+        specs += [TruncationSpec(n=n, style="fc"), TruncationSpec(n=n)]
+        if n >= 2:
+            specs.append(TruncationSpec(n=n, style="custom",
+                                        weights={0: 0.25, n // 2: 0.25, n: 0.5}))
+    for name, model in models.items():
+        stacked = solve_truncations(model, specs)
+        assert len(stacked) == len(specs)
+        for spec, pi in zip(specs, stacked):
+            alone = solve_truncation(model, spec)
+            assert np.array_equal(pi.values, alone.values), f"{name} n={spec.n} {spec.style}"
+            assert (pi.d, pi.n, pi.source) == (alone.d, alone.n, alone.source)
+
+
+@given(cases=st.lists(sparse_generators(), min_size=2, max_size=4))
+def test_stacked_elimination_is_the_scalar_loop_on_sparse_generators(cases):
+    # generators of different sizes and block sizes, zero-padded into one
+    # stack: each pivot's fill bounds are the union over the corners that
+    # take part in it, and its groups follow the largest corner's block
+    # size.  A draw whose paths back down are too weak for its pivot floor
+    # is refused by the scalar loop, and its slot must be refused alike
+    cases = sorted(cases, key=lambda case: -case[0].shape[0])
+    sizes = [G.shape[0] for G, _ in cases]
+    S = np.zeros((sizes[0], len(cases), sizes[0]))
+    for k, (G, _) in enumerate(cases):
+        S[:sizes[k], k, :sizes[k]] = G
+    results = solve._eliminate(S, sizes, cases[0][1])
+    for (G, _), result in zip(cases, results):
+        try:
+            expected = scalar_stationary(G)
+        except MultipleClosedClasses as exc:
+            assert isinstance(result, MultipleClosedClasses) and str(result) == str(exc)
+        else:
+            assert np.array_equal(result[0], expected)
+
+
+def test_a_stack_raises_the_first_refusal_in_spec_order():
+    # the lc corners at levels 2 and 4 are reducible; the stack meets level
+    # 4's zero pivot first, whichever spec comes first.  Tier-1 turns any
+    # RuntimeWarning into an error, so the refused corners divide by nothing
+    # that warns
+    model = up_only_banded()
+    two, four, fc = TruncationSpec(n=2), TruncationSpec(n=4), TruncationSpec(n=4, style="fc")
+    for specs, first, state in (([two, fc, four], two, 2), ([fc, four, two], four, 4)):
+        with pytest.raises(MultipleClosedClasses) as alone:
+            solve_truncation(model, first)
+        with pytest.raises(MultipleClosedClasses, match=f"at state {state}:") as stacked:
+            solve_truncations(model, specs)
+        assert str(stacked.value) == str(alone.value)
+    # the irreducible corners of such a stack still solve, bit for bit
+    two_fc = TruncationSpec(n=2, style="fc")
+    pis = solve_truncations(model, [two_fc, fc, TruncationSpec(n=16)])
+    for spec, pi in zip([two_fc, fc, TruncationSpec(n=16)], pis):
+        assert np.array_equal(pi.values, solve_truncation(model, spec).values)
+
+
+def test_a_stack_raises_a_failed_truncation_after_the_specs_before_it(monkeypatch):
+    model = up_only_banded()
+    real = solve.truncation
+
+    def broken_fc(M, spec, out=None):
+        if spec.style == "fc":
+            raise InvalidRedistribution("broken fold")
+        return real(M, spec, out)
+
+    monkeypatch.setattr(solve, "truncation", broken_fc)
+    two, fc = TruncationSpec(n=2), TruncationSpec(n=4, style="fc")
+    with pytest.raises(MultipleClosedClasses, match="at state 2:"):
+        solve_truncations(model, [two, fc])
+    with pytest.raises(InvalidRedistribution, match="broken fold"):
+        solve_truncations(model, [fc, two])
+
+
 def test_corner_product_is_the_dense_residual(fleet_models):
     rng = np.random.default_rng(37)
     for name, model in _corner_models(fleet_models).items():
@@ -173,10 +260,11 @@ def test_solve_truncation_refuses_a_vector_that_breaks_the_contract(monkeypatch,
     model = fleet_models["d2"]
     real = solve._eliminate
 
-    def off_by_a_little(A, d):
-        x, diag_scale = real(A, d)
-        x[-1] += 1e-6
-        return x, diag_scale
+    def off_by_a_little(S, sizes, d):
+        results = real(S, sizes, d)
+        for x, _ in results:
+            x[-1] += 1e-6
+        return results
 
     monkeypatch.setattr(solve, "_eliminate", off_by_a_little)
     for spec in (TruncationSpec(n=30), TruncationSpec(n=30, style="fc")):
@@ -366,6 +454,28 @@ def test_stationary_refuses_a_matrix_with_no_states():
     for G in (np.zeros((0, 0)), FiniteBlockMatrix(2, np.zeros((0, 0)))):
         with pytest.raises(DimensionMismatch, match="at least one state"):
             stationary(G)
+
+
+def test_stationary_refuses_a_block_size_that_does_not_divide_the_states():
+    # a FiniteBlockMatrix refuses the same pair
+    G = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    for d in (3, 0):
+        with pytest.raises(DimensionMismatch):
+            FiniteBlockMatrix(d, G)
+        with pytest.raises(DimensionMismatch):
+            stationary(G, d=d)
+    assert stationary(G, d=2).d == 2
+
+
+@pytest.mark.parametrize("a, b, shape", [
+    ([[0.5, 0.5]], [1.0], "(1, 2)"),
+    (np.eye(2), [1.0], "(2, 2)"),
+    ([1.0], 1.0, "()"),
+], ids=["row", "square", "scalar"])
+def test_tv_distance_refuses_inputs_that_are_not_1d(a, b, shape):
+    # held to 1-D as v_norm holds its vectors
+    with pytest.raises(DimensionMismatch, match=re.escape(f"must be 1-D, got shape {shape}")):
+        tv_distance(a, b)
 
 
 def test_tv_distance_basics():

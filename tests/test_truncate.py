@@ -6,6 +6,7 @@ import pytest
 from bmtrunc import (
     BandedModel,
     BmapModel,
+    DimensionMismatch,
     InputError,
     InvalidRedistribution,
     TruncationSpec,
@@ -17,8 +18,9 @@ from bmtrunc import (
     generator_dominates,
     generator_is_block_monotone,
     lc_truncate,
+    truncation,
 )
-
+from bmtrunc.blockmat import zero_corners
 from bmtrunc.order import TAU_ORD, _table
 from bmtrunc.truncate import _check_weights, check_truncation_levels
 
@@ -45,6 +47,21 @@ def test_single_phase_corners_by_hand(mm1):
     spec = TruncationSpec(n=1, style="custom", weights={0: 0.5, 1: 0.5})
     np.testing.assert_array_equal(custom_truncate(model, spec).matrix.values,
                                   [[-1.0, 1.0], [2.5, -2.5]])
+
+
+def test_a_truncation_fills_the_slot_it_is_given(fleet_models):
+    # one slot of a stack, padded past the corner: the corner lands in the
+    # slot, bit for bit the one a truncation allocates, and nothing else moves
+    model = fleet_models["d2"]
+    for spec in (TruncationSpec(n=5), TruncationSpec(n=5, style="fc"),
+                 TruncationSpec(n=5, style="custom", weights={0: 0.5, 2: 0.5})):
+        stack = zero_corners(7, 2, 3)
+        T = truncation(model, spec, stack[:12, 1, :12])
+        assert np.shares_memory(T.matrix.values, stack)
+        assert np.array_equal(stack[:12, 1, :12], truncation(model, spec).matrix.values)
+        assert not stack[:, [0, 2]].any() and not stack[12:, 1].any() and not stack[:, 1, 12:].any()
+    with pytest.raises(DimensionMismatch, match=r"does not fit an array of shape \(10, 10\)"):
+        truncation(model, TruncationSpec(n=5), np.zeros((10, 10)))
 
 
 def test_truncation_spec_validation():
