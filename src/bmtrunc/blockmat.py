@@ -655,18 +655,23 @@ class BmapQueueModel(BlockGeneratorModel):
 
         An array of z gives the stack of transforms, shape z.shape + (d, d),
         each bit-identical to the transform at its own point; a float z is
-        taken as it is, without an array round trip.
+        taken as it is, without an array round trip, and its transform is
+        built in place: D(0) + 0.0, then += z^k D(k) and the tail, the
+        additions of `sum`, signed zeros included.
         """
         scalar = isinstance(z, float)
         zs = z if scalar else np.asarray(z, dtype=float)
         if not ((0.0 < z < self.r_D) if scalar else np.all((0.0 < zs) & (zs < self.r_D))):
             raise InputError(f"z={z} outside (0, {self.r_D})")
         if scalar:
-            out = sum(z ** k * m for k, m in enumerate(self.D))
+            # sum's first term is 0 + 1.0 D(0): -0.0 entries come out +0.0
+            out = self.D[0] + 0.0
+            for k in range(1, len(self.D)):
+                out += z ** k * self.D[k]
         else:
             out = sum(_scalar_pow(zs, k)[..., None, None] * m for k, m in enumerate(self.D))
         if self.tail is not None:
-            out = out + self.tail.power_series_from(self.k_max + 1, zs)
+            out += self.tail.power_series_from(self.k_max + 1, zs)
         return out
 
     def _dblock(self, j: int) -> np.ndarray:

@@ -37,17 +37,21 @@ The grid only picks the best base; a golden-section polish around it and
 the winner call the scalar `spectral` (and `_disaster_constants`) at each
 point they visit, and the winner's certificate goes through `drift_check`,
 once more at the Collatz-Wielandt ratio of its own vector when refuted
-(`_verified`).  `spectral` is a two-sided power iteration of eight
-numpy calls per step, bit for bit the plain loop kept as a test oracle.
-Once its quotient settles, it evaluates the exact residuals only at the
-steps where a free lower bound, the distance from the quotient to the next
-normalizers, leaves them a chance to pass.  Its shift, the largest
-diagonal rate of D(0), is the queue model's `_perron_shift`, fixed when
-the model is built and shared with the grid's batched iteration.
+(`_verified`).  `_disaster_constants` scans its offset levels on Python
+floats over a mu list built once per search: the table's arithmetic,
+without a numpy call per window of levels.  `spectral` is a two-sided
+power iteration of eight numpy calls per step, bit for bit the plain loop
+kept as a test oracle.  Once its quotient settles, it evaluates the exact
+residuals only at the steps where a free lower bound, the distance from
+the quotient to the next normalizers, leaves them a chance to pass.  Its
+shift, the largest diagonal rate of D(0), is the queue model's
+`_perron_shift`, fixed when the model is built and shared with the grid's
+batched iteration.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -169,7 +173,8 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
     margin, that residual must fail: neither is evaluated, and the stop step
     and every bit stay those of the plain loop.
 
-    If the quotient has not converged after POWER_ITERS steps,
+    At d = 1 the transform's one entry is the root, returned before |Dhat|
+    is formed.  If the quotient has not converged after POWER_ITERS steps,
     `_dense_perron` of Dhat(z) and of its transpose gives the pair.  The
     right vector is scaled to minimum component 1 and the left one to unit
     inner product against it.  The certificate search calls this at the
@@ -179,12 +184,12 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
     """
     dh = B.dhat(z)
     d = B.d
-    adh = np.abs(dh)
-    norm = max(float(_max(adh, axis=None)), SCALE_FLOOR)
     if d == 1:
         val = float(dh[0, 0])
         return SpectralRecord(z=z, eigenvalue=val, right=np.ones(1), left=np.ones(1),
                               residual=0.0, iterations=0)
+    adh = np.abs(dh)
+    norm = max(float(_max(adh, axis=None)), SCALE_FLOOR)
     shift = B._perron_shift
     limit = RESIDUAL * norm
     gamma, base = _rounding_margin(adh, shift, limit)
@@ -515,55 +520,61 @@ def _mu_levels(B: BmapModel) -> np.ndarray:
     return B.mu.at(np.arange(top + 1))
 
 
-def _disaster_constants(B: BmapModel, beta: float, mus: np.ndarray,
+def _disaster_constants(B: BmapModel, beta: float, mus: list,
                         rec: SpectralRecord | None = None):
     """Smallest feasible offset level and its constants at one beta.
 
     The decay bracket mu(k)(1 - 1/beta) + psi(1 - beta^-k) - delta_D(beta) is
-    evaluated once per level k.  c'(K), its infimum over k > K, is the
-    minimum over levels K+1 .. max(stable_from, K+1)+1: past the mu table
-    the bracket only grows.  A window of s levels settles K = 0 .. s-3, the
-    same c'(K) whatever s, so the bracket first goes over levels
-    0 .. stable_from+1 only, and the window doubles, up to the cap's, while
-    none of the K it settles is feasible.  `mus` is `_mu_levels(B)`,
-    computed once per search, and rec, `spectral(B, beta)` unless given,
+    evaluated once per level k, on Python floats: the IEEE operations, in
+    the order, of the table's array expression, and beta^-k by the scalar
+    pow.  c'(K), its infimum over k > K, is the minimum over levels
+    K+1 .. max(stable_from, K+1)+1: past the mu table the bracket only
+    grows.  For K < stable_from that is a suffix minimum of levels
+    1 .. stable_from+1, which are evaluated first; from there on it is the
+    minimum of two neighbours, and the bracket grows one level at a time
+    until a K is feasible or K_CAP is passed.  `mus` is `_mu_levels(B)` as a
+    list, built once per search, and rec, `spectral(B, beta)` unless given,
     supplies delta_D(beta) and u(beta).  Returns (K, c', b', rec) or None
     when no K up to the cap makes the bracket positive.  b' is inf when
     beta^K passes the float range.
     """
     if rec is None:
         rec = spectral(B, beta)
-    delta, u_max = rec.eigenvalue, float(rec.right.max())
-    psi = B.psi
-    slope = 1.0 - 1.0 / beta
-    # growing windows, unlike the table: the polish calls this at every point
-    # it visits, where scalar powers over the whole cap window would cost time
-    size, decay = B.mu.stable_from + 2, []
-    while True:
-        size = min(size, mus.size)
-        decay += [beta ** (-k) for k in range(len(decay), size)]
-        bracket = mus[:size] * slope + psi * (1.0 - np.array(decay)) - delta
-        c_of_K = _offset_rates(B, bracket)
-        feasible = np.flatnonzero(c_of_K > 0.0)
-        if feasible.size or size == mus.size:
+    beta = float(beta)
+    delta, u_max = rec.eigenvalue, float(_max(rec.right))
+    psi, slope = B.psi, 1.0 - 1.0 / beta
+    stable = B.mu.stable_from
+    decay, bracket = [], []
+
+    def extend(top: int) -> None:  # the bracket through level top
+        for k in range(len(bracket), top + 1):
+            decay.append(beta ** (-k))
+            bracket.append(mus[k] * slope + psi * (1.0 - decay[k]) - delta)
+
+    extend(stable + 1)
+    # suffix[K] is the minimum over levels K+1 .. stable_from+1
+    suffix = list(itertools.accumulate(reversed(bracket[1:]), min))[::-1]
+    for K in range(K_CAP + 1):
+        if K < stable:
+            c_prime = suffix[K]
+        else:
+            extend(K + 2)
+            c_prime = min(bracket[K + 1], bracket[K + 2])
+        if c_prime > 0.0:
             break
-        size *= 2
-    if feasible.size == 0:
+    else:
         return None
-    K = int(feasible[0])
-    c_prime = float(c_of_K[K])
     try:
         math.pow(beta, K)
     except OverflowError:
         # no float b' exists; the search's objective c'/(1 + b'/psi) reads 0
         return K, c_prime, math.inf, rec
-    mu_k = mus[:K + 1].tolist()
     # a Python float: the search's c'/(1 + b'/psi) then reads 0, without a
     # float warning, where b'/psi passes the float range
-    b_prime = float(max(
-        (c_prime + delta - mu_k[k] * slope - psi * (1.0 - decay[k])) * beta ** k
+    b_prime = max(
+        (c_prime + delta - mus[k] * slope - psi * (1.0 - decay[k])) * beta ** k
         for k in range(K + 1)
-    )) * u_max
+    ) * u_max
     return K, c_prime, b_prime, rec
 
 
@@ -635,9 +646,10 @@ def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCer
     if B.psi <= 0.0:
         raise InputError("disaster search requires psi > 0")
     mus = _mu_levels(B)
+    mu_list = mus.tolist()
 
     def objective(beta_val: float) -> float:
-        found = _disaster_constants(B, beta_val, mus)
+        found = _disaster_constants(B, beta_val, mu_list)
         if found is None:
             return -math.inf
         K, c_prime, b_prime, _ = found
@@ -654,7 +666,7 @@ def find_constants_disaster(B: BmapModel, beta: float | None = None) -> DriftCer
         return scores[-1] == -math.inf
 
     def constants(rec: SpectralRecord):
-        found = _disaster_constants(B, beta, mus, rec)
+        found = _disaster_constants(B, beta, mu_list, rec)
         return None if found is None else (found[1], found[2], found[0])
 
     if beta is None:

@@ -16,9 +16,11 @@ level-0 form by shifting v above level 0 and paying for it in c and b.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -157,6 +159,13 @@ def drift_check(model: BlockGeneratorModel, v: GeometricVector, c: float, b: flo
     part never rises again and no later slack exceeds s(k_fit).  Otherwise
     the law is walked while that part rises, and the first row it flags is
     recomputed exactly: a violation always names a real row and its slack.
+
+    Each level's weight v(l) is computed once per check, at the first
+    `level(l)` call a row makes (its own, or `apply_row`'s), and reused by
+    the rows after it.  Weights are never computed ahead of the rows that
+    read them, so a row that fails still raises DriftViolated before a
+    deeper weight passes the float range, and a weight that passes it first
+    raises CertificateNotVerified naming the first such level.
     """
     if not 0 < c < math.inf:
         raise InputError(f"decay rate c must be finite and positive, got {c}")
@@ -167,11 +176,16 @@ def drift_check(model: BlockGeneratorModel, v: GeometricVector, c: float, b: flo
     if v.d != model.d:
         raise InputError(f"weight profile has {v.d} phases, model has {model.d}")
 
+    # v as apply_row reads it, each level's weight kept from its first call;
+    # typed, so a level the vector refuses, such as 2.0, is still refused
+    level = functools.lru_cache(maxsize=None, typed=True)(v.level)
+    weights = SimpleNamespace(beta=v.beta, u=v.u, shift=v.shift, level=level)
+
     def check_row(k: int) -> float:  # raises if row k fails; returns its tolerance
-        vk = v.level(k)
+        vk = weights.level(k)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                s = model.apply_row(k, v) + c * vk - (b if k <= K else 0.0)
+                s = model.apply_row(k, weights) + c * vk - (b if k <= K else 0.0)
         except FloatingPointError:
             raise CertificateNotVerified(
                 f"row {k} of the drift check passes the float range (beta={v.beta:.6g})"

@@ -545,7 +545,7 @@ def serial_objective(B):
     if B.psi == 0.0:
         mu_inf = B.mu.infimum()
         return lambda beta: mu_inf * (1.0 - 1.0 / beta) - spectral(B, beta).eigenvalue
-    mus = _mu_levels(B)
+    mus = _mu_levels(B).tolist()
 
     def objective(beta):
         found = _disaster_constants(B, beta, mus)
@@ -601,8 +601,9 @@ def assert_table_matches_the_objective(B):
     K, c_prime, b_prime = table
     scores = _offset_scores(B, K, c_prime, b_prime)
     objective = serial_objective(B)
+    mu_list = mus.tolist()
     for beta, k, c, b, score in zip(grid, K, c_prime, b_prime, scores):
-        found = _disaster_constants(B, beta, mus)
+        found = _disaster_constants(B, beta, mu_list)
         tol = 1e-12 * np.abs(B.dhat(beta)).max()
         k_scan = -1 if found is None else found[0]
         if k != k_scan:

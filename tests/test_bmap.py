@@ -271,7 +271,7 @@ def _assert_same_spectral(B, z):
 
 def _assert_same_offset_constants(B, beta):
     """_disaster_constants equals the rescanning oracle bit for bit."""
-    found = _disaster_constants(B, beta, _mu_levels(B))
+    found = _disaster_constants(B, beta, _mu_levels(B).tolist())
     expected = offset_constants(B, beta, spectral(B, beta), K_CAP)
     if expected is None:
         assert found is None
@@ -440,20 +440,40 @@ def _at_load(B, rho):
     return dataclasses.replace(B, mu=MuRule(table=(arrival_rate(B) / rho,)))
 
 
+def _signed_zero_queue(tailed: bool) -> BmapQueueModel:
+    """A d=3 queue whose phase 0 never moves to phase 2: D(0), D(1) and,
+    when tailed, the tail's coefficient hold -0.0 there."""
+    off = np.array([[0.0, 0.6, -0.0], [0.0, 0.0, 0.5], [0.4, 0.3, 0.0]])
+    D1 = np.array([[0.3, 0.2, -0.0], [0.1, 0.2, 0.2], [0.2, 0.1, 0.1]])
+    tail = None
+    out = off.sum(axis=1) + D1.sum(axis=1)
+    if tailed:
+        tail = GeometricTail(coef=[[0.2, 0.1, -0.0], [0.1, 0.3, 0.1], [0.2, 0.2, 0.3]],
+                             ratio=0.4)
+        out += tail.sum_from(2).sum(axis=1)
+    return BmapQueueModel(d=3, D=[off - np.diag(out), D1], mu=MuRule(table=(2.0,)),
+                          psi=0.5, tail=tail)
+
+
 def test_transform_at_a_point_is_its_grid_entry_bit_for_bit(fleet, pure_disaster):
     # a float z takes the scalar route through dhat and power_series_from;
-    # it must give the stack entry the grid computes for the same point
+    # it must give the stack entry the grid computes for the same point,
+    # byte for byte: where every term of an entry is -0.0, the sum that
+    # starts from 0 gives +0.0, with or without a tail
     rng = np.random.default_rng(19)
+    signed = [_signed_zero_queue(tailed) for tailed in (False, True)]
+    for B in signed:
+        assert np.signbit(B.D[0][0, 2]) and np.signbit(B.D[1][0, 2])
     for B in [*fleet.values(), pure_disaster, tailed_queue(), tailed_queue(d=5, ratio=0.7),
-              random_bmap(rng, d=8, psi=0.3)]:
+              random_bmap(rng, d=8, psi=0.3), *signed]:
         grid = _beta_grid(B)
         stack = B.dhat(grid)
         for i in range(0, grid.size, 13):
             for z in (grid[i], float(grid[i])):
-                assert np.array_equal(B.dhat(z), stack[i])
+                assert B.dhat(z).tobytes() == stack[i].tobytes()
                 if B.tail is not None:
-                    assert np.array_equal(B.tail.power_series_from(2, z),
-                                          B.tail.power_series_from(2, grid[i:i + 1])[0])
+                    assert (B.tail.power_series_from(2, z).tobytes()
+                            == B.tail.power_series_from(2, grid[i:i + 1])[0].tobytes())
 
 
 def test_batched_grid_matches_spectral(fleet, monkeypatch):
@@ -603,7 +623,7 @@ def test_disaster_search_reads_an_overflowing_offset_as_no_bound():
     # near beta = 37.5 the first feasible offset level is 199, and
     # beta**199 passes the float range
     B = affine_disaster_queue()
-    mus = _mu_levels(B)
+    mus = _mu_levels(B).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         K, c_prime, b_prime, _ = _disaster_constants(B, 37.5, mus)
@@ -625,7 +645,7 @@ def test_disaster_objective_reads_an_overflowing_ratio_as_zero():
     B = BmapModel(d=2, D=(D0, D1), mu=MuRule(table=(2.564457687437209,), eventual="affine",
                                             slope=0.12822288437186044),
                   psi=0.007693373062311626)
-    K, c_prime, b_prime, _ = _disaster_constants(B, 35.648737945928396, _mu_levels(B))
+    K, c_prime, b_prime, _ = _disaster_constants(B, 35.648737945928396, _mu_levels(B).tolist())
     assert K == 198 and c_prime > 0.0 and math.isinf(b_prime / B.psi)
     assert c_prime / (1.0 + b_prime / B.psi) == 0.0
     assert_table_matches_the_objective(B)
@@ -751,7 +771,7 @@ def test_a_refuted_certificate_is_retaken_at_the_collatz_wielandt_ratio(
     else:
         def constants(delta):
             K, c_prime, b_prime, _ = _disaster_constants(
-                B, beta, _mu_levels(B), dataclasses.replace(rec, eigenvalue=delta))
+                B, beta, _mu_levels(B).tolist(), dataclasses.replace(rec, eigenvalue=delta))
             return c_prime, b_prime, K
     with pytest.raises(DriftViolated) as refuted:
         drift_check(B, cert.v, *constants(rec.eigenvalue))

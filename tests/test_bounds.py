@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from bmtrunc import (
     corollary_transform,
     decay_exponent,
     drift_check,
+    find_beta_no_disaster,
+    find_constants_disaster,
     minimized_bound,
     spectral,
     t_star,
@@ -332,3 +335,65 @@ def test_tail_rising_past_float_range_is_not_certified():
 
     with pytest.raises(CertificateNotVerified, match="still rising"):
         drift_check(Rising(), GeometricVector(beta=2.0, u=np.array([1.0])), c=1.0, b=1.0)
+
+
+def test_drift_check_computes_each_weight_once(fleet, pure_disaster, monkeypatch):
+    # a row reads its own weight, and apply_row those of the row's band, so
+    # neighbouring rows share levels; one check computes each weight once
+    checks = []
+    for B in [*fleet.values(), pure_disaster]:
+        search = find_beta_no_disaster if B.psi == 0.0 else find_constants_disaster
+        raw = search(B)
+        level0 = corollary_transform(raw, B)
+        checks += [(B, raw.v, raw.c, raw.b, raw.K), (B, level0.v, level0.c, level0.b, 0)]
+    computed = Counter()
+    real = GeometricVector.level
+
+    def counted(v, k):
+        computed[k] += 1
+        return real(v, k)
+
+    monkeypatch.setattr(GeometricVector, "level", counted)
+    for B, *cert in checks:
+        computed.clear()
+        drift_check(B, *cert)
+        assert set(computed) >= set(range(B.drift_fit_level() + 1))
+        assert max(computed.values()) == 1, computed
+
+
+def test_drift_check_raises_in_the_order_the_rows_read_the_weights():
+    # beta**2 passes the float range; only rows 1 on read level 2
+    v = GeometricVector(beta=1e200, u=[1.0])
+    # row 0's slack, -1 + 1e200, breaks its tolerance before then
+    mm1 = BmapModel(d=1, D=([[-1.0]], [[1.0]]), mu=MuRule(table=(2.0,)))
+    with pytest.raises(DriftViolated) as violated:
+        drift_check(mm1, v, c=1.0, b=1.0)
+    assert violated.value.level == 0
+    # arrivals too rare to lift row 0: row 1 meets the weight at level 2
+    rare = BmapModel(d=1, D=([[-1e-250]], [[1e-250]]), mu=MuRule(table=(2.0,)))
+    with pytest.raises(CertificateNotVerified, match=re.escape("float range at level 2 (")):
+        drift_check(rare, v, c=1.0, b=1.0)
+
+    # a level the vector refuses stays refused after its integer twin's
+    # weight is kept
+    class FloatLevels:
+        d = 1
+
+        def drift_fit_level(self):
+            return 1
+
+        def apply_row(self, k, v):
+            return -2.0 * v.level(float(k))
+
+    with pytest.raises(InputError, match=re.escape("got 0.0")):
+        drift_check(FloatLevels(), GeometricVector(beta=2.0, u=[1.0]), c=1.0, b=1.0)
+    # a check leaves the vector's rows as they were: one taken afterwards
+    # is read-only or the caller's own to change
+    cert = find_beta_no_disaster(mm1)
+    fresh = GeometricVector(beta=cert.v.beta, u=cert.v.u, shift=cert.v.shift)
+    for k in range(mm1.drift_fit_level() + 2):
+        row = cert.v.level(k)
+        if row.flags.writeable:
+            row += 1.0
+        assert np.array_equal(cert.v.level(k), fresh.level(k))
+    assert drift_check(mm1, cert.v, cert.c, cert.b).verified

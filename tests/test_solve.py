@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bmtrunc import (
@@ -148,11 +148,21 @@ def test_stationary_is_bit_identical_to_the_scalar_loop(fleet_models):
 
 
 @given(case=sparse_generators())
+@example(case=(np.array([[-1.0, 1.0], [1e-20, -1e-20]]), 1))
 def test_stationary_is_the_scalar_loop_on_sparse_generators(case):
     # far links, folds onto column 0 and dense upper triangles move a
-    # pivot's first row and column below its own as fill spreads down
+    # pivot's first row and column below its own as fill spreads down.  A
+    # draw whose paths back down are too weak for its pivot floor is
+    # refused by the scalar loop, and must be refused alike
     G, d = case
-    assert np.array_equal(stationary(G, d).values, scalar_stationary(G))
+    try:
+        expected = scalar_stationary(G)
+    except MultipleClosedClasses as exc:
+        with pytest.raises(MultipleClosedClasses) as refused:
+            stationary(G, d)
+        assert str(refused.value) == str(exc)
+    else:
+        assert np.array_equal(stationary(G, d).values, expected)
 
 
 def test_solve_truncations_is_solve_truncation_bit_for_bit(fleet_models):
