@@ -27,12 +27,14 @@ base and a column per level (`_offset_table`).  Exact facts let both
 searches stop early.  Without disasters, c(beta) = mu_inf (1 - 1/beta) -
 delta_D(beta) is concave in log beta, so its grid scores rise to one peak
 and fall after it: the search stops after the first part that holds a fall.
-With disasters, c'(K), the decay rate past offset level K, never decreases
-in K, so a base has a feasible offset exactly when c'(K_CAP) > 0.  And each
-decay bracket mu(k)(1 - 1/beta) + psi(1 - beta^-k) - delta_D(beta) is
+With disasters, c'(K), the decay rate past offset level K, is the minimum
+of the decay bracket mu(k)(1 - 1/beta) + psi(1 - beta^-k) - delta_D(beta)
+over levels K+1 .. max(stable_from, K+1), as the rounded bracket never
+falls past the mu table (`_offset_rates`).  It never decreases in K, so a
+base has a feasible offset exactly when c'(K_CAP) > 0.  Each bracket is
 concave in log beta and 0 at beta = 1, so it is positive on an interval
-that starts at 1, and the bases with a feasible offset form a prefix of
-the grid: the search stops after the first part whose last base has none.
+from 1, and the bases with a feasible offset form a prefix of the grid:
+the search stops after the first part whose last base has none.
 The grid only picks the best base; a golden-section polish around it and
 the winner call the scalar `spectral` (and `_disaster_constants`) at each
 point they visit, and the winner's certificate goes through `drift_check`,
@@ -515,9 +517,8 @@ def _verified(B: BmapModel, rec: SpectralRecord, found, constants) -> DriftCerti
 
 
 def _mu_levels(B: BmapModel) -> np.ndarray:
-    """mu(0), mu(1), ... through the deepest level an offset window reads."""
-    top = max(B.mu.stable_from, K_CAP + 1) + 1
-    return B.mu.at(np.arange(top + 1))
+    """mu(0), mu(1), ... through the deepest level c'(K_CAP) reads."""
+    return B.mu.at(np.arange(max(B.mu.stable_from, K_CAP + 1) + 1))
 
 
 def _disaster_constants(B: BmapModel, beta: float, mus: list,
@@ -528,10 +529,10 @@ def _disaster_constants(B: BmapModel, beta: float, mus: list,
     evaluated once per level k, on Python floats: the IEEE operations, in
     the order, of the table's array expression, and beta^-k by the scalar
     pow.  c'(K), its infimum over k > K, is the minimum over levels
-    K+1 .. max(stable_from, K+1)+1: past the mu table the bracket only
-    grows.  For K < stable_from that is a suffix minimum of levels
-    1 .. stable_from+1, which are evaluated first; from there on it is the
-    minimum of two neighbours, and the bracket grows one level at a time
+    K+1 .. max(stable_from, K+1), since from stable_from on the rounded
+    bracket never falls (see `_offset_rates`).  For K < stable_from that is
+    a suffix minimum of levels 1 .. stable_from, which are evaluated first;
+    from there on it is the bracket at K+1, which grows one level at a time
     until a K is feasible or K_CAP is passed.  `mus` is `_mu_levels(B)` as a
     list, built once per search, and rec, `spectral(B, beta)` unless given,
     supplies delta_D(beta) and u(beta).  Returns (K, c', b', rec) or None
@@ -551,15 +552,15 @@ def _disaster_constants(B: BmapModel, beta: float, mus: list,
             decay.append(beta ** (-k))
             bracket.append(mus[k] * slope + psi * (1.0 - decay[k]) - delta)
 
-    extend(stable + 1)
-    # suffix[K] is the minimum over levels K+1 .. stable_from+1
+    extend(stable)
+    # suffix[K] is the minimum over levels K+1 .. stable_from
     suffix = list(itertools.accumulate(reversed(bracket[1:]), min))[::-1]
     for K in range(K_CAP + 1):
         if K < stable:
             c_prime = suffix[K]
         else:
-            extend(K + 2)
-            c_prime = min(bracket[K + 1], bracket[K + 2])
+            extend(K + 1)
+            c_prime = bracket[K + 1]
         if c_prime > 0.0:
             break
     else:
@@ -578,21 +579,18 @@ def _disaster_constants(B: BmapModel, beta: float, mus: list,
     return K, c_prime, b_prime, rec
 
 
-def _offset_rates(B: BmapModel, bracket: np.ndarray) -> np.ndarray:
-    """c'(K) from the decay bracket over levels 0, 1, ..., along the last
-    axis, for K = 0 .. K_CAP or as far as those levels reach, which must be
-    at least level stable_from+1.
+def _offset_rates(bracket: np.ndarray) -> np.ndarray:
+    """c'(K) from the decay bracket over levels 0 .. at least stable_from,
+    along the last axis, for K = 0 .. K_CAP or as far as the levels reach.
 
-    For K < stable_from - 1 it is a suffix minimum over the window
-    K+1 .. stable_from+1, from there on a minimum of two neighbours.
+    c'(K), the minimum over levels K+1 .. max(stable_from, K+1), is one
+    reversed running minimum over the window: from stable_from on mu(k) is
+    constant or affine with slope >= 0, consecutive beta^-k differ by the
+    factor beta, at least 1 + 1e-6 on the grid and far above the pow's
+    rounding, and each rounded operation of the bracket is monotone, so the
+    rounded bracket never falls there.
     """
-    stable = B.mu.stable_from
-    split = min(stable - 1, K_CAP + 1)
-    top = min(K_CAP, bracket.shape[-1] - 3)
-    return np.concatenate([
-        np.minimum.accumulate(bracket[..., stable + 1:0:-1], axis=-1)[..., ::-1][..., :split],
-        np.minimum(bracket[..., split + 1:top + 2], bracket[..., split + 2:top + 3]),
-    ], axis=-1)
+    return np.minimum.accumulate(bracket[..., :0:-1], axis=-1)[..., ::-1][..., :K_CAP + 1]
 
 
 def _offset_table(B: BmapModel, betas: np.ndarray, deltas: np.ndarray,
@@ -610,7 +608,7 @@ def _offset_table(B: BmapModel, betas: np.ndarray, deltas: np.ndarray,
     beta = betas[:, None]
     levels = np.arange(mus.size)
     bracket = mus * (1.0 - 1.0 / beta) + B.psi * (1.0 - beta ** -levels) - deltas[:, None]
-    c_of_K = _offset_rates(B, bracket)
+    c_of_K = _offset_rates(bracket)
     feasible = c_of_K > 0.0
     K = np.where(feasible.any(axis=1), feasible.argmax(axis=1), -1)
     c_prime = np.take_along_axis(c_of_K, np.maximum(K, 0)[:, None], axis=1)

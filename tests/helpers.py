@@ -20,7 +20,9 @@ search as it ran before its grid was batched; the batched grid's offset
 table must match that search's objective.  The whole-grid scores, from
 the table as it was before it skipped the bases and levels that cannot
 hold an offset, are what the search's part-by-part scores must reproduce
-bit for bit.  The slack oracle checks a
+bit for bit, and the scan's premise, a decay bracket that never falls
+past the mu table, is checked in both the scan's and the table's
+arithmetic.  The slack oracle checks a
 certificate row by row, and `regime_queues` draws the queues it is checked
 on.
 """
@@ -679,11 +681,34 @@ def assert_feasible_prefix(B):
     deltas = _grid_perron(B, grid)[0][:, None]
     bracket = mus * (1.0 - 1.0 / grid[:, None]) + B.psi * (
         1.0 - grid[:, None] ** -np.arange(mus.size)) - deltas
-    assert (np.diff(_offset_rates(B, bracket), axis=1) >= 0.0).all()
+    assert (np.diff(_offset_rates(bracket), axis=1) >= 0.0).all()
     oracle = whole_grid_scores(B)
     feasible = int(np.isfinite(oracle).sum())
     assert np.isfinite(oracle[:feasible]).all(), oracle
     return assert_searched_up_to(B, oracle, min(feasible, grid.size - 1))
+
+
+def assert_bracket_never_falls_past_the_table(B, betas, deltas):
+    """The premise of c'(K)'s one rule: from stable_from through the last
+    level `_mu_levels` holds, at least K_CAP + 1, the decay bracket
+    mu(k)(1 - 1/beta) + psi(1 - beta^-k) - delta_D(beta) never falls, at
+    each of `betas` with its root in `deltas`.  Both forms the search
+    evaluates are checked: the offset scan's, on Python floats with the
+    scalar pow, and the table's, one array expression over all the bases
+    with numpy's array pow."""
+    mus = _mu_levels(B)
+    stable = B.mu.stable_from
+    betas = np.asarray(betas, dtype=float)
+    deltas = np.asarray(deltas, dtype=float)
+    beta = betas[:, None]
+    table = mus * (1.0 - 1.0 / beta) + B.psi * (1.0 - beta ** -np.arange(mus.size)) \
+        - deltas[:, None]
+    assert (np.diff(table[:, stable:], axis=1) >= 0.0).all()
+    for beta, delta in zip(betas.tolist(), deltas.tolist()):
+        slope = 1.0 - 1.0 / beta
+        scan = [m * slope + B.psi * (1.0 - beta ** (-k)) - delta
+                for k, m in enumerate(mus.tolist())]
+        assert all(a <= b for a, b in zip(scan[stable:], scan[stable + 1:])), beta
 
 
 def assert_same_certificate(found, expected):

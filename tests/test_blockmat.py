@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from bmtrunc import (
     FiniteBlockMatrix,
     GeometricTail,
     InputError,
+    InvalidBmap,
     InvalidModelFile,
     Mg1Model,
     MuRule,
     NotConstantAcrossLevels,
+    NotStochastic,
     TruncationSpec,
     build_generator,
     custom_truncate,
@@ -305,6 +308,11 @@ def test_validate_q_matrix_flags_defects():
     report = validate_q_matrix(FiniteBlockMatrix(1, negative))
     assert not report.ok
     assert report.max_offdiag_violation >= 0.2
+    for values, message in (([[0.5, 0.0], [1.0, -1.0]], "positive diagonal 5.000e-01 at state 0"),
+                            ([[-1.0, np.nan], [1.0, -1.0]], "non-finite entries present"),
+                            ([[-1.0, 1.0], [np.inf, -1.0]], "non-finite entries present")):
+        report = validate_q_matrix(FiniteBlockMatrix(1, np.array(values)))
+        assert not report.ok and message in report.messages
 
 
 def test_validate_q_matrix_values_are_pinned(fleet_models):
@@ -365,6 +373,76 @@ def test_phase_generator_requires_constant_arrivals():
     m = BandedModel(d=2, L=1, U=1, K_hom=1, rows=rows)
     with pytest.raises(NotConstantAcrossLevels):
         phase_generator(m)
+
+
+def _refused_model_calls(tmp_path):
+    """Model-building refusals by name, each a call that must raise."""
+    D0 = np.array([[-1.0, 0.5], [0.5, -1.0]])
+    D1 = np.full((2, 2), 0.25)
+    queue = tailed_queue()  # r_D = 2.5
+
+    def banded(rows, d=2):
+        return BandedModel(d=d, L=1, U=1, K_hom=1, rows={
+            k: {o: np.array(m) for o, m in per.items()} for k, per in rows.items()})
+
+    def load(doc):
+        return load_model(write_model(tmp_path / "m.json", doc))
+
+    queue_doc = {"d": 1, "kind": "BmapQueue",
+                 "parameters": {"D": [[[-1.0]], [[1.0]]], "mu": {"table": [2.0]}}}
+    return {
+        # phase aggregates constant across levels, but not a generator
+        "phase_rows_leak": lambda: phase_generator(banded(
+            {0: {0: [[-1.0]], 1: [[0.5]]}, 1: {-1: [[2.0]], 0: [[-3.0]], 1: [[0.5]]}}, d=1)),
+        "phase_negative_off_diagonal": lambda: phase_generator(banded(
+            {0: {0: [[1.0, -1.0], [-1.0, 1.0]], 1: np.zeros((2, 2))},
+             1: {-1: np.eye(2), 0: [[0.0, -1.0], [-1.0, 0.0]], 1: np.zeros((2, 2))}})),
+        "tail_ratio_0": lambda: GeometricTail(coef=D1, ratio=0.0),
+        "tail_ratio_1": lambda: GeometricTail(coef=D1, ratio=1.0),
+        "tail_ratio_negative": lambda: GeometricTail(coef=D1, ratio=-0.5),
+        "tail_negative_coef": lambda: GeometricTail(coef=-D1, ratio=0.5),
+        "queue_without_D": lambda: BmapQueueModel(d=2, D=[], mu=MuRule(table=(2.0,))),
+        "queue_misshapen_D1": lambda: BmapQueueModel(d=2, D=[D0, np.full((3, 3), 0.25)],
+                                                     mu=MuRule(table=(2.0,))),
+        "queue_negative_D0": lambda: BmapQueueModel(
+            d=2, D=[np.array([[-1.0, -0.5], [0.5, -1.0]]), D1], mu=MuRule(table=(2.0,))),
+        "dhat_at_0": lambda: queue.dhat(0.0),
+        "dhat_at_r_D": lambda: queue.dhat(2.5),
+        "dhat_past_r_D": lambda: queue.dhat(np.array([1.5, 3.0])),
+        "load_without_kind": lambda: load({"d": 1, "parameters": {}}),
+        "load_not_an_object": lambda: load([1, "BmapQueue"]),
+        "load_d_below_1": lambda: load(dict(queue_doc, d=0)),
+        "load_mu_without_table": lambda: load(dict(queue_doc, parameters=dict(
+            queue_doc["parameters"], mu={"value": 2.0}))),
+        "load_misshapen_matrix": lambda: load({
+            "d": 1, "kind": "MG1Type",
+            "parameters": {"A": [[[2.0]], [[-3.0]], [[1.0, 0.0]]], "B": [[[-1.0]], [[1.0]]]}}),
+    }
+
+
+@pytest.mark.parametrize("name, error, fragment", [
+    ("phase_rows_leak", NotStochastic, "phase generator rows sum to 5.000e-01, not 0"),
+    ("phase_negative_off_diagonal", NotStochastic,
+     "phase generator has negative off-diagonal entries"),
+    ("tail_ratio_0", InputError, "tail ratio must lie in (0,1), got 0.0"),
+    ("tail_ratio_1", InputError, "tail ratio must lie in (0,1), got 1.0"),
+    ("tail_ratio_negative", InputError, "tail ratio must lie in (0,1), got -0.5"),
+    ("tail_negative_coef", InputError, "tail coefficient matrix must be nonnegative"),
+    ("queue_without_D", InvalidBmap, "need at least D(0)"),
+    ("queue_misshapen_D1", InvalidBmap, "D(1) has shape (3, 3), want (2, 2)"),
+    ("queue_negative_D0", InvalidBmap, "D(0) has a negative off-diagonal entry"),
+    ("dhat_at_0", InputError, "z=0.0 outside (0, 2.5"),
+    ("dhat_at_r_D", InputError, "z=2.5 outside (0, 2.5"),
+    ("dhat_past_r_D", InputError, "outside (0, 2.5"),
+    ("load_without_kind", InvalidModelFile, "missing or malformed d/kind"),
+    ("load_not_an_object", InvalidModelFile, "missing or malformed d/kind"),
+    ("load_d_below_1", InvalidModelFile, "d must be >= 1, got 0"),
+    ("load_mu_without_table", InvalidModelFile, "mu must be an object with a 'table' list"),
+    ("load_misshapen_matrix", InvalidModelFile, "A[2]: expected 1x1 matrix, got shape (1, 2)"),
+])
+def test_model_building_refuses_what_it_cannot_use(tmp_path, name, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        _refused_model_calls(tmp_path)[name]()
 
 
 def test_load_model_round_trip(tmp_path, d2_psi05):

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,7 @@ from bmtrunc.bmap import (
 from bmtrunc.tolerances import RESIDUAL
 from helpers import (
     affine_disaster_queue,
+    assert_bracket_never_falls_past_the_table,
     assert_feasible_prefix,
     assert_peak_prefix,
     assert_same_certificate,
@@ -290,6 +292,26 @@ def test_spectral_is_the_plain_power_iteration(fleet, pure_disaster):
     for B in models:
         for z in (0.5, 1.0, 1.0 + 1e-6, 1.3, 2.0, 7.5):
             _assert_same_spectral(B, z)
+
+
+def test_spectral_agrees_with_an_independent_eigensolver(fleet, pure_disaster):
+    # |delta - lambda| <= RESIDUAL max|Dhat| (max u / min u) follows from
+    # the residual contract on x = u / max u and the Collatz-Wielandt bounds
+    # on lambda; and the root lies between the ratios (Dhat u)_i / u_i,
+    # each computed to within gamma_{d+1} (|Dhat| u)_i / u_i
+    for B in [*fleet.values(), pure_disaster]:
+        search = find_beta_no_disaster if B.psi == 0.0 else find_constants_disaster
+        for z in (0.5, 1.0, 1.0 + 1e-6, 1.3, 2.0, 7.5, *_beta_grid(B)[::20], search(B).v.beta):
+            rec = spectral(B, z)
+            dh = B.dhat(z)
+            u = rec.right
+            perron = float(scipy.linalg.eigvals(dh).real.max())
+            spread = u.max() / u.min()
+            assert abs(rec.eigenvalue - perron) <= RESIDUAL * np.abs(dh).max() * spread, z
+            ratios = dh @ u / u
+            unit = (B.d + 1) * np.finfo(float).eps / 2.0
+            rounding = unit / (1.0 - unit) * (np.abs(dh) @ u) / u
+            assert (ratios - rounding).min() <= rec.eigenvalue <= (ratios + rounding).max(), z
 
 
 @given(B=regime_queues())
@@ -546,6 +568,12 @@ def test_offset_table_matches_the_scalar_objective(fleet, pure_disaster):
     K, b_prime = assert_table_matches_the_objective(affine_disaster_queue())
     # the affine queue's grid reaches offset levels whose beta**K overflows
     assert K.max() > 150 and np.isinf(b_prime).any()
+    # service that dips to 0.2 at level 3, the table's last level: c'(K)
+    # for K < 3 is the running minimum down to that level, not the bracket
+    # at K+1
+    dip = BmapModel(d=2, D=d2_blocks(), mu=MuRule(table=(4.0, 3.0, 0.2), value=3.5), psi=0.5)
+    K, _ = assert_table_matches_the_objective(dip)
+    assert set(K.tolist()) == {-1, 3}
 
 
 def test_feasible_bases_form_a_prefix(fleet, pure_disaster):
@@ -563,6 +591,26 @@ def test_feasible_bases_form_a_prefix(fleet, pure_disaster):
 def test_feasible_bases_form_a_prefix_on_regime_queues(B):
     assume(B.psi > 0.0)
     assert_feasible_prefix(B)
+
+
+def test_the_decay_bracket_never_falls_past_the_mu_table(fleet, pure_disaster):
+    # at every grid base, and at given bases next to 1, between grid bases
+    # and past the grid's cap
+    for B in [*fleet.values(), pure_disaster, tailed_queue(), affine_disaster_queue()]:
+        grid = _beta_grid(B)
+        assert_bracket_never_falls_past_the_table(B, grid, _grid_perron(B, grid)[0])
+        betas = [beta for beta in (1.0 + 2.0 ** -52, 1.0 + 1e-9, 1.0005, 1.2, 3.0, 100.0)
+                 if beta < 0.999 * B.r_D]
+        assert_bracket_never_falls_past_the_table(B, betas, [delta_D(B, b) for b in betas])
+
+
+@given(B=regime_queues(), data=st.data())
+def test_the_decay_bracket_never_falls_past_the_mu_table_on_regime_queues(B, data):
+    grid = _beta_grid(B)
+    assert_bracket_never_falls_past_the_table(B, grid, _grid_perron(B, grid)[0])
+    betas = data.draw(st.lists(st.floats(1.0, min(0.999 * B.r_D, 1e3), exclude_min=True),
+                               min_size=1, max_size=4))
+    assert_bracket_never_falls_past_the_table(B, betas, [delta_D(B, b) for b in betas])
 
 
 def test_disaster_free_search_stops_after_its_peak(fleet):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from collections import Counter
@@ -14,6 +15,7 @@ from bmtrunc import (
     FirstColumnUnreachable,
     GeometricVector,
     InputError,
+    KNotZero,
     MuRule,
     bounds,
     build_generator,
@@ -266,6 +268,43 @@ def test_corollary_transform_needs_reachable_first_column():
                             c=0.1, b=5.0, K=1, verified=True, origin="hand")
     with pytest.raises(FirstColumnUnreachable):
         corollary_transform(fake, pure_birth)
+
+
+def _refused_calls(mm1, cert, offset, pure_disaster):
+    """The certificate route's refusals by name, each a call that must raise.
+
+    cert is mm1's verified level-0 certificate and offset pure_disaster's
+    verified one with K = 3."""
+    unverified = dataclasses.replace(cert, verified=False)
+    return {
+        "drift_check_negative_K": lambda: drift_check(mm1, cert.v, cert.c, cert.b, K=-1),
+        "drift_check_profile_length": lambda: drift_check(
+            mm1, GeometricVector(beta=cert.v.beta, u=np.ones(2)), cert.c, cert.b),
+        "bound_report_unverified": lambda: bounds.bound_report(unverified, mm1, 5),
+        "minimized_bound_unverified": lambda: minimized_bound(unverified, mm1, 5),
+        "bound_report_offset": lambda: bounds.bound_report(offset, pure_disaster, 5),
+        "minimized_bound_offset": lambda: minimized_bound(offset, pure_disaster, 5),
+        "corollary_transform_unverified": lambda: corollary_transform(unverified, mm1),
+    }
+
+
+@pytest.mark.parametrize("name, error, fragment", [
+    ("drift_check_negative_K", InputError, "offset level K must be >= 0, got -1"),
+    ("drift_check_profile_length", InputError, "weight profile has 2 phases, model has 1"),
+    ("bound_report_unverified", CertificateNotVerified, "has not passed drift_check"),
+    ("minimized_bound_unverified", CertificateNotVerified, "has not passed drift_check"),
+    ("bound_report_offset", KNotZero, "offset through level K=3"),
+    ("minimized_bound_offset", KNotZero, "apply corollary_transform first"),
+    ("corollary_transform_unverified", CertificateNotVerified,
+     "transform input must be a verified certificate"),
+])
+def test_the_certificate_route_refuses_what_it_cannot_use(mm1, fleet_certs, pure_disaster,
+                                                          name, error, fragment):
+    offset = find_constants_disaster(pure_disaster)
+    assert offset.verified and offset.K == 3
+    calls = _refused_calls(mm1, fleet_certs["mm1"], offset, pure_disaster)
+    with pytest.raises(error, match=re.escape(fragment)):
+        calls[name]()
 
 
 @pytest.mark.parametrize("slope, expected", [

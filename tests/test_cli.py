@@ -386,6 +386,29 @@ def test_sweep_guards(runner, mm1_path):
     assert "custom style needs --weights" in no_weights.output
 
 
+@pytest.mark.parametrize("n_min, n_max", [("4", "2"), ("0", "4"), ("-3", "-5")])
+def test_sweep_refuses_a_range_without_levels(runner, mm1_path, n_min, n_max):
+    result = runner.invoke(main, ["sweep", "--model", mm1_path, "--n-min", n_min,
+                                  "--n-max", n_max])
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines() == [f"error: bad sweep range [{n_min}, {n_max}]"]
+
+
+def test_validate_names_a_block_monotonicity_violation(runner, tmp_path):
+    # level 2 drops to level 0 at rate 3 and level 1 at rate 1: the higher
+    # level reaches the levels below 1 faster, which block monotonicity
+    # forbids
+    doc = banded_doc({
+        0: {0: [[-1.0]], 1: [[1.0]]},
+        1: {-1: [[1.0]], 0: [[-2.0]], 1: [[1.0]]},
+        2: {-2: [[3.0]], -1: [[0.0]], 0: [[-4.0]], 1: [[1.0]]},
+    }, L=2, K_hom=2)
+    result = runner.invoke(main, ["validate", "--model", write_model(tmp_path / "q.json", doc)])
+    assert result.exit_code == 1, result.output
+    assert result.output == ("conservative: yes, BM_1: no, "
+                             "violation at ((2, 0, 1, 0), 2.0)\n")
+
+
 @pytest.mark.parametrize("weights, message", [
     # only the literal n names the top level; -1 is a level like any other
     pytest.param("-1=1", "target level -1 outside 0..3", id="-1"),

@@ -5,9 +5,13 @@ the hypothesis profile loaded in conftest.py (HYPOTHESIS_PROFILE=deep for
 a long run).
 """
 
+import numpy as np
+import pytest
 from hypothesis import assume, given
 
 from bmtrunc import (
+    BmapQueueModel,
+    MuRule,
     corollary_transform,
     find_beta_no_disaster,
     find_constants_disaster,
@@ -69,3 +73,26 @@ def test_search_matches_the_serial_oracle_in_every_regime(B):
 def test_offset_table_matches_the_scalar_objective_in_every_regime(B):
     assume(B.psi > 0.0)
     assert_table_matches_the_objective(B)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "drift_check skips the slack-law walk when the law's value at k_fit is "
+    "within that row's tolerance, so a positive a0 that rises like beta**k "
+    "passes unseen (the drift_check FOUND entry of CHANGES.md)"))
+def test_the_cycle_closed_by_arrivals_holds_its_certificate_at_every_level():
+    # a draw of the deep regime suite: d = 4 phases on a cycle that only
+    # arrivals close, constant service 0.128, no disasters and no tail.  The
+    # search's certificate (beta = 1.18966, c = 2.18166e-3) verifies, but
+    # its delta_D sits 2.5e-13 below the Collatz-Wielandt ratio of its own
+    # u, and deep in the law's range every row's scaled slack is 1.0284e-10
+    D0 = np.array([
+        [-0.5822520760678682, 0.5822520760678682, 0.0, 0.0],
+        [0.0, -0.30923372890363937, 0.30923372890363937, 0.0],
+        [0.0, 0.0, -0.75443609154292, 0.75443609154292],
+        [0.0, 0.0, 0.0, -0.2892074173046665]])
+    D1 = np.zeros((4, 4))
+    D1[3, 0] = 0.2892074173046665
+    B = BmapQueueModel(d=4, D=[D0, D1], mu=MuRule(table=(0.12840941927781674,)))
+    cert = find_beta_no_disaster(B)
+    assert cert.verified
+    assert brute_scaled_slack(B, cert) <= DRIFT_TOL

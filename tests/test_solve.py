@@ -121,6 +121,25 @@ def _corner_models(fleet_models):
     return models
 
 
+@pytest.mark.parametrize("name", ["d8_psi0.0", "d8_psi0.4", "d24_psi0.4"])
+def test_wide_corners_match_dense_elimination(fleet_models, name):
+    # an oracle that shares no code with the level-group elimination, at the
+    # widest blocks of _corner_models; entries that underflow are left out
+    model = _corner_models(fleet_models)[name]
+    # the dense oracle is cubic in the corner's states, 984 at d = 24 and
+    # n = 40, so the widest blocks stop at n = 20
+    for n in (9, 40) if model.d == 8 else (9, 20):
+        custom = TruncationSpec(n=n, style="custom", weights={0: 0.25, n // 2: 0.25, n: 0.5})
+        for corner in (lc_truncate(model, n), fc_truncate(model, n),
+                       custom_truncate(model, custom)):
+            pi = solve_truncation(model, corner.spec).values
+            ref = dense_stationary(corner.matrix.values)
+            kept = ref > 1e-290
+            assert kept.any()
+            np.testing.assert_allclose(pi[kept], ref[kept], rtol=1e-12, atol=0.0,
+                                       err_msg=f"{name} n={n} {corner.spec.style}")
+
+
 def test_stationary_is_bit_identical_to_the_scalar_loop(fleet_models):
     rng = np.random.default_rng(29)
     for name, model in _corner_models(fleet_models).items():
@@ -163,6 +182,16 @@ def test_stationary_is_the_scalar_loop_on_sparse_generators(case):
         assert str(refused.value) == str(exc)
     else:
         assert np.array_equal(stationary(G, d).values, expected)
+
+
+@pytest.mark.parametrize("specs", [[], (), iter(())], ids=["list", "tuple", "iterator"])
+def test_solve_truncations_of_no_specs_is_empty(fleet_models, specs, monkeypatch):
+    # nothing is built: the stack of corners is never allocated
+    def refuse(*args):
+        raise AssertionError("a corner stack was allocated")
+
+    monkeypatch.setattr(solve, "zero_corners", refuse)
+    assert solve_truncations(fleet_models["d2"], specs) == []
 
 
 def test_solve_truncations_is_solve_truncation_bit_for_bit(fleet_models):
