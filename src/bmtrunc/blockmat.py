@@ -105,6 +105,9 @@ class FiniteBlockMatrix:
         return self.n_levels - 1
 
     def block(self, k: int, l: int) -> np.ndarray:
+        """Q(k; l) as a (d, d) view; InputError for a level outside 0..n."""
+        if not (0 <= k < self.n_levels and 0 <= l < self.n_levels):
+            raise InputError(f"block ({k}, {l}) lies outside levels 0..{self.n}")
         d = self.d
         return self.values[k * d:(k + 1) * d, l * d:(l + 1) * d]
 

@@ -43,10 +43,10 @@ once more at the Collatz-Wielandt ratio of its own vector when refuted
 floats over a mu list built once per search: the table's arithmetic,
 without a numpy call per window of levels.  `spectral` is a two-sided
 power iteration of eight numpy calls per step, bit for bit the plain loop
-kept as a test oracle.  Once its quotient settles, it evaluates the exact
-residuals only at the steps where a free lower bound, the distance from
-the quotient to the next normalizers, leaves them a chance to pass.  Its
-shift, the largest diagonal rate of D(0), is the queue model's
+kept as a test oracle.  It stops at the first step where both residuals
+meet the residual contract, and evaluates them only at the steps where a
+free lower bound, the distance from the quotient to the next normalizers,
+leaves them a chance to pass.  Its shift, the largest diagonal rate of D(0), is the queue model's
 `_perron_shift`, fixed when the model is built and shared with the grid's
 batched iteration.
 """
@@ -74,7 +74,7 @@ from .errors import (
 )
 from .order import generator_is_block_monotone
 from .solve import solve_truncation, stationary, tv_distance
-from .tolerances import PERRON_STOP, RESIDUAL, SCALE_FLOOR, THETA_AGREEMENT
+from .tolerances import RESIDUAL, SCALE_FLOOR, THETA_AGREEMENT
 from .truncate import TruncationSpec, check_truncation_levels
 
 BETA_CAP = 64.0
@@ -164,8 +164,9 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
     on Python floats.  The arithmetic is that of the plain loop in
     `tests/helpers.power_iteration`, bit for bit.
 
-    Once the quotient settles, a step stops when both residuals meet the
-    contract, and the exact residuals are evaluated only where they can.
+    The iteration stops at the first step where both residuals meet the
+    contract; no other rule stops it.  The exact residuals are evaluated
+    only at the steps where they can pass.
     For x >= 0 with max x = 1 and r >= 0, max_i |(Ex)_i - r x_i| >=
     |max(Ex) - r| (compare at the argmax of Ex when max(Ex) >= r, at that of
     x otherwise), and shift (Ex - r x) = Dhat x - val x with
@@ -173,10 +174,10 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
     the next step's normalizers, so the bound costs no numpy call.  When
     either bound exceeds the contract by more than `_rounding_margin`'s
     margin, that residual must fail: neither is evaluated, and the stop step
-    and every bit stay those of the plain loop.
+    is the one that evaluating both at every step would give.
 
     At d = 1 the transform's one entry is the root, returned before |Dhat|
-    is formed.  If the quotient has not converged after POWER_ITERS steps,
+    is formed.  If no step has met the contract after POWER_ITERS steps,
     `_dense_perron` of Dhat(z) and of its transpose gives the pair.  The
     right vector is scaled to minimum component 1 and the left one to unit
     inner product against it.  The certificate search calls this at the
@@ -202,7 +203,6 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
     # the next step's unnormalized iterates and their maxima
     Ex, Ey = dot(E, y), dot(ET, y)
     mx, my = _max(Ex), _max(Ey)
-    rprev = math.inf
     iterations = 0
     while True:
         iterations += 1
@@ -226,19 +226,16 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
         Ex, Ey = dot(E, x), dot(ET, y)
         mx, my = _max(Ex), _max(Ey)
         r = float(dot(y, Ex)) / float(dot(y, x))
-        done = abs(r - rprev) < PERRON_STOP * max(1.0, abs(r))
-        rprev = r
-        if done:
-            val = (r - 1.0) * shift
-            # a residual whose free lower bound exceeds the bar must fail
-            bar = limit + gamma * (base + abs(val))
-            if shift * abs(float(mx) - r) <= bar and shift * abs(float(my) - r) <= bar:
-                # the left residual only counts once the right one passes
-                res_r = _residual(dh @ x, val, x)
-                if res_r <= limit:
-                    res_l = _residual(y @ dh, val, y)
-                    if res_l <= limit:
-                        break
+        val = (r - 1.0) * shift
+        # a residual whose free lower bound exceeds the bar must fail
+        bar = limit + gamma * (base + abs(val))
+        if shift * abs(float(mx) - r) <= bar and shift * abs(float(my) - r) <= bar:
+            # the left residual only counts once the right one passes
+            res_r = _residual(dh @ x, val, x)
+            if res_r <= limit:
+                res_l = _residual(y @ dh, val, y)
+                if res_l <= limit:
+                    break
     u = x / float(_min(x))
     eta = y / float(y @ u)
     return SpectralRecord(
@@ -319,16 +316,18 @@ def _power_perron(dh: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]
     """Perron roots and spreads max u / min u of a stack of transforms.
 
     The two-sided power iteration of `spectral` on each matrix of the
-    stack, with its shift, its stop rule and its residual contract.  At
-    each step the residuals of the bases whose stop test passes are
-    checked, and a base that passes them keeps that step's values, as
-    `spectral` does: a base's values do not depend on the stack it is in.
-    The bases left after POWER_ITERS steps go to one `_dense_perron` call.
+    stack, with its shift and its residual contract as the only stop rule.
+    At each step the right residual of every pending base is read off E x,
+    which the step has already formed, and the left one is formed only for
+    the bases whose right one passes, in the order `spectral` uses; a base
+    that passes both keeps that step's values, so its values do not depend
+    on the stack it is in.  The bases left after POWER_ITERS steps go to
+    one `_dense_perron` call.
     """
     m, d = dh.shape[:2]
     roots = np.empty(m)
     spread = np.empty(m)
-    norm = np.maximum(np.abs(dh).max(axis=(1, 2)), SCALE_FLOOR)
+    limit = RESIDUAL * np.maximum(np.abs(dh).max(axis=(1, 2)), SCALE_FLOOR)
     # [x, y] times [E, E^T] in one product per step, E = I + Dhat / shift
     # built in place; iterates of the nonnegative, irreducible E stay positive
     M = np.empty((2, m, d, d))
@@ -337,23 +336,21 @@ def _power_perron(dh: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]
     M[1] = M[0].transpose(0, 2, 1)
     V = np.stack([M[0] @ np.ones(d), np.ones((m, d))])
     V[0] /= V[0].max(axis=1, keepdims=True)
-    rprev = np.full(m, math.inf)
     pending = np.ones(m, dtype=bool)
     for _ in range(POWER_ITERS):
         W = (M @ V[..., None])[..., 0]
         x = V[0]
         V = W / W.max(axis=2, keepdims=True)
         r = np.einsum("md,md->m", V[1], W[0]) / np.einsum("md,md->m", V[1], x)
-        done = np.abs(r - rprev) < PERRON_STOP * np.maximum(1.0, r)
-        rprev = r
-        stop = np.flatnonzero(pending & done)
-        if not stop.size:
+        # Dhat = shift (E - I), so Dhat x - delta x = shift (E x - r x), and
+        # E x is W[0]; the left residual only counts once the right one passes
+        res = shift * np.abs(W[0] - r[:, None] * x).max(axis=1)
+        right = np.flatnonzero(pending & (res <= limit))
+        if not right.size:
             continue
-        # Dhat = shift (E - I), so Dhat x - delta x = shift (E x - r x)
-        xy = np.stack([x[stop], V[1, stop]])
-        res = shift * np.abs((M[:, stop] @ xy[..., None])[..., 0]
-                             - r[stop, None] * xy).max(axis=(0, 2))
-        ok = stop[res <= RESIDUAL * norm[stop]]
+        y = V[1, right]
+        res = shift * np.abs((M[1, right] @ y[..., None])[..., 0] - r[right, None] * y).max(axis=1)
+        ok = right[res <= limit[right]]
         roots[ok] = (r[ok] - 1.0) * shift
         spread[ok] = (x[ok] / x[ok].min(axis=1, keepdims=True)).max(axis=1)
         pending[ok] = False

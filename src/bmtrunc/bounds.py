@@ -39,6 +39,8 @@ from .truncate import check_truncation_levels, is_level
 def _check_level(k) -> None:
     if not is_level(k):
         raise InputError(f"level must be an integer, got {k!r}")
+    if k < 0:
+        raise InputError(f"level must be >= 0, got {k}")
 
 
 @dataclass(frozen=True)

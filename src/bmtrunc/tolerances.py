@@ -3,10 +3,10 @@
 Each entry is one rule.  Its comment gives the scale it is multiplied by
 (or compared against), the places that apply it, and the test that pins
 it: the test fails when the entry is moved by a factor of ten either way,
-or, for the two floors, when the floor is dropped (PERRON_STOP says why it
-has no such test).  Values and the expressions that use them are those each
-rule had in its own module, so every certificate, stationary vector and
-printed number is bit for bit what it was.
+or, for the two floors, when the floor is dropped.  Values and the
+expressions that use them are those each rule had in its own module, so
+every certificate, stationary vector and printed number is bit for bit what
+it was.
 
 Algorithm constants are not tolerances and stay with their algorithms:
 the beta grid (`bmap.GRID_POINTS`, `GRID_PART`, its 1 + 1e-6 and
@@ -35,26 +35,16 @@ TAU_ORD = 1e-12
 # Pinned by tests/test_tolerances.py::test_drift_tolerance.
 DRIFT_TOL = 1e-10
 
-# Power-iteration stop: `bmap.spectral` and the grid's batched
-# `_power_perron` test the residuals below only once two successive
-# Rayleigh quotients r agree to PERRON_STOP times max(1, |r|).  The
-# two-sided quotient converges at twice the rate of the residuals, so by
-# the step the residuals pass, r has long settled and the residual contract
-# decides where the iteration stops: at 1e-12 or 1e-14 none of 800
-# `spectral` calls on random queues changed, and every test passed.  So no
-# test pins this entry by its effect;
-# tests/test_bmap.py::test_spectral_is_the_plain_power_iteration
-# pins the whole stop rule against the plain loop kept as an oracle.
-PERRON_STOP = 1e-13
-
 # Invariant-vector residual: a computed Perron pair, or a stationary
 # vector, is accepted when its residual is at most RESIDUAL times the
 # scale of its matrix: max |Dhat(z)|, floored at SCALE_FLOOR, for the
 # Perron pairs of `spectral` and `_power_perron`; max(1, max |diag Q|) for
-# x Q in `solve.stationary` and `solve_truncation`.  `spectral` evaluates
-# its two residuals only at settled steps where their free lower bounds,
-# less a computed rounding margin (`bmap._rounding_margin`), are within
-# this contract; `_power_perron` at every settled step.
+# x Q in `solve.stationary` and `solve_truncation`.  The contract alone
+# stops both power iterations: each stops at the first step where both
+# residuals pass.  `spectral` evaluates them only at steps where their free
+# lower bounds, less a computed rounding margin (`bmap._rounding_margin`),
+# are within it; `_power_perron` checks the right one at every step and the
+# left one where the right one passes.
 # Pinned by tests/test_tolerances.py::test_residual_contract.
 RESIDUAL = 1e-12
 

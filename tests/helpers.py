@@ -456,8 +456,12 @@ def power_iteration(B, z, seed=0, settled=None):
 
     Returns (eigenvalue, right, left, residual, iterations) with the
     normalizations of `bmtrunc.spectral`: min(right) = 1, left . right = 1.
-    Each step whose stop test passes evaluates both residuals; a `settled`
-    list receives the number of every such step.
+    Its stop rule is deliberately not the library's: a step tests both
+    residuals against the contract only once two successive quotients agree
+    to 1e-13 relative, where `spectral` tests them at every step their free
+    lower bounds allow, so agreeing bit for bit shows that the contract
+    alone stops where the settled quotient would.  A `settled` list
+    receives the number of every step whose quotient test passes.
     """
     dh = B.dhat(z)
     d = B.d

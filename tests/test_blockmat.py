@@ -69,6 +69,14 @@ def test_finite_block_matrix_indexing():
     np.testing.assert_array_equal(M.block(2, 1), values[4:6, 2:4])
 
 
+@pytest.mark.parametrize("k, l", [(-1, 0), (5, 0), (0, -1), (0, 2)])
+def test_finite_block_matrix_refuses_a_level_outside_its_levels(k, l):
+    # a slice past either end would be an empty (0, d) block
+    M = FiniteBlockMatrix(2, np.arange(16, dtype=float).reshape(4, 4))
+    with pytest.raises(InputError, match=re.escape(f"block ({k}, {l}) lies outside levels 0..1")):
+        M.block(k, l)
+
+
 def test_finite_block_matrix_rejects_bad_shape():
     with pytest.raises(DimensionMismatch):
         FiniteBlockMatrix(2, np.zeros((5, 5)))

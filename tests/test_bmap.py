@@ -531,6 +531,12 @@ def test_batched_grid_matches_spectral(fleet, monkeypatch):
             assert (0 < fallback < grid.size) == (B is partly_stiff)
             found_roots.append(power[0])
             found_spreads.append(power[1])
+            # an independent eigensolver: the residual contract on
+            # x = u / max u and the Collatz-Wielandt bounds put the root
+            # within RESIDUAL max|Dhat| (max u / min u) of the Perron root
+            perron = np.array([scipy.linalg.eigvals(dh).real.max() for dh in stack])
+            bound = RESIDUAL * np.abs(stack).max(axis=(1, 2)) * power[1]
+            assert (np.abs(power[0] - perron) <= bound).all()
             # each base keeps its own stop step: any split of the stack, and
             # a base alone, give its values bit for bit, stiff bases included
             splits = (np.array_split(np.arange(grid.size), [1, 7, 100, 101, 150]),

@@ -57,6 +57,15 @@ def test_geometric_vector_refuses_a_level_that_is_not_an_integer(k):
     assert np.array_equal(v.level(np.int32(2)), [4.0])
 
 
+def test_geometric_vector_refuses_a_negative_level():
+    # beta**-1 u would be a weight below the floor of 1
+    v = GeometricVector(beta=2.0, u=[1.0, 1.5])
+    for weigh in (v.level, v.levels):
+        with pytest.raises(InputError, match="level must be >= 0, got -1"):
+            weigh(-1)
+    np.testing.assert_array_equal(v.levels(0), v.level(0))
+
+
 def _banded_mm1():
     """M/M/1 with arrival rate 1 and service rate 2 as a `BandedModel`."""
     return BandedModel(d=1, L=1, U=1, K_hom=1, rows={
