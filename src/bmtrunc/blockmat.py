@@ -56,10 +56,17 @@ def _scalar_pow(x, k: int) -> np.ndarray:
     return np.array([xi ** k for xi in x.flat]).reshape(x.shape)
 
 
+def is_level(x) -> bool:
+    """x names a level or a count of phases: an int or a numpy integer, not
+    a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_block_length(size: int, d: int) -> int:
-    """Return the number of levels, raising if size is not a multiple of d."""
-    if d < 1:
-        raise DimensionMismatch(f"block size must be >= 1, got {d}")
+    """Return the number of levels, raising if d is not an integer >= 1 or
+    size is not a multiple of it."""
+    if not (is_level(d) and d >= 1):
+        raise DimensionMismatch(f"block size must be an integer >= 1, got {d!r}")
     if size % d != 0:
         raise DimensionMismatch(f"length {size} is not a multiple of block size {d}")
     return size // d
@@ -105,7 +112,10 @@ class FiniteBlockMatrix:
         return self.n_levels - 1
 
     def block(self, k: int, l: int) -> np.ndarray:
-        """Q(k; l) as a (d, d) view; InputError for a level outside 0..n."""
+        """Q(k; l) as a (d, d) view; InputError for a level that is not an
+        integer or lies outside 0..n."""
+        if not (is_level(k) and is_level(l)):
+            raise InputError(f"block ({k!r}, {l!r}) needs integer levels")
         if not (0 <= k < self.n_levels and 0 <= l < self.n_levels):
             raise InputError(f"block ({k}, {l}) lies outside levels 0..{self.n}")
         d = self.d
@@ -462,6 +472,11 @@ class BandedModel(BlockGeneratorModel):
 
     def __init__(self, d: int, L: int, U: int, K_hom: int, rows: dict,
                  tail: GeometricTail | None = None):
+        for name, value, least in (("d", d, 1), ("L", L, 0), ("U", U, 0), ("K_hom", K_hom, 0)):
+            if not is_level(value):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise InputError(f"{name} must be >= {least}, got {value}")
         if K_hom < L:
             raise InputError(
                 f"K_hom={K_hom} must be >= L={L} so the homogeneous row clears level 0"

@@ -42,11 +42,14 @@ once more at the Collatz-Wielandt ratio of its own vector when refuted
 (`_verified`).  `_disaster_constants` scans its offset levels on Python
 floats over a mu list built once per search: the table's arithmetic,
 without a numpy call per window of levels.  `spectral` is a two-sided
-power iteration of eight numpy calls per step, bit for bit the plain loop
-kept as a test oracle.  It stops at the first step where both residuals
-meet the residual contract, and evaluates them only at the steps where a
-free lower bound, the distance from the quotient to the next normalizers,
-leaves them a chance to pass.  Its shift, the largest diagonal rate of D(0), is the queue model's
+power iteration of eight numpy calls per step.  Its contract: positive
+vectors with min u = 1 and eta . u = 1 whose right and left residuals are
+within RESIDUAL max|Dhat(z)|; the iteration's root is their Rayleigh
+quotient, so it lies between the Collatz-Wielandt ratios of u.  It stops
+at the first step where both residuals meet that contract, and evaluates
+them only at the steps where a free lower bound, the distance from the
+quotient to the next normalizers, leaves them a chance to pass.  Its
+shift, the largest diagonal rate of D(0), is the queue model's
 `_perron_shift`, fixed when the model is built and shared with the grid's
 batched iteration.
 """
@@ -161,8 +164,13 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
     quotient r.  A step is eight numpy calls: the two products, their two
     maxima (the next step's normalizers), the two normalizations in place
     and the quotient's two dot products, whose ratio and stop test are taken
-    on Python floats.  The arithmetic is that of the plain loop in
-    `tests/helpers.power_iteration`, bit for bit.
+    on Python floats.  The contract: u > 0 with min u = 1, eta > 0 with
+    eta . u = 1, both residuals max |Dhat x - val x| and max |y Dhat - val y|
+    within RESIDUAL max|Dhat| for x and y scaled to maximum 1, and `residual`
+    the larger of the two over max|Dhat|.  The root is the Rayleigh
+    quotient, a weighted mean of the ratios (Dhat u)_i / u_i, so it lies
+    between them (Collatz-Wielandt) and within RESIDUAL max|Dhat| max u /
+    min u of the Perron root.
 
     The iteration stops at the first step where both residuals meet the
     contract; no other rule stops it.  The exact residuals are evaluated
@@ -178,7 +186,8 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
 
     At d = 1 the transform's one entry is the root, returned before |Dhat|
     is formed.  If no step has met the contract after POWER_ITERS steps,
-    `_dense_perron` of Dhat(z) and of its transpose gives the pair.  The
+    `_dense_perron` of Dhat(z) and of its transpose gives the pair, which
+    meets the same residual contract with x and y of unit 2-norm.  The
     right vector is scaled to minimum component 1 and the left one to unit
     inner product against it.  The certificate search calls this at the
     points its golden-section polish visits and at its winner; from

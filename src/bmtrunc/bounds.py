@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .blockmat import BlockGeneratorModel
+from .blockmat import BlockGeneratorModel, is_level
 from .errors import (
     CertificateNotVerified,
     DriftViolated,
@@ -33,14 +33,14 @@ from .errors import (
     KNotZero,
 )
 from .tolerances import DRIFT_TOL, WEIGHT_FLOOR
-from .truncate import check_truncation_levels, is_level
+from .truncate import check_truncation_levels
 
 
-def _check_level(k) -> None:
+def _check_level(k, what: str = "level") -> None:
     if not is_level(k):
-        raise InputError(f"level must be an integer, got {k!r}")
+        raise InputError(f"{what} must be an integer, got {k!r}")
     if k < 0:
-        raise InputError(f"level must be >= 0, got {k}")
+        raise InputError(f"{what} must be >= 0, got {k}")
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,7 @@ def drift_check(model: BlockGeneratorModel, v: GeometricVector, c: float, b: flo
         raise InputError(f"decay rate c must be finite and positive, got {c}")
     if not b > 0:
         raise InputError(f"offset b must be positive, got {b}")
-    if K < 0:
-        raise InputError(f"offset level K must be >= 0, got {K}")
+    _check_level(K, "offset level K")
     if v.d != model.d:
         raise InputError(f"weight profile has {v.d} phases, model has {model.d}")
 

@@ -56,6 +56,7 @@ from .blockmat import (
     BlockGeneratorModel,
     FiniteBlockMatrix,
     check_block_length,
+    is_level,
     phase_generator,
     zero_corners,
 )
@@ -69,7 +70,7 @@ from .errors import (
     NoConvergence,
 )
 from .tolerances import PIVOT_FLOOR, POISSON_TAIL, RESIDUAL, WEIGHT_FLOOR
-from .truncate import TruncatedGenerator, TruncationSpec, is_level, lc_truncate, truncation
+from .truncate import TruncatedGenerator, TruncationSpec, lc_truncate, truncation
 
 # Fewest states per elimination group; a group is made of whole levels.
 GROUP_STATES = 64

@@ -28,6 +28,7 @@ from .blockmat import (
     BlockGeneratorModel,
     CornerLayout,
     FiniteBlockMatrix,
+    is_level,
     reachable,
     zero_corner,
 )
@@ -37,11 +38,6 @@ from .tolerances import LEAK_TOL, TAU_CONS, WEIGHT_SUM_TOL
 LAST_COLUMN = "lc"
 FIRST_COLUMN = "fc"
 CUSTOM = "custom"
-
-
-def is_level(x) -> bool:
-    """x names a level: an int or a numpy integer, not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def check_truncation_levels(n: int, n_ref: int | None = None):

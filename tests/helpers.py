@@ -1,32 +1,19 @@
 """Shared oracles and generators for the test suite.
 
-Everything here is independent of the library internals on purpose: tail
-sums are recomputed with plain numpy slicing, the reference minimizer is a
-golden-section search with a parabolic polish, and random models are
-assembled entry by entry.  The stationary oracles are the dense elimination
-and the one-state-at-a-time fill-aware loop the level-group solver must
-match bit for bit, and the window oracle asks for every block pair: the
-plain algorithms the library's band-aware ones must reproduce.  The
-ordering scan's oracle compares tail sums one (k, l) pair at a time, as
-the scan over stacked tables must reproduce bit for bit; the finite-matrix
-and vector checks' oracle is the flat-array report they were made with
-before the scan served them too.  A truncation's rows are also summed by
-hand, as `TruncatedGenerator` did before it was a banded-block model, and
-`mg1_block` is the M/G/1-type row rule that `Mg1Model`'s `BandedModel`
-must reproduce.  The
-power-iteration and offset-level oracles are the plain loops the
-certificate search must match bit for bit, and the serial search is the
-search as it ran before its grid was batched; the batched grid's offset
-table must match that search's objective.  The whole-grid scores, from
-the table as it was before it skipped the bases and levels that cannot
-hold an offset, are what the search's part-by-part scores must reproduce
-bit for bit, and the scan's premise, a decay bracket that never falls
-past the mu table, is checked in both the scan's and the table's
-arithmetic.  The slack oracle checks a
-certificate row by row, and `regime_queues` draws the queues it is checked
-on.
+Each oracle computes what the library promises by a plainer route, not by
+a copy of its steps: stationary vectors by dense Grassmann-Taksar-Heyman
+elimination, corners by one `block` call per block pair, ordering reports
+from flat slack arrays over tail sums of materialized windows, and offset
+levels over a window twice as deep as the search's, so that the premise
+of its one rule, a decay bracket that never falls past the mu table, is
+not assumed (it is checked in both of the search's arithmetics).  The
+serial search and grid assertions compare the search's grid with its own
+scalar route and go with that grid.  The slack oracle checks certificates
+row by row on the queues `regime_queues` draws.  `spectral` has no oracle
+here: tests hold it to its contract with `scipy.linalg.eigvals`.
 """
 
+import itertools
 import json
 import math
 from unittest import mock
@@ -44,7 +31,6 @@ from bmtrunc import (
     Mg1Model,
     MultipleClosedClasses,
     MuRule,
-    NoConvergence,
     TruncatedGenerator,
     find_beta_no_disaster,
     find_constants_disaster,
@@ -106,13 +92,22 @@ def golden_min(f, lo, hi, h_floor=1e-4):
 def dense_stationary(values):
     """Stationary vector by dense subtraction-free elimination.
 
-    The textbook Grassmann-Taksar-Heyman scheme with a full rank-1 update
-    of the leading block at every step, O(N^3) whatever the sparsity.
+    The textbook Grassmann-Taksar-Heyman scheme (Oper. Res. 33, 1985): a
+    full rank-1 update of the leading block at every step, O(N^3), with the
+    library's pivot floor and error.  `stationary`'s fill-bounded updates
+    leave out only exact zeros, so it must give this vector bit for bit.
     """
     A = np.array(values, dtype=float)
     N = A.shape[0]
+    floor = PIVOT_FLOOR * max(1.0, float(np.abs(np.diag(A)).max(initial=0.0)))
     for s in range(N - 1, 0, -1):
-        A[:s, s] /= A[s, :s].sum()
+        scale = A[s, :s].sum()
+        if scale <= floor:
+            raise MultipleClosedClasses(
+                f"elimination pivot {scale:.3e} at state {s}: no path from "
+                "the top states back down, the chain is reducible"
+            )
+        A[:s, s] /= scale
         A[:s, :s] += np.outer(A[:s, s], A[s, :s])
     x = np.zeros(N)
     x[0] = 1.0
@@ -140,113 +135,6 @@ def uniformized_per_time(values, start, t, tol):
     return out
 
 
-def scalar_stationary(values):
-    """Stationary vector by the fill-aware elimination, one state at a time.
-
-    The solver's loop before it went by level groups: every pivot finds
-    its own fill with two `flatnonzero` calls and updates it by a fancy
-    get and set.  Same floor and same error as the library.  The library
-    must return this vector bit for bit.
-    """
-    A = np.array(values, dtype=float)
-    N = A.shape[0]
-    diag_scale = float(np.max(np.abs(np.diag(A)))) if N else 0.0
-    floor = PIVOT_FLOOR * max(1.0, diag_scale)
-    for s in range(N - 1, 0, -1):
-        scale = float(A[s, :s].sum())
-        if scale <= floor:
-            raise MultipleClosedClasses(
-                f"elimination pivot {scale:.3e} at state {s}: no path from "
-                "the top states back down, the chain is reducible"
-            )
-        A[:s, s] /= scale
-        rows = np.flatnonzero(A[:s, s])
-        if rows.size:
-            r0 = rows[0]
-            cols = np.flatnonzero(A[s, :s])
-            A[r0:s, cols] += np.outer(A[r0:s, s], A[s, cols])
-    x = np.zeros(N)
-    x[0] = 1.0
-    for s in range(1, N):
-        x[s] = x[:s] @ A[:s, s]
-    x /= x.sum()
-    return x
-
-
-def scalar_scan(levels, col_top, lower, upper, tol, skip_diagonal=False):
-    """The ordering scan one (k, l) pair at a time, as `order._scan` ran
-    before it went over stacked tables.
-
-    Checks lower(k, l) <= upper(k, l) entrywise over k in levels and
-    l <= col_top(k), with the tolerance tol times the largest tail-sum
-    entry seen (at least 1).  The library's scan must give the same report
-    and tolerance.
-    """
-    worst = None
-    margin = np.inf
-    scale = 1.0
-    for k in levels:
-        for l in range(col_top(k) + 1):
-            lo = lower(k, l)
-            hi = upper(k, l)
-            scale = max(scale, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-            slack = hi - lo
-            if skip_diagonal and l == k:
-                slack = slack + np.diag(np.full(len(slack), np.inf))
-            m = float(slack.min())
-            m = -math.inf if math.isnan(m) else m
-            if m < margin:
-                margin = m
-                i, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
-                worst = ((k, int(i), l, int(j)), max(0.0, -m))
-    tau = tol * scale
-    holds = worst is None or worst[1] <= tau
-    return DominanceReport(holds=holds, worst_violation=worst, margin=margin), tau
-
-
-def scalar_tail_sum(M, k, l):
-    """S(k; l) one block at a time into a d x d sum, as `tail_sum` ran before
-    the tail-sum rows: column 0's block if it lies below the band, the band's
-    blocks from column max(l, lo) up, then the tail's remainder."""
-    lo, hi, tail = M.band(k)
-    out = np.zeros((M.d, M.d))
-    if l == 0 and lo > 0:
-        out += M.block(k, 0)
-    for m in range(max(l, lo), hi + 1):
-        out += M.block(k, m)
-    if tail is not None:
-        out += tail.sum_from(max(l, hi + 1) - k)
-    return out
-
-
-def scalar_monotone_scan(M, tol=TAU_ORD):
-    """Block monotonicity of a model by `scalar_scan` over its tail sums."""
-    return scalar_scan(range(1, M.bm_check_level() + 1), lambda k: k + M.upper_hint() + 1,
-                       lambda k, l: M.tail_sum(k - 1, l), M.tail_sum, tol,
-                       skip_diagonal=True)[0]
-
-
-def virtual_tail_sum(T, k, l):
-    """S(k; l) of a truncation's augmented generator, summed by hand: the
-    corner row's pairwise column sum for k <= n, else the base's blocks over
-    l..n, the folded share of the excess and the frozen diagonal block."""
-    d, n = T.d, T.n
-    if k <= n:
-        if l > n:
-            return np.zeros((d, d))
-        row = T.matrix.values[k * d:(k + 1) * d]
-        return row[:, l * d:].reshape(d, -1, d).sum(axis=1)
-    out = np.zeros((d, d))
-    if l <= n:
-        for m in range(l, n + 1):
-            out = out + T.base.block(k, m)
-        frac = sum(fr for lev, fr in T.spec.targets.items() if lev >= l)
-        out = out + frac * T.excess(k)
-    if l <= k:
-        out = out + T.base.block(k, k)
-    return out
-
-
 def extended_fold(T, probe):
     """Levels 0..n+probe of a truncation's augmented generator, filled by
     hand: the corner, then each row above it from the base's blocks over
@@ -266,51 +154,88 @@ def extended_fold(T, probe):
     return out
 
 
-def finite_tail_sum(F, k, l):
-    """S(k; l) of a finite block matrix, its blocks added from the last
-    column down as `order._col_tail` adds them; zero past the corner."""
-    out = np.zeros((F.d, F.d))
-    if k <= F.n:
-        for m in range(F.n, l - 1, -1):
-            out = out + F.block(k, m)
+def pairwise_table(F, rows, cols):
+    """S(k; l) of a finite block matrix for k < rows and l < cols, shape
+    (rows, cols, d, d), by numpy's pairwise column sums; zero past the
+    corner."""
+    d, m = F.d, F.n + 1
+    out = np.zeros((rows, cols, d, d))
+    for k in range(min(rows, m)):
+        for l in range(min(cols, m)):
+            out[k, l] = F.values[k * d:(k + 1) * d, l * d:].reshape(d, -1, d).sum(axis=1)
     return out
 
 
-def pairwise_tail_sum(F, k, l):
-    """S(k; l) of a finite block matrix by numpy's pairwise column sum;
-    zero past the corner."""
-    d, n = F.d, F.n
-    if k > n or l > n:
-        return np.zeros((d, d))
-    return F.values[k * d:(k + 1) * d, l * d:].reshape(d, -1, d).sum(axis=1)
+def window_tail_table(M, rows, cols):
+    """S(k; l) of a model for k < rows and l < cols, shape (rows, cols, d, d):
+    row k's blocks over columns 0..W, W past the band of every row read,
+    summed from the right, plus its geometric tail's remainder past W."""
+    W = max(rows - 1 + M.upper_hint(), cols - 1) + 1
+    blocks = np.array([[M.block(k, l) for l in range(W + 1)] for k in range(rows)], dtype=float)
+    table = np.flip(np.cumsum(np.flip(blocks, 1), 1), 1)[:, :cols]
+    for k, tail in enumerate(map(M.row_tail, range(rows))):
+        if tail is not None:
+            table[k] += tail.sum_from(W + 1 - k)
+    return table
+
+
+def monotone_oracle(M, tol=TAU_ORD):
+    """Block monotonicity of a model by `table_order_oracle` over its
+    `window_tail_table`: rows 1..bm_check_level() against the row below,
+    over the columns up to one past either row's band, where level
+    homogeneity lets the check stop."""
+    top = M.bm_check_level()
+    col_top = np.arange(1, top + 1) + M.upper_hint() + 1
+    table = window_tail_table(M, top + 1, int(col_top.max()) + 1)
+    valid = np.arange(table.shape[1]) <= col_top[:, None]
+    return table_order_oracle(table[:-1], table[1:], valid, first=1, skip_diagonal=True,
+                              tol=tol)
 
 
 def _hand_view(M):
-    """(check level, column extent, S(k; l), tail) of one side of a
-    dominance check with a truncation's sums taken by hand: truncations by
-    `virtual_tail_sum`, finite matrices by pairwise column sums."""
+    """(check level, column extent, table of S(k; l) by (rows, columns),
+    tail) of one side of a dominance check, its sums taken by hand: a
+    model's by `window_tail_table`, a finite matrix's, or the hand-built
+    `extended_fold` of a truncation's, by `pairwise_table`."""
     if isinstance(M, TruncatedGenerator):
         level = max(M.base.bm_check_level(), M.n + M.base.upper_hint() + 2)
-        return level, lambda k: max(M.n, k) + 1, lambda k, l: virtual_tail_sum(M, k, l), None
+        return level, lambda k: max(M.n, k) + 1, lambda rows, cols: pairwise_table(
+            FiniteBlockMatrix(M.d, extended_fold(M, max(rows, cols) - 1 - M.n)), rows, cols), None
     if isinstance(M, FiniteBlockMatrix):
-        return M.n, lambda k: M.n + 1, lambda k, l: pairwise_tail_sum(M, k, l), None
+        return M.n, lambda k: M.n + 1, lambda rows, cols: pairwise_table(M, rows, cols), None
     level = M.bm_check_level()
-    return level, lambda k: k + M.upper_hint() + 1, M.tail_sum, M.row_tail(level)
+    return (level, lambda k: k + M.upper_hint() + 1,
+            lambda rows, cols: window_tail_table(M, rows, cols), M.row_tail(level))
 
 
 def hand_dominates(M, M_tilde, tol=TAU_ORD):
-    """`generator_dominates` over `_hand_view` sums, one (k, l) pair at a
-    time; returns the report and the scan's tolerance."""
-    a_top, a_ext, a_sum, a_tail = _hand_view(M)
-    b_top, b_ext, b_sum, b_tail = _hand_view(M_tilde)
+    """`generator_dominates` by `table_order_oracle` over `_hand_view`
+    tables and the geometric tails past them in closed form."""
+    a_top, a_ext, a_table, a_tail = _hand_view(M)
+    b_top, b_ext, b_table, b_tail = _hand_view(M_tilde)
     k_top = max(a_top, b_top)
-    report, tau = scalar_scan(range(k_top + 1), lambda k: max(a_ext(k), b_ext(k)),
-                              a_sum, b_sum, tol)
+    col_top = np.array([max(a_ext(k), b_ext(k)) for k in range(k_top + 1)])
+    shape = (k_top + 1, int(col_top.max()) + 1)
+    valid = np.arange(shape[1]) <= col_top[:, None]
+    report, tau, slack = table_order_oracle(a_table(*shape), b_table(*shape), valid, tol=tol)
     tail_rep = _tail_beyond(a_tail, b_tail, k_top, tau)
     if tail_rep is not None and tail_rep[1] > max(0.0, -report.margin):
         report = DominanceReport(holds=tail_rep[1] <= tau, worst_violation=tail_rep,
                                  margin=min(report.margin, -tail_rep[1]))
-    return report, tau
+    return report, tau, slack
+
+
+def assert_same_scan(found, expected, tau, slack, tol=TAU_ORD):
+    """A report agrees with `table_order_oracle`'s (expected, tau, slack):
+    the verdict, the margin to 1e-14 times the scale, and where the check
+    fails, the worst place, or one whose slack is as small to that much."""
+    rounding = 1e-14 * tau / tol
+    assert found.holds == expected.holds, (found, expected)
+    assert found.margin == expected.margin or (
+        abs(found.margin - expected.margin) <= rounding), (found, expected)
+    where = found.worst_violation and found.worst_violation[0]
+    if not expected.holds and where != expected.worst_violation[0]:
+        assert abs(slack(*where) - expected.margin) <= rounding, (found, expected)
 
 
 def banded_two_down(rng):
@@ -451,73 +376,17 @@ def affine_disaster_queue(lam=0.617):
                           mu=MuRule(table=(2.06,), eventual="affine", slope=0.103), psi=lam)
 
 
-def power_iteration(B, z, seed=0, settled=None):
-    """Perron data of B.dhat(z) by the plain two-sided power iteration.
-
-    Returns (eigenvalue, right, left, residual, iterations) with the
-    normalizations of `bmtrunc.spectral`: min(right) = 1, left . right = 1.
-    Its stop rule is deliberately not the library's: a step tests both
-    residuals against the contract only once two successive quotients agree
-    to 1e-13 relative, where `spectral` tests them at every step their free
-    lower bounds allow, so agreeing bit for bit shows that the contract
-    alone stops where the settled quotient would.  A `settled` list
-    receives the number of every step whose quotient test passes.
-    """
-    dh = B.dhat(z)
-    d = B.d
-    shift = float(np.max(np.abs(np.diag(B.D[0]))))
-    norm = max(float(np.max(np.abs(dh))), 1e-300)
-    if d == 1:
-        return float(dh[0, 0]), np.ones(1), np.ones(1), 0.0, 0
-    E = np.eye(d) + dh / shift
-    x = np.ones(d)
-    y = np.ones(d)
-    rng = np.random.default_rng(seed)
-    rprev = math.inf
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > 100_000:
-            raise NoConvergence(f"power iteration did not converge at z={z}")
-        x = E @ x
-        y = E.T @ y
-        nx = float(np.max(np.abs(x)))
-        ny = float(np.max(np.abs(y)))
-        if nx <= 0.0 or ny <= 0.0:
-            x = rng.random(d) + 0.5
-            y = rng.random(d) + 0.5
-            rprev = math.inf
-            continue
-        x /= nx
-        y /= ny
-        r = float((y @ (E @ x)) / (y @ x))
-        done = abs(r - rprev) < 1e-13 * max(1.0, abs(r))
-        rprev = r
-        if done:
-            if settled is not None:
-                settled.append(iterations)
-            val = (r - 1.0) * shift
-            res_r = float(np.max(np.abs(dh @ x - val * x)))
-            res_l = float(np.max(np.abs(y @ dh - val * y)))
-            if max(res_r, res_l) <= 1e-12 * norm:
-                break
-            if iterations % 5000 == 0:
-                x = rng.random(d) + 0.5
-                y = rng.random(d) + 0.5
-                rprev = math.inf
-    u = x / float(x.min())
-    eta = y / float(y @ u)
-    return val, u, eta, max(res_r, res_l) / norm, iterations
-
-
 def offset_constants(B, beta, rec, k_cap):
-    """First offset level K and its (c', b') by rescanning every window.
+    """First offset level K and its (c', b') from a deep window of levels.
 
-    For K = 0, 1, ... up to k_cap, c'(K) is the minimum of the decay bracket
-    over levels K+1 .. max(stable_from, K+1)+1, evaluated afresh for each K;
-    the first positive one wins.  `rec` supplies delta_D(beta) and u(beta).
-    Returns (K, c', b') or None, with b' = inf where beta**K passes the
-    float range.
+    c'(K), the infimum of the decay bracket
+    mu(k)(1 - 1/beta) + psi(1 - beta^-k) - delta_D(beta) over k > K, is
+    taken as its minimum over levels K+1 .. 2 max(stable_from, k_cap + 1),
+    twice as deep as the search's window, so it does not lean on the
+    search's premise that the bracket never falls past the mu table.  For
+    K = 0, 1, ... up to k_cap the first positive one wins.  `rec` supplies
+    delta_D(beta) and u(beta).  Returns (K, c', b') or None, with b' = inf
+    where beta**K passes the float range.
     """
     delta = rec.eigenvalue
     psi = B.psi
@@ -525,9 +394,11 @@ def offset_constants(B, beta, rec, k_cap):
     def bracket(k):
         return B.mu(k) * (1.0 - 1.0 / beta) + psi * (1.0 - beta ** (-k)) - delta
 
+    top = 2 * max(B.mu.stable_from, k_cap + 1)
+    # deep[K] is the minimum over levels K+1 .. top
+    deep = list(itertools.accumulate((bracket(k) for k in range(top, 0, -1)), min))[::-1]
     for K in range(k_cap + 1):
-        ks = range(K + 1, max(B.mu.stable_from, K + 1) + 2)
-        c_prime = min(bracket(k) for k in ks)
+        c_prime = deep[K]
         if c_prime > 0.0:
             if math.log(beta) * K > math.log(np.finfo(float).max):
                 return K, c_prime, math.inf
@@ -910,15 +781,6 @@ def regime_queue(d, k_max, tail_ratio, rule, rho, psi_share, cycle, spread, seed
                           tail=tail)
 
 
-def row_diff(values, d):
-    """Left-multiply by the inverse of T_d: block row k minus block row k-1."""
-    rows, cols = values.shape
-    v = values.reshape(rows // d, d, cols)
-    out = v.copy()
-    out[1:] -= v[:-1]
-    return out.reshape(rows, cols)
-
-
 def order_scale(*arrays):
     """The ordering checks' tolerance scale: the largest finite |entry| of
     the arrays compared, at least 1; a NaN or an infinity adds nothing."""
@@ -950,7 +812,9 @@ def finite_order_oracle(values, d, skip_diagonal=False, tol=TAU_ORD):
     times `order_scale` of the tail sums M T_d, the rule of the scan; a
     finite matrix's used to be scaled by its largest entry instead."""
     tails = td_transform(values, d)
-    slack = row_diff(tails, d)
+    # block row k minus block row k - 1
+    slack = tails.copy()
+    slack[d:] -= tails[:-d]
     if skip_diagonal:
         slack = slack[~np.eye(len(slack), dtype=bool)]
     return flat_report(slack, tol * order_scale(tails))
@@ -961,6 +825,21 @@ def vector_order_oracle(lower, upper, tol=TAU_ORD):
     (level, phase)."""
     return flat_report(upper - lower, tol * order_scale(lower, upper),
                        index_of=lambda ij: (ij[0], ij[1]))
+
+
+def table_order_oracle(lower, upper, valid, first=0, skip_diagonal=False, tol=TAU_ORD):
+    """lower(k, l) <= upper(k, l) for two tables of blocks, shape (rows,
+    columns, d, d), whose row r is level first + r, at the (k, l) pairs
+    valid marks, off the entries (k,i;k,i) with skip_diagonal; located at
+    (k, i, l, j).  Returns the report, the scaled tolerance and the slack
+    at (k, i, l, j)."""
+    slack = np.where(valid[..., None, None], upper - lower, math.inf)
+    for r in range(len(slack)) if skip_diagonal else ():
+        if r + first < slack.shape[1]:
+            np.fill_diagonal(slack[r, r + first], math.inf)
+    tau = tol * order_scale(lower[valid], upper[valid])
+    report = flat_report(slack, tau, index_of=lambda ij: (ij[0] + first, ij[2], ij[1], ij[3]))
+    return report, tau, lambda k, i, l, j: float(slack[k - first, l, i, j])
 
 
 def vector_dominates_oracle(mu, eta, d, tol=TAU_ORD):

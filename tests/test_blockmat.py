@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import re
 
@@ -28,6 +29,8 @@ from bmtrunc import (
     generator_is_block_monotone,
     lc_truncate,
     load_model,
+    stationary,
+    td_transform,
     validate_q_matrix,
 )
 from bmtrunc import blockmat, truncate
@@ -75,6 +78,29 @@ def test_finite_block_matrix_refuses_a_level_outside_its_levels(k, l):
     M = FiniteBlockMatrix(2, np.arange(16, dtype=float).reshape(4, 4))
     with pytest.raises(InputError, match=re.escape(f"block ({k}, {l}) lies outside levels 0..1")):
         M.block(k, l)
+
+
+@pytest.mark.parametrize("k, l", [(0.0, 0), (True, 0), (0, np.float64(1.0)), (0, "1")])
+def test_finite_block_matrix_refuses_a_level_that_is_not_an_integer(k, l):
+    # a float slice raised a bare TypeError, and True read as level 1
+    M = FiniteBlockMatrix(2, np.arange(16, dtype=float).reshape(4, 4))
+    with pytest.raises(InputError, match=re.escape(f"block ({k!r}, {l!r}) needs integer levels")):
+        M.block(k, l)
+    assert np.array_equal(M.block(np.int64(1), np.int32(0)), M.values[2:, :2])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: FiniteBlockMatrix(2.0, np.eye(4)),
+    lambda: check_block_length(4, 2.0),
+    lambda: check_block_length(4, True),
+    lambda: stationary(np.array([[-1.0, 1.0], [1.0, -1.0]]), d=1.0),
+    lambda: td_transform(np.ones(4), 2.0),
+], ids=["matrix", "length", "bool", "stationary", "td_transform"])
+def test_a_block_size_that_is_not_an_integer_is_refused(call):
+    # a float block size gave float level counts (FiniteBlockMatrix(2.0, ...)
+    # had n == 1.0) or a bare TypeError, and True read as 1
+    with pytest.raises(DimensionMismatch, match="block size must be an integer"):
+        call()
 
 
 def test_finite_block_matrix_rejects_bad_shape():
@@ -405,6 +431,12 @@ def _refused_model_calls(tmp_path):
         "phase_negative_off_diagonal": lambda: phase_generator(banded(
             {0: {0: [[1.0, -1.0], [-1.0, 1.0]], 1: np.zeros((2, 2))},
              1: {-1: np.eye(2), 0: [[0.0, -1.0], [-1.0, 0.0]], 1: np.zeros((2, 2))}})),
+        # a negative band loaded, and d = 0 built a model
+        **{f"banded_{field}_{value!r}": functools.partial(BandedModel, **dict(
+            dict(d=1, L=1, U=1, K_hom=1, rows={0: {0: [[-1.0]], 1: [[1.0]]}}), **{field: value}))
+           for field, value in (("d", 0), ("L", -1), ("U", -1), ("L", 1.0), ("K_hom", True))},
+        "mg1_d_0": lambda: Mg1Model(d=0, repeat=[np.zeros((0, 0))] * 2,
+                                   boundary=[np.zeros((0, 0))]),
         "tail_ratio_0": lambda: GeometricTail(coef=D1, ratio=0.0),
         "tail_ratio_1": lambda: GeometricTail(coef=D1, ratio=1.0),
         "tail_ratio_negative": lambda: GeometricTail(coef=D1, ratio=-0.5),
@@ -432,6 +464,12 @@ def _refused_model_calls(tmp_path):
     ("phase_rows_leak", NotStochastic, "phase generator rows sum to 5.000e-01, not 0"),
     ("phase_negative_off_diagonal", NotStochastic,
      "phase generator has negative off-diagonal entries"),
+    ("banded_d_0", InputError, "d must be >= 1, got 0"),
+    ("banded_L_-1", InputError, "L must be >= 0, got -1"),
+    ("banded_U_-1", InputError, "U must be >= 0, got -1"),
+    ("banded_L_1.0", InputError, "L must be an integer, got 1.0"),
+    ("banded_K_hom_True", InputError, "K_hom must be an integer, got True"),
+    ("mg1_d_0", InputError, "d must be >= 1, got 0"),
     ("tail_ratio_0", InputError, "tail ratio must lie in (0,1), got 0.0"),
     ("tail_ratio_1", InputError, "tail ratio must lie in (0,1), got 1.0"),
     ("tail_ratio_negative", InputError, "tail ratio must lie in (0,1), got -0.5"),

@@ -63,7 +63,6 @@ from helpers import (
     brute_scaled_slack,
     d2_blocks,
     offset_constants,
-    power_iteration,
     random_bmap,
     regime_queue,
     regime_queues,
@@ -260,19 +259,51 @@ def test_pipeline_runtime_covers_the_corner_solve(mm1, monkeypatch):
     assert all(r.runtime_ms >= 30.0 for r in reps)
 
 
-def _assert_same_spectral(B, z):
+def _assert_spectral_contract(B, z):
+    """spectral(B, z) keeps its contract, checked against `scipy.linalg.eigvals`.
+
+    Its vectors are positive, min u = 1 and eta . u = 1.  Scaled as the
+    iteration scales them (maximum 1; unit 2-norm where the dense
+    eigensolver took over after POWER_ITERS steps), both meet the residual
+    contract RESIDUAL max|Dhat| up to the rounding of that rescaling and of
+    the products, and the record's residual is the larger of the two.  On
+    x = u / max u the contract and the Collatz-Wielandt bounds put the root
+    within RESIDUAL max|Dhat| / min x of the Perron root, which the
+    eigensolver gets to within its own first-order error,
+    eps max|Dhat| d ||u|| ||eta|| / (eta . u).  A power-iteration root is
+    a Rayleigh quotient, a weighted mean of the ratios (Dhat u)_i / u_i, so
+    it also lies between them, up to their rounding and that of the
+    quotient.
+    """
     rec = spectral(B, z)
-    val, right, left, residual, iterations = power_iteration(B, z)
+    dh = B.dhat(z)
+    d, eps = B.d, np.finfo(float).eps
+    u, eta, val = rec.right, rec.left, rec.eigenvalue
     assert rec.z == z
-    assert rec.eigenvalue == val
-    np.testing.assert_array_equal(rec.right, right)
-    np.testing.assert_array_equal(rec.left, left)
-    assert rec.residual == residual
-    assert rec.iterations == iterations
+    assert (u > 0.0).all() and (eta > 0.0).all() and u.min() == 1.0
+    assert abs(float(eta @ u) - 1.0) <= 4 * d * eps
+    norm = np.abs(dh).max()
+    limit = RESIDUAL * norm
+    dense = rec.iterations > POWER_ITERS
+    x, y = (v / (np.linalg.norm(v) if dense else v.max()) for v in (u, eta))
+    residuals = (np.abs(dh @ x - val * x).max(), np.abs(y @ dh - val * y).max())
+    rounding = (2 * d + 8) * eps * max((np.abs(dh) @ x + abs(val) * x).max(),
+                                       (y @ np.abs(dh) + abs(val) * y).max())
+    assert max(residuals) <= limit + rounding, (z, residuals)
+    assert rec.residual <= RESIDUAL
+    assert abs(rec.residual * norm - max(residuals)) <= rounding, z
+    perron = float(scipy.linalg.eigvals(dh).real.max())
+    condition = np.linalg.norm(u) * np.linalg.norm(eta) / float(eta @ u)
+    assert abs(val - perron) <= (limit + rounding) / x.min() + d * eps * norm * condition, z
+    if not dense:
+        ratios = dh @ u / u
+        spread = (d + 1) * eps * (np.abs(dh) @ u) / u + (2 * d + 4) * eps * (
+            B._perron_shift + abs(val))
+        assert (ratios - spread).min() <= val <= (ratios + spread).max(), z
 
 
 def _assert_same_offset_constants(B, beta):
-    """_disaster_constants equals the rescanning oracle bit for bit."""
+    """_disaster_constants equals the deep-window oracle bit for bit."""
     found = _disaster_constants(B, beta, _mu_levels(B).tolist())
     expected = offset_constants(B, beta, spectral(B, beta), K_CAP)
     if expected is None:
@@ -282,58 +313,48 @@ def _assert_same_offset_constants(B, beta):
     return found
 
 
-def test_spectral_is_the_plain_power_iteration(fleet, pure_disaster):
+def test_spectral_meets_its_contract(fleet, pure_disaster):
     rng = np.random.default_rng(5)
     # stiff transforms: phases that switch 10**4 times faster than batches
     stiff = [regime_queue(d, 2, None, "constant", 0.8, 0.0, False, 1e4, seed)
              for seed, d in enumerate((2, 8, 24))]
     models = [*fleet.values(), pure_disaster,
-              *(random_bmap(rng, d=d, psi=0.3) for d in (3, 5, 8, 16, 24)), *stiff]
+              *(random_bmap(rng, d=d, psi=0.3) for d in (3, 5, 8, 16, 24)), *stiff,
+              _stiff_queue(1e3, fast=(0, 1, 4))]
+    dense = 0
     for B in models:
         for z in (0.5, 1.0, 1.0 + 1e-6, 1.3, 2.0, 7.5):
-            _assert_same_spectral(B, z)
+            _assert_spectral_contract(B, z)
+            dense += spectral(B, z).iterations > POWER_ITERS
+    # the partly stiff queue hands some points to the dense eigensolver
+    assert dense > 0
 
 
 def test_spectral_agrees_with_an_independent_eigensolver(fleet, pure_disaster):
-    # |delta - lambda| <= RESIDUAL max|Dhat| (max u / min u) follows from
-    # the residual contract on x = u / max u and the Collatz-Wielandt bounds
-    # on lambda; and the root lies between the ratios (Dhat u)_i / u_i,
-    # each computed to within gamma_{d+1} (|Dhat| u)_i / u_i
+    # at the points the searches score and the winners they certify
     for B in [*fleet.values(), pure_disaster]:
         search = find_beta_no_disaster if B.psi == 0.0 else find_constants_disaster
-        for z in (0.5, 1.0, 1.0 + 1e-6, 1.3, 2.0, 7.5, *_beta_grid(B)[::20], search(B).v.beta):
-            rec = spectral(B, z)
-            dh = B.dhat(z)
-            u = rec.right
-            perron = float(scipy.linalg.eigvals(dh).real.max())
-            spread = u.max() / u.min()
-            assert abs(rec.eigenvalue - perron) <= RESIDUAL * np.abs(dh).max() * spread, z
-            ratios = dh @ u / u
-            unit = (B.d + 1) * np.finfo(float).eps / 2.0
-            rounding = unit / (1.0 - unit) * (np.abs(dh) @ u) / u
-            assert (ratios - rounding).min() <= rec.eigenvalue <= (ratios + rounding).max(), z
+        for z in (*_beta_grid(B)[::20], search(B).v.beta):
+            _assert_spectral_contract(B, z)
 
 
 @given(B=regime_queues())
-def test_spectral_is_the_plain_power_iteration_on_regime_queues(B):
-    # at the points the search visits; a point that needs more than
-    # POWER_ITERS steps goes to the dense eigensolver, which the plain
-    # iteration does not reproduce
+def test_spectral_meets_its_contract_on_regime_queues(B):
+    # at the points the search visits
     for z in (0.5, 1.0 + 1e-6, *_beta_grid(B)[::40]):
-        if spectral(B, z).iterations <= POWER_ITERS:
-            _assert_same_spectral(B, z)
+        _assert_spectral_contract(B, z)
 
 
 def test_spectral_skips_the_residual_checks_that_must_fail(d2_psi0, monkeypatch):
-    # the plain loop evaluates both residuals at every step whose stop test
-    # passes; spectral only where their free lower bounds let them pass
+    # evaluating the right residual at every step, and the left one where
+    # the right one passes, would take at least one evaluation per step;
+    # spectral evaluates them only where their free lower bounds let them
+    # pass, and both at the step that stops
     calls = _count_calls(monkeypatch, bmap, "_residual")
     for z in (0.5, 1.3, 7.5):
-        settled = []
-        power_iteration(d2_psi0, z, settled=settled)
         calls.clear()
-        spectral(d2_psi0, z)
-        assert 2 <= len(calls) < len(settled)
+        rec = spectral(d2_psi0, z)
+        assert 2 <= len(calls) < rec.iterations
 
 
 def _metzler(rng, d, kind):
@@ -443,7 +464,7 @@ def test_offset_constants_match_the_rescan_for_any_service_rule(mu, psi, d, seed
     base = random_bmap(np.random.default_rng(seed), d=d)
     B = BmapModel(d=d, D=base.D, mu=mu, psi=psi)
     _assert_same_offset_constants(B, beta)
-    _assert_same_spectral(B, beta)
+    _assert_spectral_contract(B, beta)
 
 
 def _stiff_queue(spread=1e4, fast=range(5)):

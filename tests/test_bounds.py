@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 from collections import Counter
@@ -287,6 +288,9 @@ def _refused_calls(mm1, cert, offset, pure_disaster):
     unverified = dataclasses.replace(cert, verified=False)
     return {
         "drift_check_negative_K": lambda: drift_check(mm1, cert.v, cert.c, cert.b, K=-1),
+        # 1.5 was certified as given, and nan failed row 0 with DriftViolated
+        **{f"drift_check_{K!r}_K": functools.partial(drift_check, mm1, cert.v, cert.c, cert.b,
+                                                     K=K) for K in (1.5, True, math.nan)},
         "drift_check_profile_length": lambda: drift_check(
             mm1, GeometricVector(beta=cert.v.beta, u=np.ones(2)), cert.c, cert.b),
         "bound_report_unverified": lambda: bounds.bound_report(unverified, mm1, 5),
@@ -299,6 +303,9 @@ def _refused_calls(mm1, cert, offset, pure_disaster):
 
 @pytest.mark.parametrize("name, error, fragment", [
     ("drift_check_negative_K", InputError, "offset level K must be >= 0, got -1"),
+    ("drift_check_1.5_K", InputError, "offset level K must be an integer, got 1.5"),
+    ("drift_check_True_K", InputError, "offset level K must be an integer, got True"),
+    ("drift_check_nan_K", InputError, "offset level K must be an integer, got nan"),
     ("drift_check_profile_length", InputError, "weight profile has 2 phases, model has 1"),
     ("bound_report_unverified", CertificateNotVerified, "has not passed drift_check"),
     ("minimized_bound_unverified", CertificateNotVerified, "has not passed drift_check"),

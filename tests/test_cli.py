@@ -97,6 +97,17 @@ def test_bad_model_files_exit_2(runner, tmp_path):
     assert missing.exit_code == 2
 
 
+@pytest.mark.parametrize("field, value", [("L", -1), ("U", -1)])
+def test_a_model_file_with_a_negative_band_exits_2(runner, tmp_path, field, value):
+    # "L": -1 loaded, and validate judged the model ("conservative: no",
+    # exit 1); "U": -1 was refused only through its offset-0 block
+    doc = banded_doc({0: {0: [[-1.0]], 1: [[1.0]]}, 1: {-1: [[2.0]], 0: [[-3.0]], 1: [[1.0]]}},
+                     **{field: value})
+    result = runner.invoke(main, ["validate", "--model", write_model(tmp_path / "m.json", doc)])
+    assert result.exit_code == 2
+    assert f"{field} must be >= 0, got -1" in result.output
+
+
 @pytest.mark.parametrize("D", [
     [[[-1.0]], [[0.9]]],
     [(-np.eye(2)).tolist(), np.eye(2).tolist()],

@@ -22,27 +22,27 @@ from bmtrunc import (
 )
 from bmtrunc.bmap import BmapModel
 from bmtrunc.blockmat import BandedModel, GeometricTail, Mg1Model, MuRule
-from bmtrunc.order import TAU_ORD, _tail_table
+from bmtrunc.order import _tail_table
 
 from helpers import (
+    assert_same_scan,
     banded_queue_rows,
     block_increasing,
     break_monotone,
     dominated_pair,
     finite_order_cases,
     finite_order_oracle,
-    finite_tail_sum,
+    hand_dominates,
+    monotone_oracle,
     random_bmap,
     regime_queues,
-    scalar_monotone_scan,
-    scalar_scan,
-    scalar_tail_sum,
     t_matrix,
     tailed_mg1,
     tailed_queue,
     vector_dominates_oracle,
     vector_order_cases,
     vector_order_oracle,
+    window_tail_table,
 )
 
 
@@ -310,23 +310,34 @@ def _scan_models(fleet_models, pure_disaster):
 
 
 def test_tail_table_is_tail_sum_bit_for_bit(fleet_models, pure_disaster):
+    # the table is tail_sum's rows bit for bit; both are the tail sums of a
+    # materialized window plus the tail's closed-form remainder, up to the
+    # rounding of sums over that window, NaN where a NaN block enters
+    eps = np.finfo(float).eps
     for name, model in _scan_models(fleet_models, pure_disaster).items():
         rows, cols = model.bm_check_level() + 1, model.bm_check_level() + model.upper_hint() + 3
         table = _tail_table(model, rows, cols)
         assert table.shape == (rows, cols, model.d, model.d)
+        window = window_tail_table(model, rows, cols)
+        # a sum of at most `terms` blocks, of largest entries adding up to scale
+        terms = cols + model.upper_hint() + 2
         for k in range(rows):
+            scale = sum(np.fmax.reduce(np.abs(model.block(k, m)), axis=None, initial=0.0)
+                        for m in range(terms))
             for l in range(cols):
                 entry = model.tail_sum(k, l)
                 assert np.array_equal(table[k, l], entry, equal_nan=True), (name, k, l)
-                assert np.array_equal(entry, scalar_tail_sum(model, k, l), equal_nan=True), (
-                    name, k, l)
+                nan = np.isnan(entry)
+                assert np.array_equal(nan, np.isnan(window[k, l])), (name, k, l)
+                gap = np.abs(entry - window[k, l])[~nan].max(initial=0.0)
+                assert gap <= terms * eps * scale, (name, k, l, gap)
 
 
 def test_monotone_scan_matches_the_per_pair_loop(fleet_models, pure_disaster):
     outcomes = set()
     for name, model in _scan_models(fleet_models, pure_disaster).items():
         found = generator_is_block_monotone(model)
-        assert found == scalar_monotone_scan(model), name
+        assert_same_scan(found, *monotone_oracle(model))
         outcomes.add((found.holds, found.margin == -np.inf))
     # holding, violated and NaN reports are all covered
     assert outcomes == {(True, False), (False, False), (False, True)}
@@ -334,7 +345,7 @@ def test_monotone_scan_matches_the_per_pair_loop(fleet_models, pure_disaster):
 
 @given(B=regime_queues())
 def test_monotone_scan_matches_the_per_pair_loop_on_regime_queues(B):
-    assert generator_is_block_monotone(B) == scalar_monotone_scan(B)
+    assert_same_scan(generator_is_block_monotone(B), *monotone_oracle(B))
 
 
 def test_dominance_scan_matches_the_per_pair_loop(fleet_models, pure_disaster):
@@ -345,18 +356,8 @@ def test_dominance_scan_matches_the_per_pair_loop(fleet_models, pure_disaster):
              (lc_truncate(d2, 7), fc_truncate(d2, 7)), (models["d2"], d2),
              (lc_truncate(d2, 5).matrix, d2), (d2, lc_truncate(d2, 5).matrix),
              (models["nan"], models["not_monotone"]), (models["not_monotone"], models["nan"])]
-
-    def view(M):  # (check level, last scanned column of row k, S(k; l))
-        if isinstance(M, FiniteBlockMatrix):
-            return M.n, lambda k: M.n + 1, lambda k, l: finite_tail_sum(M, k, l)
-        return M.bm_check_level(), lambda k: M.band(k)[1] + 1, M.tail_sum
-
     for left, right in pairs:
-        (a_top, a_col, a_sum), (b_top, b_col, b_sum) = view(left), view(right)
-        expected = scalar_scan(range(max(a_top, b_top) + 1), lambda k: max(a_col(k), b_col(k)),
-                               a_sum, b_sum, TAU_ORD)[0]
-        assert generator_dominates(left, right) == expected, (type(left).__name__,
-                                                              type(right).__name__)
+        assert_same_scan(generator_dominates(left, right), *hand_dominates(left, right))
 
 
 def test_geometric_tails_past_the_scan_are_compared():

@@ -44,7 +44,6 @@ from helpers import (
     banded_two_down,
     dense_stationary,
     random_bmap,
-    scalar_stationary,
     sparse_generators,
     tailed_mg1,
     tailed_queue,
@@ -140,7 +139,8 @@ def test_wide_corners_match_dense_elimination(fleet_models, name):
                                        err_msg=f"{name} n={n} {corner.spec.style}")
 
 
-def test_stationary_is_bit_identical_to_the_scalar_loop(fleet_models):
+def test_stationary_is_bit_identical_to_dense_elimination(fleet_models):
+    # the fill-bounded updates leave out only exact zeros of the dense ones
     rng = np.random.default_rng(29)
     for name, model in _corner_models(fleet_models).items():
         for n in (9, 40):
@@ -149,7 +149,7 @@ def test_stationary_is_bit_identical_to_the_scalar_loop(fleet_models):
             for corner in (lc_truncate(model, n), fc_truncate(model, n),
                            custom_truncate(model, custom)):
                 Q = corner.matrix
-                expected = scalar_stationary(Q.values)
+                expected = dense_stationary(Q.values)
                 assert np.array_equal(stationary(Q).values, expected), (
                     f"{name} n={n} {corner.spec.style}")
                 # the in-place solve of the same corner, from the model
@@ -163,19 +163,19 @@ def test_stationary_is_bit_identical_to_the_scalar_loop(fleet_models):
     np.fill_diagonal(dense, 0.0)
     raw.append(dense - np.diag(dense.sum(axis=1)))
     for G in raw:
-        assert np.array_equal(stationary(G).values, scalar_stationary(G))
+        assert np.array_equal(stationary(G).values, dense_stationary(G))
 
 
 @given(case=sparse_generators())
 @example(case=(np.array([[-1.0, 1.0], [1e-20, -1e-20]]), 1))
-def test_stationary_is_the_scalar_loop_on_sparse_generators(case):
+def test_stationary_is_dense_elimination_on_sparse_generators(case):
     # far links, folds onto column 0 and dense upper triangles move a
     # pivot's first row and column below its own as fill spreads down.  A
     # draw whose paths back down are too weak for its pivot floor is
-    # refused by the scalar loop, and must be refused alike
+    # refused by the dense elimination, and must be refused alike
     G, d = case
     try:
-        expected = scalar_stationary(G)
+        expected = dense_stationary(G)
     except MultipleClosedClasses as exc:
         with pytest.raises(MultipleClosedClasses) as refused:
             stationary(G, d)
@@ -217,12 +217,12 @@ def test_solve_truncations_is_solve_truncation_bit_for_bit(fleet_models):
 
 
 @given(cases=st.lists(sparse_generators(), min_size=2, max_size=4))
-def test_stacked_elimination_is_the_scalar_loop_on_sparse_generators(cases):
+def test_stacked_elimination_is_dense_elimination_on_sparse_generators(cases):
     # generators of different sizes and block sizes, zero-padded into one
     # stack: each pivot's fill bounds are the union over the corners that
     # take part in it, and its groups follow the largest corner's block
     # size.  A draw whose paths back down are too weak for its pivot floor
-    # is refused by the scalar loop, and its slot must be refused alike
+    # is refused by the dense elimination, and its slot must be refused alike
     cases = sorted(cases, key=lambda case: -case[0].shape[0])
     sizes = [G.shape[0] for G, _ in cases]
     S = np.zeros((sizes[0], len(cases), sizes[0]))
@@ -231,7 +231,7 @@ def test_stacked_elimination_is_the_scalar_loop_on_sparse_generators(cases):
     results = solve._eliminate(S, sizes, cases[0][1])
     for (G, _), result in zip(cases, results):
         try:
-            expected = scalar_stationary(G)
+            expected = dense_stationary(G)
         except MultipleClosedClasses as exc:
             assert isinstance(result, MultipleClosedClasses) and str(result) == str(exc)
         else:
@@ -337,7 +337,7 @@ def test_reducible_corner_fails_at_the_scalar_loops_state():
     np.fill_diagonal(G, 0.0)
     G -= np.diag(G.sum(axis=1))
     with pytest.raises(MultipleClosedClasses) as expected:
-        scalar_stationary(G)
+        dense_stationary(G)
     with pytest.raises(MultipleClosedClasses) as found:
         stationary(G, d=1)
     assert str(found.value) == str(expected.value)
