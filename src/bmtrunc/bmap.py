@@ -42,13 +42,13 @@ once more at the Collatz-Wielandt ratio of its own vector when refuted
 (`_verified`).  `_disaster_constants` scans its offset levels on Python
 floats over a mu list built once per search: the table's arithmetic,
 without a numpy call per window of levels.  `spectral` is a two-sided
-power iteration of eight numpy calls per step.  Its contract: positive
+power iteration of four numpy calls per step.  Its contract: positive
 vectors with min u = 1 and eta . u = 1 whose right and left residuals are
 within RESIDUAL max|Dhat(z)|; the iteration's root is their Rayleigh
 quotient, so it lies between the Collatz-Wielandt ratios of u.  It stops
-at the first step where both residuals meet that contract, and evaluates
-them only at the steps where a free lower bound, the distance from the
-quotient to the next normalizers, leaves them a chance to pass.  Its
+at the first step where both residuals meet that contract, and forms the
+quotient and the residuals only where bounds on the distances from it to
+the next normalizers, free of numpy calls, leave them a chance to pass.  Its
 shift, the largest diagonal rate of D(0), is the queue model's
 `_perron_shift`, fixed when the model is built and shared with the grid's
 batched iteration.
@@ -106,7 +106,7 @@ _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _max = np.maximum.reduce
 _min = np.minimum.reduce
 _sum = np.add.reduce
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
 
 
 # The queue model validates its parameters on construction; this name is kept
@@ -161,28 +161,29 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
     `_perron_shift`, fixed at construction) so the iteration matrix
     E = I + Dhat(z) / shift is nonnegative, then runs power iteration on
     both sides at once, reading the root off the two-sided Rayleigh
-    quotient r.  A step is eight numpy calls: the two products, their two
-    maxima (the next step's normalizers), the two normalizations in place
-    and the quotient's two dot products, whose ratio and stop test are taken
-    on Python floats.  The contract: u > 0 with min u = 1, eta > 0 with
-    eta . u = 1, both residuals max |Dhat x - val x| and max |y Dhat - val y|
-    within RESIDUAL max|Dhat| for x and y scaled to maximum 1, and `residual`
-    the larger of the two over max|Dhat|.  The root is the Rayleigh
-    quotient, a weighted mean of the ratios (Dhat u)_i / u_i, so it lies
-    between them (Collatz-Wielandt) and within RESIDUAL max|Dhat| max u /
-    min u of the Perron root.
+    quotient r.  A step is four numpy calls on (2, d) buffers with rows x
+    and y: the products E x and E^T y, their maxima mx and my (read as
+    floats) and one normalization.  The contract: u > 0 with min u = 1,
+    eta > 0 with eta . u = 1, both residuals max |Dhat x - val x| and
+    max |y Dhat - val y| within RESIDUAL max|Dhat| for x and y scaled to
+    maximum 1, and `residual` the larger of the two over max|Dhat|.  The
+    root is the Rayleigh quotient, a weighted mean of the ratios
+    (Dhat u)_i / u_i, so it lies between them (Collatz-Wielandt) and within
+    RESIDUAL max|Dhat| max u / min u of the Perron root.
 
     The iteration stops at the first step where both residuals meet the
-    contract; no other rule stops it.  The exact residuals are evaluated
-    only at the steps where they can pass.
-    For x >= 0 with max x = 1 and r >= 0, max_i |(Ex)_i - r x_i| >=
-    |max(Ex) - r| (compare at the argmax of Ex when max(Ex) >= r, at that of
-    x otherwise), and shift (Ex - r x) = Dhat x - val x with
-    val = (r - 1) shift; likewise on the left with E^T y.  Both maxima are
-    the next step's normalizers, so the bound costs no numpy call.  When
-    either bound exceeds the contract by more than `_rounding_margin`'s
-    margin, that residual must fail: neither is evaluated, and the stop step
-    is the one that evaluating both at every step would give.
+    contract; no other rule stops it.  They are evaluated, and r formed,
+    only where they can pass.  For x >= 0 with max x = 1 and r >= 0,
+    max_i |(Ex)_i - r x_i| >= |mx - r| (compare at the argmax of Ex when
+    mx >= r, at that of x otherwise), and shift (Ex - r x) = Dhat x - val x
+    with val = (r - 1) shift; likewise on the left.  Past bar, the contract
+    plus `_rounding_margin`'s gamma (base + |val|), such a bound fails its
+    residual, and neither residual is evaluated.  Both pass only if
+    shift |mx - my| <= 2 bar; then |val| <= shift |mx - 1| + bar, so
+    bar <= C / (1 - gamma), C = limit + gamma (base + shift |mx - 1|), and
+    past 2 (1 + gamma)^2 / (1 - gamma) C, r is not formed: (1 + gamma)^2 >
+    1 + 20u covers the rounding of both bounds, of val and of this test.
+    The stop step is the one that evaluating both at every step would give.
 
     At d = 1 the transform's one entry is the root, returned before |Dhat|
     is formed.  If no step has met the contract after POWER_ITERS steps,
@@ -208,12 +209,30 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
     E = B._eye + dh / shift
     ET = E.T
     dot, divide = np.dot, np.divide
-    y = np.ones(d)
-    # the next step's unnormalized iterates and their maxima
-    Ex, Ey = dot(E, y), dot(ET, y)
-    mx, my = _max(Ex), _max(Ey)
+    # x, y: the rows of one buffer; E x, E^T y: the other's; m: their maxima
+    now, nxt, m = np.ones((2, d)), np.empty((2, d)), np.empty((2, 1))
+    now, nxt = (now, *now), (nxt, *nxt)
+    apart = 2.0 * (1.0 + gamma) ** 2 / (1.0 - gamma)
     iterations = 0
     while True:
+        _, x, y = now
+        dot(E, x, out=nxt[1])
+        dot(ET, y, out=nxt[2])
+        _max(nxt[0], axis=1, keepdims=True, out=m)
+        (mx,), (my,) = m.tolist()
+        # past the first product, where both free bounds can pass the bar
+        if iterations and shift * abs(mx - my) <= apart * (
+                limit + gamma * (base + shift * abs(mx - 1.0))):
+            r = _quotient(x, y, nxt[1])
+            val = (r - 1.0) * shift
+            bar = limit + gamma * (base + abs(val))
+            if shift * abs(mx - r) <= bar and shift * abs(my - r) <= bar:
+                # the left residual only counts once the right one passes
+                res_r = _residual(dh @ x, val, x)
+                if res_r <= limit:
+                    res_l = _residual(y @ dh, val, y)
+                    if res_l <= limit:
+                        break
         iterations += 1
         if iterations > POWER_ITERS:
             # E's second eigenvalue is close to +-1 in modulus, as under
@@ -228,23 +247,9 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
                     f"no Perron pair at z={z}; is the phase process reducible?"
                 )
             break
-        x, y = Ex, Ey
         # E is nonnegative and irreducible, so iterates from positive starts stay positive
-        divide(x, mx, out=x)
-        divide(y, my, out=y)
-        Ex, Ey = dot(E, x), dot(ET, y)
-        mx, my = _max(Ex), _max(Ey)
-        r = float(dot(y, Ex)) / float(dot(y, x))
-        val = (r - 1.0) * shift
-        # a residual whose free lower bound exceeds the bar must fail
-        bar = limit + gamma * (base + abs(val))
-        if shift * abs(float(mx) - r) <= bar and shift * abs(float(my) - r) <= bar:
-            # the left residual only counts once the right one passes
-            res_r = _residual(dh @ x, val, x)
-            if res_r <= limit:
-                res_l = _residual(y @ dh, val, y)
-                if res_l <= limit:
-                    break
+        divide(nxt[0], m, out=nxt[0])
+        now, nxt = nxt, now
     u = x / float(_min(x))
     eta = y / float(y @ u)
     return SpectralRecord(
@@ -255,6 +260,11 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
         residual=max(res_r, res_l) / norm,
         iterations=iterations,
     )
+
+
+def _quotient(x: np.ndarray, y: np.ndarray, Ex: np.ndarray) -> float:
+    """y . Ex / y . x: the two-sided Rayleigh quotient of E at (x, y)."""
+    return float(np.dot(y, Ex)) / float(np.dot(y, x))
 
 
 def _residual(product: np.ndarray, val: float, v: np.ndarray) -> float:

@@ -41,10 +41,10 @@ DRIFT_TOL = 1e-10
 # Perron pairs of `spectral` and `_power_perron`; max(1, max |diag Q|) for
 # x Q in `solve.stationary` and `solve_truncation`.  The contract alone
 # stops both power iterations: each stops at the first step where both
-# residuals pass.  `spectral` evaluates them only at steps where their free
-# lower bounds, less a computed rounding margin (`bmap._rounding_margin`),
-# are within it; `_power_perron` checks the right one at every step and the
-# left one where the right one passes.
+# residuals pass.  `spectral` forms its Rayleigh quotient, and evaluates
+# them, only at steps where free lower bounds, less a computed rounding
+# margin (`bmap._rounding_margin`), are within it; `_power_perron` checks
+# the right one at every step and the left one where the right one passes.
 # Pinned by tests/test_tolerances.py::test_residual_contract.
 RESIDUAL = 1e-12
 

@@ -3,6 +3,7 @@ import math
 import sys
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from bmtrunc.bmap import (
     _grid_perron,
     _mu_levels,
     _power_perron,
+    _quotient,
     _residual,
     _rounding_margin,
 )
@@ -259,6 +261,21 @@ def test_pipeline_runtime_covers_the_corner_solve(mm1, monkeypatch):
     assert all(r.runtime_ms >= 30.0 for r in reps)
 
 
+def _spectral_steps(B, z):
+    """spectral(B, z) and each step's products [E x; E^T y], as the step's
+    row maxima read them."""
+    products = []
+    real = bmap._max
+
+    def recorded(a, *args, **kwargs):
+        if kwargs.get("keepdims"):
+            products.append(a.copy())
+        return real(a, *args, **kwargs)
+
+    with mock.patch.object(bmap, "_max", recorded):
+        return spectral(B, z), products
+
+
 def _assert_spectral_contract(B, z):
     """spectral(B, z) keeps its contract, checked against `scipy.linalg.eigvals`.
 
@@ -273,9 +290,12 @@ def _assert_spectral_contract(B, z):
     eps max|Dhat| d ||u|| ||eta|| / (eta . u).  A power-iteration root is
     a Rayleigh quotient, a weighted mean of the ratios (Dhat u)_i / u_i, so
     it also lies between them, up to their rounding and that of the
-    quotient.
+    quotient.  And the iteration stops at the first step whose residuals
+    meet the contract: replayed on its own iterates, no step before it
+    does, so the steps that form no quotient and check no residual hide
+    none.
     """
-    rec = spectral(B, z)
+    rec, products = _spectral_steps(B, z)
     dh = B.dhat(z)
     d, eps = B.d, np.finfo(float).eps
     u, eta, val = rec.right, rec.left, rec.eigenvalue
@@ -295,6 +315,11 @@ def _assert_spectral_contract(B, z):
     perron = float(scipy.linalg.eigvals(dh).real.max())
     condition = np.linalg.norm(u) * np.linalg.norm(eta) / float(eta @ u)
     assert abs(val - perron) <= (limit + rounding) / x.min() + d * eps * norm * condition, z
+    for step in range(1, len(products)):
+        xs, ys = products[step - 1] / products[step - 1].max(axis=1, keepdims=True)
+        r = (_quotient(xs, ys, products[step][0]) - 1.0) * B._perron_shift
+        passes = max(_residual(dh @ xs, r, xs), _residual(ys @ dh, r, ys)) <= limit
+        assert passes == (step == rec.iterations), (z, step)
     if not dense:
         ratios = dh @ u / u
         spread = (d + 1) * eps * (np.abs(dh) @ u) / u + (2 * d + 4) * eps * (
@@ -357,6 +382,25 @@ def test_spectral_skips_the_residual_checks_that_must_fail(d2_psi0, monkeypatch)
         assert 2 <= len(calls) < rec.iterations
 
 
+def test_spectral_forms_the_quotient_only_where_it_can_stop(d2_psi0, monkeypatch):
+    # forming the Rayleigh quotient at every step would take one per step;
+    # spectral forms it only where both free bounds can pass the bar, and
+    # at the step that stops, whose quotient is the root
+    formed = []
+    real = bmap._quotient
+
+    def recorded(*args):
+        formed.append(real(*args))
+        return formed[-1]
+
+    monkeypatch.setattr(bmap, "_quotient", recorded)
+    for z in (0.5, 1.3, 7.5):
+        formed.clear()
+        rec = spectral(d2_psi0, z)
+        assert 1 <= len(formed) < rec.iterations
+        assert (formed[-1] - 1.0) * d2_psi0._perron_shift == rec.eigenvalue
+
+
 def _metzler(rng, d, kind):
     """A random irreducible Metzler matrix, every off-diagonal rate positive.
 
@@ -402,6 +446,43 @@ def test_the_residual_bound_less_its_margin_never_exceeds_the_residual(d, seed):
             margin = gamma * (base + abs(val))
             assert shift * abs(float(Ex.max()) - r) - margin <= _residual(dh @ x, val, x)
             assert shift * abs(float(Ey.max()) - r) - margin <= _residual(y @ dh, val, y)
+
+
+@given(d=st.integers(2, 24), seed=st.integers(0, 2 ** 32 - 1))
+def test_where_the_quotient_is_skipped_a_free_bound_fails(d, seed):
+    # spectral forms no quotient where, with mx and my the maxima of E x and
+    # E^T y, shift |mx - my| > 2 (1 + gamma)^2 / (1 - gamma) C for
+    # C = limit + gamma (base + shift |mx - 1|); that is sound when one of the
+    # two free-bound tests, as computed in floats, fails wherever it does:
+    # at random vectors, and at the Perron pair and near it, on one side or
+    # both, where the maxima meet and the skip sits near its edge
+    rng = np.random.default_rng(seed)
+    skipped = 0
+    for kind in ("plain", "stiff", "nearly_decomposable"):
+        dh = _metzler(rng, d, kind)
+        shift = float(np.max(-np.diag(dh)))
+        adh = np.abs(dh)
+        limit = RESIDUAL * float(adh.max())
+        gamma, base = _rounding_margin(adh, shift, limit)
+        apart = 2.0 * (1.0 + gamma) ** 2 / (1.0 - gamma)
+        E = np.eye(d) + dh / shift
+        right, left = _dense_perron(dh)[1], _dense_perron(dh.T)[1]
+        pairs = [(rng.uniform(0.1, 1.0, d), rng.uniform(0.1, 1.0, d))]
+        for spread in (0.0, 1e-15, 1e-13, 1e-12, 1e-11, 1e-10, 1e-8):
+            noisy = (right * (1.0 + spread * rng.standard_normal(d)),
+                     left * (1.0 + spread * rng.standard_normal(d)))
+            pairs += [noisy, (right, noisy[1]), (noisy[0], left)]
+        for x, y in pairs:
+            x, y = x / x.max(), y / y.max()
+            Ex = E @ x
+            mx, my = float(Ex.max()), float((E.T @ y).max())
+            if shift * abs(mx - my) > apart * (limit + gamma * (base + shift * abs(mx - 1.0))):
+                skipped += 1
+                r = _quotient(x, y, Ex)
+                bar = limit + gamma * (base + abs((r - 1.0) * shift))
+                assert shift * abs(mx - r) > bar or shift * abs(my - r) > bar
+    # at least the random vectors
+    assert skipped >= 3
 
 
 def test_perron_shift_is_the_largest_diagonal_rate_of_D0(fleet, pure_disaster, tmp_path):
