@@ -842,10 +842,38 @@ def phase_generator(M: BlockGeneratorModel) -> np.ndarray:
     return xi
 
 
+def _json_number(value, where: str) -> float:
+    """A number field of a model file: a JSON int or float, never a bool or
+    a string, which float() would read as some other number."""
+    if type(value) not in (int, float):
+        raise InvalidModelFile(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_list(value, where: str) -> list:
+    """A list field of a model file; a string or an object is refused, as
+    iterating it would read its characters or its keys."""
+    if not isinstance(value, list):
+        raise InvalidModelFile(f"{where} must be a list, got {value!r}")
+    return value
+
+
+def _json_matrix(obj, d: int, where: str) -> np.ndarray:
+    """A d x d matrix field: d lists of d numbers each."""
+    rows = [_json_list(row, f"{where}[{i}]") for i, row in enumerate(_json_list(obj, where))]
+    widths = {len(row) for row in rows}
+    if len(rows) != d or widths != {d}:
+        shape = (len(rows), *widths) if len(widths) <= 1 else "of uneven rows"
+        raise InvalidModelFile(f"{where}: expected {d}x{d} matrix, got shape {shape}")
+    if not {type(x) for row in rows for x in row} <= {int, float}:
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                _json_number(x, f"{where}[{i}][{j}]")
+    return np.array(rows, dtype=float)
+
+
 def _parse_matrix(obj, d: int, where: str) -> np.ndarray:
-    mat = np.asarray(obj, dtype=float)
-    if mat.shape != (d, d):
-        raise InvalidModelFile(f"{where}: expected {d}x{d} matrix, got shape {mat.shape}")
+    mat = _json_matrix(obj, d, where)
     if not np.all(np.isfinite(mat)):
         raise InvalidModelFile(f"{where}: entries must be finite")
     return mat
@@ -855,17 +883,20 @@ def _parse_tail(params: dict, d: int) -> GeometricTail | None:
     if "tail" not in params or params["tail"] is None:
         return None
     t = params["tail"]
-    return GeometricTail(_parse_matrix(t["coef"], d, "tail.coef"), float(t["ratio"]))
+    return GeometricTail(_parse_matrix(t["coef"], d, "tail.coef"),
+                         _json_number(t["ratio"], "tail.ratio"))
 
 
 def _parse_mu(obj) -> MuRule:
     if not isinstance(obj, dict) or "table" not in obj:
         raise InvalidModelFile("mu must be an object with a 'table' list")
+    value = obj.get("value")
     return MuRule(
-        table=tuple(float(x) for x in obj["table"]),
+        table=tuple(_json_number(x, f"mu.table[{i}]")
+                    for i, x in enumerate(_json_list(obj["table"], "mu.table"))),
         eventual=obj.get("eventual", "constant"),
-        value=obj.get("value"),
-        slope=float(obj.get("slope", 0.0)),
+        value=None if value is None else _json_number(value, "mu.value"),
+        slope=_json_number(obj.get("slope", 0.0), "mu.slope"),
     )
 
 
@@ -896,7 +927,9 @@ def load_model(path) -> BlockGeneratorModel:
         raise InvalidModelFile(f"{path}: d must be >= 1, got {d}")
     try:
         if kind == "BmapQueue":
-            D = list(params["D"])
+            # D's finiteness is the queue model's check (InvalidBmap)
+            D = [_json_matrix(m, d, f"D[{k}]")
+                 for k, m in enumerate(_json_list(params["D"], "D"))]
             if "k_max" in params and _json_int(params["k_max"], "k_max", path) != len(D) - 1:
                 raise InvalidModelFile(
                     f"k_max={params['k_max']} disagrees with {len(D)} D blocks"
@@ -905,12 +938,12 @@ def load_model(path) -> BlockGeneratorModel:
                 d=d,
                 D=D,
                 mu=_parse_mu(params["mu"]),
-                psi=float(params.get("psi", 0.0)),
+                psi=_json_number(params.get("psi", 0.0), "psi"),
                 tail=_parse_tail(params, d),
             )
         if kind == "ExplicitBanded":
             rows: dict = {}
-            for entry in params["blocks"]:
+            for entry in _json_list(params["blocks"], "blocks"):
                 k = _json_int(entry["level"], "block level", path)
                 o = _json_int(entry["offset"], "block offset", path)
                 rows.setdefault(k, {})[o] = _parse_matrix(
@@ -924,11 +957,14 @@ def load_model(path) -> BlockGeneratorModel:
                 rows=rows,
             )
         if kind == "MG1Type":
-            repeat = [_parse_matrix(m, d, f"A[{i}]") for i, m in enumerate(params["A"])]
-            boundary = [_parse_matrix(m, d, f"B[{i}]") for i, m in enumerate(params["B"])]
+            repeat = [_parse_matrix(m, d, f"A[{i}]")
+                      for i, m in enumerate(_json_list(params["A"], "A"))]
+            boundary = [_parse_matrix(m, d, f"B[{i}]")
+                        for i, m in enumerate(_json_list(params["B"], "B"))]
             return Mg1Model(d=d, repeat=repeat, boundary=boundary, tail=_parse_tail(params, d))
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer past the float range
         raise InvalidModelFile(f"{path}: {exc!r}") from exc
     raise InvalidModelFile(f"{path}: unknown model kind {kind!r}")

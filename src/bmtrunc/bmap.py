@@ -105,7 +105,6 @@ _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # spectral's reductions, called without the ndarray method's Python layer
 _max = np.maximum.reduce
 _min = np.minimum.reduce
-_sum = np.add.reduce
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
 
 
@@ -185,15 +184,16 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
     1 + 20u covers the rounding of both bounds, of val and of this test.
     The stop step is the one that evaluating both at every step would give.
 
-    At d = 1 the transform's one entry is the root, returned before |Dhat|
-    is formed.  If no step has met the contract after POWER_ITERS steps,
-    `_dense_perron` of Dhat(z) and of its transpose gives the pair, which
-    meets the same residual contract with x and y of unit 2-norm.  The
-    right vector is scaled to minimum component 1 and the left one to unit
-    inner product against it.  The certificate search calls this at the
-    points its golden-section polish visits and at its winner; from
-    DENSE_GRID_D phases on, its grid runs the same iteration batched, in
-    `_power_perron`.
+    |Dhat| is never formed: max |Dhat| = max(max Dhat, -min Dhat), and d
+    times it bounds the row and column sums in `_rounding_margin`.  At d = 1
+    the transform's one entry is the root.  If no step has met the contract
+    after POWER_ITERS steps, `_dense_perron` of Dhat(z) and of its
+    transpose gives the pair, which meets the same residual contract with x
+    and y of unit 2-norm.  The right vector is scaled to minimum component 1
+    and the left one to unit inner product against it.  The certificate
+    search calls this at the points its golden-section polish visits and at
+    its winner; from DENSE_GRID_D phases on, its grid runs the same
+    iteration batched, in `_power_perron`.
     """
     dh = B.dhat(z)
     d = B.d
@@ -201,11 +201,10 @@ def spectral(B: BmapModel, z: float) -> SpectralRecord:
         val = float(dh[0, 0])
         return SpectralRecord(z=z, eigenvalue=val, right=np.ones(1), left=np.ones(1),
                               residual=0.0, iterations=0)
-    adh = np.abs(dh)
-    norm = max(float(_max(adh, axis=None)), SCALE_FLOOR)
+    norm = max(float(_max(dh, axis=None)), -float(_min(dh, axis=None)), SCALE_FLOOR)
     shift = B._perron_shift
     limit = RESIDUAL * norm
-    gamma, base = _rounding_margin(adh, shift, limit)
+    gamma, base = _rounding_margin(d, norm, shift, limit)
     E = B._eye + dh / shift
     ET = E.T
     dot, divide = np.dot, np.divide
@@ -272,13 +271,14 @@ def _residual(product: np.ndarray, val: float, v: np.ndarray) -> float:
     return float(_max(np.abs(product - val * v)))
 
 
-def _rounding_margin(adh: np.ndarray, shift: float, limit: float) -> tuple[float, float]:
+def _rounding_margin(d: int, norm: float, shift: float, limit: float) -> tuple[float, float]:
     """(gamma, base): gamma (base + |val|) is the rounding margin of `spectral`'s skip.
 
-    `adh` is |Dhat|, `limit` the residual contract.  With unit roundoff u,
-    g_n = n u / (1 - n u) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 3.1) and S the largest row or column sum of adh,
-    and x, y scaled to maximum 1, the computed bound shift |max(Ex) - r|
+    `d` is the phase count, `norm` at least max |Dhat| and `limit` the
+    residual contract.  With unit roundoff u, g_n = n u / (1 - n u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1),
+    S the largest row or column sum of |Dhat|, at most d norm, and x, y
+    scaled to maximum 1, the computed bound shift |max(Ex) - r|
     exceeds the exact one, that of I + Dhat / shift at the exact
     1 + val / shift, by at most g_{d+1} shift + g_{d+2} S (the rounding of E
     and of its d-term products) plus g_4 |val| (the rounding of val, counted
@@ -286,14 +286,13 @@ def _rounding_margin(adh: np.ndarray, shift: float, limit: float) -> tuple[float
     not apply).  The computed residual falls short of the exact one by at
     most g_d S + u |val|, and the skip test's own products and sums lose a
     relative 4u of the contract.  For d >= 2 all of it is below
-    g_{d+3} (shift + 2 S + |val| + limit); gamma is twice g_{d+3}, so the
-    margin also covers the rounding of its own evaluation.
+    g_{d+3} (shift + 2 d norm + |val| + limit); gamma is twice g_{d+3}, so
+    the margin also covers the rounding of its own evaluation.  A larger
+    margin only lets the contract decide at more steps.
     """
-    n = adh.shape[0] + 3
-    unit = n * _UNIT_ROUNDOFF
+    unit = (d + 3) * _UNIT_ROUNDOFF
     gamma = 2.0 * unit / (1.0 - unit)
-    sums = max(float(_max(_sum(adh, 0))), float(_max(_sum(adh, 1))))
-    return gamma, shift + 2.0 * sums + limit
+    return gamma, shift + 2.0 * d * norm + limit
 
 
 def _dense_perron(dh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -89,10 +89,12 @@ def td_transform(x, d: int, direction: str = "T") -> np.ndarray:
 
 
 def check_ordering_tol(tol: float) -> float:
-    """Return tol, refusing a negative or NaN one: every check scales it, and
-    such a tol would fail each comparison instead of meaning anything."""
-    if not tol >= 0.0:
-        raise InputError(f"ordering tolerance must be >= 0, got {tol}")
+    """Return tol, refusing a negative, NaN or infinite one: every check
+    scales it, and such a tol would fail each comparison, or forgive every
+    one, NaN slacks included, instead of meaning anything."""
+    if not 0.0 <= tol < math.inf:
+        bound = "finite" if tol == math.inf else ">= 0"
+        raise InputError(f"ordering tolerance must be {bound}, got {tol}")
     return tol
 
 

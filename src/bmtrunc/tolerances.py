@@ -42,9 +42,9 @@ DRIFT_TOL = 1e-10
 # x Q in `solve.stationary` and `solve_truncation`.  The contract alone
 # stops both power iterations: each stops at the first step where both
 # residuals pass.  `spectral` forms its Rayleigh quotient, and evaluates
-# them, only at steps where free lower bounds, less a computed rounding
-# margin (`bmap._rounding_margin`), are within it; `_power_perron` checks
-# the right one at every step and the left one where the right one passes.
+# them, only at steps where free lower bounds, less a rounding margin from
+# d times the scale (`bmap._rounding_margin`), are within it; `_power_perron`
+# checks the right one at every step and the left one where the right passes.
 # Pinned by tests/test_tolerances.py::test_residual_contract.
 RESIDUAL = 1e-12
 

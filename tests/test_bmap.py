@@ -401,6 +401,26 @@ def test_spectral_forms_the_quotient_only_where_it_can_stop(d2_psi0, monkeypatch
         assert (formed[-1] - 1.0) * d2_psi0._perron_shift == rec.eigenvalue
 
 
+def test_spectral_stops_where_its_quotient_skip_is_at_the_edge():
+    # at these points the step that stops has shift |mx - my| between C and
+    # the skip's bar 2 (1 + gamma)^2 / (1 - gamma) C, with mx and my the
+    # maxima of its E x and E^T y and C = limit + gamma (base + shift
+    # |mx - 1|): a skip that cut its factor would form no quotient there and
+    # stop late.  It stops at the first step whose residuals, computed at
+    # every step, meet the contract.
+    B = random_bmap(np.random.default_rng(5), d=4, psi=0.3)
+    shift = B._perron_shift
+    for z in (2.5, 3.0, 3.7):
+        _assert_spectral_contract(B, z)
+        rec, products = _spectral_steps(B, z)
+        norm = float(np.abs(B.dhat(z)).max())
+        limit = RESIDUAL * norm
+        gamma, base = _rounding_margin(B.d, norm, shift, limit)
+        mx, my = products[rec.iterations].max(axis=1)
+        C = limit + gamma * (base + shift * abs(mx - 1.0))
+        assert C < shift * abs(mx - my) <= 2.0 * (1.0 + gamma) ** 2 / (1.0 - gamma) * C, z
+
+
 def _metzler(rng, d, kind):
     """A random irreducible Metzler matrix, every off-diagonal rate positive.
 
@@ -429,9 +449,9 @@ def test_the_residual_bound_less_its_margin_never_exceeds_the_residual(d, seed):
     for kind in ("plain", "stiff", "nearly_decomposable"):
         dh = _metzler(rng, d, kind)
         shift = float(np.max(-np.diag(dh)))
-        adh = np.abs(dh)
-        limit = RESIDUAL * float(adh.max())
-        gamma, base = _rounding_margin(adh, shift, limit)
+        norm = float(np.abs(dh).max())
+        limit = RESIDUAL * norm
+        gamma, base = _rounding_margin(d, norm, shift, limit)
         E = np.eye(d) + dh / shift
         right, left = _dense_perron(dh)[1], _dense_perron(dh.T)[1]
         pairs = [(rng.uniform(0.1, 1.0, d), rng.uniform(0.1, 1.0, d))]
@@ -461,9 +481,9 @@ def test_where_the_quotient_is_skipped_a_free_bound_fails(d, seed):
     for kind in ("plain", "stiff", "nearly_decomposable"):
         dh = _metzler(rng, d, kind)
         shift = float(np.max(-np.diag(dh)))
-        adh = np.abs(dh)
-        limit = RESIDUAL * float(adh.max())
-        gamma, base = _rounding_margin(adh, shift, limit)
+        norm = float(np.abs(dh).max())
+        limit = RESIDUAL * norm
+        gamma, base = _rounding_margin(d, norm, shift, limit)
         apart = 2.0 * (1.0 + gamma) ** 2 / (1.0 - gamma)
         E = np.eye(d) + dh / shift
         right, left = _dense_perron(dh)[1], _dense_perron(dh.T)[1]

@@ -347,6 +347,51 @@ def test_model_file_refuses_integer_fields_that_are_not_integers(runner, mm1, tm
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def _queue_doc(**params):
+    """The M/M/1 queue file with the given parameters replaced."""
+    return {"d": 1, "kind": "BmapQueue",
+            "parameters": {"D": [[[-1.0]], [[1.0]]], "mu": {"table": [2.0]}, **params}}
+
+
+_MG1 = {"A": [[[2.0]], [[-3.0]], [[1.0]]], "B": [[[-1.0]], [[1.0]]]}
+
+
+@pytest.mark.parametrize("doc, field", [
+    # each loaded, as another queue than it describes: mu = (2, 5), mu = (3,),
+    # psi = 1, psi = 0.5, D(1) = 1
+    (_queue_doc(mu={"table": "25"}), "mu.table"),
+    (_queue_doc(mu={"table": {"3": 1}}), "mu.table"),
+    (_queue_doc(psi=True), "psi"),
+    (_queue_doc(psi="0.5"), "psi"),
+    (_queue_doc(D=[[[-1.0]], [[True]]]), "D[1][0][0]"),
+    (_queue_doc(D=[[[-1.0]], [["1"]]]), "D[1][0][0]"),
+    (_queue_doc(mu={"table": [2.0], "eventual": "affine", "slope": "0.5"}), "mu.slope"),
+    (_queue_doc(mu={"table": [2.0], "value": True}), "mu.value"),
+    (_queue_doc(D=[[[-1.5]], [[1.0]]], tail={"coef": [[1.0]], "ratio": "0.5"}),
+     "tail.ratio"),
+    (_queue_doc(D=[[[-1.5]], [[1.0]]], tail={"coef": [[True]], "ratio": 0.5}),
+     "tail.coef[0][0]"),
+    ({"d": 1, "kind": "MG1Type", "parameters": dict(_MG1, A=[[[2.0]], [["-3"]], [[1.0]]])},
+     "A[1][0][0]"),
+    ({"d": 1, "kind": "MG1Type", "parameters": dict(_MG1, B=[[[-1.0]], [[True]]])},
+     "B[1][0][0]"),
+    (banded_doc({0: {0: [[-1.0]], 1: [[True]]}, 1: {-1: [[2.0]], 0: [[-3.0]], 1: [[1.0]]}}),
+     "block level 0 offset 1[0][0]"),
+], ids=["mu_table_string", "mu_table_object", "psi_true", "psi_string", "D_true", "D_string",
+        "mu_slope_string", "mu_value_false", "tail_ratio_string", "tail_coef_true",
+        "mg1_A_string", "mg1_B_true", "banded_block_true"])
+def test_model_file_refuses_numbers_that_are_not_json_numbers(runner, tmp_path, doc, field):
+    # float() and numpy read a bool, a digit string or an object's keys as
+    # numbers; the file would certify a queue other than the one it names
+    path = write_model(tmp_path / "m.json", doc)
+    with pytest.raises(InvalidModelFile, match=r"must be a (number|list)"):
+        load_model(path)
+    result = runner.invoke(main, ["validate", "--model", path])
+    assert result.exit_code == 2
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {field} must be a ")
+
+
 def test_sweep_rows_time_their_own_stack(runner, mm1_path, monkeypatch):
     # 20 corners of 2..11 states; a stack holds at most half the 41-state
     # reference's 1681 entries: (1, lc) through (7, lc) make 13 corners of
@@ -481,6 +526,15 @@ def test_sweep_refuses_a_negative_or_nan_tolerance(runner, mm1_path, tol):
     assert result.exit_code == 2
     assert result.output.splitlines() == [
         f"error: ordering tolerance must be >= 0, got {float(tol)}"]
+
+
+def test_sweep_refuses_an_infinite_tolerance(runner, mm1_path):
+    # under tol = inf every ordering check held, and every row read
+    # ordering_pass=yes
+    result = runner.invoke(main, ["sweep", "--model", mm1_path, "--n-min", "2",
+                                  "--n-max", "4", "--tol", "inf"])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == ["error: ordering tolerance must be finite, got inf"]
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

@@ -141,6 +141,15 @@ def test_ordering_checks_refuse_a_negative_or_nan_tolerance(fleet_models, tol):
             check()
 
 
+def test_ordering_checks_refuse_an_infinite_tolerance(fleet_models):
+    # tol = inf let every check hold, a NaN slack or a shortfall of 1 included
+    for lower, upper in (([math.nan, 0.0], [0.0, 0.0]), ([0.0, 5.0], [1.0, 0.0])):
+        with pytest.raises(InputError, match="ordering tolerance must be finite, got inf"):
+            vector_dominates(np.array(lower), np.array(upper), 1, tol=math.inf)
+    with pytest.raises(InputError, match="ordering tolerance must be finite"):
+        generator_dominates(fleet_models["d2"], fleet_models["d2"], tol=math.inf)
+
+
 def test_fleet_generators_are_block_monotone(fleet_models):
     for model in fleet_models.values():
         assert generator_is_block_monotone(model).holds
@@ -356,16 +365,25 @@ def test_dominance_scan_matches_the_per_pair_loop(fleet_models, pure_disaster):
              (lc_truncate(d2, 7), fc_truncate(d2, 7)), (models["d2"], d2),
              (lc_truncate(d2, 5).matrix, d2), (d2, lc_truncate(d2, 5).matrix),
              (models["nan"], models["not_monotone"]), (models["not_monotone"], models["nan"])]
+    # the last row each scan reads decides these: d2 against its n = 7 corner
+    # fails worst at row 8 = bm_check_level(), the first row past the corner,
+    # where the queue's rows meet zero rows; M/M/1 against its n = 7 corner
+    # fails only at the corner's last row, 7, the finite side's check depth
+    mm1 = models["mm1"]
+    pairs += [(models["d2"], lc_truncate(models["d2"], 7).matrix),
+              (mm1, lc_truncate(mm1, 7).matrix)]
     for left, right in pairs:
         assert_same_scan(generator_dominates(left, right), *hand_dominates(left, right))
+    assert generator_dominates(models["d2"], pairs[-2][1]).worst_violation[0][0] == 8
+    assert generator_dominates(mm1, pairs[-1][1]).worst_violation[0][0] == 7
 
 
 def test_geometric_tails_past_the_scan_are_compared():
     # d = 1 queues alike but for the geometric batch tail past D(1); the
     # tails are compared in closed form beyond every scanned column
-    def queue(coef, ratio):
+    def queue(coef, ratio, batch=0.5):
         tail = GeometricTail(coef=np.array([[coef]]), ratio=ratio)
-        D1 = np.array([[0.5]])
+        D1 = np.array([[batch]])
         return BmapModel(d=1, D=[-D1 - tail.sum_from(2), D1], mu=MuRule(table=(4.0,)),
                          tail=tail)
 
@@ -387,6 +405,33 @@ def test_geometric_tails_past_the_scan_are_compared():
     assert rep.worst_violation[1] == pytest.approx(0.1, rel=1e-12)
     assert rep.margin == -rep.worst_violation[1]
     assert generator_dominates(light, heavy).holds
+    # a heavy, slow tail against a light, fast one with a larger D(1): the
+    # worst shortfall, T(2) = 0.81 against 0.005, is the scan's, at column
+    # k + 2, one past both rows' bands; one column short, the scan would
+    # find 0.305 at column k + 1, where D(1) makes up half a unit
+    slow, fast = queue(0.1, 0.9), queue(0.01, 0.5, batch=1.0)
+    rep = generator_dominates(slow, fast)
+    assert not rep.holds and rep.worst_violation[0] == (0, 0, 2, 0)
+    assert rep.worst_violation[1] == pytest.approx(0.805, rel=1e-12)
+    assert rep.margin == -rep.worst_violation[1]
+    assert_same_scan(rep, *hand_dominates(slow, fast))
+
+
+def test_a_holding_scan_reports_its_first_least_slack_past_both_bands():
+    # d = 1, D = (-0.2, 0.1, 0.1), mu = 1: row 1's sum rounds 5.6e-17 above
+    # row 0's 0, so every slack between them is positive up to column 3,
+    # and their first least slack, 0, is at column 4, one past both rows'
+    # bands, where both tail sums are 0; row 2's sum is row 1's, bit for bit
+    B = BmapModel(d=1, D=(np.array([[-0.2]]), np.array([[0.1]]), np.array([[0.1]])),
+                  mu=MuRule(table=(1.0,)))
+    assert B.tail_sum(1, 0)[0, 0] > B.tail_sum(0, 0)[0, 0] == 0.0
+    rep = generator_is_block_monotone(B)
+    assert (rep.holds, rep.worst_violation, rep.margin) == (True, ((1, 0, 4, 0), 0.0), 0.0)
+    # a finite matrix past its corner: the one-state zero matrix against
+    # three levels of ones, whose slacks are 3, 2 and 1 up to column 2 in
+    # every row and 0 at column 3, one past the larger corner
+    rep = generator_dominates(FiniteBlockMatrix(1, [[0.0]]), FiniteBlockMatrix(1, np.ones((3, 3))))
+    assert (rep.holds, rep.worst_violation, rep.margin) == (True, ((0, 0, 3, 0), 0.0), 0.0)
 
 
 def test_finite_generator_violation_is_located_by_level_and_phase():
