@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +63,23 @@ def is_level(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def check_level(value, what: str, least=0, most=None, error=InputError):
+    """The one rule for a level, a count or a size: `value`, when it is a
+    level (`is_level`) in least..most, most None for no top; otherwise the
+    caller's `error`, naming `what` and the value."""
+    if not is_level(value):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if most is None and value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
+    if most is not None and not least <= value <= most:
+        raise error(f"{what} {value} outside {least}..{most}")
+    return value
+
+
 def check_block_length(size: int, d: int) -> int:
     """Return the number of levels, raising if d is not an integer >= 1 or
     size is not a multiple of it."""
-    if not (is_level(d) and d >= 1):
-        raise DimensionMismatch(f"block size must be an integer >= 1, got {d!r}")
+    check_level(d, "block size", 1, error=DimensionMismatch)
     if size % d != 0:
         raise DimensionMismatch(f"length {size} is not a multiple of block size {d}")
     return size // d
@@ -77,9 +90,7 @@ def zero_corners(n: int, d: int, count: int) -> np.ndarray:
     (states, count, states): corner k is [:, k, :], so row s of every corner
     lies in one block.  InputError, naming the states and the size, where
     numpy cannot allocate them or index that many."""
-    if n < 0:
-        raise InputError(f"window level must be >= 0, got {n}")
-    states = (n + 1) * d
+    states = (check_level(n, "window level") + 1) * d
     try:
         return np.zeros((states, count, states))
     except (MemoryError, ValueError) as exc:
@@ -114,10 +125,8 @@ class FiniteBlockMatrix:
     def block(self, k: int, l: int) -> np.ndarray:
         """Q(k; l) as a (d, d) view; InputError for a level that is not an
         integer or lies outside 0..n."""
-        if not (is_level(k) and is_level(l)):
-            raise InputError(f"block ({k!r}, {l!r}) needs integer levels")
-        if not (0 <= k < self.n_levels and 0 <= l < self.n_levels):
-            raise InputError(f"block ({k}, {l}) lies outside levels 0..{self.n}")
+        check_level(k, "block row", 0, self.n)
+        check_level(l, "block column", 0, self.n)
         d = self.d
         return self.values[k * d:(k + 1) * d, l * d:(l + 1) * d]
 
@@ -150,6 +159,11 @@ class MuRule:
     def __post_init__(self):
         if len(self.table) == 0:
             raise InputError("mu table must contain at least mu(1)")
+        fields = [(f"table[{i}]", m) for i, m in enumerate(self.table)]
+        for name, x in fields + [("value", self.value), ("slope", self.slope)]:
+            # a bool or a string is no rate, though float() would read one
+            if x is not None and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+                raise InputError(f"mu {name} must be a real number, got {x!r}")
         if not all(0.0 <= m < math.inf for m in self.table):
             raise InputError("mu(k) must be finite and nonnegative")
         if self.eventual not in ("constant", "affine"):
@@ -472,15 +486,12 @@ class BandedModel(BlockGeneratorModel):
 
     def __init__(self, d: int, L: int, U: int, K_hom: int, rows: dict,
                  tail: GeometricTail | None = None):
-        for name, value, least in (("d", d, 1), ("L", L, 0), ("U", U, 0), ("K_hom", K_hom, 0)):
-            if not is_level(value):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise InputError(f"{name} must be >= {least}, got {value}")
-        if K_hom < L:
-            raise InputError(
-                f"K_hom={K_hom} must be >= L={L} so the homogeneous row clears level 0"
-            )
+        # K_hom >= L, so that the homogeneous row clears level 0
+        for name, value, least in (("d", d, 1), ("L", L, 0), ("U", U, 0), ("K_hom", K_hom, L)):
+            check_level(value, name, least)
+        if tail is not None and tail.coef.shape != (d, d):
+            raise DimensionMismatch(
+                f"tail coefficient has shape {tail.coef.shape}, want {(d, d)}")
         self.d = d
         self.L = L
         self.U = U
@@ -489,9 +500,8 @@ class BandedModel(BlockGeneratorModel):
         self._zero = np.zeros((d, d))
         self._rows = {}
         for k, offsets in rows.items():
-            if not 0 <= k <= K_hom:
-                # row k > K_hom would never be read: rows from K_hom on repeat row K_hom
-                raise InvalidModelFile(f"block row at level {k} outside 0..K_hom={K_hom}")
+            # row k > K_hom would never be read: rows from K_hom on repeat row K_hom
+            check_level(k, "block row", 0, K_hom, InvalidModelFile)
             row = {}
             for o, mat in offsets.items():
                 mat = np.asarray(mat, dtype=float)
@@ -499,8 +509,7 @@ class BandedModel(BlockGeneratorModel):
                     raise DimensionMismatch(
                         f"block at level {k}, offset {o} has shape {mat.shape}, want {(d, d)}"
                     )
-                if not -L <= o <= U:
-                    raise InputError(f"offset {o} outside band [-{L}, {U}]")
+                check_level(o, f"block row {k} offset", -L, U)
                 if k + o < 0:
                     raise InvalidModelFile(
                         f"block at level {k}, offset {o} lies in column {k + o} < 0"
@@ -624,12 +633,12 @@ class BmapQueueModel(BlockGeneratorModel):
         self.D = tuple(np.asarray(m, dtype=float) for m in self.D)
         if len(self.D) < 1:
             raise InvalidBmap("need at least D(0)")
-        d = self.d
-        if d < 1:
-            raise InvalidBmap(f"phase count d must be >= 1, got {d}")
+        d = check_level(self.d, "phase count d", 1, error=InvalidBmap)
         for i, m in enumerate(self.D):
             if m.shape != (d, d):
                 raise InvalidBmap(f"D({i}) has shape {m.shape}, want {(d, d)}")
+        if self.tail is not None and self.tail.coef.shape != (d, d):
+            raise InvalidBmap(f"tail coefficient has shape {self.tail.coef.shape}, want {(d, d)}")
         d0 = self.D[0]
         off0 = d0 - np.diag(np.diag(d0))
         if float(off0.min()) < 0:
@@ -900,11 +909,10 @@ def _parse_mu(obj) -> MuRule:
     )
 
 
-def _json_int(value, what: str, path) -> int:
-    """An integer field of a model file; a bool or a float is refused."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidModelFile(f"{path}: {what} must be an integer, got {value!r}")
-    return value
+def _json_int(value, what: str, path, least=-math.inf) -> int:
+    """An integer field of a model file, at least `least` (an offset may be
+    negative, so no bound by default); a bool or a float is refused."""
+    return check_level(value, f"{path}: {what}", least, error=InvalidModelFile)
 
 
 def load_model(path) -> BlockGeneratorModel:
@@ -922,9 +930,7 @@ def load_model(path) -> BlockGeneratorModel:
         params = doc.get("parameters", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidModelFile(f"{path}: missing or malformed d/kind") from exc
-    d = _json_int(d, "d", path)
-    if d < 1:
-        raise InvalidModelFile(f"{path}: d must be >= 1, got {d}")
+    d = _json_int(d, "d", path, 1)
     try:
         if kind == "BmapQueue":
             # D's finiteness is the queue model's check (InvalidBmap)

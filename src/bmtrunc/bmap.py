@@ -345,7 +345,9 @@ def _power_perron(dh: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]
     m, d = dh.shape[:2]
     roots = np.empty(m)
     spread = np.empty(m)
-    limit = RESIDUAL * np.maximum(np.abs(dh).max(axis=(1, 2)), SCALE_FLOOR)
+    # max|Dhat| per matrix, from its extremes as `spectral` reads it
+    norm = np.maximum(dh.max(axis=(1, 2)), -dh.min(axis=(1, 2)))
+    limit = RESIDUAL * np.maximum(norm, SCALE_FLOOR)
     # [x, y] times [E, E^T] in one product per step, E = I + Dhat / shift
     # built in place; iterates of the nonnegative, irreducible E stay positive
     M = np.empty((2, m, d, d))

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .blockmat import BlockGeneratorModel, is_level
+from .blockmat import BlockGeneratorModel, check_level
 from .errors import (
     CertificateNotVerified,
     DriftViolated,
@@ -34,13 +34,6 @@ from .errors import (
 )
 from .tolerances import DRIFT_TOL, WEIGHT_FLOOR
 from .truncate import check_truncation_levels
-
-
-def _check_level(k, what: str = "level") -> None:
-    if not is_level(k):
-        raise InputError(f"{what} must be an integer, got {k!r}")
-    if k < 0:
-        raise InputError(f"{what} must be >= 0, got {k}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +67,7 @@ class GeometricVector:
         return self.u.size
 
     def level(self, k: int) -> np.ndarray:
-        _check_level(k)
-        power = self._power(k)
+        power = self._power(check_level(k, "level"))
         if math.isinf(power):
             first = next(j for j in range(k + 1) if math.isinf(self._power(j)))
             raise self._out_of_range(first)
@@ -87,7 +79,7 @@ class GeometricVector:
     def levels(self, n: int) -> np.ndarray:
         """Flat weight vector over levels 0..n, the stack of `level(k)` bit
         for bit: the powers come from the same scalar pow."""
-        _check_level(n)
+        check_level(n, "level")
         powers = np.array([self._power(k) for k in range(n + 1)])
         if np.isinf(powers[-1]):
             raise self._out_of_range(int(np.argmax(np.isinf(powers))))
@@ -173,7 +165,7 @@ def drift_check(model: BlockGeneratorModel, v: GeometricVector, c: float, b: flo
         raise InputError(f"decay rate c must be finite and positive, got {c}")
     if not b > 0:
         raise InputError(f"offset b must be positive, got {b}")
-    _check_level(K, "offset level K")
+    check_level(K, "offset level K")
     if v.d != model.d:
         raise InputError(f"weight profile has {v.d} phases, model has {model.d}")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bmap as _bmap
 from . import bounds as _bounds
-from .blockmat import BmapQueueModel, load_model, validate_q_matrix
+from .blockmat import BmapQueueModel, check_level, load_model, validate_q_matrix
 from .errors import BmtruncError, CheckFailure, InputError
 from .order import (
     check_ordering_tol,
@@ -221,8 +221,7 @@ def run_sweep(model_path: str, n_min: int, n_max: int, step: int, n_ref: int | N
     model = load_model(model_path)
     if n_min < 1 or n_max < n_min:
         raise InputError(f"bad sweep range [{n_min}, {n_max}]")
-    if step < 1:
-        raise InputError(f"sweep step must be >= 1, got {step}")
+    check_level(step, "sweep step", 1)
     if n_ref is None:
         n_ref = 4 * n_max
     if n_ref < 4 * n_max:

@@ -56,7 +56,7 @@ from .blockmat import (
     BlockGeneratorModel,
     FiniteBlockMatrix,
     check_block_length,
-    is_level,
+    check_level,
     phase_generator,
     zero_corners,
 )
@@ -469,16 +469,14 @@ def transient_decay_check(model, cert, times, start_level: int = 0,
     at each time must fit under 2 e^{-ct} (v(start) + b/c), the v(start) term
     dropped at level 0.  Working on the level-n_ref last-column proxy adds a
     truncation slack, reported and added to the envelope rather than ignored.
-    The start level must be an integer in 0..n_ref.
+    n_ref is a level >= 1, and the start level one in 0..n_ref.
     """
     if not cert.verified:
         raise CertificateNotVerified("run drift_check before the decay check")
     if cert.K != 0:
         raise KNotZero("decay envelope needs a level-0 certificate; transform first")
-    if not is_level(start_level):
-        raise InputError(f"start level must be an integer, got {start_level!r}")
-    if not 0 <= start_level <= n_ref:
-        raise InputError(f"start level {start_level} outside the proxy's levels 0..{n_ref}")
+    check_level(n_ref, "reference level n_ref", 1)
+    check_level(start_level, "start level", 0, n_ref)
     for t in times:
         _check_time(t)
     d = model.d

@@ -28,7 +28,7 @@ from .blockmat import (
     BlockGeneratorModel,
     CornerLayout,
     FiniteBlockMatrix,
-    is_level,
+    check_level,
     reachable,
     zero_corner,
 )
@@ -44,14 +44,9 @@ def check_truncation_levels(n: int, n_ref: int | None = None):
     """The levels a truncation and its reference may take: integers with
     n >= 1 and, when a reference level is given, n_ref > n; anything else
     raises InputError."""
-    if not is_level(n):
-        raise InputError(f"truncation level must be an integer, got {n!r}")
-    if n < 1:
-        raise InputError(f"truncation level must be >= 1, got {n}")
-    if n_ref is not None and not is_level(n_ref):
-        raise InputError(f"reference level n_ref must be an integer, got {n_ref!r}")
-    if n_ref is not None and n_ref <= n:
-        raise InputError(f"reference level n_ref={n_ref} must exceed the truncation level {n}")
+    check_level(n, "truncation level", 1)
+    if n_ref is not None:
+        check_level(n_ref, "reference level n_ref", n + 1)
 
 
 @dataclass(frozen=True)
@@ -90,10 +85,7 @@ def _check_weights(w: dict, n: int):
         raise InvalidRedistribution("empty weight map")
     total = 0.0
     for level, frac in w.items():
-        if not is_level(level):
-            raise InvalidRedistribution(f"target level must be an integer, got {level!r}")
-        if not 0 <= level <= n:
-            raise InvalidRedistribution(f"target level {level} outside 0..{n}")
+        check_level(level, "target level", 0, n, InvalidRedistribution)
         if not math.isfinite(frac):
             raise InvalidRedistribution(f"non-finite weight {frac} at level {level}")
         if frac < 0:
@@ -186,9 +178,7 @@ class TruncatedGenerator(BlockGeneratorModel):
 
     def extended_matrix(self, probe: int) -> FiniteBlockMatrix:
         """Materialize levels 0..n+probe of the augmented generator."""
-        if probe < 0:
-            raise InputError(f"probe must be >= 0, got {probe}")
-        return self.window(self.n + probe)
+        return self.window(self.n + check_level(probe, "probe"))
 
 
 def _truncate(M: BlockGeneratorModel, spec: TruncationSpec,
@@ -264,10 +254,11 @@ def check_no_closed_classes_above(T: TruncatedGenerator, probe: int | None = Non
     meaning rate out of the level) must be reachable through the block's
     positive transitions.  A diagonal block harboring a conservative
     communicating set would be a closed class, so the check returns False.
+    It inspects the levels n+1..n+probe, probe >= 1, one past the base's
+    upper band by default.
     """
     base = T.base
-    if probe is None:
-        probe = base.upper_hint() + 1
+    probe = base.upper_hint() + 1 if probe is None else check_level(probe, "probe", 1)
     for k in range(T.n + 1, T.n + probe + 1):
         block = base.block(k, k)
         tau = LEAK_TOL * max(1.0, float(np.max(np.abs(block))))

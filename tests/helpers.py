@@ -52,7 +52,7 @@ from bmtrunc.bmap import (
     _offset_table,
 )
 from bmtrunc.order import TAU_ORD, _tail_beyond
-from bmtrunc.solve import PIVOT_FLOOR, _poisson_weights
+from bmtrunc.solve import PIVOT_FLOOR
 
 
 def golden_min(f, lo, hi, h_floor=1e-4):
@@ -114,25 +114,6 @@ def dense_stationary(values):
     for s in range(1, N):
         x[s] = x[:s] @ A[:s, s]
     return x / x.sum()
-
-
-def uniformized_per_time(values, start, t, tol):
-    """start @ exp(values * t) by uniformization at one time: I + values/sigma
-    from an identity matrix, and a term sequence of its own.  The shared
-    sequence must give every time's output bit for bit."""
-    N = values.shape[0]
-    sigma = float(np.max(np.abs(np.diag(values)))) if N else 1.0
-    if sigma <= 0.0:
-        sigma = 1.0
-    A = np.eye(N) + values / sigma
-    out = np.zeros_like(start)
-    term = start
-    for i, w in enumerate(_poisson_weights(sigma * t, tol)):
-        if i > 0:
-            term = term @ A
-        if w > 0.0:
-            out += w * term
-    return out
 
 
 def extended_fold(T, probe):

@@ -76,7 +76,8 @@ def test_finite_block_matrix_indexing():
 def test_finite_block_matrix_refuses_a_level_outside_its_levels(k, l):
     # a slice past either end would be an empty (0, d) block
     M = FiniteBlockMatrix(2, np.arange(16, dtype=float).reshape(4, 4))
-    with pytest.raises(InputError, match=re.escape(f"block ({k}, {l}) lies outside levels 0..1")):
+    with pytest.raises(InputError, match=re.escape(
+            f"block row {k} outside 0..1" if k else f"block column {l} outside 0..1")):
         M.block(k, l)
 
 
@@ -84,7 +85,9 @@ def test_finite_block_matrix_refuses_a_level_outside_its_levels(k, l):
 def test_finite_block_matrix_refuses_a_level_that_is_not_an_integer(k, l):
     # a float slice raised a bare TypeError, and True read as level 1
     M = FiniteBlockMatrix(2, np.arange(16, dtype=float).reshape(4, 4))
-    with pytest.raises(InputError, match=re.escape(f"block ({k!r}, {l!r}) needs integer levels")):
+    with pytest.raises(InputError, match=re.escape(
+            f"block column must be an integer, got {l!r}" if type(k) is int
+            else f"block row must be an integer, got {k!r}")):
         M.block(k, l)
     assert np.array_equal(M.block(np.int64(1), np.int32(0)), M.values[2:, :2])
 
@@ -144,6 +147,52 @@ def test_mu_rule_rejects_bad_input():
         MuRule(table=(1.0, float("nan")))
     with pytest.raises(InputError):
         MuRule(table=(1.0,), value=float("inf"))
+
+
+@pytest.mark.parametrize("fields, name, value", [
+    (dict(table=("2.0",)), "table[0]", "'2.0'"),
+    (dict(table=(2.0, True)), "table[1]", "True"),
+    (dict(table=(2.0,), value=True), "value", "True"),
+    (dict(table=(2.0,), value="3"), "value", "'3'"),
+    (dict(table=(2.0,), eventual="affine", slope=True), "slope", "True"),
+])
+def test_mu_rule_takes_real_numbers_only(fields, name, value):
+    # "2.0" raised a bare TypeError, and True was taken as 1.0
+    message = f"mu {name} must be a real number, got {value}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        MuRule(**fields)
+
+
+def test_mu_rule_takes_numpy_numbers():
+    mu = MuRule(table=(np.float32(2.0), np.int64(3)), eventual="affine", slope=np.float64(0.5))
+    assert [mu(k) for k in (1, 2, 4)] == [2.0, 3.0, 4.0]
+    assert MuRule(table=(2.0,), value=np.int32(3))(5) == 3.0
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3)])
+def test_a_queue_tail_that_is_not_d_by_d_is_refused(shape):
+    # (1, 1) built, and bound_pipeline then died in a bare matmul ValueError;
+    # (3, 3) raised a bare ValueError.  D(0)'s diagonal gives up the row mass
+    # that the (1, 1) tail, broadcast over both phases, adds
+    tail = GeometricTail(coef=np.full(shape, 0.1), ratio=0.5)
+    D = list(d2_blocks())
+    D[0] = D[0] - 2.0 * float(tail.sum_from(len(D)).flat[0]) * np.eye(2)
+    message = f"tail coefficient has shape {shape}, want (2, 2)"
+    with pytest.raises(InvalidBmap, match=re.escape(message)):
+        BmapQueueModel(d=2, D=D, mu=MuRule(table=(3.0,)), tail=tail)
+
+
+def test_a_banded_tail_that_is_not_d_by_d_is_refused():
+    # both built, and failed only in `window`
+    repeat, boundary, _ = tailed_mg1_parts(np.random.default_rng(3))
+    tail = GeometricTail(coef=np.full((1, 1), 0.1), ratio=0.5)
+    for build in (lambda: Mg1Model(2, repeat, boundary, tail),
+                  lambda: BandedModel(d=2, L=1, U=1, K_hom=1, tail=tail, rows={
+                      0: {0: boundary[0], 1: boundary[1]},
+                      1: {-1: repeat[0], 0: repeat[1], 1: repeat[2]}})):
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape("tail coefficient has shape (1, 1), want (2, 2)")):
+            build()
 
 
 def test_geometric_tail_closed_forms():
@@ -571,7 +620,7 @@ def test_load_model_rejects_malformed_files(tmp_path):
         doc = {"d": 1, "kind": "ExplicitBanded",
                "parameters": {"L": 1, "U": 1, "K_hom": 1, "blocks": blocks + [
                    {"level": level, "offset": 0, "matrix": [[-0.5]]}]}}
-        with pytest.raises(InvalidModelFile, match=f"level {level} outside 0..K_hom=1"):
+        with pytest.raises(InvalidModelFile, match=f"block row {level} outside 0..1"):
             load_model(write_model(tmp_path / "banded.json", doc))
 
 

@@ -47,7 +47,6 @@ from helpers import (
     sparse_generators,
     tailed_mg1,
     tailed_queue,
-    uniformized_per_time,
     up_only_banded,
 )
 
@@ -405,15 +404,17 @@ def test_uniformized_times_share_one_term_sequence(d2_psi05):
     for start in (p0, np.eye(Q.shape[0])[:3]):
         found = solve._uniformized(Q, start, times, 1e-12)
         assert len(found) == len(times)
+        # each time alone, with a term sequence of its own
         for t, out in zip(times, found):
-            assert np.array_equal(out, uniformized_per_time(Q, start, t, 1e-12)), t
+            assert np.array_equal(out, solve._uniformized(Q, start, [t], 1e-12)[0]), t
 
 
 def test_decay_report_is_the_per_time_report(monkeypatch, fleet_models, fleet_certs):
     args = (fleet_models["d2"], fleet_certs["d2"], (0.5, 1.0, 5.0))
     shared = transient_decay_check(*args, start_level=3, n_ref=60)
+    uniformized = solve._uniformized
     monkeypatch.setattr(solve, "_uniformized", lambda values, start, times, tol: [
-        uniformized_per_time(values, start, t, tol) for t in times])
+        uniformized(values, start, [t], tol)[0] for t in times])
     per_time = transient_decay_check(*args, start_level=3, n_ref=60)
     assert shared == per_time
 
