@@ -119,7 +119,7 @@ class BoundReport:
     c, b and weighted_diag are the ingredients of the bound curve in t, kept
     so bound_at reproduces any point of it; bound_min is its minimum, reached
     at t_star.  runtime_ms is the time bound_report took; bound_pipeline
-    widens it to the level's whole cost, corner solve included.
+    widens it to the level's whole evaluation plus its corner's run time.
     """
 
     n: int

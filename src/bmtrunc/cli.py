@@ -2,8 +2,9 @@
 
 Subcommands: validate, truncate, solve, bound, sweep.  Exit codes: 0 all
 good, 1 a requested check failed, 2 bad input, 3 a numerical routine gave
-up.  The sweep solves its (n, style) corners in stacks, one elimination
-pass each, and writes one CSV row per (n, style) with the fixed header
+up.  The sweep hands its reference and every (n, style) corner to one
+`solve_truncations` call, which decides how they are packed, and writes
+one CSV row per (n, style) with the fixed header
 n,style,t_star,bound_min,true_tv,ordering_pass,runtime_ms.
 """
 
@@ -12,14 +13,13 @@ from __future__ import annotations
 import contextlib
 import csv
 import sys
-import time
 
 import click
 import numpy as np
 
 from . import bmap as _bmap
 from . import bounds as _bounds
-from .blockmat import BmapQueueModel, check_level, load_model, validate_q_matrix
+from .blockmat import BmapQueueModel, check_level, load_model, validate_q_matrix, zero_corner
 from .errors import BmtruncError, CheckFailure, InputError
 from .order import (
     check_ordering_tol,
@@ -123,57 +123,37 @@ def run_bound(model_path: str, n: int, t: float | None, beta: float | None,
     return 0
 
 
-def _stacks(specs: list, d: int, budget: int):
-    """Runs of consecutive specs, each solved as one stack: a run grows while
-    as many corners as it holds, of its last spec's size, stay within
-    budget entries.  The sweep's levels rise, so that size is the run's
-    largest."""
-    run = []
-    for spec in specs:
-        states = (spec.n + 1) * d
-        if run and (len(run) + 1) * states * states > budget:
-            yield run
-            run = []
-        run.append(spec)
-    if run:
-        yield run
-
-
 def _sweep_rows(model, cert, pi_ref_values, n: int, styles: tuple, solved: dict,
                 tol: float) -> list[dict]:
     """All CSV rows for one truncation level.
 
-    solved maps (n, style) to the corner's stationary vector and the wall
-    time, in ms, of the `solve_truncations` call that solved its stack; a
-    row's runtime_ms is that time, shared by every row of the stack.
+    solved maps (n, style) to the corner's stationary vector; a row's
+    runtime_ms is that vector's, the wall time of the run of corners
+    `solve_truncations` solved it in, shared by every row of the run.
     """
     d = model.d
-    solutions = {style: solved[n, style][0] for style in styles}
+    solutions = {style: solved[n, style].values for style in styles}
     chain = [FIRST_COLUMN, CUSTOM, LAST_COLUMN]
     present = [s for s in chain if s in solutions]
     ordering = True
     for lo, hi in zip(present, present[1:]):
         ordering &= vector_dominates(solutions[lo], solutions[hi], d, tol=tol).holds
     if LAST_COLUMN in solutions:
-        ordering &= vector_dominates(
-            solutions[LAST_COLUMN], pi_ref_values, d, tol=tol
-        ).holds
-    rows = []
+        ordering &= vector_dominates(solutions[LAST_COLUMN], pi_ref_values, d, tol=tol).holds
+    tvs = {style: float(tv_distance(solutions[style], pi_ref_values)) for style in styles}
     bound_rep = None
     if cert is not None and LAST_COLUMN in solutions:
-        bound_rep = _bounds.bound_report(
-            cert, model, n, true_tv=float(tv_distance(solutions[LAST_COLUMN], pi_ref_values))
-        )
+        bound_rep = _bounds.bound_report(cert, model, n, true_tv=tvs[LAST_COLUMN])
+    rows = []
     for style in styles:
-        tv = float(tv_distance(solutions[style], pi_ref_values))
         row = {
             "n": n,
             "style": style,
             "t_star": "",
             "bound_min": "",
-            "true_tv": f"{tv:.9e}",
+            "true_tv": f"{tvs[style]:.9e}",
             "ordering_pass": "yes" if ordering else "no",
-            "runtime_ms": f"{solved[n, style][1]:.3f}",
+            "runtime_ms": f"{solved[n, style].runtime_ms:.3f}",
         }
         if style == LAST_COLUMN and bound_rep is not None:
             row["t_star"] = f"{bound_rep.t_star:.9e}"
@@ -182,37 +162,30 @@ def _sweep_rows(model, cert, pi_ref_values, n: int, styles: tuple, solved: dict,
     return rows
 
 
-def _sweep_table(model, cert, pi_ref_values, levels, styles: tuple, weights: dict | None,
+def _sweep_table(model, cert, n_ref: int, levels, styles: tuple, weights: dict | None,
                  tol: float) -> list[dict]:
     """Every CSV row of the sweep, level by level.
 
-    The (n, style) corners are solved by `solve_truncations` in stacks of
-    consecutive corners that hold at most half the reference corner's
-    entries.  A pivot's update makes a temporary as large as its fill,
-    which can be the whole stack, and the reference corner is gone by
-    then, so no stack solve outgrows the reference solve's memory.  A spec
+    The reference corner at n_ref and every (n, style) corner go to one
+    `solve_truncations` call, which solves them in runs that hold at most
+    half the reference corner's entries, the reference alone first.  A spec
     that cannot be built (custom weights outside its level) is raised after
     the specs before it are solved, whose errors come first, as they would
     one corner at a time.  The rows are built once every corner is solved.
     """
-    specs, refused = [], None
+    specs, refused = [TruncationSpec(n=n_ref)], None
     try:
         for n in levels:
             for style in styles:
                 specs.append(_spec(n, style, weights))
     except BmtruncError as exc:
         refused = exc
-    solved = {}
-    for stack in _stacks(specs, model.d, pi_ref_values.size ** 2 // 2):
-        started = time.perf_counter()
-        vectors = solve_truncations(model, stack)
-        elapsed = (time.perf_counter() - started) * 1e3
-        for spec, pi in zip(stack, vectors):
-            solved[spec.n, spec.style] = (pi.values, elapsed)
+    pi_ref, *vectors = solve_truncations(model, specs)
     if refused is not None:
         raise refused
+    solved = {(spec.n, spec.style): pi for spec, pi in zip(specs[1:], vectors)}
     return [row for n in levels
-            for row in _sweep_rows(model, cert, pi_ref_values, n, styles, solved, tol)]
+            for row in _sweep_rows(model, cert, pi_ref.values, n, styles, solved, tol)]
 
 
 def run_sweep(model_path: str, n_min: int, n_max: int, step: int, n_ref: int | None,
@@ -233,14 +206,16 @@ def run_sweep(model_path: str, n_min: int, n_max: int, step: int, n_ref: int | N
     cert = None
     if isinstance(model, BmapQueueModel):
         cert = _bmap._level0_certificate(model, beta=beta)
-    pi_ref = solve_truncation(model, TruncationSpec(n=n_ref))
+    # a reference corner too large to allocate is bad input, refused before
+    # any output like the others; its zeros are never touched
+    zero_corner(n_ref, model.d)
     with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER, lineterminator="\n")
         writer.writeheader()
         try:
-            # every level is solved before any row is written, so a failing
-            # level leaves the header and the error row only
-            rows = _sweep_table(model, cert, pi_ref.values, levels, styles, weights, tol)
+            # every corner is solved before any row is written, so a failing
+            # reference or level leaves the header and the error row only
+            rows = _sweep_table(model, cert, n_ref, levels, styles, weights, tol)
         except BmtruncError as exc:
             writer.writerow({"n": "error", "style": type(exc).__name__})
             click.echo(f"error: {exc}", err=True)

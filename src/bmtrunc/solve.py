@@ -21,23 +21,17 @@ and O(N^2 * band) under a geometric tail, against O(N^3) dense.
 
 Two paths own their arrays differently.  `stationary(G)` never writes to G:
 it eliminates a copy and takes the residual x G from G, so it holds two
-N x N arrays.  A truncation's corner is eliminated in place, with the
-residual taken from the model.  The truncation callers (the bound
-pipeline, the sweep, `bmtrunc solve`) go through `solve_truncations`,
-which writes each spec's corner into one slot of a single zeroed stack,
-largest first, and eliminates the whole stack in one pass: pivots run
-from the largest corner's top state down, the corners larger than the
-pivot take part as one leading slice, and each pivot's fill bounds are
-the union of theirs, which only adds exact zeros.  Each vector is the one
-a lone solve gives, bit for bit, and a lone corner runs the same numpy
-calls as a 2-D loop.  A stack of K corners holds K arrays of the largest
-one's size, and a pivot's update a temporary as large as its fill; the
-sweep packs its corners into stacks of at most half its reference
-corner's entries after that corner is freed, so its peak memory is the
-reference solve's.  `solve_truncation` is the stack of one.  The decay
-check uniformizes from its proxy's corner first and then solves that
-corner in place.  Only explicit matrices and the phase law take
-`stationary`.
+N x N arrays.  The truncation callers (the bound pipeline, the sweep,
+`bmtrunc solve`) hand all their corners, reference included, to one
+`solve_truncations` call, and this module alone decides what a pass
+holds: runs of consecutive specs whose zero-padded stack holds at most
+half the entries of the call's largest corner.  A run is built into one
+zeroed stack, eliminated in place in one pass (`_eliminate`), each
+residual taken from the model, and freed before the next run is built,
+so a call's peak memory is its largest corner's solve and each vector is
+a lone solve's, bit for bit.  The decay check uniformizes from its
+proxy's corner first and then solves that corner in place.  Only
+explicit matrices and the phase law take `stationary`.
 
 Uniformization propagates a start distribution as vector x matrix
 products, O(N^2) per Poisson term, with one sequence of terms for all the
@@ -47,6 +41,7 @@ times asked; only `transition_matrix` forms matrix powers.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,14 +73,17 @@ GROUP_STATES = 64
 
 @dataclass
 class DistributionVector:
-    """Probability vector over (level, phase) states with provenance."""
+    """Probability vector over (level, phase) states with provenance;
+    runtime_ms is the wall time of its `stationary` call or of its run."""
 
     d: int
     values: np.ndarray
     source: str = "full-reference"
     n: int | None = None
+    runtime_ms: float = 0.0
 
     def __post_init__(self):
+        check_level(self.d, "block size", 1, error=DimensionMismatch)
         self.values = np.asarray(self.values, dtype=float)
         if self.n is None and self.values.size % self.d == 0:
             self.n = self.values.size // self.d - 1
@@ -129,12 +127,14 @@ def stationary(G, d: int | None = None, source: str = "full-reference") -> Distr
     state cannot reach the surviving ones, i.e. the chain has more than one
     closed class.
     """
+    started = time.perf_counter()
     values, d = _square_values(G, d)
     if values.shape[0] == 0:
         raise DimensionMismatch("a stationary distribution needs at least one state")
     x, diag_scale = _solved(_eliminate(values.copy()[:, None, :], [values.shape[0]], d)[0])
     _check_residual(x @ values, diag_scale)
-    return DistributionVector(d=d, values=x, source=source)
+    return DistributionVector(d=d, values=x, source=source,
+                              runtime_ms=(time.perf_counter() - started) * 1e3)
 
 
 def solve_truncation(M: BlockGeneratorModel, spec: TruncationSpec) -> DistributionVector:
@@ -154,26 +154,44 @@ def solve_truncations(M: BlockGeneratorModel, specs) -> list[DistributionVector]
     """Stationary distributions of the truncations of M that specs name, in
     their order, each bit for bit what `solve_truncation` returns for it.
 
-    Every corner is written by `truncation` into its own slot of one
-    `zero_corners` stack, largest first, and the stack is eliminated in one
-    pass; each residual is then checked from the model.  The stack holds
-    len(specs) arrays of the largest corner's size.  Where a spec is
-    refused, the error raised is the one that solving the specs one by one
-    in their order raises first: a truncation that fails leaves the specs
-    after it unbuilt, and the eliminations' and residuals' errors are taken
-    in spec order before it.  Only a stack too large to allocate is refused
-    before any corner is built.
+    The specs are split, in their order, into runs (`_runs`).  Each run
+    is written by `truncation` into one `zero_corners` stack, largest
+    first, eliminated in one pass and its residuals checked from the model,
+    before the next run is built; every vector carries its run's wall time
+    as runtime_ms.  Where a spec is refused, the error raised is the one
+    that solving the specs one by one in their order raises first: a
+    truncation that fails leaves the specs after it unbuilt, and the
+    eliminations' and residuals' errors are taken in spec order before it.
     """
-    specs = list(specs)
-    if not specs:
-        return []
+    return [pi for run in _runs(list(specs)) for pi in _solve_run(M, run)]
+
+
+def _runs(specs: list) -> list[list]:
+    """specs in consecutive runs, each as long as its count times its
+    largest corner's entries stays within half the largest corner's of all;
+    a larger corner is a run alone.  d is common, so levels stand for states."""
+    budget = (max((spec.n for spec in specs), default=0) + 1) ** 2 // 2
+    runs, top = [], 0
+    for spec in specs:
+        top = max(top, spec.n)
+        if not runs or (len(runs[-1]) + 1) * (top + 1) ** 2 > budget:
+            runs.append([])
+            top = spec.n
+        runs[-1].append(spec)
+    return runs
+
+
+def _solve_run(M: BlockGeneratorModel, run: list) -> list[DistributionVector]:
+    """One run of `solve_truncations`, as one stack; only a stack too large
+    to allocate is refused before its first corner is built."""
+    started = time.perf_counter()
     d = M.d
-    slots = sorted(range(len(specs)), key=lambda i: -specs[i].n)
+    slots = sorted(range(len(run)), key=lambda i: -run[i].n)
     slot_of = {i: slot for slot, i in enumerate(slots)}
-    sizes = [(specs[i].n + 1) * d for i in slots]
-    stack = zero_corners(specs[slots[0]].n, d, len(specs))
+    sizes = [(run[i].n + 1) * d for i in slots]
+    stack = zero_corners(run[slots[0]].n, d, len(run))
     truncs, refused = [], None
-    for i, spec in enumerate(specs):
+    for i, spec in enumerate(run):
         slot, size = slot_of[i], sizes[slot_of[i]]
         try:
             truncs.append(truncation(M, spec, stack[:size, slot, :size]))
@@ -182,7 +200,7 @@ def solve_truncations(M: BlockGeneratorModel, specs) -> list[DistributionVector]
             stack[:, slot] = 0.0
             break
     results = _eliminate(stack, sizes, d)
-    vectors = [_checked(trunc, results[slot_of[i]]) for i, trunc in enumerate(truncs)]
+    vectors = _checked(truncs, [results[slot_of[i]] for i in range(len(truncs))], started)
     if refused is not None:
         raise refused
     return vectors
@@ -191,8 +209,9 @@ def solve_truncations(M: BlockGeneratorModel, specs) -> list[DistributionVector]
 def _solve_in_place(trunc: TruncatedGenerator) -> DistributionVector:
     """Eliminate trunc's corner in place and check the residual x Q from
     the model; the corner's entries are garbage after."""
+    started = time.perf_counter()
     values = trunc.matrix.values
-    return _checked(trunc, _eliminate(values[:, None, :], [values.shape[0]], trunc.d)[0])
+    return _checked([trunc], _eliminate(values[:, None, :], [values.shape[0]], trunc.d), started)[0]
 
 
 def _solved(result) -> tuple[np.ndarray, float]:
@@ -203,12 +222,17 @@ def _solved(result) -> tuple[np.ndarray, float]:
     return result
 
 
-def _checked(trunc: TruncatedGenerator, result) -> DistributionVector:
-    """trunc's stationary vector from its `_eliminate` result, its residual
-    x Q checked from the model."""
-    x, diag_scale = _solved(result)
-    _check_residual(trunc.corner_product(x), diag_scale)
-    return DistributionVector(d=trunc.d, values=x, source=trunc.spec.style)
+def _checked(truncs: list, results: list, started: float) -> list[DistributionVector]:
+    """truncs' stationary vectors from their `_eliminate` results, each
+    residual x Q checked from the model in turn, all timed from started."""
+    xs = []
+    for trunc, result in zip(truncs, results):
+        x, diag_scale = _solved(result)
+        _check_residual(trunc.corner_product(x), diag_scale)
+        xs.append(x)
+    ms = (time.perf_counter() - started) * 1e3
+    return [DistributionVector(d=trunc.d, values=x, source=trunc.spec.style, runtime_ms=ms)
+            for trunc, x in zip(truncs, xs)]
 
 
 def _eliminate(S: np.ndarray, sizes: list, d: int) -> list:

@@ -23,6 +23,7 @@ from bmtrunc import (
     MuRule,
     NoFeasibleK,
     NoPositiveC,
+    TruncationSpec,
     arrival_rate,
     bmap,
     bound_pipeline,
@@ -33,6 +34,7 @@ from bmtrunc import (
     find_constants_disaster,
     load_model,
     order,
+    solve,
     spectral,
 )
 from bmtrunc.bounds import DRIFT_TOL
@@ -249,16 +251,35 @@ def test_pipeline_reports(d2_psi0):
 
 
 def test_pipeline_runtime_covers_the_corner_solve(mm1, monkeypatch):
-    real = bmap.solve_truncation
+    # the corners at 5 and 10 are eliminated in one run, after the
+    # reference's: each report carries its run's elimination
+    real = solve._eliminate
 
-    def slow_corner_solve(M, spec):
-        if spec.style == "lc":
-            time.sleep(0.03)
-        return real(M, spec)
+    def slow_elimination(S, sizes, d):
+        time.sleep(0.03)
+        return real(S, sizes, d)
 
-    monkeypatch.setattr(bmap, "solve_truncation", slow_corner_solve)
+    monkeypatch.setattr(solve, "_eliminate", slow_elimination)
     reps = bound_pipeline(mm1, [5, 10], n_ref=40)
     assert all(r.runtime_ms >= 30.0 for r in reps)
+
+
+def test_pipeline_solves_its_reference_and_levels_in_one_call(d2_psi0, monkeypatch):
+    real = bmap.solve_truncations
+    calls = []
+
+    def counted(M, specs):
+        calls.append([(spec.n, spec.style) for spec in specs])
+        return real(M, specs)
+
+    monkeypatch.setattr(bmap, "solve_truncations", counted)
+    reps = bound_pipeline(d2_psi0, [5, 10, 20], n_ref=80)
+    assert calls == [[(80, "lc"), (5, "lc"), (10, "lc"), (20, "lc")]]
+    # each level's true_tv is the one its lone solve gives, bit for bit
+    pi_ref = solve.solve_truncation(d2_psi0, TruncationSpec(n=80))
+    for rep in reps:
+        pi_n = solve.solve_truncation(d2_psi0, TruncationSpec(n=rep.n))
+        assert rep.true_tv == solve.tv_distance(pi_n, pi_ref)
 
 
 def _spectral_steps(B, z):

@@ -482,16 +482,22 @@ def test_solve_refuses_bad_weights(runner, mm1_path, weights, message):
     assert result.output.splitlines() == [f"error: {message}"]
 
 
-@pytest.mark.parametrize("case", ["3", "-1", "reducible"])
+@pytest.mark.parametrize("case", ["3", "-1", "reducible", "reference"])
 def test_sweep_error_row(runner, mm1_path, tmp_path, case):
     sweep = ["sweep", "--n-min", "2", "--n-max", "4", "--step", "2"]
-    if case == "reducible":
+    if case in ("reducible", "reference"):
         # the lc corners at levels 2 and 4 are reducible, and the sweep's
         # one stack meets level 4's zero pivot first: the error is level
-        # 2's, the first in sweep order, with no RuntimeWarning on the way
+        # 2's, the first in sweep order, with no RuntimeWarning on the way.
+        # As the reference, level 4 fails in the one solve call with the
+        # levels, after the header; it once exited before any output
         path = write_model(tmp_path / "up.json", banded_doc(UP_ONLY_ROWS, L=2, K_hom=5))
         args = [*sweep, "--model", path]
-        message = ("error: elimination pivot 0.000e+00 at state 2: no path from the "
+        state = 2
+        if case == "reference":
+            args = ["sweep", "--n-min", "1", "--n-max", "1", "--n-ref", "4", "--model", path]
+            state = 4
+        message = (f"error: elimination pivot 0.000e+00 at state {state}: no path from the "
                    "top states back down, the chain is reducible")
         error, code = "MultipleClosedClasses", 3
     else:

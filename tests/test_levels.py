@@ -22,6 +22,7 @@ from bmtrunc import (
     BmapQueueModel,
     BmtruncError,
     DimensionMismatch,
+    DistributionVector,
     GeometricVector,
     InputError,
     InvalidBmap,
@@ -48,6 +49,8 @@ BANDED_ROWS = {0: {0: [[-1.0]], 1: [[1.0]]}, 1: {-1: [[2.0]], 0: [[-3.0]], 1: [[
 ENTRY_POINTS = {
     "block_size": (lambda c, x: check_block_length(4, x), DimensionMismatch, "block size", 1,
                    None, ()),
+    "vector_block_size": (lambda c, x: DistributionVector(d=x, values=[0.5, 0.5]),
+                          DimensionMismatch, "block size", 1, None, ()),
     "window": (lambda c, x: c.queue.window(x), InputError, "window level", 0, None, ()),
     "block_row": (lambda c, x: c.T.matrix.block(x, 0), InputError, "block row", 0, 4, ()),
     "block_column": (lambda c, x: c.T.matrix.block(0, x), InputError, "block column", 0, 4,

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -196,10 +197,11 @@ def test_solve_truncations_is_solve_truncation_bit_for_bit(fleet_models):
     # the fleet with a tailed queue, psi > 0, an M/G/1-type model and banded
     # models with L = 1 and 2; one call per model mixes n = 1..8 in an order
     # that is not monotone with lc, fc and custom corners, whose weights put
-    # mass on an interior level, so the stack's slots are not in spec order
+    # mass on an interior level, so the stack's slots are not in spec order.
+    # A corner at 40 first lets a run hold up to ten of them
     models = dict(_corner_models(fleet_models),
                   banded_two_down=banded_two_down(np.random.default_rng(43)))
-    specs = []
+    specs = [TruncationSpec(n=40)]
     for n in (5, 1, 8, 3, 2, 7, 4, 6):
         specs += [TruncationSpec(n=n, style="fc"), TruncationSpec(n=n)]
         if n >= 2:
@@ -212,6 +214,90 @@ def test_solve_truncations_is_solve_truncation_bit_for_bit(fleet_models):
             alone = solve_truncation(model, spec)
             assert np.array_equal(pi.values, alone.values), f"{name} n={spec.n} {spec.style}"
             assert (pi.d, pi.n, pi.source) == (alone.d, alone.n, alone.source)
+
+
+# A reference at n = 39, then corners of rising and falling size: with d
+# common, a run may hold (count) x (largest level count)^2 <= 40^2 // 2 =
+# 800, so the runs are [39], [9 lc, 14 fc], [19 custom, 12 lc] and
+# [6 fc, 11 custom, 3 lc]; the custom corner at 19 puts mass on level 7
+RUN_SPECS = [TruncationSpec(n=39), TruncationSpec(n=9), TruncationSpec(n=14, style="fc"),
+             TruncationSpec(n=19, style="custom", weights={0: 0.25, 7: 0.25, 19: 0.5}),
+             TruncationSpec(n=12), TruncationSpec(n=6, style="fc"),
+             TruncationSpec(n=11, style="custom", weights={0: 0.5, 11: 0.5}),
+             TruncationSpec(n=3)]
+RUNS = [[0], [1, 2], [3, 4], [5, 6, 7]]
+
+
+def test_solve_truncations_splits_its_specs_into_runs_bit_for_bit(fleet_models, monkeypatch):
+    model = fleet_models["d2"]
+    real = solve.zero_corners
+    stacks = []
+
+    def counted(n, d, count):
+        stacks.append((n, count))
+        return real(n, d, count)
+
+    monkeypatch.setattr(solve, "zero_corners", counted)
+    pis = solve_truncations(model, RUN_SPECS)
+    # one stack per run, each of its largest corner, in spec order
+    assert stacks == [(39, 1), (14, 2), (19, 2), (11, 3)]
+    largest = (40 * model.d) ** 2
+    for n, count in stacks[1:]:
+        assert count * ((n + 1) * model.d) ** 2 <= largest // 2, (n, count)
+    monkeypatch.undo()
+    for spec, pi in zip(RUN_SPECS, pis):
+        alone = solve_truncation(model, spec)
+        assert np.array_equal(pi.values, alone.values), f"n={spec.n} {spec.style}"
+        assert (pi.d, pi.n, pi.source) == (alone.d, alone.n, alone.source)
+
+
+def test_each_vector_carries_its_runs_time(fleet_models, monkeypatch):
+    # building the custom corner at 19 sleeps 50 ms: its run, and only its
+    # run, takes that long, and every vector of a run carries one time
+    real = solve.truncation
+
+    def slow_custom(M, spec, out=None):
+        if spec.n == 19:
+            time.sleep(0.05)
+        return real(M, spec, out)
+
+    monkeypatch.setattr(solve, "truncation", slow_custom)
+    pis = solve_truncations(fleet_models["d2"], RUN_SPECS)
+    times = [{pis[i].runtime_ms for i in run} for run in RUNS]
+    assert all(len(t) == 1 for t in times), times
+    assert [t.pop() >= 50.0 for t in times] == [False, False, True, False]
+
+
+def test_a_refused_run_stops_the_runs_after_it(monkeypatch):
+    # the lc corners at levels 2 and 4 are reducible, the one at 16 is not;
+    # the runs of [16, 4 fc, 2] are [16] and [4 fc, 2], those of [4, 16, 12
+    # fc] are [4], [16] and [12 fc]
+    model = up_only_banded()
+    real_truncation, real_eliminate = solve.truncation, solve._eliminate
+    built, eliminated = [], []
+
+    def recorded_truncation(M, spec, out=None):
+        built.append(spec.n)
+        return real_truncation(M, spec, out)
+
+    def recorded_eliminate(S, sizes, d):
+        eliminated.append(list(sizes))
+        return real_eliminate(S, sizes, d)
+
+    monkeypatch.setattr(solve, "truncation", recorded_truncation)
+    monkeypatch.setattr(solve, "_eliminate", recorded_eliminate)
+    later = [TruncationSpec(n=16), TruncationSpec(n=4, style="fc"), TruncationSpec(n=2)]
+    with pytest.raises(MultipleClosedClasses, match="at state 2:"):
+        solve_truncations(model, later)
+    # the reference's run was solved before the refusal
+    assert (built, eliminated) == ([16, 4, 2], [[17], [5, 3]])
+    built.clear()
+    eliminated.clear()
+    earlier = [TruncationSpec(n=4), TruncationSpec(n=16), TruncationSpec(n=12, style="fc")]
+    with pytest.raises(MultipleClosedClasses, match="at state 4:"):
+        solve_truncations(model, earlier)
+    # no corner of a later run was built
+    assert (built, eliminated) == ([4], [[5]])
 
 
 @given(cases=st.lists(sparse_generators(), min_size=2, max_size=4))
@@ -237,13 +323,15 @@ def test_stacked_elimination_is_dense_elimination_on_sparse_generators(cases):
 
 
 def test_a_stack_raises_the_first_refusal_in_spec_order():
-    # the lc corners at levels 2 and 4 are reducible; the stack meets level
+    # the lc corners at levels 2 and 4 are reducible; after the irreducible
+    # one at 16, alone in its run, they share one stack, which meets level
     # 4's zero pivot first, whichever spec comes first.  Tier-1 turns any
     # RuntimeWarning into an error, so the refused corners divide by nothing
     # that warns
     model = up_only_banded()
     two, four, fc = TruncationSpec(n=2), TruncationSpec(n=4), TruncationSpec(n=4, style="fc")
-    for specs, first, state in (([two, fc, four], two, 2), ([fc, four, two], four, 4)):
+    ref = TruncationSpec(n=16)
+    for specs, first, state in (([ref, two, fc, four], two, 2), ([ref, fc, four, two], four, 4)):
         with pytest.raises(MultipleClosedClasses) as alone:
             solve_truncation(model, first)
         with pytest.raises(MultipleClosedClasses, match=f"at state {state}:") as stacked:
@@ -266,11 +354,12 @@ def test_a_stack_raises_a_failed_truncation_after_the_specs_before_it(monkeypatc
         return real(M, spec, out)
 
     monkeypatch.setattr(solve, "truncation", broken_fc)
-    two, fc = TruncationSpec(n=2), TruncationSpec(n=4, style="fc")
+    # after the corner at 16, alone in its run, both share one stack
+    two, fc, ref = TruncationSpec(n=2), TruncationSpec(n=4, style="fc"), TruncationSpec(n=16)
     with pytest.raises(MultipleClosedClasses, match="at state 2:"):
-        solve_truncations(model, [two, fc])
+        solve_truncations(model, [ref, two, fc])
     with pytest.raises(InvalidRedistribution, match="broken fold"):
-        solve_truncations(model, [fc, two])
+        solve_truncations(model, [ref, fc, two])
 
 
 def test_corner_product_is_the_dense_residual(fleet_models):
@@ -527,6 +616,20 @@ def test_tv_distance_basics():
     assert tv_distance(a, c) == pytest.approx(1.0)
     with pytest.raises(DimensionMismatch):
         tv_distance(a, DistributionVector(d=2, values=np.array([0.5, 0.5])))
+
+
+@pytest.mark.parametrize("d, message", [(0, "block size must be >= 1, got 0"),
+                                        (-1, "block size must be >= 1, got -1"),
+                                        (2.5, "block size must be an integer, got 2.5"),
+                                        (True, "block size must be an integer, got True")],
+                         ids=["0", "-1", "2.5", "True"])
+def test_a_distribution_vector_takes_only_block_sizes(d, message):
+    # d = 0 raised a bare ZeroDivisionError, 2.5 built with n = None, and
+    # True was read as 1, so tv_distance took it for a d = 1 vector
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        DistributionVector(d=d, values=[0.5, 0.5])
+    pi = DistributionVector(d=np.int64(2), values=[0.5, 0.5])
+    assert (pi.d, pi.n, pi.runtime_ms) == (2, 0, 0.0)
 
 
 def test_tv_distance_triangle_inequality():
